@@ -9,6 +9,7 @@ same-named command line flags.
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import os
 import statistics
@@ -29,7 +30,7 @@ from .dataio import (
     write_metrics_csv,
     write_sweep_csv,
 )
-from .detector import PathLossModel
+from .detector import DEFAULT_T_LOS, PathLossModel
 from .errors import SlamError
 from .evaluation import (
     MODES,
@@ -40,6 +41,8 @@ from .evaluation import (
 from .geometry import NoiseModel
 from .robust import RobustConfig
 from .sim import SimConfig, generate_dataset
+
+_log = logging.getLogger("snapslam")
 
 _INT_KEYS = {"grid_size", "seed", "workers", "max_bounces", "trials"}
 _PAIR_KEYS = {"bias_range_ns"}
@@ -55,7 +58,7 @@ class RunConfig:
 
     t_eps: float = 0.1
     t_nu: float = 0.1
-    t_los: float = 10.8
+    t_los: float = DEFAULT_T_LOS
     t_outlier: float = 3.0
     grid_size: int = 361
     sigma_toa_ns: float = 1.0
@@ -168,7 +171,10 @@ def _solve_one(task):
     try:
         solution, detection = solve_snapshot(snapshot, mode, rc.robust_config(),
                                              rc.gain_model(), rc.t_los)
-    except SlamError as exc:
+    except Exception as exc:
+        # one snapshot's failure, expected or not, must not end the run
+        if not isinstance(exc, SlamError):
+            _log.exception("snapshot %s: unexpected error", snapshot.id)
         return (failure_to_dict(snapshot.id, f"{type(exc).__name__}: {exc}", mode),
                 None, None)
     elapsed = time.perf_counter() - start

@@ -78,14 +78,17 @@ def write_jsonl(rows: Iterable[dict], path) -> None:
             fh.write("\n")
 
 
-def read_jsonl(path) -> list[dict]:
-    rows = []
+def _numbered_lines(path):
+    """(line number, stripped text) of every non-blank line."""
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                rows.append(json.loads(line))
-    return rows
+                yield lineno, line
+
+
+def read_jsonl(path) -> list[dict]:
+    return [json.loads(line) for _, line in _numbered_lines(path)]
 
 
 def write_dataset(snapshots: Sequence[Snapshot], path) -> None:
@@ -93,7 +96,21 @@ def write_dataset(snapshots: Sequence[Snapshot], path) -> None:
 
 
 def read_dataset(path) -> list[Snapshot]:
-    return [snapshot_from_dict(row) for row in read_jsonl(path)]
+    """Snapshots of a dataset file, in file order.
+
+    Raises ValueError naming the file line, and the field if one is
+    missing, for a row that is not valid JSON or not a snapshot.
+    """
+    out = []
+    for lineno, line in _numbered_lines(path):
+        try:
+            out.append(snapshot_from_dict(json.loads(line)))
+        except KeyError as exc:
+            raise ValueError(f"{path}, line {lineno}: missing field "
+                             f"{exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:   # JSONDecodeError is a ValueError
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    return out
 
 
 def solution_to_dict(snapshot_id: str, solution: SlamSolution,

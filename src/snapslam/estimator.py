@@ -37,7 +37,22 @@ _C = SPEED_OF_LIGHT
 
 CONDITION_LIMIT = 1e12
 """Condition number of the scaled normal matrix above which the geometry is
-treated as singular."""
+treated as singular.
+
+The search gates its 3x3 normal matrices in closed form: the largest
+eigenvalue from the trigonometric solution of the characteristic cubic
+(O. K. Smith, "Eigenvalues of a symmetric 3x3 matrix", CACM 1961), the
+other two from their sum and their product, the product from the pivots of
+an LDL^T factorization. The smallest eigenvalue then carries an absolute
+error of a few ulps of the largest, as LAPACK's SVD does. Rows whose
+closed-form condition falls inside ``_COND_GUARD_BAND`` are rechecked with
+``np.linalg.svd``, so every gate decision is the one an SVD-only gate
+makes."""
+
+_COND_GUARD_BAND = (1e9, 1e15)
+"""Closed-form condition numbers in this closed interval are rechecked by
+SVD; below it a row passes, above it (or at or below zero, or when an LDL^T
+pivot is not positive) it fails."""
 
 
 @dataclass(frozen=True)
@@ -82,7 +97,11 @@ class _PathTerms(NamedTuple):
     """Per-(heading, path) arrays used by the batched conditional solver.
 
     Shapes: M headings by n paths. ``u`` is heading-independent, shape (n, 2).
-    ``a`` and ``rhs`` are the gain-weighted per-path normal-matrix blocks.
+    ``normal`` packs each path's gain-weighted normal-matrix block A and
+    right-hand side b as (a00, a01, a02, a11, a12, a22, b0, b1, b2): the
+    upper triangle of the symmetric A row by row, then b. Sums of packed
+    systems are packed systems, so a subset's system is the sum of its
+    paths' rows.
     """
 
     p_bs: np.ndarray      # (2,)
@@ -94,12 +113,14 @@ class _PathTerms(NamedTuple):
     nu_sq: np.ndarray     # (M, n)
     nubar: np.ndarray     # (M, n, 2)  zero rows where the projector is identity
     mu: np.ndarray        # (M, n, 2)
-    a: np.ndarray         # (M, n, 3, 3)
-    rhs: np.ndarray       # (M, n, 3)
+    normal: np.ndarray    # (M, n, 9)
+
+
+_UNPACK = [0, 1, 2, 1, 3, 4, 2, 4, 5]   # packed index of A[i, j], row-major
 
 
 def _dot2(x, y):
-    return np.einsum("...i,...i->...", x, y)
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
 
 
 def _build_terms(paths: Sequence[PathMeasurement], bs: Pose, alphas: np.ndarray,
@@ -138,67 +159,131 @@ def _build_terms(paths: Sequence[PathMeasurement], bs: Pose, alphas: np.ndarray,
     #   A_i = eta * H^T P H,  rhs_i = eta * H^T P mu,  H = [I2 | -v], P = I - nubar nubar^T
     w = v - nubar * _dot2(nubar, v)[..., None]      # P v
     g = mu - nubar * _dot2(nubar, mu)[..., None]    # P mu
-    m, n = v.shape[:2]
-    a = np.empty((m, n, 3, 3))
-    a[..., :2, :2] = np.eye(2) - nubar[..., :, None] * nubar[..., None, :]
-    a[..., :2, 2] = -w
-    a[..., 2, :2] = -w
-    a[..., 2, 2] = _dot2(v, w)
-    a *= eta[None, :, None, None]
-    rhs = np.empty((m, n, 3))
-    rhs[..., :2] = g
-    rhs[..., 2] = -_dot2(v, g)
-    rhs *= eta[None, :, None]
-    return _PathTerms(bs.position, tau, eta, u, v, nu, nu_sq, nubar, mu, a, rhs)
+    normal = np.stack([1.0 - nubar[..., 0] * nubar[..., 0],
+                       -nubar[..., 0] * nubar[..., 1],
+                       -w[..., 0],
+                       1.0 - nubar[..., 1] * nubar[..., 1],
+                       -w[..., 1],
+                       _dot2(v, w),
+                       g[..., 0],
+                       g[..., 1],
+                       -_dot2(v, g)], axis=-1)
+    normal *= eta[None, :, None]
+    return _PathTerms(bs.position, tau, eta, u, v, nu, nu_sq, nubar, mu, normal)
+
+
+def _solve_packed(s: np.ndarray):
+    """Gate and solve a batch of packed symmetric PSD 3x3 systems.
+
+    ``s`` has any leading batch shape and a last axis packed as
+    ``_PathTerms.normal``. Returns (x, ok): x (..., 3) solves A x = b on
+    rows whose condition number is below ``CONDITION_LIMIT`` and is zero
+    elsewhere.
+
+    Everything is elementwise: the condition number in closed form (see
+    ``CONDITION_LIMIT``), rechecked by SVD on the rare rows inside
+    ``_COND_GUARD_BAND``, and the solve by an unpivoted LDL^T
+    factorization, which is backward stable for positive semi-definite
+    matrices.
+    """
+    a00, a01, a02, a11, a12, a22, b0, b1, b2 = np.moveaxis(s, -1, 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # A = L D L^T with unit lower L = [[1], [l10, 1], [l20, l21, 1]]
+        l10 = a01 / a00
+        l20 = a02 / a00
+        d1 = a11 - l10 * a01
+        l21 = (a12 - l20 * a01) / d1
+        d2 = a22 - l20 * a02 - l21 * l21 * d1
+        pivots_ok = (a00 > 0.0) & (d1 > 0.0) & (d2 > 0.0)
+
+        # largest eigenvalue from the trigonometric form of the cubic
+        trace = a00 + a11 + a22
+        q = trace / 3.0
+        c00, c11, c22 = a00 - q, a11 - q, a22 - q
+        p = np.sqrt((c00 * c00 + c11 * c11 + c22 * c22
+                     + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
+        # det((A - qI) / p) / 2, scaled before the product so that a tiny
+        # spread p (a near-multiple of I) cannot underflow p**3 to zero
+        inv_p = 1.0 / p
+        c00, c11, c22 = c00 * inv_p, c11 * inv_p, c22 * inv_p
+        e01, e02, e12 = a01 * inv_p, a02 * inv_p, a12 * inv_p
+        det_c = (c00 * (c11 * c22 - e12 * e12) - e01 * (e01 * c22 - e12 * e02)
+                 + e02 * (e01 * e12 - c11 * e02))
+        r = np.clip(0.5 * det_c, -1.0, 1.0)
+        lam_max = np.where(p > 0.0, q + 2.0 * p * np.cos(np.arccos(r) / 3.0), q)
+
+        # the other two from their sum and their product det(A) / lam_max;
+        # the pivots give det(A) to the backward error of the factorization
+        rest = trace - lam_max
+        prod = a00 * d1 * d2 / lam_max
+        lam_mid = 0.5 * (rest + np.sqrt(np.maximum(rest * rest - 4.0 * prod, 0.0)))
+        # lam_min <= lam_mid; the bound holds where rounding left no real pair
+        lam_min = np.minimum(prod / lam_mid, lam_mid)
+        cond = np.where(pivots_ok, lam_max / lam_min, -1.0)
+
+        lo, hi = _COND_GUARD_BAND
+        ok = (cond > 0.0) & (cond < lo)
+        band = (cond >= lo) & (cond <= hi)
+        if band.any():
+            sv = np.linalg.svd(s[band][:, _UNPACK].reshape(-1, 3, 3), compute_uv=False)
+            ok[band] = sv[:, 0] / sv[:, 2] < CONDITION_LIMIT
+
+        # forward substitution, diagonal, back substitution
+        z1 = b1 - l10 * b0
+        z2 = b2 - l20 * b0 - l21 * z1
+        x2 = z2 / d2
+        x1 = z1 / d1 - l21 * x2
+        x0 = b0 / a00 - l10 * x1 - l20 * x2
+    x = np.stack([x0, x1, x2], axis=-1)
+    return np.where(ok[..., None], x, 0.0), ok
 
 
 def _solve_members(terms: _PathTerms, member: np.ndarray):
     """Solve the conditional normal equations for each heading row.
 
-    ``member`` is an (M, n) float mask selecting the paths summed into each
-    row's normal matrix. Returns (x, ok) where x is (M, 3) in meters-bias
-    state and ok flags rows whose matrix is invertible below the condition
-    limit; x rows with ok False are placeholders.
+    ``member`` is a (..., M, n) float mask selecting the paths summed into
+    each row's normal matrix; any leading batch shape is kept. Returns
+    (x, ok) where x is (..., M, 3) in meters-bias state and ok flags rows
+    whose matrix passes the condition gate of ``_solve_packed``; x rows
+    with ok False are placeholders.
     """
-    a_tot = np.einsum("mn,mnij->mij", member, terms.a)
-    b_tot = np.einsum("mn,mni->mi", member, terms.rhs)
-    sv = np.linalg.svd(a_tot, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = sv[:, 0] / sv[:, 2]
-    ok = np.isfinite(cond) & (cond < CONDITION_LIMIT)
-    a_safe = np.where(ok[:, None, None], a_tot, np.eye(3))
-    x = np.linalg.solve(a_safe, b_tot[..., None])[..., 0]
-    return x, ok
+    return _solve_packed((member[..., None, :] @ terms.normal)[..., 0, :])
 
 
 def _residuals(terms: _PathTerms, x: np.ndarray) -> np.ndarray:
-    """Raw 2-D residuals H x - mu, shape (M, n, 2)."""
-    return x[:, None, :2] - x[:, 2][:, None, None] * terms.v - terms.mu
+    """Raw 2-D residuals H x - mu, shape (..., M, n, 2) for x of shape (..., M, 3)."""
+    return x[..., None, :2] - x[..., 2, None, None] * terms.v - terms.mu
 
 
 def _costs(terms: _PathTerms, x: np.ndarray) -> np.ndarray:
-    """Squared projected residual of every path at every row's state, (M, n)."""
+    """Squared projected residual of every path at every row's state, (..., M, n)."""
     r = _residuals(terms, x)
     pr = r - terms.nubar * _dot2(terms.nubar, r)[..., None]
     return _dot2(pr, pr)
 
 
 def _weighted_total(costs: np.ndarray, eta: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """Gain-weighted cost of each heading row over a member mask, (M,).
+    """Gain-weighted cost of each row over a member mask, (..., M).
 
-    One shared expression so grid search, conditional estimate, robust cells
-    and the benchmark produce bit-identical totals on identical inputs.
+    A row's total depends on its own costs and mask alone, whatever batch
+    it sits in. Totals therefore agree to the bit between callers whose
+    states do: a search cell's inlier re-solve, the heading polish,
+    ``nlos_orientation_search``, ``conditional_estimate`` and
+    ``benchmark_solve`` all solve through ``_solve_members``. The search's
+    minimal-subset solve sums its paths' blocks directly, so its states, and
+    the inlier sets they select, match a ``_solve_members`` solve only to
+    rounding.
     """
-    return (member * eta[None, :] * costs).sum(axis=1)
+    return (member * eta * costs).sum(axis=-1)
 
 
 def _gammas(terms: _PathTerms, x: np.ndarray) -> np.ndarray:
-    """Bounce fraction of every path at every row's state, (M, n).
+    """Bounce fraction of every path at every row's state, (..., M, n).
 
     Rows where the fraction is undefined (zero length or cancelled rays)
     come back infinite so that range checks fail.
     """
-    d = _C * terms.tau[None, :] - x[:, 2][:, None]
+    d = _C * terms.tau - x[..., 2, None]
     r = _residuals(terms, x)
     num = _dot2(terms.nu, r)
     den = d * terms.nu_sq

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detector import PathLossModel, mixed_solve
+from .detector import DEFAULT_T_LOS, PathLossModel, mixed_solve
 from .errors import (
     DegenerateGeometry,
     EmptyInput,
@@ -233,7 +233,7 @@ MODES = ("robust_mixed", "robust_h0", "robust_h1", "benchmark")
 def solve_snapshot(snapshot: Snapshot, mode: str,
                    config: RobustConfig = RobustConfig(),
                    model: PathLossModel = PathLossModel(),
-                   threshold: float = 10.8):
+                   threshold: float = DEFAULT_T_LOS):
     """Dispatch one snapshot to a solver mode.
 
     Returns (solution, detection) where detection is None for every mode but
@@ -344,7 +344,7 @@ def los_sensitivity_sweep(snapshots: Sequence[Snapshot],
 def evaluate_dataset(snapshots: Sequence[Snapshot], mode: str,
                      config: RobustConfig = RobustConfig(),
                      model: PathLossModel = PathLossModel(),
-                     threshold: float = 10.8):
+                     threshold: float = DEFAULT_T_LOS):
     """Solve every snapshot in one mode, timing each call.
 
     Returns (results, records, failures): per-snapshot (solution, detection)

@@ -9,6 +9,12 @@ physical feasibility checks, and keeps the cheapest feasible cell. Excluded
 paths pay a fixed per-path penalty so that explaining a path is never worse
 than discarding it.
 
+The search is batched over headings and subsets together: it takes whole
+subsets in chunks of at most ``_CHUNK_ROW_PATHS`` (heading x subset) cells
+times paths, which caps its working memory at a few megabytes whatever the
+path count, and solves every cell's 3x3 normal system elementwise (see
+``estimator.CONDITION_LIMIT``).
+
 ``benchmark_solve`` is the non-robust reference: every path, NLoS model,
 grid search only.
 """
@@ -30,6 +36,7 @@ from .estimator import (
     _costs,
     _gammas,
     _solve_members,
+    _solve_packed,
     _weighted_total,
     landmark_refine,
     los_orientation,
@@ -38,6 +45,12 @@ from .estimator import (
 from .geometry import SPEED_OF_LIGHT, NoiseModel, PathMeasurement, Pose, UeState, wrap_angle
 
 _C = SPEED_OF_LIGHT
+
+_CHUNK_ROW_PATHS = 16384
+"""Rows (heading x subset cells) times paths evaluated together by the
+search. Its per-cell arrays cost ~100 bytes per row and path, so this
+bounds the search's working memory at ~1.6 MB on top of the per-path
+terms, whatever the snapshot size; whole subsets are batched, one at least."""
 
 
 class Hypothesis(Enum):
@@ -128,27 +141,24 @@ def enumerate_combinations(n_paths: int, hypothesis: Hypothesis,
 
 def _feasibility_mask(terms, x: np.ndarray, inlier: np.ndarray, n_min: int,
                       t_nu: float) -> np.ndarray:
-    """Vectorized feasibility of each heading row's (state, inlier set).
+    """Vectorized feasibility of each row's (state, inlier set), (..., M).
 
-    Checks, per row: enough inliers; non-negative bias-corrected delay of
-    the earliest inlier j; bounce fraction of j in [0, 1] unless its rays
-    nearly cancel (near-LoS geometry); bounce fraction of every other inlier
-    in [0, 1].
+    ``x`` is (..., M, 3) and ``inlier`` (..., M, n) for any leading batch
+    shape. Checks, per row: enough inliers; non-negative bias-corrected
+    delay of the earliest inlier j; bounce fraction of j in [0, 1] unless
+    its rays nearly cancel (near-LoS geometry); bounce fraction of every
+    other inlier in [0, 1].
     """
-    m, n = inlier.shape
-    count_ok = inlier.sum(axis=1) >= n_min
-    tau_masked = np.where(inlier, terms.tau[None, :], np.inf)
-    j = np.argmin(tau_masked, axis=1)
-    d_j = _C * terms.tau[j] - x[:, 2]
-    delay_ok = d_j >= 0.0
+    count_ok = inlier.sum(axis=-1) >= n_min
+    j = np.argmin(np.where(inlier, terms.tau, np.inf), axis=-1)
+    delay_ok = _C * terms.tau[j] - x[..., 2] >= 0.0
     gam = _gammas(terms, x)
     in_range = (gam >= 0.0) & (gam <= 1.0)
-    j_cols = (np.arange(n)[None, :] == j[:, None])
-    j_in_range = np.take_along_axis(in_range, j[:, None], axis=1)[:, 0]
-    j_nu = np.take_along_axis(terms.nu_sq, j[:, None], axis=1)[:, 0]
-    j_ok = j_in_range | (j_nu <= t_nu)
-    others_ok = np.all(in_range | ~inlier | j_cols, axis=1)
-    return count_ok & delay_ok & j_ok & others_ok
+    j_cols = np.arange(inlier.shape[-1]) == j[..., None]
+    j_in_range = (in_range & j_cols).any(axis=-1)
+    j_near_los = ((terms.nu_sq <= t_nu) & j_cols).any(axis=-1)
+    others_ok = np.all(in_range | ~inlier | j_cols, axis=-1)
+    return count_ok & delay_ok & (j_in_range | j_near_los) & others_ok
 
 
 def feasibility_check(position, clock_bias: float, alpha_ue: float, inliers,
@@ -168,45 +178,49 @@ def feasibility_check(position, clock_bias: float, alpha_ue: float, inliers,
     return bool(_feasibility_mask(terms, x, mask, n_los + n_nlos, config.t_nu)[0])
 
 
+def _gated_cost(terms, x, ok, inlier, n_min, config):
+    """Gated cost of each row's (state, inlier set), (..., M).
+
+    Weighted inlier costs plus the per-path penalty for each outlier;
+    infinite where the solve failed (``ok`` False) or the feasibility gate
+    rejects the row.
+    """
+    member = inlier.astype(float)
+    cost = (_weighted_total(_costs(terms, x), terms.eta, member)
+            + ((1.0 - member) * terms.eta).sum(axis=-1) * config.t_eps)
+    feasible = _feasibility_mask(terms, x, inlier, n_min, config.t_nu) & ok
+    with np.errstate(invalid="ignore"):
+        return np.where(feasible & np.isfinite(cost), cost, np.inf)
+
+
 def _search(paths, bs, alphas, combos, los_index, n_min, config):
     """Evaluate every (heading, subset) cell; return the winning cell.
 
-    Returns (alpha, x, inlier_row, cost) of the cheapest feasible cell with
-    ties broken by smallest heading index then smallest subset index, or
-    None if every cell is infeasible.
+    Returns (cost, heading index, subset index, x, inlier_row) of the
+    cheapest feasible cell with ties broken by smallest heading index then
+    smallest subset index, or None if every cell is infeasible. Subsets
+    are evaluated in chunks of whole subsets, each at most
+    ``_CHUNK_ROW_PATHS`` cells times paths (one subset at least); every
+    cell's arithmetic is independent of the chunking.
     """
-    m = len(alphas)
-    n = len(paths)
-    terms = _build_terms(paths, bs, np.asarray(alphas, dtype=float), los_index)
-    eta = terms.eta[None, :]
-    cost_rows = []
-    states = []
-    masks = []
-    for combo in combos:
-        member = np.zeros((m, n))
-        member[:, combo] = 1.0
-        x0, ok0 = _solve_members(terms, member)
-        j0 = _costs(terms, x0)
-        inlier = (j0 <= config.t_eps) & ok0[:, None]
+    alphas = np.asarray(alphas, dtype=float)
+    terms = _build_terms(paths, bs, alphas, los_index)
+    m, n = terms.nu_sq.shape
+    by_path = terms.normal.swapaxes(0, 1)               # (n, M, 9)
+    combos = np.asarray(combos)
+    step = max(1, _CHUNK_ROW_PATHS // (m * n))
+    best = None
+    for lo in range(0, len(combos), step):
+        x0, ok0 = _solve_packed(by_path[combos[lo:lo + step]].sum(axis=1))
+        inlier = (_costs(terms, x0) <= config.t_eps) & ok0[..., None]
         x1, ok1 = _solve_members(terms, inlier.astype(float))
-        feasible = (_feasibility_mask(terms, x1, inlier, n_min, config.t_nu)
-                    & ok0 & ok1)
-        j1 = _costs(terms, x1)
-        inl = inlier.astype(float)
-        cell = (_weighted_total(j1, terms.eta, inl)
-                + ((1.0 - inl) * eta).sum(axis=1) * config.t_eps)
-        with np.errstate(invalid="ignore"):
-            cell = np.where(feasible & np.isfinite(cell), cell, np.inf)
-        cost_rows.append(cell)
-        states.append(x1)
-        masks.append(inlier)
-    cost = np.stack(cost_rows, axis=1)         # (M, L): heading-major order
-    flat = int(np.argmin(cost))                # first minimum: smallest m, then l
-    m_star, l_star = divmod(flat, len(combos))
-    if not np.isfinite(cost[m_star, l_star]):
-        return None
-    return (float(alphas[m_star]), states[l_star][m_star],
-            masks[l_star][m_star], float(cost[m_star, l_star]))
+        cell = _gated_cost(terms, x1, ok0 & ok1, inlier, n_min, config)   # (L, M)
+        # first minimum in heading-major order: smallest heading, then subset
+        h, l = divmod(int(np.argmin(cell.T)), cell.shape[0])
+        cost = float(cell[l, h])
+        if cost < math.inf and (best is None or (cost, h) < best[:2]):
+            best = (cost, h, lo + l, x1[l, h].copy(), inlier[l, h].copy())
+    return best
 
 
 def _fixed_set_scan(paths, bs, alphas, inlier_row, los_index, n_min, config):
@@ -218,15 +232,9 @@ def _fixed_set_scan(paths, bs, alphas, inlier_row, los_index, n_min, config):
     """
     alphas = np.asarray(alphas, dtype=float)
     inlier = np.broadcast_to(inlier_row[None, :], (len(alphas), inlier_row.size))
-    member = inlier.astype(float)
     terms = _build_terms(paths, bs, alphas, los_index)
-    x, ok = _solve_members(terms, member)
-    j = _costs(terms, x)
-    cost = (_weighted_total(j, terms.eta, member)
-            + ((1.0 - member) * terms.eta[None, :]).sum(axis=1) * config.t_eps)
-    feasible = _feasibility_mask(terms, x, inlier, n_min, config.t_nu) & ok
-    with np.errstate(invalid="ignore"):
-        cost = np.where(feasible & np.isfinite(cost), cost, np.inf)
+    x, ok = _solve_members(terms, inlier.astype(float))
+    cost = _gated_cost(terms, x, ok, inlier, n_min, config)
     k = int(np.argmin(cost))
     if not np.isfinite(cost[k]):
         return None
@@ -309,7 +317,8 @@ def robust_solve(snapshot, hypothesis: Hypothesis,
     best = _search(paths, bs, alphas, combos, los_index, n_min, config)
     if best is None:
         raise NoFeasibleSolution("every (heading, subset) cell failed feasibility")
-    alpha, x, inlier_row, cost = best
+    cost, h, _, x, inlier_row = best
+    alpha = float(alphas[h])
     if hypothesis is Hypothesis.NLOS:
         alpha, x, cost = _polish_heading(paths, bs, alpha, x, cost, inlier_row,
                                          n_min, config)

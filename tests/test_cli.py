@@ -11,6 +11,7 @@ from snapslam import (
     write_positions,
     write_scene,
 )
+from snapslam import cli
 from snapslam.cli import RunConfig, build_run_config, main, parse_p_grid
 from helpers import random_h0_snapshot, square_scene
 
@@ -203,3 +204,35 @@ def test_cli_sweep_exclude(tmp_path, scene_files, capsys):
     line = curve.read_text().splitlines()[1]
     p, r_all, r_excl = (float(t) for t in line.split(","))
     assert p == 1.0 and r_all < 1e-6 and r_excl < 1e-6
+
+
+def test_cli_solve_isolates_unexpected_errors(tmp_path, monkeypatch, capsys):
+    snaps = [random_h0_snapshot(s, sid=f"s{s}") for s in range(3)]
+    data = tmp_path / "data.jsonl"
+    write_dataset(snaps, data)
+    real = cli.solve_snapshot
+
+    def flaky(snapshot, *args):
+        if snapshot.id == "s1":
+            raise ValueError("bad snapshot")
+        return real(snapshot, *args)
+
+    monkeypatch.setattr(cli, "solve_snapshot", flaky)
+    sols = tmp_path / "sols.jsonl"
+    assert main(["solve", "--data", str(data), "--out", str(sols),
+                 "--workers", "1"]) == 0
+    assert "solved 2/3" in capsys.readouterr().out
+    rows = read_jsonl(sols)
+    assert [r["id"] for r in rows] == ["s0", "s1", "s2"]
+    assert [r["failed"] for r in rows] == [False, True, False]
+    assert rows[1]["error"] == "ValueError: bad snapshot"
+
+
+def test_cli_names_the_line_of_a_truncated_row(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    write_dataset([random_h0_snapshot(s, sid=f"s{s}") for s in range(2)], data)
+    first, second = data.read_text().splitlines()
+    data.write_text(first + "\n" + second[:second.index('"bs"')].rstrip(", ") + "}\n")
+    assert main(["solve", "--data", str(data), "--out", str(tmp_path / "o.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "'bs'" in err

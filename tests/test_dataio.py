@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -208,3 +209,17 @@ def test_config_file(tmp_path):
     p.write_text("t_eps =\n")
     with pytest.raises(ValueError, match="line 1"):
         read_config(p)
+
+
+def test_read_dataset_names_line_and_field(tmp_path):
+    p = tmp_path / "d.jsonl"
+    write_dataset([random_h0_snapshot(s, sid=f"s{s}") for s in range(2)], p)
+    first, second = p.read_text().splitlines()
+    row = json.loads(second)
+    del row["bs"]
+    p.write_text(first + "\n\n" + json.dumps(row) + "\n")
+    with pytest.raises(ValueError, match=r"line 3: missing field 'bs'"):
+        read_dataset(p)
+    p.write_text(first + "\n" + second[:40] + "\n")
+    with pytest.raises(ValueError, match=r"line 2: "):
+        read_dataset(p)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from snapslam import (
     SPEED_OF_LIGHT,
@@ -20,6 +22,7 @@ from snapslam import (
     orientation_grid,
     path_cost,
 )
+from snapslam.estimator import CONDITION_LIMIT, _solve_packed
 from helpers import random_h0_snapshot, random_h1_snapshot
 
 C = SPEED_OF_LIGHT
@@ -233,3 +236,76 @@ def test_landmark_refine_noisy_stays_close():
     est = landmark_refine(noisy, ue, bs, noise)
     assert est.converged
     assert np.hypot(*(est.position - lm)) < 1.5
+
+
+# --- closed-form cell kernel against LAPACK -------------------------------
+
+def _svd_gate(a):
+    sv = np.linalg.svd(a, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = sv[:, 0] / sv[:, 2]
+    return np.isfinite(cond) & (cond < CONDITION_LIMIT), cond
+
+
+def _quaternion_rotation(q):
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                     [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                     [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+
+
+def _psd_matrix(kind, log_cond, mid, log_gain, quat):
+    """Gain * R diag(1, cond^-mid, 1/cond) R^T, or a rank-deficient variant."""
+    lam = np.array([1.0, 10.0 ** (-mid * log_cond), 10.0 ** -log_cond])
+    if kind == "rank2":
+        lam[2] = 0.0
+    elif kind == "rank1":
+        lam[1:] = 0.0
+    elif kind == "zero":
+        lam[:] = 0.0
+    rot = _quaternion_rotation(quat)
+    a = 10.0 ** log_gain * (rot * lam) @ rot.T
+    return 0.5 * (a + a.T)
+
+
+_unit_floats = st.floats(-1.0, 1.0)
+_psd_draw = st.tuples(
+    st.sampled_from(["full", "full", "full", "rank2", "rank1", "zero"]),
+    st.floats(0.0, 16.0),           # log10 of the condition number
+    st.floats(0.0, 1.0),            # middle eigenvalue, as a share of log10 cond
+    st.floats(-12.0, 3.0),          # log10 of the gain
+    st.lists(_unit_floats, min_size=4, max_size=4).filter(
+        lambda q: sum(t * t for t in q) > 1e-2),
+    st.lists(_unit_floats, min_size=3, max_size=3).filter(
+        lambda b: sum(t * t for t in b) > 1e-2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_psd_draw, min_size=1, max_size=24))
+# 100 I up to an off-diagonal of ~1e-148: the eigenvalue spread p cubed underflows
+@example([("full", 0.0, 0.0, 2.0, [0.0, 0.0, 1.0, 7.4e-135], [0.0, 0.0, 1.0])])
+def test_closed_form_gate_and_solve_match_lapack(draws):
+    a = np.array([_psd_matrix(*d[:5]) for d in draws])
+    b = np.array([d[5] for d in draws]) * np.array([10.0 ** d[3] for d in draws])[:, None]
+    packed = np.concatenate([a[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]], b], axis=1)
+    x, ok = _solve_packed(packed)
+    ref_ok, cond = _svd_gate(a)
+    assert np.array_equal(ok, ref_ok), (cond, ok, ref_ok)
+    assert np.all(x[~ok] == 0.0)
+    if ok.any():
+        ref_x = np.linalg.solve(a[ok], b[ok][..., None])[..., 0]
+        err = np.linalg.norm(x[ok] - ref_x, axis=1)
+        assert np.all(err <= cond[ok] * 1e-13 * np.linalg.norm(ref_x, axis=1))
+
+
+def test_closed_form_kernel_keeps_batch_shape():
+    rng = np.random.default_rng(3)
+    h = rng.standard_normal((2, 5, 4, 3))
+    a = np.einsum("...ki,...kj->...ij", h, h)
+    packed = np.concatenate([a[..., [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]],
+                             rng.standard_normal((2, 5, 3))], axis=-1)
+    x, ok = _solve_packed(packed)
+    assert x.shape == (2, 5, 3) and ok.shape == (2, 5) and ok.all()
+    flat_x, flat_ok = _solve_packed(packed.reshape(10, 9))
+    assert np.array_equal(flat_x, x.reshape(10, 3)) and np.array_equal(flat_ok, ok.ravel())

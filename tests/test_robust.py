@@ -7,6 +7,7 @@ import pytest
 from snapslam import (
     Hypothesis,
     NoFeasibleSolution,
+    NoiseModel,
     PathMeasurement,
     RobustConfig,
     SingularGeometry,
@@ -16,10 +17,15 @@ from snapslam import (
     benchmark_solve,
     enumerate_combinations,
     feasibility_check,
+    los_orientation,
     minimal_counts,
+    orientation_grid,
     robust_solve,
     wrap_angle,
 )
+from snapslam import robust
+from snapslam.estimator import _build_terms, _costs, _solve_members
+from snapslam.robust import _gated_cost, _search
 from helpers import (
     add_multibounce,
     expected_inliers,
@@ -189,3 +195,99 @@ def test_solution_cost_includes_outlier_penalty():
     sol_dirty = robust_solve(dirty, Hypothesis.LOS, cfg)
     penalty = dirty.paths[-1].gain * cfg.t_eps
     assert sol_dirty.cost == pytest.approx(sol_clean.cost + penalty, rel=1e-12)
+
+
+# --- batched search against a per-combination reference --------------------
+
+def _reference_search(paths, bs, alphas, combos, los_index, n_min, config):
+    """One (M, n) member mask per subset, every cell kept, one argmin."""
+    m, n = len(alphas), len(paths)
+    terms = _build_terms(paths, bs, alphas, los_index)
+    costs, states, masks = [], [], []
+    for combo in combos:
+        member = np.zeros((m, n))
+        member[:, list(combo)] = 1.0
+        x0, ok0 = _solve_members(terms, member)
+        inlier = (_costs(terms, x0) <= config.t_eps) & ok0[:, None]
+        x1, ok1 = _solve_members(terms, inlier.astype(float))
+        costs.append(_gated_cost(terms, x1, ok0 & ok1, inlier, n_min, config))
+        states.append(x1)
+        masks.append(inlier)
+    table = np.stack(costs, axis=1)                 # (M, L), heading-major
+    h, l = divmod(int(np.argmin(table)), len(combos))
+    if not np.isfinite(table[h, l]):
+        return None
+    return float(table[h, l]), h, l, states[l][h], masks[l][h]
+
+
+def _search_cases():
+    noise = NoiseModel()
+    for seed in range(4):
+        rng = np.random.default_rng(500 + seed)
+        snap = random_h0_snapshot(40 + seed, n_single=3 + seed, noise=noise)
+        yield add_multibounce(snap, rng, seed % 2, noise=noise), Hypothesis.LOS
+        snap = random_h1_snapshot(60 + seed, n_single=4 + seed % 3, noise=noise)
+        yield add_multibounce(snap, rng, seed % 3, noise=noise), Hypothesis.NLOS
+
+
+def _search_inputs(snap, hypothesis):
+    paths, bs = list(snap.paths), snap.bs
+    n_los, n_nlos = minimal_counts(hypothesis)
+    if hypothesis is Hypothesis.LOS:
+        candidate = int(np.argmin([p.toa for p in paths]))
+        alphas = np.array([los_orientation(paths[candidate], bs)])
+        combos = enumerate_combinations(len(paths), hypothesis, candidate)
+        los_index = candidate
+    else:
+        alphas = orientation_grid()
+        combos = enumerate_combinations(len(paths), hypothesis)
+        los_index = None
+    return paths, bs, alphas, combos, los_index, n_los + n_nlos, RobustConfig()
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_batched_search_matches_per_combination_reference(case):
+    snap, hypothesis = list(_search_cases())[case]
+    assert 4 <= len(snap.paths) <= 8
+    args = _search_inputs(snap, hypothesis)
+    got = _search(*args)
+    want = _reference_search(*args)
+    assert got is not None and want is not None
+    assert got[1:3] == want[1:3]                    # heading index, subset index
+    assert np.array_equal(got[4], want[4])          # inlier row
+    assert got[0] == pytest.approx(want[0], rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_batched_search_is_chunk_invariant(case, monkeypatch):
+    snap, hypothesis = list(_search_cases())[case]
+    args = _search_inputs(snap, hypothesis)
+    default = _search(*args)
+    results = []
+    for budget in (1, 10 ** 9):                     # one subset per chunk, one chunk
+        monkeypatch.setattr(robust, "_CHUNK_ROW_PATHS", budget)
+        results.append(_search(*args))
+    for got in results:
+        assert got[:3] == default[:3]               # cost, heading, subset
+        assert np.array_equal(got[3], default[3])   # state
+        assert np.array_equal(got[4], default[4])   # inlier row
+
+
+def test_batched_search_breaks_exact_ties_heading_first(monkeypatch):
+    snap, hypothesis = list(_search_cases())[3]     # NLoS, 6 paths, 15 subsets
+    args = _search_inputs(snap, hypothesis)
+    table = np.full((len(args[3]), len(args[2])), 5.0)     # (subset, heading)
+    for subset, heading in ((9, 2), (1, 7), (3, 2), (12, 300)):
+        table[subset, heading] = 1.0
+    offset = 0
+
+    def scripted_cost(terms, x, ok, inlier, n_min, config):
+        nonlocal offset
+        offset += x.shape[0]                        # x is (subsets in chunk, M, 3)
+        return table[offset - x.shape[0]:offset]
+
+    monkeypatch.setattr(robust, "_gated_cost", scripted_cost)
+    for budget in (1, robust._CHUNK_ROW_PATHS, 10 ** 9):
+        monkeypatch.setattr(robust, "_CHUNK_ROW_PATHS", budget)
+        offset = 0
+        assert _search(*args)[:3] == (1.0, 2, 3)    # smallest heading, then subset

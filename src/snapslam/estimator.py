@@ -168,7 +168,9 @@ def _build_terms(paths: Sequence[PathMeasurement], bs: Pose, alphas: np.ndarray,
                        g[..., 0],
                        g[..., 1],
                        -_dot2(v, g)], axis=-1)
-    normal *= eta[None, :, None]
+    # weights scaled by a power of two so the largest is in [0.5, 1): exact,
+    # and it keeps the kernel's squared entries in range for any gain scale
+    normal *= np.ldexp(eta, -np.frexp(eta.max())[1])[None, :, None]
     return _PathTerms(bs.position, tau, eta, u, v, nu, nu_sq, nubar, mu, normal)
 
 
@@ -238,16 +240,39 @@ def _solve_packed(s: np.ndarray):
     return np.where(ok[..., None], x, 0.0), ok
 
 
+def _member_systems(terms: _PathTerms, member: np.ndarray) -> np.ndarray:
+    """Packed normal system of each row's member set, (..., M, 9).
+
+    ``member`` is a (..., M, n) float mask selecting the paths summed into
+    each row's system; any leading batch shape is kept. Each row is its own
+    ``1 x n`` by ``n x 9`` product, so a row's system does not depend on the
+    batch it sits in.
+    """
+    return (member[..., None, :] @ terms.normal)[..., 0, :]
+
+
 def _solve_members(terms: _PathTerms, member: np.ndarray):
     """Solve the conditional normal equations for each heading row.
 
-    ``member`` is a (..., M, n) float mask selecting the paths summed into
-    each row's normal matrix; any leading batch shape is kept. Returns
-    (x, ok) where x is (..., M, 3) in meters-bias state and ok flags rows
-    whose matrix passes the condition gate of ``_solve_packed``; x rows
-    with ok False are placeholders.
+    ``member`` is as in ``_member_systems``. Returns (x, ok) where x is
+    (..., M, 3) in meters-bias state and ok flags rows whose matrix passes
+    the condition gate of ``_solve_packed``; x rows with ok False are
+    placeholders.
     """
-    return _solve_packed((member[..., None, :] @ terms.normal)[..., 0, :])
+    return _solve_packed(_member_systems(terms, member))
+
+
+def _take_rows(terms: _PathTerms, rows: np.ndarray) -> _PathTerms:
+    """The terms of the given heading rows, in that order, for costs and gates.
+
+    The result is a ``_PathTerms`` whose M axis lists ``rows`` (repeats
+    allowed), and every residual, cost and bounce fraction computed from it
+    equals the one computed from ``terms`` at that heading, to the bit.
+    ``normal`` is not taken (None): build the rows' systems from ``terms``.
+    """
+    return terms._replace(v=terms.v[rows], nu=terms.nu[rows],
+                          nu_sq=terms.nu_sq[rows], nubar=terms.nubar[rows],
+                          mu=terms.mu[rows], normal=None)
 
 
 def _residuals(terms: _PathTerms, x: np.ndarray) -> np.ndarray:
@@ -255,9 +280,12 @@ def _residuals(terms: _PathTerms, x: np.ndarray) -> np.ndarray:
     return x[..., None, :2] - x[..., 2, None, None] * terms.v - terms.mu
 
 
-def _costs(terms: _PathTerms, x: np.ndarray) -> np.ndarray:
-    """Squared projected residual of every path at every row's state, (..., M, n)."""
-    r = _residuals(terms, x)
+def _costs(terms: _PathTerms, x: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
+    """Squared projected residual of every path at every row's state, (..., M, n).
+
+    ``r`` passes in ``_residuals(terms, x)`` when the caller already has it.
+    """
+    r = _residuals(terms, x) if r is None else r
     pr = r - terms.nubar * _dot2(terms.nubar, r)[..., None]
     return _dot2(pr, pr)
 
@@ -269,22 +297,22 @@ def _weighted_total(costs: np.ndarray, eta: np.ndarray, member: np.ndarray) -> n
     it sits in. Totals therefore agree to the bit between callers whose
     states do: a search cell's inlier re-solve, the heading polish,
     ``nlos_orientation_search``, ``conditional_estimate`` and
-    ``benchmark_solve`` all solve through ``_solve_members``. The search's
-    minimal-subset solve sums its paths' blocks directly, so its states, and
-    the inlier sets they select, match a ``_solve_members`` solve only to
-    rounding.
+    ``benchmark_solve`` all build their systems by ``_member_systems``. The
+    search's minimal-subset solve sums its paths' blocks directly, so its
+    states, and the inlier sets they select, match a ``_solve_members``
+    solve only to rounding.
     """
     return (member * eta * costs).sum(axis=-1)
 
 
-def _gammas(terms: _PathTerms, x: np.ndarray) -> np.ndarray:
+def _gammas(terms: _PathTerms, x: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
     """Bounce fraction of every path at every row's state, (..., M, n).
 
     Rows where the fraction is undefined (zero length or cancelled rays)
-    come back infinite so that range checks fail.
+    come back infinite so that range checks fail. ``r`` is as in ``_costs``.
     """
     d = _C * terms.tau - x[..., 2, None]
-    r = _residuals(terms, x)
+    r = _residuals(terms, x) if r is None else r
     num = _dot2(terms.nu, r)
     den = d * terms.nu_sq
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -11,9 +11,15 @@ than discarding it.
 
 The search is batched over headings and subsets together: it takes whole
 subsets in chunks of at most ``_CHUNK_ROW_PATHS`` (heading x subset) cells
-times paths, which caps its working memory at a few megabytes whatever the
+times paths, which caps its working memory at about a megabyte whatever the
 path count, and solves every cell's 3x3 normal system elementwise (see
-``estimator.CONDITION_LIMIT``).
+``estimator.CONDITION_LIMIT``). Each chunk runs in two stages, as a RANSAC
+hypothesize-and-verify loop does (Fischler & Bolles, CACM 1981): every cell
+gets its minimal-subset solve and inlier partition, but only the cells that
+can still win are re-solved on their inliers, costed and gated. A cell with
+too few inliers, or whose outlier penalty alone exceeds the best gated cost
+so far, cannot win, so the pruning is exact: the search returns what
+evaluating every cell returns, to the bit.
 
 ``benchmark_solve`` is the non-robust reference: every path, NLoS model,
 grid search only.
@@ -35,8 +41,11 @@ from .estimator import (
     _build_terms,
     _costs,
     _gammas,
+    _member_systems,
+    _residuals,
     _solve_members,
     _solve_packed,
+    _take_rows,
     _weighted_total,
     landmark_refine,
     los_orientation,
@@ -46,11 +55,22 @@ from .geometry import SPEED_OF_LIGHT, NoiseModel, PathMeasurement, Pose, UeState
 
 _C = SPEED_OF_LIGHT
 
-_CHUNK_ROW_PATHS = 16384
+_CHUNK_ROW_PATHS = 8192
 """Rows (heading x subset cells) times paths evaluated together by the
-search. Its per-cell arrays cost ~100 bytes per row and path, so this
-bounds the search's working memory at ~1.6 MB on top of the per-path
-terms, whatever the snapshot size; whole subsets are batched, one at least."""
+search; whole subsets are batched, one at least. The minimal-subset stage
+keeps ~25 bytes per row and path alive across the chunk, and each surviving
+row adds ~90 more per path for its gathered terms and its gate. Even when
+every row survives, this bounds the search's working memory at ~0.9 MB on
+top of the per-path terms, whatever the snapshot size. The worst chunks of
+the benchmark corpora pass about half their rows; most pass a few percent."""
+
+_SURVIVOR_BLOCK = 32
+"""The cells that reach the inlier re-solve are padded to a multiple of
+this many, with copies of the last one, so that the re-solve's arrays come
+in few sizes. NumPy keeps up to seven freed buffers of each size below
+1 KiB for reuse; survivor counts of every size fill that cache, which held
+~0.45 MB after three passes over the field_nlos corpus without padding and
+~0.08 MB with it."""
 
 
 class Hypothesis(Enum):
@@ -140,19 +160,19 @@ def enumerate_combinations(n_paths: int, hypothesis: Hypothesis,
 
 
 def _feasibility_mask(terms, x: np.ndarray, inlier: np.ndarray, n_min: int,
-                      t_nu: float) -> np.ndarray:
+                      t_nu: float, r: Optional[np.ndarray] = None) -> np.ndarray:
     """Vectorized feasibility of each row's (state, inlier set), (..., M).
 
     ``x`` is (..., M, 3) and ``inlier`` (..., M, n) for any leading batch
-    shape. Checks, per row: enough inliers; non-negative bias-corrected
-    delay of the earliest inlier j; bounce fraction of j in [0, 1] unless
-    its rays nearly cancel (near-LoS geometry); bounce fraction of every
-    other inlier in [0, 1].
+    shape; ``r`` optionally passes in the residuals at ``x``. Checks, per
+    row: enough inliers; non-negative bias-corrected delay of the earliest
+    inlier j; bounce fraction of j in [0, 1] unless its rays nearly cancel
+    (near-LoS geometry); bounce fraction of every other inlier in [0, 1].
     """
     count_ok = inlier.sum(axis=-1) >= n_min
     j = np.argmin(np.where(inlier, terms.tau, np.inf), axis=-1)
     delay_ok = _C * terms.tau[j] - x[..., 2] >= 0.0
-    gam = _gammas(terms, x)
+    gam = _gammas(terms, x, r)
     in_range = (gam >= 0.0) & (gam <= 1.0)
     j_cols = np.arange(inlier.shape[-1]) == j[..., None]
     j_in_range = (in_range & j_cols).any(axis=-1)
@@ -178,17 +198,24 @@ def feasibility_check(position, clock_bias: float, alpha_ue: float, inliers,
     return bool(_feasibility_mask(terms, x, mask, n_los + n_nlos, config.t_nu)[0])
 
 
+def _outlier_penalty(eta, member, t_eps):
+    """Per-path penalty summed over each row's outliers, (..., M)."""
+    return ((1.0 - member) * eta).sum(axis=-1) * t_eps
+
+
 def _gated_cost(terms, x, ok, inlier, n_min, config):
     """Gated cost of each row's (state, inlier set), (..., M).
 
     Weighted inlier costs plus the per-path penalty for each outlier;
     infinite where the solve failed (``ok`` False) or the feasibility gate
-    rejects the row.
+    rejects the row. The weighted costs are non-negative, so a row's gated
+    cost is never below its ``_outlier_penalty``.
     """
     member = inlier.astype(float)
-    cost = (_weighted_total(_costs(terms, x), terms.eta, member)
-            + ((1.0 - member) * terms.eta).sum(axis=-1) * config.t_eps)
-    feasible = _feasibility_mask(terms, x, inlier, n_min, config.t_nu) & ok
+    r = _residuals(terms, x)
+    cost = (_weighted_total(_costs(terms, x, r), terms.eta, member)
+            + _outlier_penalty(terms.eta, member, config.t_eps))
+    feasible = _feasibility_mask(terms, x, inlier, n_min, config.t_nu, r) & ok
     with np.errstate(invalid="ignore"):
         return np.where(feasible & np.isfinite(cost), cost, np.inf)
 
@@ -200,8 +227,19 @@ def _search(paths, bs, alphas, combos, los_index, n_min, config):
     cheapest feasible cell with ties broken by smallest heading index then
     smallest subset index, or None if every cell is infeasible. Subsets
     are evaluated in chunks of whole subsets, each at most
-    ``_CHUNK_ROW_PATHS`` cells times paths (one subset at least); every
-    cell's arithmetic is independent of the chunking.
+    ``_CHUNK_ROW_PATHS`` cells times paths (one subset at least).
+
+    Each chunk runs in two stages. The minimal-subset stage solves every
+    cell and partitions the paths into inliers and outliers at that state.
+    Only the cells that can still win go on to the inlier re-solve, cost
+    and feasibility gate: those with at least ``n_min`` inliers whose
+    outlier penalty is not above the best gated cost so far (a gated cost
+    is never below its penalty; the test is strict so that a tie on an
+    earlier heading still wins). The survivors are taken in heading-major
+    order, so the first minimum among them is the first minimum of the
+    whole chunk whenever it can beat the running best. Every cell's
+    arithmetic is independent of the chunking and of which other cells
+    survive.
     """
     alphas = np.asarray(alphas, dtype=float)
     terms = _build_terms(paths, bs, alphas, los_index)
@@ -212,14 +250,27 @@ def _search(paths, bs, alphas, combos, los_index, n_min, config):
     best = None
     for lo in range(0, len(combos), step):
         x0, ok0 = _solve_packed(by_path[combos[lo:lo + step]].sum(axis=1))
-        inlier = (_costs(terms, x0) <= config.t_eps) & ok0[..., None]
-        x1, ok1 = _solve_members(terms, inlier.astype(float))
-        cell = _gated_cost(terms, x1, ok0 & ok1, inlier, n_min, config)   # (L, M)
-        # first minimum in heading-major order: smallest heading, then subset
-        h, l = divmod(int(np.argmin(cell.T)), cell.shape[0])
-        cost = float(cell[l, h])
-        if cost < math.inf and (best is None or (cost, h) < best[:2]):
-            best = (cost, h, lo + l, x1[l, h].copy(), inlier[l, h].copy())
+        inlier = (_costs(terms, x0) <= config.t_eps) & ok0[..., None]   # (L, M, n)
+        member = inlier.astype(float)
+        live = inlier.sum(axis=-1) >= n_min
+        if best is not None:
+            live &= ~(_outlier_penalty(terms.eta, member, config.t_eps) > best[0])
+        # heading-major: smallest heading, then subset
+        h, l = np.nonzero(live.T)
+        if h.size == 0:
+            continue
+        # trailing copies of the last survivor cannot be a first minimum
+        pad = np.minimum(np.arange(-(-h.size // _SURVIVOR_BLOCK) * _SURVIVOR_BLOCK),
+                         h.size - 1)
+        h, l = h[pad], l[pad]
+        # a survivor has inliers, so its minimal-subset solve passed the gate
+        x1, ok1 = _solve_packed(_member_systems(terms, member)[l, h])
+        inlier = inlier[l, h]
+        cost = _gated_cost(_take_rows(terms, h), x1, ok1, inlier, n_min, config)
+        k = int(np.argmin(cost))
+        if cost[k] < math.inf and (best is None or (float(cost[k]), h[k]) < best[:2]):
+            best = (float(cost[k]), int(h[k]), lo + int(l[k]), x1[k].copy(),
+                    inlier[k].copy())
     return best
 
 

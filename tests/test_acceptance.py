@@ -6,9 +6,11 @@ These run the public pipeline only: simulator, solvers, detector, sweep, CLI.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 from scipy.stats import spearmanr
@@ -417,9 +419,15 @@ def test_criterion_09_cli_determinism(tmp_path):
     write_scene(square_scene(), scene)
     write_positions([[3.0, -4.0], [0.0, 0.5], [-6.0, 4.0], [5.0, 3.0]], pos)
 
+    # the CLI runs from the same package this process imported
+    import snapslam
+    src = str(Path(snapslam.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
     def run(*args):
         proc = subprocess.run([sys.executable, "-m", "snapslam.cli", *args],
-                              capture_output=True, text=True, timeout=300)
+                              capture_output=True, text=True, timeout=300, env=env)
         assert proc.returncode == 0, proc.stderr
         return proc
 

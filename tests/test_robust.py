@@ -1,8 +1,11 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from snapslam import (
     Hypothesis,
@@ -24,8 +27,8 @@ from snapslam import (
     wrap_angle,
 )
 from snapslam import robust
-from snapslam.estimator import _build_terms, _costs, _solve_members
-from snapslam.robust import _gated_cost, _search
+from snapslam.estimator import _build_terms, _costs, _solve_members, _solve_packed
+from snapslam.robust import _gated_cost, _outlier_penalty, _search
 from helpers import (
     add_multibounce,
     expected_inliers,
@@ -197,20 +200,51 @@ def test_solution_cost_includes_outlier_penalty():
     assert sol_dirty.cost == pytest.approx(sol_clean.cost + penalty, rel=1e-12)
 
 
+_GAIN_SCALE_SNAP = add_multibounce(random_h0_snapshot(47, n_single=4, noise=NoiseModel()),
+                                   np.random.default_rng(470), 1, noise=NoiseModel())
+
+
+@functools.lru_cache(maxsize=None)
+def _unscaled_solution(hypothesis):
+    return robust_solve(_GAIN_SCALE_SNAP, hypothesis)
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(-900, 900))
+@example(k=600)
+@example(k=-600)
+def test_robust_solve_is_exactly_gain_scale_invariant(k):
+    # scaling every gain by 2**k scales each cost term exactly, so the
+    # solution is the same to the bit and its cost is scaled exactly
+    paths = tuple(PathMeasurement(p.toa, p.aod, p.aoa, math.ldexp(p.gain, k))
+                  for p in _GAIN_SCALE_SNAP.paths)
+    scaled = Snapshot(id="scaled", bs=_GAIN_SCALE_SNAP.bs, paths=paths, truth=None)
+    for hypothesis in Hypothesis:
+        want = _unscaled_solution(hypothesis)
+        got = robust_solve(scaled, hypothesis)
+        assert (got.inliers, got.outliers) == (want.inliers, want.outliers)
+        assert np.array_equal(got.ue.position, want.ue.position)
+        assert got.ue.orientation == want.ue.orientation
+        assert got.ue.clock_bias == want.ue.clock_bias
+        assert got.cost == math.ldexp(want.cost, k)
+
+
 # --- batched search against a per-combination reference --------------------
 
 def _reference_search(paths, bs, alphas, combos, los_index, n_min, config):
-    """One (M, n) member mask per subset, every cell kept, one argmin."""
-    m, n = len(alphas), len(paths)
+    """One subset at a time over every heading, every cell kept, one argmin.
+
+    The minimal-subset systems are summed path by path and the inlier
+    systems built row by row, as in ``_search``, so every cell's arithmetic
+    is the same and the result must match to the bit; no cell is pruned.
+    """
     terms = _build_terms(paths, bs, alphas, los_index)
     costs, states, masks = [], [], []
     for combo in combos:
-        member = np.zeros((m, n))
-        member[:, list(combo)] = 1.0
-        x0, ok0 = _solve_members(terms, member)
+        x0, ok0 = _solve_packed(terms.normal[:, list(combo)].sum(axis=1))
         inlier = (_costs(terms, x0) <= config.t_eps) & ok0[:, None]
         x1, ok1 = _solve_members(terms, inlier.astype(float))
-        costs.append(_gated_cost(terms, x1, ok0 & ok1, inlier, n_min, config))
+        costs.append(robust._gated_cost(terms, x1, ok0 & ok1, inlier, n_min, config))
         states.append(x1)
         masks.append(inlier)
     table = np.stack(costs, axis=1)                 # (M, L), heading-major
@@ -230,7 +264,7 @@ def _search_cases():
         yield add_multibounce(snap, rng, seed % 3, noise=noise), Hypothesis.NLOS
 
 
-def _search_inputs(snap, hypothesis):
+def _search_inputs(snap, hypothesis, config=RobustConfig()):
     paths, bs = list(snap.paths), snap.bs
     n_los, n_nlos = minimal_counts(hypothesis)
     if hypothesis is Hypothesis.LOS:
@@ -242,7 +276,14 @@ def _search_inputs(snap, hypothesis):
         alphas = orientation_grid()
         combos = enumerate_combinations(len(paths), hypothesis)
         los_index = None
-    return paths, bs, alphas, combos, los_index, n_los + n_nlos, RobustConfig()
+    return paths, bs, alphas, combos, los_index, n_los + n_nlos, config
+
+
+def _same_cell(got, want):
+    if want is None:
+        return got is None
+    return (got is not None and got[:3] == want[:3]
+            and np.array_equal(got[3], want[3]) and np.array_equal(got[4], want[4]))
 
 
 @pytest.mark.parametrize("case", range(8))
@@ -273,21 +314,86 @@ def test_batched_search_is_chunk_invariant(case, monkeypatch):
         assert np.array_equal(got[4], default[4])   # inlier row
 
 
+@pytest.mark.parametrize("t_eps", [1e-9, 1e-6, RobustConfig().t_eps, 1e6])
+@pytest.mark.parametrize("case", range(8))
+def test_pruned_search_equals_every_cell_reference(case, t_eps, monkeypatch):
+    # At 1e-9 no NLoS cell keeps four inliers (at 1e-6 one 4-subset of case 3
+    # still does); a LoS minimal subset fits its own two paths exactly, so
+    # its cells always pass the count test. At 1e6 every path is an inlier
+    # of every cell, no cell pays a penalty, and every cell is gated. Each
+    # chunk's survivors are padded to a whole block.
+    snap, hypothesis = list(_search_cases())[case]
+    args = _search_inputs(snap, hypothesis, RobustConfig(t_eps=t_eps))
+    want = _reference_search(*args)
+    gated_rows = []
+
+    def counted(terms, x, *rest):
+        gated_rows.append(len(x))
+        return _gated_cost(terms, x, *rest)
+
+    monkeypatch.setattr(robust, "_gated_cost", counted)
+    cells = len(args[2]) * len(args[3])
+    for budget in (1, robust._CHUNK_ROW_PATHS, 10 ** 9):
+        monkeypatch.setattr(robust, "_CHUNK_ROW_PATHS", budget)
+        gated_rows.clear()
+        assert _same_cell(_search(*args), want)
+        block = robust._SURVIVOR_BLOCK
+        assert all(rows % block == 0 for rows in gated_rows)
+        assert sum(gated_rows) < cells + block * len(gated_rows)
+        if t_eps == 1e-9 and hypothesis is Hypothesis.NLOS:
+            assert want is None and sum(gated_rows) == 0
+        if t_eps == 1e6:
+            assert sum(gated_rows) >= cells
+
+
+@pytest.mark.parametrize("t_eps", [RobustConfig().t_eps, 10.0])
+@pytest.mark.parametrize("case", range(8))
+def test_pruned_search_keeps_cells_whose_penalty_ties_the_best(case, t_eps, monkeypatch):
+    # Scored as if every inlier fit exactly, a cell's gated cost is its
+    # outlier penalty, and cells with the same outlier set tie exactly. A
+    # cell whose penalty equals the best so far can still win on an earlier
+    # heading, so the penalty test must not prune it (case 5 at 10.0 has
+    # such cells in later subsets).
+    def penalty_only(terms, x, ok, inlier, n_min, config):
+        cost = _outlier_penalty(terms.eta, inlier.astype(float), config.t_eps)
+        return np.where(ok & (inlier.sum(axis=-1) >= n_min), cost, np.inf)
+
+    monkeypatch.setattr(robust, "_gated_cost", penalty_only)
+    args = _search_inputs(*list(_search_cases())[case], RobustConfig(t_eps=t_eps))
+    want = _reference_search(*args)
+    for budget in (1, robust._CHUNK_ROW_PATHS, 10 ** 9):
+        monkeypatch.setattr(robust, "_CHUNK_ROW_PATHS", budget)
+        assert _same_cell(_search(*args), want)
+
+
 def test_batched_search_breaks_exact_ties_heading_first(monkeypatch):
     snap, hypothesis = list(_search_cases())[3]     # NLoS, 6 paths, 15 subsets
-    args = _search_inputs(snap, hypothesis)
-    table = np.full((len(args[3]), len(args[2])), 5.0)     # (subset, heading)
-    for subset, heading in ((9, 2), (1, 7), (3, 2), (12, 300)):
-        table[subset, heading] = 1.0
-    offset = 0
+    # gains scaled down so that no cell's outlier penalty reaches a scripted
+    # cost and the penalty test prunes nothing; the cells are otherwise the same
+    paths = [PathMeasurement(p.toa, p.aod, p.aoa, math.ldexp(p.gain, -16))
+             for p in snap.paths]
+    args = _search_inputs(Snapshot(id="tie", bs=snap.bs, paths=paths, truth=None),
+                          hypothesis)
+    paths, bs, alphas, combos, los_index, n_min, config = args
+    terms = _build_terms(paths, bs, alphas, los_index)
+    assert _outlier_penalty(terms.eta, 0.0, config.t_eps) < 1.0
+    # A cell's gated cost depends on its heading and its inlier set alone,
+    # so the script is keyed by those: the heading's arrival rays and the
+    # inlier row of the cell's minimal-subset solve. Subsets 0-2 select
+    # other inlier rows than subset 3 at heading 2.
+    scripted = {}
+    for subset, heading in ((6, 2), (0, 7), (3, 2), (12, 336)):
+        x0, ok0 = _solve_packed(terms.normal[heading, list(combos[subset])].sum(axis=0))
+        inlier = (_costs(terms, x0[None])[heading] <= config.t_eps) & ok0
+        assert inlier.sum() >= n_min                # survives the count test
+        scripted[terms.v[heading].tobytes(), inlier.tobytes()] = 1.0
+    assert len(scripted) == 4
 
     def scripted_cost(terms, x, ok, inlier, n_min, config):
-        nonlocal offset
-        offset += x.shape[0]                        # x is (subsets in chunk, M, 3)
-        return table[offset - x.shape[0]:offset]
+        return np.array([scripted.get((v.tobytes(), row.tobytes()), 5.0)
+                         for v, row in zip(terms.v, inlier)])
 
     monkeypatch.setattr(robust, "_gated_cost", scripted_cost)
     for budget in (1, robust._CHUNK_ROW_PATHS, 10 ** 9):
         monkeypatch.setattr(robust, "_CHUNK_ROW_PATHS", budget)
-        offset = 0
         assert _search(*args)[:3] == (1.0, 2, 3)    # smallest heading, then subset

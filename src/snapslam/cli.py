@@ -9,12 +9,10 @@ same-named command line flags.
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import os
 import statistics
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -32,17 +30,10 @@ from .dataio import (
 )
 from .detector import DEFAULT_T_LOS, PathLossModel
 from .errors import SlamError
-from .evaluation import (
-    MODES,
-    los_sensitivity_sweep,
-    make_error_record,
-    solve_snapshot,
-)
+from .evaluation import MODES, los_sensitivity_sweep, make_error_record, run_snapshot
 from .geometry import NoiseModel
 from .robust import RobustConfig
 from .sim import SimConfig, generate_dataset
-
-_log = logging.getLogger("snapslam")
 
 _INT_KEYS = {"grid_size", "seed", "workers", "max_bounces", "trials"}
 _PAIR_KEYS = {"bias_range_ns"}
@@ -53,25 +44,25 @@ class RunConfig:
     """Every tunable the commands accept, in file/flag units.
 
     Angles are degrees, times nanoseconds; conversion to the library's
-    radians/seconds happens in the factory methods.
+    radians/seconds happens in the factory methods. The defaults are the
+    library's, converted (exactly) to these units.
     """
 
-    t_eps: float = 0.1
-    t_nu: float = 0.1
+    t_eps: float = RobustConfig.t_eps
+    t_nu: float = RobustConfig.t_nu
     t_los: float = DEFAULT_T_LOS
-    t_outlier: float = 3.0
-    grid_size: int = 361
-    sigma_toa_ns: float = 1.0
-    sigma_aod_deg: float = 1.0
-    sigma_aoa_deg: float = 1.0
-    l0_db: float = 13.0
-    zeta: float = 1.7
-    sigma_db: float = 1.8
+    grid_size: int = RobustConfig.grid_size
+    sigma_toa_ns: float = NoiseModel.sigma_toa * 1e9
+    sigma_aod_deg: float = math.degrees(NoiseModel.sigma_aod)
+    sigma_aoa_deg: float = math.degrees(NoiseModel.sigma_aoa)
+    l0_db: float = PathLossModel.l0_db
+    zeta: float = PathLossModel.zeta
+    sigma_db: float = PathLossModel.sigma_db
     seed: int = 0
     workers: int = 1
-    max_bounces: int = 3
-    per_bounce_extra_db: float = 6.0
-    bias_range_ns: tuple = (-100.0, 100.0)
+    max_bounces: int = SimConfig.max_bounces
+    per_bounce_extra_db: float = SimConfig.per_bounce_extra_db
+    bias_range_ns: tuple = tuple(b * 1e9 for b in SimConfig.bias_range)
     trials: int = 1000
 
     def noise_model(self) -> NoiseModel:
@@ -167,20 +158,13 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 def _solve_one(task):
     snapshot, mode, rc = task
-    start = time.perf_counter()
-    try:
-        solution, detection = solve_snapshot(snapshot, mode, rc.robust_config(),
-                                             rc.gain_model(), rc.t_los)
-    except Exception as exc:
-        # one snapshot's failure, expected or not, must not end the run
-        if not isinstance(exc, SlamError):
-            _log.exception("snapshot %s: unexpected error", snapshot.id)
-        return (failure_to_dict(snapshot.id, f"{type(exc).__name__}: {exc}", mode),
-                None, None)
-    elapsed = time.perf_counter() - start
-    record = (make_error_record(snapshot, solution, elapsed)
+    result, elapsed, error = run_snapshot(snapshot, mode, rc.robust_config(),
+                                         rc.gain_model(), rc.t_los)
+    if error is not None:
+        return failure_to_dict(snapshot.id, error, mode), None, None
+    record = (make_error_record(snapshot, result[0], elapsed)
               if snapshot.truth is not None else None)
-    return solution_to_dict(snapshot.id, solution, detection, mode), record, elapsed
+    return solution_to_dict(snapshot.id, *result, mode), record, elapsed
 
 
 def _cmd_simulate(args) -> int:

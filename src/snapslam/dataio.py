@@ -18,7 +18,7 @@ import numpy as np
 from .detector import DetectionResult
 from .evaluation import ErrorRecord, SweepResult
 from .geometry import PathMeasurement, Pose, UeState
-from .robust import Hypothesis, SlamSolution
+from .robust import SlamSolution
 from .sim import GroundTruth, Scene, Snapshot, Wall, canonical_seconds
 
 NS = 1e9
@@ -120,7 +120,7 @@ def solution_to_dict(snapshot_id: str, solution: SlamSolution,
     row = {"id": snapshot_id,
            "failed": False,
            "mode": mode,
-           "hypothesis": "los" if solution.hypothesis is Hypothesis.LOS else "nlos",
+           "hypothesis": solution.hypothesis.value,
            "ue": {"pos": _point(solution.ue.position),
                   "ori": float(solution.ue.orientation),
                   "bias_ns": float(solution.ue.clock_bias * NS)},
@@ -133,9 +133,8 @@ def solution_to_dict(snapshot_id: str, solution: SlamSolution,
     if detection is None:
         row["detection"] = None
     else:
-        decided = "los" if detection.decided is Hypothesis.LOS else "nlos"
         stat = detection.statistic
-        row["detection"] = {"decided": decided,
+        row["detection"] = {"decided": detection.decided.value,
                             "statistic": None if math.isinf(stat) else float(stat),
                             "threshold": float(detection.threshold),
                             "candidate": int(detection.candidate)}
@@ -152,11 +151,10 @@ def write_metrics_csv(records: Sequence[ErrorRecord], path) -> None:
         fh.write("id,position_error_m,heading_error_deg,bias_error_ns,"
                  "hypothesis_decided,hypothesis_true\n")
         for r in records:
-            decided = "los" if r.hypothesis_decided is Hypothesis.LOS else "nlos"
-            true = "los" if r.hypothesis_true is Hypothesis.LOS else "nlos"
             fh.write(f"{r.snapshot_id},{r.position_error!r},"
                      f"{math.degrees(r.heading_error)!r},"
-                     f"{r.bias_error * NS!r},{decided},{true}\n")
+                     f"{r.bias_error * NS!r},{r.hypothesis_decided.value},"
+                     f"{r.hypothesis_true.value}\n")
 
 
 def write_sweep_csv(sweep: SweepResult, path) -> None:

@@ -246,7 +246,11 @@ def _member_systems(terms: _PathTerms, member: np.ndarray) -> np.ndarray:
     ``member`` is a (..., M, n) float mask selecting the paths summed into
     each row's system; any leading batch shape is kept. Each row is its own
     ``1 x n`` by ``n x 9`` product, so a row's system does not depend on the
-    batch it sits in.
+    batch it sits in, but its last bits depend on the mask's memory layout:
+    NumPy hands a C-ordered mask's products to BLAS and a column-major one
+    (the copy ``_best_row`` makes of a broadcast row) to its own loop, and
+    at some path counts (6, 7, 10 and 11, say) the two sum in different
+    orders.
     """
     return (member[..., None, :] @ terms.normal)[..., 0, :]
 
@@ -293,14 +297,8 @@ def _costs(terms: _PathTerms, x: np.ndarray, r: np.ndarray | None = None) -> np.
 def _weighted_total(costs: np.ndarray, eta: np.ndarray, member: np.ndarray) -> np.ndarray:
     """Gain-weighted cost of each row over a member mask, (..., M).
 
-    A row's total depends on its own costs and mask alone, whatever batch
-    it sits in. Totals therefore agree to the bit between callers whose
-    states do: a search cell's inlier re-solve, the heading polish,
-    ``nlos_orientation_search``, ``conditional_estimate`` and
-    ``benchmark_solve`` all build their systems by ``_member_systems``. The
-    search's minimal-subset solve sums its paths' blocks directly, so its
-    states, and the inlier sets they select, match a ``_solve_members``
-    solve only to rounding.
+    A row's total depends on its own costs and mask and on the mask's
+    memory layout (see ``_member_systems``), not on the other rows.
     """
     return (member * eta * costs).sum(axis=-1)
 
@@ -318,6 +316,96 @@ def _gammas(terms: _PathTerms, x: np.ndarray, r: np.ndarray | None = None) -> np
     with np.errstate(divide="ignore", invalid="ignore"):
         gam = num / den
     return np.where(den == 0.0, np.inf, gam)
+
+
+def _outlier_penalty(eta, member, t_eps):
+    """Per-path penalty summed over each row's outliers, (..., M)."""
+    return ((1.0 - member) * eta).sum(axis=-1) * t_eps
+
+
+def _feasibility_mask(terms: _PathTerms, x: np.ndarray, inlier: np.ndarray, n_min: int,
+                      t_nu: float, r: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized feasibility of each row's (state, inlier set), (..., M).
+
+    ``x`` is (..., M, 3) and ``inlier`` (..., M, n) for any leading batch
+    shape; ``r`` optionally passes in the residuals at ``x``. Checks, per
+    row: enough inliers; non-negative bias-corrected delay of the earliest
+    inlier j; bounce fraction of j in [0, 1] unless its rays nearly cancel
+    (near-LoS geometry); bounce fraction of every other inlier in [0, 1].
+    """
+    count_ok = inlier.sum(axis=-1) >= n_min
+    j = np.argmin(np.where(inlier, terms.tau, np.inf), axis=-1)
+    delay_ok = _C * terms.tau[j] - x[..., 2] >= 0.0
+    gam = _gammas(terms, x, r)
+    in_range = (gam >= 0.0) & (gam <= 1.0)
+    j_cols = np.arange(inlier.shape[-1]) == j[..., None]
+    j_in_range = (in_range & j_cols).any(axis=-1)
+    j_near_los = ((terms.nu_sq <= t_nu) & j_cols).any(axis=-1)
+    others_ok = np.all(in_range | ~inlier | j_cols, axis=-1)
+    return count_ok & delay_ok & (j_in_range | j_near_los) & others_ok
+
+
+def _row_costs(terms: _PathTerms, x: np.ndarray, ok: np.ndarray, member: np.ndarray,
+               gate: tuple | None = None) -> np.ndarray:
+    """Cost of each row's state over its member set, (..., M).
+
+    ``member`` is a boolean (..., M, n) mask and ``ok`` flags the rows
+    whose solve passed. The cost is the gain-weighted sum of the members'
+    squared projected residuals. A ``gate`` (n_min, t_nu, t_eps) adds the
+    per-path penalty t_eps for each non-member and requires the row to
+    pass ``_feasibility_mask``; the weighted sum is non-negative, so a
+    gated cost is never below its ``_outlier_penalty``. Rows whose solve
+    failed, that fail the gate, or whose cost is not finite get +inf.
+    """
+    weights = member.astype(float)
+    r = _residuals(terms, x)
+    cost = _weighted_total(_costs(terms, x, r), terms.eta, weights)
+    valid = ok
+    if gate is not None:
+        n_min, t_nu, t_eps = gate
+        cost = cost + _outlier_penalty(terms.eta, weights, t_eps)
+        valid = ok & _feasibility_mask(terms, x, member, n_min, t_nu, r)
+    return np.where(valid & np.isfinite(cost), cost, np.inf)
+
+
+def _best_row(terms: _PathTerms, member_row: np.ndarray, gate: tuple | None = None):
+    """Cheapest heading row of ``terms`` for one frozen member set.
+
+    ``member_row`` is a boolean (n,) mask used at every heading; rows are
+    solved, then costed and gated by ``_row_costs``. Returns (row, state
+    (3,), cost) of the first minimum, or None if every row is +inf.
+    """
+    member = np.broadcast_to(member_row, terms.nu_sq.shape)
+    # astype copies the broadcast column-major, see _member_systems
+    x, ok = _solve_members(terms, member.astype(float))
+    cost = _row_costs(terms, x, ok, member, gate)
+    k = int(np.argmin(cost))
+    if not np.isfinite(cost[k]):
+        return None
+    return k, x[k], float(cost[k])
+
+
+def _fixed_set_estimate(paths, bs, alphas, index_set, los_index, message):
+    """``_best_row`` over ``alphas`` for one index set, as a ConditionalEstimate.
+
+    Returns (heading index, estimate); raises ``SingularGeometry`` with
+    ``message`` when no heading is usable.
+    """
+    idx = sorted(int(i) for i in index_set)
+    if not idx:
+        raise ValueError("index_set must be non-empty")
+    terms = _build_terms(paths, bs, alphas, los_index)
+    member_row = np.zeros(len(paths), dtype=bool)
+    member_row[idx] = True
+    best = _best_row(terms, member_row)
+    if best is None:
+        raise SingularGeometry(message)
+    k, x, total = best
+    costs = _costs(_take_rows(terms, np.array([k])), x[None])[0]
+    return k, ConditionalEstimate(position=x[:2].copy(),
+                                  clock_bias=float(x[2]) / _C,
+                                  per_path_cost=tuple((i, float(costs[i])) for i in idx),
+                                  total_cost=total)
 
 
 def conditional_estimate(paths: Sequence[PathMeasurement], index_set, alpha_ue: float,
@@ -341,24 +429,11 @@ def conditional_estimate(paths: Sequence[PathMeasurement], index_set, alpha_ue: 
     ------
     SingularGeometry
         If the 3x3 normal matrix has condition number >= 1e12 (e.g. a lone
-        LoS path, or all rays parallel).
+        LoS path, or all rays parallel), or the cost is not finite.
     """
-    idx = sorted(int(i) for i in index_set)
-    if not idx:
-        raise ValueError("index_set must be non-empty")
-    terms = _build_terms(paths, bs, np.array([float(alpha_ue)]), los_index)
-    member = np.zeros((1, len(paths)))
-    member[0, idx] = 1.0
-    x, ok = _solve_members(terms, member)
-    if not ok[0]:
-        raise SingularGeometry("conditional normal matrix is singular or ill-conditioned")
-    costs = _costs(terms, x)
-    per_path = tuple((i, float(costs[0, i])) for i in idx)
-    total = float(_weighted_total(costs, terms.eta, member)[0])
-    return ConditionalEstimate(position=x[0, :2].copy(),
-                               clock_bias=float(x[0, 2]) / _C,
-                               per_path_cost=per_path,
-                               total_cost=total)
+    return _fixed_set_estimate(paths, bs, np.array([float(alpha_ue)]), index_set,
+                               los_index,
+                               "conditional normal matrix is singular or ill-conditioned")[1]
 
 
 def path_cost(path: PathMeasurement, position, clock_bias: float, alpha_ue: float,
@@ -401,33 +476,18 @@ def nlos_orientation_search(paths: Sequence[PathMeasurement], index_set, grid,
     """Grid search over headings minimizing the conditional total cost.
 
     Returns the best grid heading and its conditional estimate. Grid points
-    whose normal matrix is singular are skipped; ties keep the smallest grid
-    index.
+    whose normal matrix is singular or whose cost is not finite are
+    skipped; ties keep the smallest grid index.
 
     Raises
     ------
     SingularGeometry
-        If every grid point is singular.
+        If every grid point is skipped.
     """
-    idx = sorted(int(i) for i in index_set)
-    if not idx:
-        raise ValueError("index_set must be non-empty")
     grid = np.asarray(grid, dtype=float)
-    terms = _build_terms(paths, bs, grid, None)
-    member = np.zeros((len(grid), len(paths)))
-    member[:, idx] = 1.0
-    x, ok = _solve_members(terms, member)
-    costs = _costs(terms, x)
-    total = np.where(ok, _weighted_total(costs, terms.eta, member), np.inf)
-    m = int(np.argmin(total))
-    if not np.isfinite(total[m]):
-        raise SingularGeometry("no heading on the grid yields an invertible system")
-    per_path = tuple((i, float(costs[m, i])) for i in idx)
-    est = ConditionalEstimate(position=x[m, :2].copy(),
-                              clock_bias=float(x[m, 2]) / _C,
-                              per_path_cost=per_path,
-                              total_cost=float(total[m]))
-    return float(grid[m]), est
+    k, est = _fixed_set_estimate(paths, bs, grid, index_set, None,
+                                 "no heading on the grid yields an invertible system")
+    return float(grid[k]), est
 
 
 def landmark_jacobian(ue: UeState, bs: Pose, landmark) -> np.ndarray:

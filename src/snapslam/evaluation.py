@@ -7,6 +7,7 @@ across runs and process counts.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass
@@ -29,6 +30,8 @@ from .estimator import landmark_refine, path_cost
 from .geometry import NoiseModel, Pose, UeState, bounce_fraction, measurement_model, wrap_angle
 from .robust import Hypothesis, RobustConfig, SlamSolution, benchmark_solve, robust_solve
 from .sim import GroundTruth, Snapshot
+
+_log = logging.getLogger("snapslam")
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,8 @@ def strip_outliers_by_truth(snapshot: Snapshot, noise: NoiseModel = NoiseModel()
 
 
 def is_single_bounce_consistent(path, ue_true: UeState, bs: Pose,
-                                t_eps: float = 0.1, t_nu: float = 0.1) -> bool:
+                                t_eps: float = RobustConfig.t_eps,
+                                t_nu: float = RobustConfig.t_nu) -> bool:
     """Whether a path fits the single-bounce model at the true state.
 
     Requires both a small projected residual and a bounce fraction inside
@@ -195,7 +199,8 @@ class ClassificationReport:
 
 
 def classification_report(solution: SlamSolution, snapshot: Snapshot,
-                          t_eps: float = 0.1, t_nu: float = 0.1,
+                          t_eps: float = RobustConfig.t_eps,
+                          t_nu: float = RobustConfig.t_nu,
                           count_consistent_as_errors: bool = False) -> ClassificationReport:
     """Compare a solution's inlier set against the snapshot's truth labels.
 
@@ -341,11 +346,33 @@ def los_sensitivity_sweep(snapshots: Sequence[Snapshot],
                        rmse_excluding=curve(include), trials=trials)
 
 
+def run_snapshot(snapshot: Snapshot, mode: str,
+                 config: RobustConfig = RobustConfig(),
+                 model: PathLossModel = PathLossModel(),
+                 threshold: float = DEFAULT_T_LOS):
+    """Solve and time one snapshot; never raises for a failed solve.
+
+    Returns (result, elapsed, error): on success the (solution, detection)
+    of ``solve_snapshot``, seconds of wall clock around that call and None;
+    on any exception (None, None, "Type: message"). An exception that is
+    not a ``SlamError`` also logs its traceback to the ``snapslam`` logger.
+    """
+    start = time.perf_counter()
+    try:
+        result = solve_snapshot(snapshot, mode, config, model, threshold)
+    except Exception as exc:
+        # one snapshot's failure, expected or not, must not end the run
+        if not isinstance(exc, SlamError):
+            _log.exception("snapshot %s: unexpected error", snapshot.id)
+        return None, None, f"{type(exc).__name__}: {exc}"
+    return result, time.perf_counter() - start, None
+
+
 def evaluate_dataset(snapshots: Sequence[Snapshot], mode: str,
                      config: RobustConfig = RobustConfig(),
                      model: PathLossModel = PathLossModel(),
                      threshold: float = DEFAULT_T_LOS):
-    """Solve every snapshot in one mode, timing each call.
+    """Solve every snapshot in one mode with ``run_snapshot``.
 
     Returns (results, records, failures): per-snapshot (solution, detection)
     tuples (None where solving failed), ErrorRecords for solved snapshots
@@ -353,15 +380,10 @@ def evaluate_dataset(snapshots: Sequence[Snapshot], mode: str,
     """
     results, records, failures = [], [], []
     for snap in snapshots:
-        start = time.perf_counter()
-        try:
-            solution, detection = solve_snapshot(snap, mode, config, model, threshold)
-        except SlamError as exc:
-            results.append(None)
-            failures.append((snap.id, f"{type(exc).__name__}: {exc}"))
-            continue
-        elapsed = time.perf_counter() - start
-        results.append((solution, detection))
-        if snap.truth is not None:
-            records.append(make_error_record(snap, solution, elapsed))
+        result, elapsed, error = run_snapshot(snap, mode, config, model, threshold)
+        results.append(result)
+        if error is not None:
+            failures.append((snap.id, error))
+        elif snap.truth is not None:
+            records.append(make_error_record(snap, result[0], elapsed))
     return results, records, failures

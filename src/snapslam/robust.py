@@ -35,20 +35,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGeometry, NoFeasibleSolution, SingularGeometry, TooFewPaths
+from .errors import DegenerateGeometry, NoFeasibleSolution, TooFewPaths
 from .estimator import (
     LandmarkEstimate,
+    _best_row,
     _build_terms,
     _costs,
-    _gammas,
+    _feasibility_mask,
     _member_systems,
-    _residuals,
-    _solve_members,
+    _outlier_penalty,
+    _row_costs,
     _solve_packed,
     _take_rows,
-    _weighted_total,
     landmark_refine,
     los_orientation,
+    nlos_orientation_search,
     orientation_grid,
 )
 from .geometry import SPEED_OF_LIGHT, NoiseModel, PathMeasurement, Pose, UeState, wrap_angle
@@ -159,28 +160,6 @@ def enumerate_combinations(n_paths: int, hypothesis: Hypothesis,
     return list(itertools.combinations(range(n_paths), n_nlos))
 
 
-def _feasibility_mask(terms, x: np.ndarray, inlier: np.ndarray, n_min: int,
-                      t_nu: float, r: Optional[np.ndarray] = None) -> np.ndarray:
-    """Vectorized feasibility of each row's (state, inlier set), (..., M).
-
-    ``x`` is (..., M, 3) and ``inlier`` (..., M, n) for any leading batch
-    shape; ``r`` optionally passes in the residuals at ``x``. Checks, per
-    row: enough inliers; non-negative bias-corrected delay of the earliest
-    inlier j; bounce fraction of j in [0, 1] unless its rays nearly cancel
-    (near-LoS geometry); bounce fraction of every other inlier in [0, 1].
-    """
-    count_ok = inlier.sum(axis=-1) >= n_min
-    j = np.argmin(np.where(inlier, terms.tau, np.inf), axis=-1)
-    delay_ok = _C * terms.tau[j] - x[..., 2] >= 0.0
-    gam = _gammas(terms, x, r)
-    in_range = (gam >= 0.0) & (gam <= 1.0)
-    j_cols = np.arange(inlier.shape[-1]) == j[..., None]
-    j_in_range = (in_range & j_cols).any(axis=-1)
-    j_near_los = ((terms.nu_sq <= t_nu) & j_cols).any(axis=-1)
-    others_ok = np.all(in_range | ~inlier | j_cols, axis=-1)
-    return count_ok & delay_ok & (j_in_range | j_near_los) & others_ok
-
-
 def feasibility_check(position, clock_bias: float, alpha_ue: float, inliers,
                       paths: Sequence[PathMeasurement], bs: Pose,
                       hypothesis: Hypothesis,
@@ -196,28 +175,6 @@ def feasibility_check(position, clock_bias: float, alpha_ue: float, inliers,
     mask[0, idx] = True
     x = np.array([[position[0], position[1], _C * clock_bias]])
     return bool(_feasibility_mask(terms, x, mask, n_los + n_nlos, config.t_nu)[0])
-
-
-def _outlier_penalty(eta, member, t_eps):
-    """Per-path penalty summed over each row's outliers, (..., M)."""
-    return ((1.0 - member) * eta).sum(axis=-1) * t_eps
-
-
-def _gated_cost(terms, x, ok, inlier, n_min, config):
-    """Gated cost of each row's (state, inlier set), (..., M).
-
-    Weighted inlier costs plus the per-path penalty for each outlier;
-    infinite where the solve failed (``ok`` False) or the feasibility gate
-    rejects the row. The weighted costs are non-negative, so a row's gated
-    cost is never below its ``_outlier_penalty``.
-    """
-    member = inlier.astype(float)
-    r = _residuals(terms, x)
-    cost = (_weighted_total(_costs(terms, x, r), terms.eta, member)
-            + _outlier_penalty(terms.eta, member, config.t_eps))
-    feasible = _feasibility_mask(terms, x, inlier, n_min, config.t_nu, r) & ok
-    with np.errstate(invalid="ignore"):
-        return np.where(feasible & np.isfinite(cost), cost, np.inf)
 
 
 def _search(paths, bs, alphas, combos, los_index, n_min, config):
@@ -246,6 +203,7 @@ def _search(paths, bs, alphas, combos, los_index, n_min, config):
     m, n = terms.nu_sq.shape
     by_path = terms.normal.swapaxes(0, 1)               # (n, M, 9)
     combos = np.asarray(combos)
+    gate = (n_min, config.t_nu, config.t_eps)
     step = max(1, _CHUNK_ROW_PATHS // (m * n))
     best = None
     for lo in range(0, len(combos), step):
@@ -266,30 +224,12 @@ def _search(paths, bs, alphas, combos, los_index, n_min, config):
         # a survivor has inliers, so its minimal-subset solve passed the gate
         x1, ok1 = _solve_packed(_member_systems(terms, member)[l, h])
         inlier = inlier[l, h]
-        cost = _gated_cost(_take_rows(terms, h), x1, ok1, inlier, n_min, config)
+        cost = _row_costs(_take_rows(terms, h), x1, ok1, inlier, gate)
         k = int(np.argmin(cost))
         if cost[k] < math.inf and (best is None or (float(cost[k]), h[k]) < best[:2]):
             best = (float(cost[k]), int(h[k]), lo + int(l[k]), x1[k].copy(),
                     inlier[k].copy())
     return best
-
-
-def _fixed_set_scan(paths, bs, alphas, inlier_row, los_index, n_min, config):
-    """Cheapest feasible heading for a frozen inlier set, or None.
-
-    Same solve, cost, and gate as one search cell, but the membership is
-    given instead of re-partitioned, so results are comparable with the
-    winning cell's cost.
-    """
-    alphas = np.asarray(alphas, dtype=float)
-    inlier = np.broadcast_to(inlier_row[None, :], (len(alphas), inlier_row.size))
-    terms = _build_terms(paths, bs, alphas, los_index)
-    x, ok = _solve_members(terms, inlier.astype(float))
-    cost = _gated_cost(terms, x, ok, inlier, n_min, config)
-    k = int(np.argmin(cost))
-    if not np.isfinite(cost[k]):
-        return None
-    return float(alphas[k]), x[k], float(cost[k])
 
 
 def _polish_heading(paths, bs, alpha, x, cost, inlier_row, n_min, config):
@@ -303,14 +243,15 @@ def _polish_heading(paths, bs, alpha, x, cost, inlier_row, n_min, config):
     if config.grid_size < 2:
         return alpha, x, cost
     width = 2.0 * math.pi / (config.grid_size - 1)
+    gate = (n_min, config.t_nu, config.t_eps)
     best = (alpha, x, cost)
     center = alpha
     for _ in range(14):
         probes = center + np.linspace(-width, width, 9)
-        hit = _fixed_set_scan(paths, bs, probes, inlier_row, None, n_min, config)
+        hit = _best_row(_build_terms(paths, bs, probes), inlier_row, gate)
         if hit is not None and hit[2] < best[2]:
-            best = hit
-            center = hit[0]
+            center = float(probes[hit[0]])
+            best = (center, hit[1], hit[2])
         width /= 4.0
     return best
 
@@ -402,19 +343,10 @@ def benchmark_solve(snapshot, grid=None, bs: Optional[Pose] = None,
     n = len(paths)
     if n < 4:
         raise TooFewPaths(f"benchmark needs at least 4 paths, got {n}")
-    alphas = orientation_grid() if grid is None else np.asarray(grid, dtype=float)
-    terms = _build_terms(paths, bs, alphas, None)
-    member = np.ones((len(alphas), n))
-    x, ok = _solve_members(terms, member)
-    costs = _costs(terms, x)
-    total = _weighted_total(costs, terms.eta, member)
-    with np.errstate(invalid="ignore"):
-        total = np.where(ok & np.isfinite(total), total, np.inf)
-    m = int(np.argmin(total))
-    if not np.isfinite(total[m]):
-        raise SingularGeometry("no grid heading yields an invertible system")
-    ue = UeState(x[m, :2].copy(), wrap_angle(float(alphas[m])), float(x[m, 2]) / _C)
+    alpha, est = nlos_orientation_search(
+        paths, range(n), orientation_grid() if grid is None else grid, bs)
+    ue = UeState(est.position, wrap_angle(alpha), est.clock_bias)
     landmarks = _refine_landmarks(paths, range(n), ue, bs, noise)
     return SlamSolution(ue=ue, landmarks=landmarks, inliers=tuple(range(n)),
                         outliers=(), hypothesis=Hypothesis.NLOS,
-                        cost=float(total[m]), feasible=True)
+                        cost=est.total_cost, feasible=True)

@@ -4,6 +4,11 @@ import math
 import pytest
 
 from snapslam import (
+    DEFAULT_T_LOS,
+    NoiseModel,
+    PathLossModel,
+    RobustConfig,
+    SimConfig,
     Snapshot,
     read_dataset,
     read_jsonl,
@@ -11,7 +16,7 @@ from snapslam import (
     write_positions,
     write_scene,
 )
-from snapslam import cli
+from snapslam import cli, evaluation
 from snapslam.cli import RunConfig, build_run_config, main, parse_p_grid
 from helpers import random_h0_snapshot, square_scene
 
@@ -73,6 +78,17 @@ def test_run_config_unit_conversion():
     assert sim.bias_range == (-100e-9, 100e-9)
     noisy = rc.sim_config(noiseless=False)
     assert noisy.noise is not None
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    # the defaults are converted from the library's; the conversions back
+    # to library units must reproduce them exactly
+    rc = RunConfig()
+    assert rc.robust_config() == RobustConfig()
+    assert rc.noise_model() == NoiseModel()
+    assert rc.gain_model() == PathLossModel()
+    assert rc.sim_config() == SimConfig()
+    assert rc.t_los == DEFAULT_T_LOS
 
 
 @pytest.fixture
@@ -210,14 +226,14 @@ def test_cli_solve_isolates_unexpected_errors(tmp_path, monkeypatch, capsys):
     snaps = [random_h0_snapshot(s, sid=f"s{s}") for s in range(3)]
     data = tmp_path / "data.jsonl"
     write_dataset(snaps, data)
-    real = cli.solve_snapshot
+    real = evaluation.solve_snapshot
 
     def flaky(snapshot, *args):
         if snapshot.id == "s1":
             raise ValueError("bad snapshot")
         return real(snapshot, *args)
 
-    monkeypatch.setattr(cli, "solve_snapshot", flaky)
+    monkeypatch.setattr(evaluation, "solve_snapshot", flaky)
     sols = tmp_path / "sols.jsonl"
     assert main(["solve", "--data", str(data), "--out", str(sols),
                  "--workers", "1"]) == 0

@@ -22,7 +22,13 @@ from snapslam import (
     orientation_grid,
     path_cost,
 )
-from snapslam.estimator import CONDITION_LIMIT, _solve_packed
+from snapslam.estimator import (
+    CONDITION_LIMIT,
+    _build_terms,
+    _row_costs,
+    _solve_members,
+    _solve_packed,
+)
 from helpers import random_h0_snapshot, random_h1_snapshot
 
 C = SPEED_OF_LIGHT
@@ -162,6 +168,21 @@ def test_nlos_search_off_grid_within_one_step():
     alpha, _ = nlos_orientation_search(snap.paths, range(5),
                                        orientation_grid(), snap.bs)
     assert abs(alpha - t.ue.orientation) <= math.radians(1.0)
+
+
+def test_row_costs_send_failed_and_non_finite_rows_to_inf():
+    # the grid search takes the argmin of these costs: neither a failed
+    # solve nor a NaN cost may win it
+    snap = random_h1_snapshot(5, n_single=5)
+    terms = _build_terms(snap.paths, snap.bs, orientation_grid(6))
+    member = np.ones(terms.nu_sq.shape, dtype=bool)
+    x, ok = _solve_members(terms, member.astype(float))
+    assert ok.all()
+    x[1] = np.nan
+    ok[2] = False
+    cost = _row_costs(terms, x, ok, member)
+    assert np.isinf(cost[1:3]).all()
+    assert np.isfinite(np.delete(cost, [1, 2])).all()
 
 
 def test_landmark_jacobian_matches_finite_differences():

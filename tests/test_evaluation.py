@@ -30,6 +30,7 @@ from snapslam import (
     strip_outliers_by_truth,
     wrap_angle,
 )
+from snapslam import evaluation
 from helpers import (
     add_multibounce,
     build_snapshot,
@@ -185,7 +186,7 @@ def test_solve_snapshot_modes():
         solve_snapshot(snap, "nonsense")
 
 
-def test_evaluate_dataset_counts_failures():
+def test_evaluate_dataset_counts_failures(monkeypatch, caplog):
     snaps = [random_h0_snapshot(s, n_single=3, sid=f"s{s}") for s in range(3)]
     lone = Snapshot(id="lone", bs=snaps[0].bs, paths=snaps[0].paths[:1],
                     truth=None)
@@ -195,6 +196,23 @@ def test_evaluate_dataset_counts_failures():
     assert [f[0] for f in failures] == ["lone"]
     assert all(r.position_error < 1e-9 for r in records)
     assert all(r.solve_time > 0 for r in records)
+
+    # an unexpected error in one snapshot is recorded; the rest still solve
+    solve = evaluation.solve_snapshot
+
+    def flaky(snap, *args):
+        if snap.id == "s1":
+            raise ValueError("bad row")
+        return solve(snap, *args)
+
+    monkeypatch.setattr(evaluation, "solve_snapshot", flaky)
+    with caplog.at_level("ERROR", logger="snapslam"):
+        results, records, failures = evaluate_dataset([*snaps, lone], "robust_mixed")
+    assert [r is None for r in results] == [False, True, False, True]
+    assert [r.snapshot_id for r in records] == ["s0", "s2"]
+    assert failures[0] == ("s1", "ValueError: bad row")
+    assert [f[0] for f in failures] == ["s1", "lone"]
+    assert "s1" in caplog.text and "Traceback" in caplog.text
 
 
 def _sweep_set():

@@ -27,8 +27,15 @@ from snapslam import (
     wrap_angle,
 )
 from snapslam import robust
-from snapslam.estimator import _build_terms, _costs, _solve_members, _solve_packed
-from snapslam.robust import _gated_cost, _outlier_penalty, _search
+from snapslam.estimator import (
+    _build_terms,
+    _costs,
+    _outlier_penalty,
+    _row_costs,
+    _solve_members,
+    _solve_packed,
+)
+from snapslam.robust import _search
 from helpers import (
     add_multibounce,
     expected_inliers,
@@ -244,7 +251,8 @@ def _reference_search(paths, bs, alphas, combos, los_index, n_min, config):
         x0, ok0 = _solve_packed(terms.normal[:, list(combo)].sum(axis=1))
         inlier = (_costs(terms, x0) <= config.t_eps) & ok0[:, None]
         x1, ok1 = _solve_members(terms, inlier.astype(float))
-        costs.append(robust._gated_cost(terms, x1, ok0 & ok1, inlier, n_min, config))
+        costs.append(robust._row_costs(terms, x1, ok0 & ok1, inlier,
+                                       (n_min, config.t_nu, config.t_eps)))
         states.append(x1)
         masks.append(inlier)
     table = np.stack(costs, axis=1)                 # (M, L), heading-major
@@ -329,9 +337,9 @@ def test_pruned_search_equals_every_cell_reference(case, t_eps, monkeypatch):
 
     def counted(terms, x, *rest):
         gated_rows.append(len(x))
-        return _gated_cost(terms, x, *rest)
+        return _row_costs(terms, x, *rest)
 
-    monkeypatch.setattr(robust, "_gated_cost", counted)
+    monkeypatch.setattr(robust, "_row_costs", counted)
     cells = len(args[2]) * len(args[3])
     for budget in (1, robust._CHUNK_ROW_PATHS, 10 ** 9):
         monkeypatch.setattr(robust, "_CHUNK_ROW_PATHS", budget)
@@ -354,11 +362,12 @@ def test_pruned_search_keeps_cells_whose_penalty_ties_the_best(case, t_eps, monk
     # cell whose penalty equals the best so far can still win on an earlier
     # heading, so the penalty test must not prune it (case 5 at 10.0 has
     # such cells in later subsets).
-    def penalty_only(terms, x, ok, inlier, n_min, config):
-        cost = _outlier_penalty(terms.eta, inlier.astype(float), config.t_eps)
-        return np.where(ok & (inlier.sum(axis=-1) >= n_min), cost, np.inf)
+    def penalty_only(terms, x, ok, member, gate):
+        n_min, _, t_eps = gate
+        cost = _outlier_penalty(terms.eta, member.astype(float), t_eps)
+        return np.where(ok & (member.sum(axis=-1) >= n_min), cost, np.inf)
 
-    monkeypatch.setattr(robust, "_gated_cost", penalty_only)
+    monkeypatch.setattr(robust, "_row_costs", penalty_only)
     args = _search_inputs(*list(_search_cases())[case], RobustConfig(t_eps=t_eps))
     want = _reference_search(*args)
     for budget in (1, robust._CHUNK_ROW_PATHS, 10 ** 9):
@@ -389,11 +398,11 @@ def test_batched_search_breaks_exact_ties_heading_first(monkeypatch):
         scripted[terms.v[heading].tobytes(), inlier.tobytes()] = 1.0
     assert len(scripted) == 4
 
-    def scripted_cost(terms, x, ok, inlier, n_min, config):
+    def scripted_cost(terms, x, ok, member, gate):
         return np.array([scripted.get((v.tobytes(), row.tobytes()), 5.0)
-                         for v, row in zip(terms.v, inlier)])
+                         for v, row in zip(terms.v, member)])
 
-    monkeypatch.setattr(robust, "_gated_cost", scripted_cost)
+    monkeypatch.setattr(robust, "_row_costs", scripted_cost)
     for budget in (1, robust._CHUNK_ROW_PATHS, 10 ** 9):
         monkeypatch.setattr(robust, "_CHUNK_ROW_PATHS", budget)
         assert _search(*args)[:3] == (1.0, 2, 3)    # smallest heading, then subset

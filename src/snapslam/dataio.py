@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import json
 import math
+import sys
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -242,7 +243,12 @@ def read_positions(path) -> list[np.ndarray]:
                 raise ValueError(f"line {lineno}: {exc}") from None
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ValueError(f"line {lineno}: expected [x, y]")
-            out.append(np.array([float(pair[0]), float(pair[1])], dtype=float))
+            # false for NaN; compares a huge JSON integer without converting it
+            if not all(type(c) in (int, float) and abs(c) <= sys.float_info.max
+                       for c in pair):
+                raise ValueError(f"line {lineno}: coordinates must be finite numbers, "
+                                 f"got {pair!r}")
+            out.append(np.array(pair, dtype=float))
     if not out:
         raise ValueError("positions file is empty")
     return out

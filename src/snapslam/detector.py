@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -93,8 +92,7 @@ def los_test(gain_db: float, estimated_position, bs: Pose,
 
 def mixed_solve(snapshot, config: RobustConfig = RobustConfig(),
                 model: PathLossModel = PathLossModel(),
-                threshold: float = DEFAULT_T_LOS,
-                bs: Optional[Pose] = None) -> tuple[SlamSolution, DetectionResult]:
+                threshold: float = DEFAULT_T_LOS) -> tuple[SlamSolution, DetectionResult]:
     """Full pipeline: LoS-hypothesis solve, gain test, NLoS fallback.
 
     The LoS-hypothesis branch runs first; if it is feasible, the earliest
@@ -111,7 +109,6 @@ def mixed_solve(snapshot, config: RobustConfig = RobustConfig(),
     NoFeasibleSolution
         If both branches fail.
     """
-    bs = bs if bs is not None else snapshot.bs
     paths = list(snapshot.paths)
     if len(paths) < 2:
         raise TooFewPaths(f"need at least 2 paths, got {len(paths)}")
@@ -119,13 +116,13 @@ def mixed_solve(snapshot, config: RobustConfig = RobustConfig(),
 
     los_solution = None
     try:
-        los_solution = robust_solve(snapshot, Hypothesis.LOS, config, bs)
+        los_solution = robust_solve(snapshot, Hypothesis.LOS, config)
     except NoFeasibleSolution:
         pass
 
     if los_solution is not None:
         gain_db = 10.0 * math.log10(paths[candidate].gain)
-        detection = los_test(gain_db, los_solution.ue.position, bs, model,
+        detection = los_test(gain_db, los_solution.ue.position, snapshot.bs, model,
                              threshold, candidate)
         if detection.decided is Hypothesis.LOS:
             return los_solution, detection
@@ -134,7 +131,7 @@ def mixed_solve(snapshot, config: RobustConfig = RobustConfig(),
                                     threshold=threshold, candidate=candidate)
 
     try:
-        nlos_solution = robust_solve(snapshot, Hypothesis.NLOS, config, bs)
+        nlos_solution = robust_solve(snapshot, Hypothesis.NLOS, config)
     except TooFewPaths as exc:
         raise NoFeasibleSolution("both hypotheses failed") from exc
     return nlos_solution, detection

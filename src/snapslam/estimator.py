@@ -96,18 +96,15 @@ class LandmarkEstimate:
 class _PathTerms(NamedTuple):
     """Per-(heading, path) arrays used by the batched conditional solver.
 
-    Shapes: M headings by n paths. ``u`` is heading-independent, shape (n, 2).
-    ``normal`` packs each path's gain-weighted normal-matrix block A and
-    right-hand side b as (a00, a01, a02, a11, a12, a22, b0, b1, b2): the
-    upper triangle of the symmetric A row by row, then b. Sums of packed
-    systems are packed systems, so a subset's system is the sum of its
-    paths' rows.
+    Shapes: M headings by n paths. ``normal`` packs each path's
+    gain-weighted normal-matrix block A and right-hand side b as (a00, a01,
+    a02, a11, a12, a22, b0, b1, b2): the upper triangle of the symmetric A
+    row by row, then b. Sums of packed systems are packed systems, so a
+    subset's system is the sum of its paths' rows.
     """
 
-    p_bs: np.ndarray      # (2,)
     tau: np.ndarray       # (n,)
     eta: np.ndarray       # (n,)
-    u: np.ndarray         # (n, 2)
     v: np.ndarray         # (M, n, 2)
     nu: np.ndarray        # (M, n, 2)
     nu_sq: np.ndarray     # (M, n)
@@ -171,7 +168,7 @@ def _build_terms(paths: Sequence[PathMeasurement], bs: Pose, alphas: np.ndarray,
     # weights scaled by a power of two so the largest is in [0.5, 1): exact,
     # and it keeps the kernel's squared entries in range for any gain scale
     normal *= np.ldexp(eta, -np.frexp(eta.max())[1])[None, :, None]
-    return _PathTerms(bs.position, tau, eta, u, v, nu, nu_sq, nubar, mu, normal)
+    return _PathTerms(tau, eta, v, nu, nu_sq, nubar, mu, normal)
 
 
 def _solve_packed(s: np.ndarray):
@@ -240,43 +237,16 @@ def _solve_packed(s: np.ndarray):
     return np.where(ok[..., None], x, 0.0), ok
 
 
-def _member_systems(terms: _PathTerms, member: np.ndarray) -> np.ndarray:
-    """Packed normal system of each row's member set, (..., M, 9).
-
-    ``member`` is a (..., M, n) float mask selecting the paths summed into
-    each row's system; any leading batch shape is kept. Each row is its own
-    ``1 x n`` by ``n x 9`` product, so a row's system does not depend on the
-    batch it sits in, but its last bits depend on the mask's memory layout:
-    NumPy hands a C-ordered mask's products to BLAS and a column-major one
-    (the copy ``_best_row`` makes of a broadcast row) to its own loop, and
-    at some path counts (6, 7, 10 and 11, say) the two sum in different
-    orders.
-    """
-    return (member[..., None, :] @ terms.normal)[..., 0, :]
-
-
-def _solve_members(terms: _PathTerms, member: np.ndarray):
-    """Solve the conditional normal equations for each heading row.
-
-    ``member`` is as in ``_member_systems``. Returns (x, ok) where x is
-    (..., M, 3) in meters-bias state and ok flags rows whose matrix passes
-    the condition gate of ``_solve_packed``; x rows with ok False are
-    placeholders.
-    """
-    return _solve_packed(_member_systems(terms, member))
-
-
 def _take_rows(terms: _PathTerms, rows: np.ndarray) -> _PathTerms:
-    """The terms of the given heading rows, in that order, for costs and gates.
+    """The terms of the given heading rows, in that order.
 
-    The result is a ``_PathTerms`` whose M axis lists ``rows`` (repeats
-    allowed), and every residual, cost and bounce fraction computed from it
-    equals the one computed from ``terms`` at that heading, to the bit.
-    ``normal`` is not taken (None): build the rows' systems from ``terms``.
+    The result is a ``_PathTerms`` whose M axis lists ``rows``, and every
+    system, residual, cost and bounce fraction computed from it equals the
+    one computed from ``terms`` at that heading, to the bit.
     """
-    return terms._replace(v=terms.v[rows], nu=terms.nu[rows],
-                          nu_sq=terms.nu_sq[rows], nubar=terms.nubar[rows],
-                          mu=terms.mu[rows], normal=None)
+    return terms._replace(v=terms.v[rows], nu=terms.nu[rows], nu_sq=terms.nu_sq[rows],
+                          nubar=terms.nubar[rows], mu=terms.mu[rows],
+                          normal=terms.normal[rows])
 
 
 def _residuals(terms: _PathTerms, x: np.ndarray) -> np.ndarray:
@@ -295,11 +265,7 @@ def _costs(terms: _PathTerms, x: np.ndarray, r: np.ndarray | None = None) -> np.
 
 
 def _weighted_total(costs: np.ndarray, eta: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """Gain-weighted cost of each row over a member mask, (..., M).
-
-    A row's total depends on its own costs and mask and on the mask's
-    memory layout (see ``_member_systems``), not on the other rows.
-    """
+    """Gain-weighted cost of each row over a member mask, (..., M)."""
     return (member * eta * costs).sum(axis=-1)
 
 
@@ -368,17 +334,24 @@ def _row_costs(terms: _PathTerms, x: np.ndarray, ok: np.ndarray, member: np.ndar
     return np.where(valid & np.isfinite(cost), cost, np.inf)
 
 
-def _best_row(terms: _PathTerms, member_row: np.ndarray, gate: tuple | None = None):
-    """Cheapest heading row of ``terms`` for one frozen member set.
+def _best_cell(terms: _PathTerms, rows: np.ndarray, member: np.ndarray,
+               gate: tuple | None = None):
+    """First minimum of the gated costs of a batch of (heading, member set) cells.
 
-    ``member_row`` is a boolean (n,) mask used at every heading; rows are
-    solved, then costed and gated by ``_row_costs``. Returns (row, state
-    (3,), cost) of the first minimum, or None if every row is +inf.
+    Cell k is heading row ``rows[k]`` of ``terms`` with the boolean (n,)
+    member row ``member[k]``. Each cell's system is the sum of its members'
+    packed rows at its heading; it is solved by ``_solve_packed``, then
+    costed and gated by ``_row_costs``. Returns (k, state (3,), cost) of the
+    first minimum, or None if every cell is +inf.
+
+    A cell's result does not depend on the other cells of the batch, but
+    its last bits depend on the member mask's memory layout: ``astype``
+    copies a broadcast member row column-major, and NumPy then sums it in
+    another order than a C-ordered row (at 6, 7, 10 and 11 paths, say).
     """
-    member = np.broadcast_to(member_row, terms.nu_sq.shape)
-    # astype copies the broadcast column-major, see _member_systems
-    x, ok = _solve_members(terms, member.astype(float))
-    cost = _row_costs(terms, x, ok, member, gate)
+    taken = _take_rows(terms, rows)
+    x, ok = _solve_packed((member.astype(float)[:, None, :] @ taken.normal)[:, 0])
+    cost = _row_costs(taken, x, ok, member, gate)
     k = int(np.argmin(cost))
     if not np.isfinite(cost[k]):
         return None
@@ -386,7 +359,7 @@ def _best_row(terms: _PathTerms, member_row: np.ndarray, gate: tuple | None = No
 
 
 def _fixed_set_estimate(paths, bs, alphas, index_set, los_index, message):
-    """``_best_row`` over ``alphas`` for one index set, as a ConditionalEstimate.
+    """``_best_cell`` over ``alphas`` for one index set, as a ConditionalEstimate.
 
     Returns (heading index, estimate); raises ``SingularGeometry`` with
     ``message`` when no heading is usable.
@@ -397,7 +370,8 @@ def _fixed_set_estimate(paths, bs, alphas, index_set, los_index, message):
     terms = _build_terms(paths, bs, alphas, los_index)
     member_row = np.zeros(len(paths), dtype=bool)
     member_row[idx] = True
-    best = _best_row(terms, member_row)
+    best = _best_cell(terms, np.arange(len(alphas)),
+                      np.broadcast_to(member_row, terms.nu_sq.shape))
     if best is None:
         raise SingularGeometry(message)
     k, x, total = best
@@ -511,15 +485,14 @@ def landmark_jacobian(ue: UeState, bs: Pose, landmark) -> np.ndarray:
     return np.vstack([row_toa, row_aod, row_aoa])
 
 
-def _initial_landmark(path: PathMeasurement, ue: UeState, bs: Pose,
-                      t_nu: float = 0.1) -> np.ndarray:
+def _initial_landmark(path: PathMeasurement, ue: UeState, bs: Pose) -> np.ndarray:
     """Initializer: midpoint of the two ray endpoints at the recovered fraction.
 
     The fraction is clamped to [0.05, 0.95] when it falls outside [0, 1] and
-    defaults to 0.5 when undefined (near-parallel rays).
+    defaults to 0.5 when undefined (near-parallel rays, ||u + v||^2 <= 0.1).
     """
     try:
-        gam = bounce_fraction(ue, path, bs, t_nu)
+        gam = bounce_fraction(ue, path, bs)
         if not math.isfinite(gam):
             gam = 0.5
         elif not 0.0 <= gam <= 1.0:
@@ -534,23 +507,24 @@ def _initial_landmark(path: PathMeasurement, ue: UeState, bs: Pose,
 
 
 def landmark_refine(path: PathMeasurement, ue: UeState, bs: Pose,
-                    noise: NoiseModel = NoiseModel(), max_iter: int = 50,
-                    tol: float = 1e-9, source_path: int = -1) -> LandmarkEstimate:
+                    noise: NoiseModel = NoiseModel(),
+                    source_path: int = -1) -> LandmarkEstimate:
     """Gauss-Newton refinement of a single-bounce reflection point.
 
     Minimizes the noise-whitened squared residual between the measured
     (toa, aod, aoa) and the single-bounce forward model at the given user
     state. Steps that increase the objective are halved up to 8 times; the
-    iteration converges when the step norm drops below ``tol`` meters.
+    iteration converges when the step norm drops below 1e-9 m.
 
-    Returns the best iterate with ``converged=False`` if the tolerance was
-    not reached.
+    Returns the best iterate with ``converged=False`` if that tolerance was
+    not reached within 50 iterations.
 
     Raises
     ------
     DegenerateGeometry
         If the Jacobian is rank-deficient at the final iterate.
     """
+    max_iter, tol = 50, 1e-9
     z = np.array([path.toa, path.aod, path.aoa])
     sig = noise.sigmas
 

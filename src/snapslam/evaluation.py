@@ -112,14 +112,13 @@ def _mahalanobis_sq(z, h, noise: NoiseModel) -> float:
     return float(r @ r)
 
 
-def strip_outliers_by_truth(snapshot: Snapshot, noise: NoiseModel = NoiseModel(),
-                            t_outlier: float = 3.0) -> Snapshot:
+def strip_outliers_by_truth(snapshot: Snapshot, noise: NoiseModel = NoiseModel()) -> Snapshot:
     """Drop paths whose best single-bounce fit at the true state misfits.
 
     Each truth-labeled LoS path is scored against the LoS model directly;
     every other path gets a Gauss-Newton landmark fit at the true state and
     is scored at the fitted point. Paths with squared Mahalanobis residual
-    above ``t_outlier`` are removed, together with their truth entries.
+    above 3 are removed, together with their truth entries.
 
     Raises
     ------
@@ -145,7 +144,7 @@ def strip_outliers_by_truth(snapshot: Snapshot, noise: NoiseModel = NoiseModel()
                 m2 = _mahalanobis_sq(z, h, noise)
             except (DegenerateGeometry, NearParallel):
                 m2 = math.inf
-        if m2 <= t_outlier:
+        if m2 <= 3.0:
             keep.append(i)
     if not keep:
         raise EmptyInput("stripping removed every path")
@@ -290,12 +289,16 @@ def los_sensitivity_sweep(snapshots: Sequence[Snapshot],
 
     Raises
     ------
+    ValueError
+        If ``trials`` is below 1 or a grid probability lies outside [0, 1].
     EmptyInput
         If no snapshot is usable.
     MissingTruth
         If any snapshot lacks truth.
     """
     p_grid = tuple(float(p) for p in p_grid)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if not snapshots:
         raise EmptyInput("no snapshots")
     if any(not 0.0 <= p <= 1.0 for p in p_grid):

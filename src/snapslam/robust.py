@@ -16,10 +16,11 @@ path count, and solves every cell's 3x3 normal system elementwise (see
 ``estimator.CONDITION_LIMIT``). Each chunk runs in two stages, as a RANSAC
 hypothesize-and-verify loop does (Fischler & Bolles, CACM 1981): every cell
 gets its minimal-subset solve and inlier partition, but only the cells that
-can still win are re-solved on their inliers, costed and gated. A cell with
-too few inliers, or whose outlier penalty alone exceeds the best gated cost
-so far, cannot win, so the pruning is exact: the search returns what
-evaluating every cell returns, to the bit.
+can still win go to ``estimator._best_cell``, which builds their inlier
+systems alone, solves, costs and gates them. A cell with too few inliers, or
+whose outlier penalty alone exceeds the best gated cost so far, cannot win,
+so the pruning is exact: the search returns what evaluating every cell
+returns, to the bit.
 
 ``benchmark_solve`` is the non-robust reference: every path, NLoS model,
 grid search only.
@@ -31,22 +32,18 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateGeometry, NoFeasibleSolution, TooFewPaths
 from .estimator import (
-    LandmarkEstimate,
-    _best_row,
+    _best_cell,
     _build_terms,
     _costs,
     _feasibility_mask,
-    _member_systems,
     _outlier_penalty,
-    _row_costs,
     _solve_packed,
-    _take_rows,
     landmark_refine,
     los_orientation,
     nlos_orientation_search,
@@ -59,19 +56,12 @@ _C = SPEED_OF_LIGHT
 _CHUNK_ROW_PATHS = 8192
 """Rows (heading x subset cells) times paths evaluated together by the
 search; whole subsets are batched, one at least. The minimal-subset stage
-keeps ~25 bytes per row and path alive across the chunk, and each surviving
-row adds ~90 more per path for its gathered terms and its gate. Even when
-every row survives, this bounds the search's working memory at ~0.9 MB on
-top of the per-path terms, whatever the snapshot size. The worst chunks of
-the benchmark corpora pass about half their rows; most pass a few percent."""
-
-_SURVIVOR_BLOCK = 32
-"""The cells that reach the inlier re-solve are padded to a multiple of
-this many, with copies of the last one, so that the re-solve's arrays come
-in few sizes. NumPy keeps up to seven freed buffers of each size below
-1 KiB for reuse; survivor counts of every size fill that cache, which held
-~0.45 MB after three passes over the field_nlos corpus without padding and
-~0.08 MB with it."""
+takes ~70 bytes per row and path, most of it freed before the survivors are
+evaluated, and each surviving row takes ~225 per path for its gathered terms
+and system, its residuals and its gate. Even when every row survives, this
+bounds the search's working memory at ~1.8 MB on top of the per-path terms,
+whatever the snapshot size. The worst chunks of the benchmark corpora pass
+about half their rows; most pass a few percent."""
 
 
 class Hypothesis(Enum):
@@ -133,7 +123,6 @@ class SlamSolution:
     outliers: tuple
     hypothesis: Hypothesis
     cost: float
-    feasible: bool = True
 
 
 def enumerate_combinations(n_paths: int, hypothesis: Hypothesis,
@@ -188,15 +177,15 @@ def _search(paths, bs, alphas, combos, los_index, n_min, config):
 
     Each chunk runs in two stages. The minimal-subset stage solves every
     cell and partitions the paths into inliers and outliers at that state.
-    Only the cells that can still win go on to the inlier re-solve, cost
-    and feasibility gate: those with at least ``n_min`` inliers whose
-    outlier penalty is not above the best gated cost so far (a gated cost
-    is never below its penalty; the test is strict so that a tie on an
-    earlier heading still wins). The survivors are taken in heading-major
-    order, so the first minimum among them is the first minimum of the
-    whole chunk whenever it can beat the running best. Every cell's
-    arithmetic is independent of the chunking and of which other cells
-    survive.
+    Only the cells that can still win go on: those with at least ``n_min``
+    inliers whose outlier penalty is not above the best gated cost so far
+    (a gated cost is never below its penalty; the test is strict so that a
+    tie on an earlier heading still wins). ``_best_cell`` builds and solves
+    their inlier systems alone, then costs and gates them. The survivors
+    are taken in heading-major order, so the first minimum among them is
+    the first minimum of the whole chunk whenever it can beat the running
+    best. Every cell's arithmetic is independent of the chunking and of
+    which other cells survive.
     """
     alphas = np.asarray(alphas, dtype=float)
     terms = _build_terms(paths, bs, alphas, los_index)
@@ -209,26 +198,18 @@ def _search(paths, bs, alphas, combos, los_index, n_min, config):
     for lo in range(0, len(combos), step):
         x0, ok0 = _solve_packed(by_path[combos[lo:lo + step]].sum(axis=1))
         inlier = (_costs(terms, x0) <= config.t_eps) & ok0[..., None]   # (L, M, n)
-        member = inlier.astype(float)
         live = inlier.sum(axis=-1) >= n_min
         if best is not None:
-            live &= ~(_outlier_penalty(terms.eta, member, config.t_eps) > best[0])
+            live &= ~(_outlier_penalty(terms.eta, inlier, config.t_eps) > best[0])
         # heading-major: smallest heading, then subset
         h, l = np.nonzero(live.T)
         if h.size == 0:
             continue
-        # trailing copies of the last survivor cannot be a first minimum
-        pad = np.minimum(np.arange(-(-h.size // _SURVIVOR_BLOCK) * _SURVIVOR_BLOCK),
-                         h.size - 1)
-        h, l = h[pad], l[pad]
         # a survivor has inliers, so its minimal-subset solve passed the gate
-        x1, ok1 = _solve_packed(_member_systems(terms, member)[l, h])
-        inlier = inlier[l, h]
-        cost = _row_costs(_take_rows(terms, h), x1, ok1, inlier, gate)
-        k = int(np.argmin(cost))
-        if cost[k] < math.inf and (best is None or (float(cost[k]), h[k]) < best[:2]):
-            best = (float(cost[k]), int(h[k]), lo + int(l[k]), x1[k].copy(),
-                    inlier[k].copy())
+        hit = _best_cell(terms, h, inlier[l, h], gate)
+        if hit is not None and (best is None or (hit[2], h[hit[0]]) < best[:2]):
+            k, x, cost = hit
+            best = (cost, int(h[k]), lo + int(l[k]), x.copy(), inlier[l[k], h[k]].copy())
     return best
 
 
@@ -248,7 +229,9 @@ def _polish_heading(paths, bs, alpha, x, cost, inlier_row, n_min, config):
     center = alpha
     for _ in range(14):
         probes = center + np.linspace(-width, width, 9)
-        hit = _best_row(_build_terms(paths, bs, probes), inlier_row, gate)
+        terms = _build_terms(paths, bs, probes)
+        hit = _best_cell(terms, np.arange(len(probes)),
+                         np.broadcast_to(inlier_row, terms.nu_sq.shape), gate)
         if hit is not None and hit[2] < best[2]:
             center = float(probes[hit[0]])
             best = (center, hit[1], hit[2])
@@ -271,8 +254,7 @@ def _refine_landmarks(paths, inlier_indices, ue, bs, noise, skip=()):
 
 
 def robust_solve(snapshot, hypothesis: Hypothesis,
-                 config: RobustConfig = RobustConfig(),
-                 bs: Optional[Pose] = None) -> SlamSolution:
+                 config: RobustConfig = RobustConfig()) -> SlamSolution:
     """Robust snapshot solution under a fixed propagation hypothesis.
 
     Under LOS the earliest path is the LoS candidate, the heading comes in
@@ -288,7 +270,7 @@ def robust_solve(snapshot, hypothesis: Hypothesis,
         If no (heading, subset) cell passes the feasibility gate, including
         the trivial case of fewer paths than the minimal subset size.
     """
-    bs = bs if bs is not None else snapshot.bs
+    bs = snapshot.bs
     paths = list(snapshot.paths)
     n = len(paths)
     n_los, n_nlos = minimal_counts(hypothesis)
@@ -320,13 +302,11 @@ def robust_solve(snapshot, hypothesis: Hypothesis,
     skip = (candidate,) if hypothesis is Hypothesis.LOS else ()
     landmarks = _refine_landmarks(paths, inliers, ue, bs, config.noise, skip)
     return SlamSolution(ue=ue, landmarks=landmarks, inliers=inliers,
-                        outliers=outliers, hypothesis=hypothesis, cost=cost,
-                        feasible=True)
+                        outliers=outliers, hypothesis=hypothesis, cost=cost)
 
 
-def benchmark_solve(snapshot, grid=None, bs: Optional[Pose] = None,
-                    noise: NoiseModel = NoiseModel()) -> SlamSolution:
-    """Non-robust reference solver: all paths, NLoS model, grid search.
+def benchmark_solve(snapshot, noise: NoiseModel = NoiseModel()) -> SlamSolution:
+    """Non-robust reference solver: all paths, NLoS model, default heading grid.
 
     No LoS handling, no outlier rejection, no feasibility gate. Every path
     is treated as a single bounce and refined into a landmark.
@@ -338,15 +318,14 @@ def benchmark_solve(snapshot, grid=None, bs: Optional[Pose] = None,
     SingularGeometry
         If every grid heading yields a singular system.
     """
-    bs = bs if bs is not None else snapshot.bs
+    bs = snapshot.bs
     paths = list(snapshot.paths)
     n = len(paths)
     if n < 4:
         raise TooFewPaths(f"benchmark needs at least 4 paths, got {n}")
-    alpha, est = nlos_orientation_search(
-        paths, range(n), orientation_grid() if grid is None else grid, bs)
+    alpha, est = nlos_orientation_search(paths, range(n), orientation_grid(), bs)
     ue = UeState(est.position, wrap_angle(alpha), est.clock_bias)
     landmarks = _refine_landmarks(paths, range(n), ue, bs, noise)
     return SlamSolution(ue=ue, landmarks=landmarks, inliers=tuple(range(n)),
                         outliers=(), hypothesis=Hypothesis.NLOS,
-                        cost=est.total_cost, feasible=True)
+                        cost=est.total_cost)

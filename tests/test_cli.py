@@ -206,6 +206,14 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     row = read_jsonl(sols)[0]
     assert row["failed"] is True and "TooFewPaths" in row["error"]
 
+    # a sweep with fewer than one trial is rejected before any snapshot
+    curve = tmp_path / "c.csv"
+    for trials in ("0", "-3"):
+        assert main(["sweep", "--data", str(data), "--out", str(curve),
+                     "--trials", trials]) == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
+    assert not curve.exists()
+
 
 def test_cli_sweep_exclude(tmp_path, scene_files, capsys):
     scene, pos = scene_files

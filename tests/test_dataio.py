@@ -194,6 +194,11 @@ def test_positions_file(tmp_path):
     p.write_text("not json\n")
     with pytest.raises(ValueError, match="line 1"):
         read_positions(p)
+    # a non-numeric or non-finite coordinate names its line
+    for bad in ('["a", 1]', "[null, 1]", "[NaN, 1]", "[1e999, 0]"):
+        p.write_text(f"[0.0, 1.0]\n{bad}\n")
+        with pytest.raises(ValueError, match="line 2: coordinates must be finite numbers"):
+            read_positions(p)
     p.write_text("# nothing\n")
     with pytest.raises(ValueError, match="empty"):
         read_positions(p)

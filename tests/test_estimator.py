@@ -26,7 +26,6 @@ from snapslam.estimator import (
     CONDITION_LIMIT,
     _build_terms,
     _row_costs,
-    _solve_members,
     _solve_packed,
 )
 from helpers import random_h0_snapshot, random_h1_snapshot
@@ -176,7 +175,7 @@ def test_row_costs_send_failed_and_non_finite_rows_to_inf():
     snap = random_h1_snapshot(5, n_single=5)
     terms = _build_terms(snap.paths, snap.bs, orientation_grid(6))
     member = np.ones(terms.nu_sq.shape, dtype=bool)
-    x, ok = _solve_members(terms, member.astype(float))
+    x, ok = _solve_packed((member.astype(float)[:, None, :] @ terms.normal)[:, 0])
     assert ok.all()
     x[1] = np.nan
     ok[2] = False

@@ -247,7 +247,7 @@ def test_sweep_exclusion_column():
     assert math.isnan(nan_sweep.rmse_excluding[0])
 
 
-def test_sweep_validation():
+def test_sweep_validation(monkeypatch):
     snaps = _sweep_set()
     with pytest.raises(ValueError):
         los_sensitivity_sweep(snaps, p_grid=(0.0, 1.5))
@@ -256,3 +256,11 @@ def test_sweep_validation():
     bare = Snapshot(id="b", bs=snaps[0].bs, paths=snaps[0].paths, truth=None)
     with pytest.raises(MissingTruth):
         los_sensitivity_sweep([bare])
+
+    def no_solve(*args):
+        raise AssertionError("solved before validating trials")
+
+    monkeypatch.setattr(evaluation, "robust_solve", no_solve)
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            los_sensitivity_sweep(snaps, trials=trials)

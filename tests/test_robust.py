@@ -26,13 +26,12 @@ from snapslam import (
     robust_solve,
     wrap_angle,
 )
-from snapslam import robust
+from snapslam import estimator, robust
 from snapslam.estimator import (
     _build_terms,
     _costs,
     _outlier_penalty,
     _row_costs,
-    _solve_members,
     _solve_packed,
 )
 from snapslam.robust import _search
@@ -242,17 +241,18 @@ def _reference_search(paths, bs, alphas, combos, los_index, n_min, config):
     """One subset at a time over every heading, every cell kept, one argmin.
 
     The minimal-subset systems are summed path by path and the inlier
-    systems built row by row, as in ``_search``, so every cell's arithmetic
-    is the same and the result must match to the bit; no cell is pruned.
+    systems of every heading built in one C-ordered product, as ``_search``
+    builds its survivors' systems, so every cell's arithmetic is the same
+    and the result must match to the bit; no cell is pruned.
     """
     terms = _build_terms(paths, bs, alphas, los_index)
     costs, states, masks = [], [], []
     for combo in combos:
         x0, ok0 = _solve_packed(terms.normal[:, list(combo)].sum(axis=1))
         inlier = (_costs(terms, x0) <= config.t_eps) & ok0[:, None]
-        x1, ok1 = _solve_members(terms, inlier.astype(float))
-        costs.append(robust._row_costs(terms, x1, ok0 & ok1, inlier,
-                                       (n_min, config.t_nu, config.t_eps)))
+        x1, ok1 = _solve_packed((inlier.astype(float)[:, None, :] @ terms.normal)[:, 0])
+        costs.append(estimator._row_costs(terms, x1, ok0 & ok1, inlier,
+                                          (n_min, config.t_nu, config.t_eps)))
         states.append(x1)
         masks.append(inlier)
     table = np.stack(costs, axis=1)                 # (M, L), heading-major
@@ -328,8 +328,7 @@ def test_pruned_search_equals_every_cell_reference(case, t_eps, monkeypatch):
     # At 1e-9 no NLoS cell keeps four inliers (at 1e-6 one 4-subset of case 3
     # still does); a LoS minimal subset fits its own two paths exactly, so
     # its cells always pass the count test. At 1e6 every path is an inlier
-    # of every cell, no cell pays a penalty, and every cell is gated. Each
-    # chunk's survivors are padded to a whole block.
+    # of every cell, no cell pays a penalty, and every cell is gated.
     snap, hypothesis = list(_search_cases())[case]
     args = _search_inputs(snap, hypothesis, RobustConfig(t_eps=t_eps))
     want = _reference_search(*args)
@@ -339,15 +338,13 @@ def test_pruned_search_equals_every_cell_reference(case, t_eps, monkeypatch):
         gated_rows.append(len(x))
         return _row_costs(terms, x, *rest)
 
-    monkeypatch.setattr(robust, "_row_costs", counted)
+    monkeypatch.setattr(estimator, "_row_costs", counted)
     cells = len(args[2]) * len(args[3])
     for budget in (1, robust._CHUNK_ROW_PATHS, 10 ** 9):
         monkeypatch.setattr(robust, "_CHUNK_ROW_PATHS", budget)
         gated_rows.clear()
         assert _same_cell(_search(*args), want)
-        block = robust._SURVIVOR_BLOCK
-        assert all(rows % block == 0 for rows in gated_rows)
-        assert sum(gated_rows) < cells + block * len(gated_rows)
+        assert sum(gated_rows) <= cells
         if t_eps == 1e-9 and hypothesis is Hypothesis.NLOS:
             assert want is None and sum(gated_rows) == 0
         if t_eps == 1e6:
@@ -367,7 +364,7 @@ def test_pruned_search_keeps_cells_whose_penalty_ties_the_best(case, t_eps, monk
         cost = _outlier_penalty(terms.eta, member.astype(float), t_eps)
         return np.where(ok & (member.sum(axis=-1) >= n_min), cost, np.inf)
 
-    monkeypatch.setattr(robust, "_row_costs", penalty_only)
+    monkeypatch.setattr(estimator, "_row_costs", penalty_only)
     args = _search_inputs(*list(_search_cases())[case], RobustConfig(t_eps=t_eps))
     want = _reference_search(*args)
     for budget in (1, robust._CHUNK_ROW_PATHS, 10 ** 9):
@@ -402,7 +399,7 @@ def test_batched_search_breaks_exact_ties_heading_first(monkeypatch):
         return np.array([scripted.get((v.tobytes(), row.tobytes()), 5.0)
                          for v, row in zip(terms.v, member)])
 
-    monkeypatch.setattr(robust, "_row_costs", scripted_cost)
+    monkeypatch.setattr(estimator, "_row_costs", scripted_cost)
     for budget in (1, robust._CHUNK_ROW_PATHS, 10 ** 9):
         monkeypatch.setattr(robust, "_CHUNK_ROW_PATHS", budget)
         assert _search(*args)[:3] == (1.0, 2, 3)    # smallest heading, then subset

@@ -35,10 +35,6 @@ from .geometry import NoiseModel
 from .robust import RobustConfig
 from .sim import SimConfig, generate_dataset
 
-_INT_KEYS = {"grid_size", "seed", "workers", "max_bounces", "trials"}
-_PAIR_KEYS = {"bias_range_ns"}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Every tunable the commands accept, in file/flag units.
@@ -100,11 +96,11 @@ def _parse_pair(text: str) -> tuple:
 
 
 def _convert(key: str, value) -> object:
-    if key in _PAIR_KEYS:
+    """``value`` typed as ``RunConfig``'s default for ``key``: int, float or pair."""
+    kind = type(getattr(RunConfig, key))
+    if kind is tuple:
         return value if isinstance(value, tuple) else _parse_pair(str(value))
-    if key in _INT_KEYS:
-        return int(str(value))
-    return float(str(value))
+    return kind(str(value))
 
 
 def build_run_config(config_path, overrides: dict) -> RunConfig:

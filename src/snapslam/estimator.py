@@ -27,7 +27,6 @@ from .geometry import (
     Pose,
     UeState,
     bounce_fraction,
-    measurement_model,
     rotation,
     unit_vectors,
     wrap_angle,
@@ -464,6 +463,35 @@ def nlos_orientation_search(paths: Sequence[PathMeasurement], index_set, grid,
     return float(grid[k]), est
 
 
+def _bounce_model(ue: UeState, bs: Pose, landmark):
+    """(toa, aod, aoa) of a single-bounce path and their 3x2 Jacobian w.r.t.
+    the landmark; the values equal ``measurement_model``'s to the bit.
+
+    Raises
+    ------
+    DegenerateGeometry
+        If the landmark coincides with the anchor or the user.
+    """
+    px, py = float(landmark[0]), float(landmark[1])
+    bx, by = bs.position.tolist()
+    ux, uy = ue.position.tolist()
+    d1x, d1y = px - bx, py - by
+    d2x, d2y = px - ux, py - uy
+    n1 = math.hypot(d1x, d1y)
+    n2 = math.hypot(d2x, d2y)
+    if n1 == 0.0 or n2 == 0.0:
+        raise DegenerateGeometry("landmark coincides with an antenna")
+    # np.hypot as in polyline_measurement: math.hypot differs in the last bit
+    length = float(np.hypot(d1x, d1y)) + float(np.hypot(d2x, d2y))
+    h = (length / _C + ue.clock_bias,
+         wrap_angle(math.atan2(d1y, d1x) - bs.orientation),
+         wrap_angle(math.atan2(d2y, d2x) - ue.orientation))
+    jac = np.array([[(d1x / n1 + d2x / n2) / _C, (d1y / n1 + d2y / n2) / _C],
+                    [-d1y / (n1 * n1), d1x / (n1 * n1)],
+                    [-d2y / (n2 * n2), d2x / (n2 * n2)]])
+    return h, jac
+
+
 def landmark_jacobian(ue: UeState, bs: Pose, landmark) -> np.ndarray:
     """Analytic 3x2 Jacobian of (toa, aod, aoa) w.r.t. the landmark position.
 
@@ -472,17 +500,14 @@ def landmark_jacobian(ue: UeState, bs: Pose, landmark) -> np.ndarray:
     DegenerateGeometry
         If the landmark coincides with the anchor or the user.
     """
-    p = np.asarray(landmark, dtype=float)
-    d1 = p - bs.position
-    d2 = p - ue.position
-    n1 = math.hypot(d1[0], d1[1])
-    n2 = math.hypot(d2[0], d2[1])
-    if n1 == 0.0 or n2 == 0.0:
-        raise DegenerateGeometry("landmark coincides with an antenna")
-    row_toa = (d1 / n1 + d2 / n2) / _C
-    row_aod = np.array([-d1[1], d1[0]]) / (n1 * n1)
-    row_aoa = np.array([-d2[1], d2[0]]) / (n2 * n2)
-    return np.vstack([row_toa, row_aod, row_aoa])
+    return _bounce_model(ue, bs, landmark)[1]
+
+
+def _whitened(path: PathMeasurement, h, sigmas: np.ndarray):
+    """Whitened residual of ``path`` against model values h, and its squared norm."""
+    r = np.array([path.toa - h[0], wrap_angle(path.aod - h[1]),
+                  wrap_angle(path.aoa - h[2])]) / sigmas
+    return r, float(r @ r)
 
 
 def _initial_landmark(path: PathMeasurement, ue: UeState, bs: Pose) -> np.ndarray:
@@ -517,75 +542,64 @@ def landmark_refine(path: PathMeasurement, ue: UeState, bs: Pose,
     iteration converges when the step norm drops below 1e-9 m.
 
     Returns the best iterate with ``converged=False`` if that tolerance was
-    not reached within 50 iterations.
+    not reached within 50 iterations, or if the normal equations became
+    singular or no halving of the step lowered the objective first.
 
     Raises
     ------
     DegenerateGeometry
-        If the Jacobian is rank-deficient at the final iterate.
+        If the initializer and the initializer moved by 1e-6 m in each
+        coordinate both coincide with an antenna, so the model cannot be
+        evaluated at either; or if J^T R^-1 J at the returned iterate is
+        singular or has condition number >= ``CONDITION_LIMIT`` (e.g. a
+        point on the anchor-user segment, where both legs are collinear).
     """
     max_iter, tol = 50, 1e-9
-    z = np.array([path.toa, path.aod, path.aoa])
     sig = noise.sigmas
 
-    def whitened_residual(pt):
-        t, a, o = measurement_model(ue, bs, pt)
-        return np.array([z[0] - t,
-                         wrap_angle(z[1] - a),
-                         wrap_angle(z[2] - o)]) / sig
-
-    def objective(pt):
-        try:
-            r = whitened_residual(pt)
-        except DegenerateGeometry:
-            return None, math.inf
-        return r, float(r @ r)
-
     p = _initial_landmark(path, ue, bs)
-    r, cost = objective(p)
-    if r is None:
+    try:
+        h, jac = _bounce_model(ue, bs, p)
+    except DegenerateGeometry:
         # initializer landed on an antenna; nudge off it
         p = p + 1e-6
-        r, cost = objective(p)
-        if r is None:
-            raise DegenerateGeometry("cannot evaluate the model near the initializer")
+        try:
+            h, jac = _bounce_model(ue, bs, p)
+        except DegenerateGeometry:
+            raise DegenerateGeometry("cannot evaluate the model near the initializer") from None
+    r, cost = _whitened(path, h, sig)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
+        wjac = jac / sig[:, None]
         try:
-            jac = landmark_jacobian(ue, bs, p) / sig[:, None]
-        except DegenerateGeometry:
-            break
-        ata = jac.T @ jac
-        atr = jac.T @ r
-        try:
-            step = np.linalg.solve(ata, atr)
+            step = np.linalg.solve(wjac.T @ wjac, wjac.T @ r)
         except np.linalg.LinAlgError:
             break
         if float(np.hypot(*step)) < tol:
             converged = True    # already at a stationary point
             break
         scale = 1.0
-        accepted = False
         for _ in range(9):  # full step, then up to 8 halvings
             cand = p + scale * step
-            r_new, cost_new = objective(cand)
-            if r_new is not None and cost_new <= cost:
-                accepted = True
-                break
+            try:
+                h, cand_jac = _bounce_model(ue, bs, cand)
+            except DegenerateGeometry:
+                pass
+            else:
+                cand_r, cand_cost = _whitened(path, h, sig)
+                if cand_cost <= cost:
+                    break
             scale *= 0.5
-        if not accepted:
+        else:
             break
-        p, r, cost = cand, r_new, cost_new
+        p, r, cost, jac = cand, cand_r, cand_cost, cand_jac
         if float(np.hypot(*(scale * step))) < tol:
             converged = True
             break
 
-    try:
-        jac = landmark_jacobian(ue, bs, p) / sig[:, None]
-    except DegenerateGeometry as exc:
-        raise DegenerateGeometry("Jacobian undefined at the optimum") from exc
-    ata = jac.T @ jac
+    wjac = jac / sig[:, None]
+    ata = wjac.T @ wjac
     sv = np.linalg.svd(ata, compute_uv=False)
     if sv[-1] == 0.0 or sv[0] / sv[-1] >= CONDITION_LIMIT:
         raise DegenerateGeometry("rank-deficient Jacobian at the optimum")

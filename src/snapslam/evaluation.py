@@ -8,7 +8,6 @@ across runs and process counts.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,7 +25,7 @@ from .errors import (
     SlamError,
     TooFewPaths,
 )
-from .estimator import landmark_refine, path_cost
+from .estimator import _whitened, landmark_refine, path_cost
 from .geometry import NoiseModel, Pose, UeState, bounce_fraction, measurement_model, wrap_angle
 from .robust import Hypothesis, RobustConfig, SlamSolution, benchmark_solve, robust_solve
 from .sim import GroundTruth, Snapshot
@@ -106,10 +105,11 @@ def error_cdf(records: Sequence[ErrorRecord]) -> list[tuple[float, float]]:
     return [(e, (k + 1) / n) for k, e in enumerate(errs)]
 
 
-def _mahalanobis_sq(z, h, noise: NoiseModel) -> float:
-    r = np.array([z[0] - h[0], wrap_angle(z[1] - h[1]), wrap_angle(z[2] - h[2])])
-    r /= noise.sigmas
-    return float(r @ r)
+STRIP_CHI2_LOS = 11.344866730144373
+"""Chi-square 0.99 quantile, 3 dof: a LoS path's residual at the true state."""
+
+STRIP_CHI2_BOUNCE = 6.6348966010212145
+"""Chi-square 0.99 quantile, 1 dof: 3 bounce residuals less the 2-D landmark fit."""
 
 
 def strip_outliers_by_truth(snapshot: Snapshot, noise: NoiseModel = NoiseModel()) -> Snapshot:
@@ -117,8 +117,10 @@ def strip_outliers_by_truth(snapshot: Snapshot, noise: NoiseModel = NoiseModel()
 
     Each truth-labeled LoS path is scored against the LoS model directly;
     every other path gets a Gauss-Newton landmark fit at the true state and
-    is scored at the fitted point. Paths with squared Mahalanobis residual
-    above 3 are removed, together with their truth entries.
+    is scored at the fitted point. Paths whose squared Mahalanobis residual
+    exceeds the 0.99 chi-square quantile of its degrees of freedom
+    (``STRIP_CHI2_LOS``, ``STRIP_CHI2_BOUNCE``) are removed, together with
+    their truth entries, so noise alone strips about 1 true path in 100.
 
     Raises
     ------
@@ -133,18 +135,15 @@ def strip_outliers_by_truth(snapshot: Snapshot, noise: NoiseModel = NoiseModel()
     ue, bs = truth.ue, snapshot.bs
     keep = []
     for i, path in enumerate(snapshot.paths):
-        z = (path.toa, path.aod, path.aoa)
         if truth.labels[i] == "los":
-            h = measurement_model(ue, bs, None)
-            m2 = _mahalanobis_sq(z, h, noise)
+            h, gate = measurement_model(ue, bs, None), STRIP_CHI2_LOS
         else:
             try:
-                lm = landmark_refine(path, ue, bs, noise)
-                h = measurement_model(ue, bs, lm.position)
-                m2 = _mahalanobis_sq(z, h, noise)
+                h = measurement_model(ue, bs, landmark_refine(path, ue, bs, noise).position)
             except (DegenerateGeometry, NearParallel):
-                m2 = math.inf
-        if m2 <= 3.0:
+                continue
+            gate = STRIP_CHI2_BOUNCE
+        if _whitened(path, h, noise.sigmas)[1] <= gate:
             keep.append(i)
     if not keep:
         raise EmptyInput("stripping removed every path")

@@ -29,8 +29,8 @@ SPEED_OF_LIGHT = 299792458.0
 TWO_PI = 2.0 * math.pi
 
 
-def wrap_angle(angle):
-    """Wrap an angle (scalar or array) to the interval (-pi, pi].
+def wrap_angle(angle: float) -> float:
+    """Wrap a scalar angle to the interval (-pi, pi].
 
     Values already inside the interval are returned bit-for-bit unchanged,
     which keeps repeated wrapping idempotent at the float level.
@@ -40,13 +40,8 @@ def wrap_angle(angle):
     >>> wrap_angle(3 * math.pi / 2)
     -1.5707963267948966
     """
-    a = np.asarray(angle, dtype=float)
-    inside = (a > -math.pi) & (a <= math.pi)
-    wrapped = math.pi - np.mod(math.pi - a, TWO_PI)
-    out = np.where(inside, a, wrapped)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    a = float(angle)
+    return a if -math.pi < a <= math.pi else math.pi - (math.pi - a) % TWO_PI
 
 
 def _as_point(p) -> np.ndarray:

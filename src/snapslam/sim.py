@@ -25,7 +25,7 @@ from .geometry import (
     PathMeasurement,
     Pose,
     UeState,
-    _as_point,
+    _frozen_point,
     mirror_point,
     polyline_measurement,
     wrap_angle,
@@ -74,12 +74,8 @@ class Wall:
     loss_db: float = 0.0
 
     def __post_init__(self):
-        a = _as_point(self.a).copy()
-        b = _as_point(self.b).copy()
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", _frozen_point(self.a))
+        object.__setattr__(self, "b", _frozen_point(self.b))
         object.__setattr__(self, "loss_db", float(self.loss_db))
         if self.loss_db < 0.0 or not math.isfinite(self.loss_db):
             raise ValueError("wall loss must be finite and non-negative")
@@ -246,12 +242,8 @@ def trace_paths(scene: Scene, ue: UeState, max_bounces: int = 3) -> list[TruePat
             length = float(sum(np.hypot(*(b - a))
                                for a, b in zip(chain[:-1], chain[1:])))
             loss = float(sum(scene.walls[wi].loss_db for wi in seq))
-            frozen_pts = []
-            for pt in points:
-                pt = pt.copy()
-                pt.setflags(write=False)
-                frozen_pts.append(pt)
-            entries.append(TruePath(_KIND_BY_BOUNCES[k], tuple(frozen_pts),
+            entries.append(TruePath(_KIND_BY_BOUNCES[k],
+                                    tuple(_frozen_point(pt) for pt in points),
                                     toa, aod, aoa, length_m=length,
                                     reflection_loss_db=loss))
     return sorted(entries, key=lambda e: e.toa)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -63,6 +64,35 @@ def test_run_config_layering(tmp_path, monkeypatch):
     bad.write_text("bias_range_ns = [5, 1]\n")
     with pytest.raises(ValueError, match="bias_range_ns"):
         build_run_config(bad, {})
+
+
+def _field_text(value):
+    return f"{value[0]!r}, {value[1]!r}" if isinstance(value, tuple) else repr(value)
+
+
+def test_run_config_types_every_field_from_its_default(tmp_path, monkeypatch):
+    monkeypatch.delenv("SNAPSLAM_CONFIG", raising=False)
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    assert len(defaults) == 16
+    # integral text for every field: a float field must still come back float
+    integral = {k: "-5, 5" if isinstance(v, tuple) else "2" for k, v in defaults.items()}
+    for texts, expected in ((integral, None),
+                            ({k: _field_text(v) for k, v in defaults.items()}, RunConfig())):
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{k} = {t}\n" for k, t in texts.items()))
+        from_file = build_run_config(cfg, {})
+        argv = ["solve", "--data", "d", "--out", "o"]
+        for k, t in texts.items():
+            argv += [f"--{k}", t]
+        from_flags = build_run_config(None, cli._overrides(cli.build_parser().parse_args(argv)))
+        assert from_file == from_flags
+        if expected is not None:
+            assert from_file == expected
+        for k, v in defaults.items():
+            got = getattr(from_file, k)
+            assert type(got) is type(v), k
+            if isinstance(v, tuple):
+                assert all(type(x) is float for x in got), k
 
 
 def test_run_config_unit_conversion():

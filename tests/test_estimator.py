@@ -22,13 +22,15 @@ from snapslam import (
     orientation_grid,
     path_cost,
 )
+from snapslam import estimator
 from snapslam.estimator import (
     CONDITION_LIMIT,
     _build_terms,
     _row_costs,
     _solve_packed,
 )
-from helpers import random_h0_snapshot, random_h1_snapshot
+import reference
+from helpers import random_h0_snapshot, random_h1_snapshot, random_landmarks, random_state
 
 C = SPEED_OF_LIGHT
 
@@ -257,6 +259,101 @@ def test_landmark_refine_noisy_stays_close():
     assert est.converged
     assert np.hypot(*(est.position - lm)) < 1.5
 
+
+
+# --- single-bounce kernel against the general-model reference -------------
+
+def _refine_outcome(refine, *args):
+    """Every field of a refinement, as bytes where it is an array, or its error."""
+    try:
+        est = refine(*args)
+    except DegenerateGeometry as exc:
+        return type(exc).__name__, str(exc)
+    return (est.position.tobytes(), est.covariance.tobytes(), est.iterations,
+            est.converged, est.source_path)
+
+
+def _refine_cases():
+    """Seeded single-bounce refinements, one geometry per seed.
+
+    Kinds by seed mod 6: noiseless; noisy; landmark 1e-9..1e-2 m from an
+    antenna; landmark 1e-8..1 m off the anchor-user line (near-parallel
+    rays); the LoS path itself; an arbitrary measurement.
+    """
+    noise = NoiseModel()
+    for seed in range(240):
+        rng = np.random.default_rng(seed)
+        bs, ue = random_state(rng)
+        kind = seed % 6
+        if kind <= 1:
+            lm = random_landmarks(rng, 1, bs, ue)[0]
+        elif kind == 2:
+            ang = rng.uniform(-math.pi, math.pi)
+            lm = ((bs, ue)[seed % 2].position
+                  + 10.0 ** rng.uniform(-9, -2) * np.array([math.cos(ang), math.sin(ang)]))
+        elif kind == 3:
+            seg = ue.position - bs.position
+            normal = np.array([-seg[1], seg[0]]) / np.hypot(*seg)
+            lm = (bs.position + rng.uniform(-0.5, 1.5) * seg
+                  + 10.0 ** rng.uniform(-8, 0) * normal)
+        else:
+            lm = None
+        if kind == 5:
+            path = PathMeasurement(ue.clock_bias + rng.uniform(1.0, 60.0) / C,
+                                   rng.uniform(-math.pi, math.pi),
+                                   rng.uniform(-math.pi, math.pi))
+        else:
+            toa, aod, aoa = measurement_model(ue, bs, lm)
+            if kind != 0:
+                toa += noise.sigma_toa * rng.standard_normal()
+                aod += noise.sigma_aod * rng.standard_normal()
+                aoa += noise.sigma_aoa * rng.standard_normal()
+            path = PathMeasurement(toa, aod, aoa)
+        yield path, ue, bs, noise, seed
+
+
+def test_landmark_refine_matches_the_general_model_reference():
+    outcomes = []
+    for args in _refine_cases():
+        new = _refine_outcome(landmark_refine, *args)
+        assert new == _refine_outcome(reference.landmark_refine, *args), args
+        outcomes.append(new)
+    assert len(outcomes) >= 200
+    # the cases reach every exit: converged, stopped early, and raised
+    assert any(len(o) == 5 and o[3] for o in outcomes)
+    assert any(len(o) == 5 and not o[3] and o[2] == 50 for o in outcomes)
+    assert any(len(o) == 5 and not o[3] and o[2] < 50 for o in outcomes)
+    assert any(len(o) == 2 for o in outcomes)
+
+
+def test_landmark_refine_matches_the_reference_from_an_antenna_initializer(monkeypatch):
+    # zero delay puts the initializer on the anchor, which is also the user
+    colocated = (PathMeasurement(1e-8, 0.2, -1.1), UeState([1.0, -2.0], 0.5, 1e-8),
+                 Pose([1.0, -2.0], 0.3))
+    assert np.array_equal(estimator._initial_landmark(*colocated), colocated[2].position)
+    assert (_refine_outcome(landmark_refine, *colocated)
+            == _refine_outcome(reference.landmark_refine, *colocated))
+
+    monkeypatch.setattr(estimator, "_initial_landmark",
+                        lambda path, ue, bs: bs.position.copy())
+    # the initializer is on the anchor: the nudged point is used
+    ue, bs = UeState([6.0, 4.0], 0.5, 1e-8), Pose([0.0, 0.0])
+    args = (PathMeasurement(*measurement_model(ue, bs, [3.0, 5.0])), ue, bs)
+    assert np.allclose(landmark_refine(*args).position, [3.0, 5.0], atol=1e-9)
+    assert (_refine_outcome(landmark_refine, *args)
+            == _refine_outcome(reference.landmark_refine, *args))
+    # and its nudge is on the user: no point near the initializer evaluates
+    args = (PathMeasurement(12.0 / C, 0.2, -1.1), UeState([1e-6, 1e-6]), Pose([0.0, 0.0]))
+    new = _refine_outcome(landmark_refine, *args)
+    assert new == ("DegenerateGeometry", "cannot evaluate the model near the initializer")
+    assert new == _refine_outcome(reference.landmark_refine, *args)
+
+
+def test_landmark_jacobian_matches_the_reference():
+    for path, ue, bs, _, seed in _refine_cases():
+        lm = np.random.default_rng(seed).uniform(-20.0, 20.0, 2)
+        assert (landmark_jacobian(ue, bs, lm).tobytes()
+                == reference.landmark_jacobian(ue, bs, lm).tobytes())
 
 # --- closed-form cell kernel against LAPACK -------------------------------
 

@@ -106,6 +106,26 @@ def test_strip_outliers_keeps_true_paths():
     assert set(stripped.truth.labels) == {"los", "single"}
 
 
+def test_strip_gates_are_the_chi_square_99_quantiles():
+    from scipy.stats import chi2
+    assert evaluation.STRIP_CHI2_LOS == pytest.approx(chi2.ppf(0.99, 3), rel=1e-12)
+    assert evaluation.STRIP_CHI2_BOUNCE == pytest.approx(chi2.ppf(0.99, 1), rel=1e-12)
+
+
+def test_strip_outliers_keeps_noisy_true_paths_at_the_quantile_rate():
+    # every path is true, so each one stripped is a false alarm of the gate;
+    # at the 0.99 quantiles that is ~4 of 400 LoS paths and ~12 of 1200
+    # bounces (a gate of 3.0 on every path stripped 158 and 102)
+    stripped = {"los": 0, "single": 0}
+    for seed in range(400):
+        snap = random_h0_snapshot(seed, n_single=3, noise=NoiseModel())
+        kept = strip_outliers_by_truth(snap).truth.labels
+        for label in stripped:
+            stripped[label] += snap.truth.labels.count(label) - kept.count(label)
+    assert stripped["los"] <= 12
+    assert stripped["single"] <= 30
+
+
 def test_strip_outliers_requires_truth_and_survivors():
     snap = random_h0_snapshot(2)
     bare = Snapshot(id="b", bs=snap.bs, paths=snap.paths, truth=None)

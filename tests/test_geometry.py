@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from snapslam import (
     SPEED_OF_LIGHT,
@@ -19,6 +22,8 @@ from snapslam import (
     unit_vectors,
     wrap_angle,
 )
+
+from reference import wrap_angle_numpy
 
 C = SPEED_OF_LIGHT
 
@@ -41,14 +46,29 @@ def test_wrap_angle_is_exact_inside_range():
 
 def test_wrap_angle_array_and_idempotent():
     rng = np.random.default_rng(4)
-    a = rng.uniform(-50.0, 50.0, size=500)
-    w = wrap_angle(a)
-    assert w.shape == a.shape
-    assert np.all(w > -math.pi) and np.all(w <= math.pi)
-    assert np.array_equal(wrap_angle(w), w)
-    # wrapping preserves the angle modulo 2 pi
-    residue = np.remainder(w - a + math.pi, 2 * math.pi) - math.pi
-    assert np.allclose(residue, 0.0, atol=1e-9)
+    for a in rng.uniform(-50.0, 50.0, size=500).tolist():
+        w = wrap_angle(a)
+        assert -math.pi < w <= math.pi
+        assert wrap_angle(w) == w
+        # wrapping preserves the angle modulo 2 pi
+        residue = (w - a + math.pi) % (2 * math.pi) - math.pi
+        assert abs(residue) <= 1e-9
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(math.pi)
+@example(-math.pi)
+@example(2 * math.pi)
+@example(-2 * math.pi)
+@example(1e300)
+@example(-1e-300)
+@example(5e-324)
+@example(-5e-324)
+def test_wrap_angle_matches_the_numpy_formula_bit_for_bit(a):
+    assert struct.pack("<d", wrap_angle(a)) == struct.pack("<d", wrap_angle_numpy(a))
 
 
 def test_unit_vectors_oracle():

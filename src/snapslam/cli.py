@@ -217,6 +217,7 @@ def _cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Argument parser of the ``simulate``, ``solve`` and ``sweep`` commands."""
     parser = argparse.ArgumentParser(
         prog="snapslam",
         description="Single-snapshot radio positioning and mapping toolkit.")
@@ -256,6 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit status.
+
+    3 when there is nothing to solve or no feasible solution, 2 for any
+    other error.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

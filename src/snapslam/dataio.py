@@ -89,10 +89,12 @@ def _numbered_lines(path):
 
 
 def read_jsonl(path) -> list[dict]:
+    """The JSON object of every non-blank line, in file order."""
     return [json.loads(line) for _, line in _numbered_lines(path)]
 
 
 def write_dataset(snapshots: Sequence[Snapshot], path) -> None:
+    """Snapshots as a JSONL dataset, one ``snapshot_to_dict`` row per line."""
     write_jsonl((snapshot_to_dict(s) for s in snapshots), path)
 
 
@@ -143,6 +145,7 @@ def solution_to_dict(snapshot_id: str, solution: SlamSolution,
 
 
 def failure_to_dict(snapshot_id: str, message: str, mode: str = "") -> dict:
+    """Output JSONL row of a snapshot whose solve failed with ``message``."""
     return {"id": snapshot_id, "failed": True, "mode": mode, "error": message}
 
 
@@ -159,6 +162,7 @@ def write_metrics_csv(records: Sequence[ErrorRecord], path) -> None:
 
 
 def write_sweep_csv(sweep: SweepResult, path) -> None:
+    """One row per grid probability: p_los, RMSE and RMSE with exclusions, m."""
     with open(path, "w") as fh:
         fh.write("p_los,rmse_m,rmse_excluding_m\n")
         for p, a, b in zip(sweep.p_grid, sweep.rmse, sweep.rmse_excluding):
@@ -220,6 +224,7 @@ def read_scene(path) -> Scene:
 
 
 def write_scene(scene: Scene, path) -> None:
+    """Scene file that ``read_scene`` reads back: the anchor line, then the walls."""
     with open(path, "w") as fh:
         p = _point(scene.bs.position)
         fh.write(f"bs = [{p[0]!r}, {p[1]!r}, {scene.bs.orientation!r}]\n")
@@ -255,6 +260,7 @@ def read_positions(path) -> list[np.ndarray]:
 
 
 def write_positions(positions, path) -> None:
+    """Positions file that ``read_positions`` reads back, one ``[x, y]`` per line."""
     with open(path, "w") as fh:
         for p in positions:
             fh.write(f"[{float(p[0])!r}, {float(p[1])!r}]\n")

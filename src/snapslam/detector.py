@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateGeometry, NoFeasibleSolution, TooFewPaths
 from .geometry import Pose
-from .robust import Hypothesis, RobustConfig, SlamSolution, robust_solve
+from .robust import Hypothesis, RobustConfig, SlamSolution, _los_candidate, robust_solve
 
 DEFAULT_T_LOS = 10.8
 """Default decision threshold on the negative log likelihood statistic."""
@@ -112,7 +112,7 @@ def mixed_solve(snapshot, config: RobustConfig = RobustConfig(),
     paths = list(snapshot.paths)
     if len(paths) < 2:
         raise TooFewPaths(f"need at least 2 paths, got {len(paths)}")
-    candidate = int(np.argmin([p.toa for p in paths]))
+    candidate = _los_candidate(paths)
 
     los_solution = None
     try:
@@ -130,8 +130,4 @@ def mixed_solve(snapshot, config: RobustConfig = RobustConfig(),
         detection = DetectionResult(decided=Hypothesis.NLOS, statistic=math.inf,
                                     threshold=threshold, candidate=candidate)
 
-    try:
-        nlos_solution = robust_solve(snapshot, Hypothesis.NLOS, config)
-    except TooFewPaths as exc:
-        raise NoFeasibleSolution("both hypotheses failed") from exc
-    return nlos_solution, detection
+    return robust_solve(snapshot, Hypothesis.NLOS, config), detection

@@ -55,28 +55,6 @@ pivot is not positive) it fails."""
 
 
 @dataclass(frozen=True)
-class ConditionalEstimate:
-    """Position and clock bias estimated for one fixed heading.
-
-    Attributes
-    ----------
-    position : ndarray, shape (2,)
-    clock_bias : float
-        Seconds.
-    per_path_cost : tuple of (int, float)
-        Unweighted squared projected residual of each used path, m^2,
-        evaluated at this estimate.
-    total_cost : float
-        Gain-weighted sum of the per-path costs over the used set, m^2.
-    """
-
-    position: np.ndarray
-    clock_bias: float
-    per_path_cost: tuple
-    total_cost: float
-
-
-@dataclass(frozen=True)
 class LandmarkEstimate:
     """Refined reflection point of one single-bounce path.
 
@@ -263,19 +241,14 @@ def _costs(terms: _PathTerms, x: np.ndarray, r: np.ndarray | None = None) -> np.
     return _dot2(pr, pr)
 
 
-def _weighted_total(costs: np.ndarray, eta: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """Gain-weighted cost of each row over a member mask, (..., M)."""
-    return (member * eta * costs).sum(axis=-1)
-
-
-def _gammas(terms: _PathTerms, x: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
+def _gammas(terms: _PathTerms, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Bounce fraction of every path at every row's state, (..., M, n).
 
-    Rows where the fraction is undefined (zero length or cancelled rays)
-    come back infinite so that range checks fail. ``r`` is as in ``_costs``.
+    ``r`` is ``_residuals(terms, x)``. Rows where the fraction is undefined
+    (zero length or cancelled rays) come back infinite so that range checks
+    fail.
     """
     d = _C * terms.tau - x[..., 2, None]
-    r = _residuals(terms, x) if r is None else r
     num = _dot2(terms.nu, r)
     den = d * terms.nu_sq
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -289,11 +262,11 @@ def _outlier_penalty(eta, member, t_eps):
 
 
 def _feasibility_mask(terms: _PathTerms, x: np.ndarray, inlier: np.ndarray, n_min: int,
-                      t_nu: float, r: np.ndarray | None = None) -> np.ndarray:
+                      t_nu: float, r: np.ndarray) -> np.ndarray:
     """Vectorized feasibility of each row's (state, inlier set), (..., M).
 
     ``x`` is (..., M, 3) and ``inlier`` (..., M, n) for any leading batch
-    shape; ``r`` optionally passes in the residuals at ``x``. Checks, per
+    shape; ``r`` is ``_residuals(terms, x)``. Checks, per
     row: enough inliers; non-negative bias-corrected delay of the earliest
     inlier j; bounce fraction of j in [0, 1] unless its rays nearly cancel
     (near-LoS geometry); bounce fraction of every other inlier in [0, 1].
@@ -324,7 +297,7 @@ def _row_costs(terms: _PathTerms, x: np.ndarray, ok: np.ndarray, member: np.ndar
     """
     weights = member.astype(float)
     r = _residuals(terms, x)
-    cost = _weighted_total(_costs(terms, x, r), terms.eta, weights)
+    cost = (weights * terms.eta * _costs(terms, x, r)).sum(axis=-1)
     valid = ok
     if gate is not None:
         n_min, t_nu, t_eps = gate
@@ -344,9 +317,8 @@ def _best_cell(terms: _PathTerms, rows: np.ndarray, member: np.ndarray,
     first minimum, or None if every cell is +inf.
 
     A cell's result does not depend on the other cells of the batch, but
-    its last bits depend on the member mask's memory layout: ``astype``
-    copies a broadcast member row column-major, and NumPy then sums it in
-    another order than a C-ordered row (at 6, 7, 10 and 11 paths, say).
+    its last bits depend on the member mask's memory layout (see
+    ``_best_heading``).
     """
     taken = _take_rows(terms, rows)
     x, ok = _solve_packed((member.astype(float)[:, None, :] @ taken.normal)[:, 0])
@@ -357,56 +329,22 @@ def _best_cell(terms: _PathTerms, rows: np.ndarray, member: np.ndarray,
     return k, x[k], float(cost[k])
 
 
-def _fixed_set_estimate(paths, bs, alphas, index_set, los_index, message):
-    """``_best_cell`` over ``alphas`` for one index set, as a ConditionalEstimate.
+def _best_heading(paths, bs: Pose, alphas: np.ndarray, member_row: np.ndarray,
+                  gate: tuple | None = None):
+    """``_best_cell`` over every heading of ``alphas`` for one frozen member set.
 
-    Returns (heading index, estimate); raises ``SingularGeometry`` with
-    ``message`` when no heading is usable.
+    ``member_row`` is a boolean (n,) mask of the paths in the set, every one
+    treated as a single bounce. Returns (heading index, state (3,), cost) of
+    the first minimum, or None if every heading is +inf.
+
+    This is the only place a frozen set is scanned over headings, so every
+    such scan gets the same last bits: ``astype`` copies the broadcast member
+    row column-major, and NumPy then sums it in another order than a
+    C-ordered row would be (at 6, 7, 10 and 11 paths, say).
     """
-    idx = sorted(int(i) for i in index_set)
-    if not idx:
-        raise ValueError("index_set must be non-empty")
-    terms = _build_terms(paths, bs, alphas, los_index)
-    member_row = np.zeros(len(paths), dtype=bool)
-    member_row[idx] = True
-    best = _best_cell(terms, np.arange(len(alphas)),
-                      np.broadcast_to(member_row, terms.nu_sq.shape))
-    if best is None:
-        raise SingularGeometry(message)
-    k, x, total = best
-    costs = _costs(_take_rows(terms, np.array([k])), x[None])[0]
-    return k, ConditionalEstimate(position=x[:2].copy(),
-                                  clock_bias=float(x[2]) / _C,
-                                  per_path_cost=tuple((i, float(costs[i])) for i in idx),
-                                  total_cost=total)
-
-
-def conditional_estimate(paths: Sequence[PathMeasurement], index_set, alpha_ue: float,
-                         bs: Pose, los_index: int | None = None) -> ConditionalEstimate:
-    """Closed-form position and clock bias for a fixed user heading.
-
-    Parameters
-    ----------
-    paths : sequence of PathMeasurement
-    index_set : iterable of int
-        Indices of the paths entering the fit. Must be non-empty.
-    alpha_ue : float
-        Conditioning heading, radians.
-    bs : Pose
-    los_index : int, optional
-        Index of the path treated as line of sight (identity projector);
-        must be in ``index_set`` if given. ``None`` treats every path as a
-        single bounce.
-
-    Raises
-    ------
-    SingularGeometry
-        If the 3x3 normal matrix has condition number >= 1e12 (e.g. a lone
-        LoS path, or all rays parallel), or the cost is not finite.
-    """
-    return _fixed_set_estimate(paths, bs, np.array([float(alpha_ue)]), index_set,
-                               los_index,
-                               "conditional normal matrix is singular or ill-conditioned")[1]
+    terms = _build_terms(paths, bs, alphas)
+    return _best_cell(terms, np.arange(len(alphas)),
+                      np.broadcast_to(member_row, terms.nu_sq.shape), gate)
 
 
 def path_cost(path: PathMeasurement, position, clock_bias: float, alpha_ue: float,
@@ -445,22 +383,33 @@ def orientation_grid(size: int = 361) -> np.ndarray:
 
 
 def nlos_orientation_search(paths: Sequence[PathMeasurement], index_set, grid,
-                            bs: Pose) -> tuple[float, ConditionalEstimate]:
+                            bs: Pose) -> tuple[UeState, float]:
     """Grid search over headings minimizing the conditional total cost.
 
-    Returns the best grid heading and its conditional estimate. Grid points
-    whose normal matrix is singular or whose cost is not finite are
-    skipped; ties keep the smallest grid index.
+    Returns the user state at the best grid heading, with the position and
+    clock bias of the closed-form fit of the paths in ``index_set`` there,
+    and its gain-weighted total cost (m^2). Every path is treated as a
+    single bounce. A one-point grid gives the closed-form estimate at that
+    heading. Grid points whose normal matrix is singular or whose cost is
+    not finite are skipped; ties keep the smallest grid index.
 
     Raises
     ------
+    ValueError
+        If ``index_set`` is empty.
     SingularGeometry
-        If every grid point is skipped.
+        If every grid point is skipped (e.g. all rays parallel).
     """
+    member_row = np.zeros(len(paths), dtype=bool)
+    member_row[[int(i) for i in index_set]] = True
+    if not member_row.any():
+        raise ValueError("index_set must be non-empty")
     grid = np.asarray(grid, dtype=float)
-    k, est = _fixed_set_estimate(paths, bs, grid, index_set, None,
-                                 "no heading on the grid yields an invertible system")
-    return float(grid[k]), est
+    best = _best_heading(paths, bs, grid, member_row)
+    if best is None:
+        raise SingularGeometry("no heading on the grid yields an invertible system")
+    k, x, cost = best
+    return UeState(x[:2], grid[k], float(x[2]) / _C), cost
 
 
 def _bounce_model(ue: UeState, bs: Pose, landmark):

@@ -21,9 +21,7 @@ from .errors import (
     MissingTruth,
     NearParallel,
     NoFeasibleSolution,
-    SingularGeometry,
     SlamError,
-    TooFewPaths,
 )
 from .estimator import _whitened, landmark_refine, path_cost
 from .geometry import NoiseModel, Pose, UeState, bounce_fraction, measurement_model, wrap_angle
@@ -140,7 +138,7 @@ def strip_outliers_by_truth(snapshot: Snapshot, noise: NoiseModel = NoiseModel()
         else:
             try:
                 h = measurement_model(ue, bs, landmark_refine(path, ue, bs, noise).position)
-            except (DegenerateGeometry, NearParallel):
+            except DegenerateGeometry:
                 continue
             gate = STRIP_CHI2_BOUNCE
         if _whitened(path, h, noise.sigmas)[1] <= gate:
@@ -183,8 +181,9 @@ class ClassificationReport:
     ``expected`` holds the indices labeled los/single; ``extra``/``missing``
     are the symmetric difference with the solution's inliers; ``consistent_extra``
     the subset of extras that are multi-bounce and pass the single-bounce
-    consistency test. ``acceptable`` is exactness, optionally relaxed to
-    allow consistent multi-bounce absorption (reporting choice flag).
+    consistency test. ``exact`` means no extra and no missing path;
+    ``acceptable`` relaxes it to allow the absorption of consistent
+    multi-bounce paths.
     """
 
     expected: tuple
@@ -198,8 +197,7 @@ class ClassificationReport:
 
 def classification_report(solution: SlamSolution, snapshot: Snapshot,
                           t_eps: float = RobustConfig.t_eps,
-                          t_nu: float = RobustConfig.t_nu,
-                          count_consistent_as_errors: bool = False) -> ClassificationReport:
+                          t_nu: float = RobustConfig.t_nu) -> ClassificationReport:
     """Compare a solution's inlier set against the snapshot's truth labels.
 
     Raises
@@ -220,10 +218,7 @@ def classification_report(solution: SlamSolution, snapshot: Snapshot,
         and is_single_bounce_consistent(snapshot.paths[i], truth.ue, snapshot.bs,
                                         t_eps, t_nu))
     exact = not extra and not missing
-    if count_consistent_as_errors:
-        acceptable = exact
-    else:
-        acceptable = not missing and extra == consistent_extra
+    acceptable = not missing and extra == consistent_extra
     return ClassificationReport(expected=expected, selected=selected,
                                 extra=extra, missing=missing,
                                 consistent_extra=consistent_extra,
@@ -312,7 +307,7 @@ def los_sensitivity_sweep(snapshots: Sequence[Snapshot],
         def branch_error(hyp):
             try:
                 sol = robust_solve(snap, hyp, config)
-            except (NoFeasibleSolution, SingularGeometry, TooFewPaths):
+            except NoFeasibleSolution:
                 return None
             return float(np.hypot(*(sol.ue.position - truth_pos)))
 
@@ -368,24 +363,3 @@ def run_snapshot(snapshot: Snapshot, mode: str,
             _log.exception("snapshot %s: unexpected error", snapshot.id)
         return None, None, f"{type(exc).__name__}: {exc}"
     return result, time.perf_counter() - start, None
-
-
-def evaluate_dataset(snapshots: Sequence[Snapshot], mode: str,
-                     config: RobustConfig = RobustConfig(),
-                     model: PathLossModel = PathLossModel(),
-                     threshold: float = DEFAULT_T_LOS):
-    """Solve every snapshot in one mode with ``run_snapshot``.
-
-    Returns (results, records, failures): per-snapshot (solution, detection)
-    tuples (None where solving failed), ErrorRecords for solved snapshots
-    having truth, and (snapshot_id, error message) pairs for failures.
-    """
-    results, records, failures = [], [], []
-    for snap in snapshots:
-        result, elapsed, error = run_snapshot(snap, mode, config, model, threshold)
-        results.append(result)
-        if error is not None:
-            failures.append((snap.id, error))
-        elif snap.truth is not None:
-            records.append(make_error_record(snap, result[0], elapsed))
-    return results, records, failures

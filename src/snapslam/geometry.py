@@ -17,7 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -287,16 +287,3 @@ def bounce_fraction(ue: UeState, path: PathMeasurement, bs: Pose, t_nu: float = 
         raise DegenerateGeometry("zero path length")
     r = (ue.position - bs.position) + d * v
     return float(nu @ r) / (d * s)
-
-
-def nominal_bounce_point(ue: UeState, path: PathMeasurement, bs: Pose,
-                         fraction: float = 0.5) -> np.ndarray:
-    """Point at a given fraction along the departure ray, for rendering paths.
-
-    Places ``bs.position + fraction * d * u``. With ``fraction=0.5`` this is
-    the midpoint convention used to draw paths whose bounce geometry is not
-    identifiable (outliers).
-    """
-    u, _ = unit_vectors(path.aod, path.aoa, bs.orientation, ue.orientation)
-    d = SPEED_OF_LIGHT * (path.toa - ue.clock_bias)
-    return bs.position + fraction * d * u

@@ -32,16 +32,15 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateGeometry, NoFeasibleSolution, TooFewPaths
 from .estimator import (
     _best_cell,
+    _best_heading,
     _build_terms,
     _costs,
-    _feasibility_mask,
     _outlier_penalty,
     _solve_packed,
     landmark_refine,
@@ -49,7 +48,7 @@ from .estimator import (
     nlos_orientation_search,
     orientation_grid,
 )
-from .geometry import SPEED_OF_LIGHT, NoiseModel, PathMeasurement, Pose, UeState, wrap_angle
+from .geometry import SPEED_OF_LIGHT, NoiseModel, UeState, wrap_angle
 
 _C = SPEED_OF_LIGHT
 
@@ -149,21 +148,9 @@ def enumerate_combinations(n_paths: int, hypothesis: Hypothesis,
     return list(itertools.combinations(range(n_paths), n_nlos))
 
 
-def feasibility_check(position, clock_bias: float, alpha_ue: float, inliers,
-                      paths: Sequence[PathMeasurement], bs: Pose,
-                      hypothesis: Hypothesis,
-                      config: RobustConfig = RobustConfig()) -> bool:
-    """Physical feasibility of a candidate state and inlier set.
-
-    Scalar entry point over the same rules the search applies per cell.
-    """
-    idx = sorted(int(i) for i in inliers)
-    n_los, n_nlos = minimal_counts(hypothesis)
-    terms = _build_terms(paths, bs, np.array([float(alpha_ue)]), None)
-    mask = np.zeros((1, len(paths)), dtype=bool)
-    mask[0, idx] = True
-    x = np.array([[position[0], position[1], _C * clock_bias]])
-    return bool(_feasibility_mask(terms, x, mask, n_los + n_nlos, config.t_nu)[0])
+def _los_candidate(paths) -> int:
+    """Index of the path the LoS branch treats as line of sight: the earliest."""
+    return int(np.argmin([p.toa for p in paths]))
 
 
 def _search(paths, bs, alphas, combos, los_index, n_min, config):
@@ -229,9 +216,7 @@ def _polish_heading(paths, bs, alpha, x, cost, inlier_row, n_min, config):
     center = alpha
     for _ in range(14):
         probes = center + np.linspace(-width, width, 9)
-        terms = _build_terms(paths, bs, probes)
-        hit = _best_cell(terms, np.arange(len(probes)),
-                         np.broadcast_to(inlier_row, terms.nu_sq.shape), gate)
+        hit = _best_heading(paths, bs, probes, inlier_row, gate)
         if hit is not None and hit[2] < best[2]:
             center = float(probes[hit[0]])
             best = (center, hit[1], hit[2])
@@ -278,7 +263,7 @@ def robust_solve(snapshot, hypothesis: Hypothesis,
     if n < n_min:
         raise NoFeasibleSolution(f"need at least {n_min} paths, got {n}")
     if hypothesis is Hypothesis.LOS:
-        candidate = int(np.argmin([p.toa for p in paths]))
+        candidate = _los_candidate(paths)
         alphas = np.array([los_orientation(paths[candidate], bs)])
         combos = enumerate_combinations(n, hypothesis, candidate)
         los_index = candidate
@@ -323,9 +308,7 @@ def benchmark_solve(snapshot, noise: NoiseModel = NoiseModel()) -> SlamSolution:
     n = len(paths)
     if n < 4:
         raise TooFewPaths(f"benchmark needs at least 4 paths, got {n}")
-    alpha, est = nlos_orientation_search(paths, range(n), orientation_grid(), bs)
-    ue = UeState(est.position, wrap_angle(alpha), est.clock_bias)
+    ue, cost = nlos_orientation_search(paths, range(n), orientation_grid(), bs)
     landmarks = _refine_landmarks(paths, range(n), ue, bs, noise)
     return SlamSolution(ue=ue, landmarks=landmarks, inliers=tuple(range(n)),
-                        outliers=(), hypothesis=Hypothesis.NLOS,
-                        cost=est.total_cost)
+                        outliers=(), hypothesis=Hypothesis.NLOS, cost=cost)

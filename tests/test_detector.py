@@ -121,3 +121,10 @@ def test_mixed_solve_both_branches_fail():
     pair = Snapshot(id="f", bs=snap.bs, paths=(snap.paths[0], flipped), truth=None)
     with pytest.raises(NoFeasibleSolution):
         mixed_solve(pair)
+    # three bounces: no LoS pairing is feasible, and the NLoS branch raises
+    # its own NoFeasibleSolution for lack of a fourth path
+    triple = random_h1_snapshot(0, n_single=3)
+    with pytest.raises(NoFeasibleSolution):
+        robust_solve(triple, Hypothesis.LOS)
+    with pytest.raises(NoFeasibleSolution, match="need at least 4 paths, got 3"):
+        mixed_solve(triple)

@@ -13,7 +13,6 @@ from snapslam import (
     Pose,
     SingularGeometry,
     UeState,
-    conditional_estimate,
     landmark_jacobian,
     landmark_refine,
     los_orientation,
@@ -21,11 +20,13 @@ from snapslam import (
     nlos_orientation_search,
     orientation_grid,
     path_cost,
+    wrap_angle,
 )
 from snapslam import estimator
 from snapslam.estimator import (
     CONDITION_LIMIT,
     _build_terms,
+    _costs,
     _row_costs,
     _solve_packed,
 )
@@ -35,55 +36,68 @@ from helpers import random_h0_snapshot, random_h1_snapshot, random_landmarks, ra
 C = SPEED_OF_LIGHT
 
 
+def _conditional_estimate(paths, index_set, alpha, bs):
+    """The closed-form fit at one fixed heading: a one-point grid search."""
+    return nlos_orientation_search(paths, index_set, [alpha], bs)
+
+
 def test_conditional_estimate_exact_at_true_heading():
     for seed in range(10):
         snap = random_h1_snapshot(seed, n_single=4)
         t = snap.truth
-        est = conditional_estimate(snap.paths, range(len(snap.paths)),
-                                   t.ue.orientation, snap.bs)
-        assert np.allclose(est.position, t.ue.position, atol=1e-9)
-        assert est.clock_bias == pytest.approx(t.ue.clock_bias, abs=1e-15)
-        assert est.total_cost == pytest.approx(0.0, abs=1e-12)
-        assert all(c == pytest.approx(0.0, abs=1e-12) for _, c in est.per_path_cost)
+        ue, cost = _conditional_estimate(snap.paths, range(len(snap.paths)),
+                                         t.ue.orientation, snap.bs)
+        assert np.allclose(ue.position, t.ue.position, atol=1e-9)
+        assert ue.orientation == t.ue.orientation
+        assert ue.clock_bias == pytest.approx(t.ue.clock_bias, abs=1e-15)
+        assert cost == pytest.approx(0.0, abs=1e-12)
+        for p in snap.paths:
+            assert path_cost(p, ue.position, ue.clock_bias, ue.orientation, snap.bs) == \
+                pytest.approx(0.0, abs=1e-12)
 
 
 def test_conditional_estimate_los_marked_path():
+    # no public route marks a path as LoS in a fixed-set fit; the terms do:
+    # with the LoS path's identity projector the fit is exact at the truth
     for seed in range(10):
         snap = random_h0_snapshot(seed, n_single=2)
         t = snap.truth
-        est = conditional_estimate(snap.paths, range(len(snap.paths)),
-                                   t.ue.orientation, snap.bs, los_index=0)
-        assert np.allclose(est.position, t.ue.position, atol=1e-9)
-        assert est.clock_bias == pytest.approx(t.ue.clock_bias, abs=1e-15)
+        terms = _build_terms(snap.paths, snap.bs, np.array([t.ue.orientation]), 0)
+        x, ok = _solve_packed(terms.normal.sum(axis=1))
+        assert ok[0]
+        assert np.allclose(x[0, :2], t.ue.position, atol=1e-9)
+        assert x[0, 2] / C == pytest.approx(t.ue.clock_bias, abs=1e-15)
+        assert np.allclose(_costs(terms, x), 0.0, atol=1e-12)
 
 
 def test_conditional_estimate_total_is_weighted_sum():
     snap = random_h1_snapshot(42, n_single=5)
-    est = conditional_estimate(snap.paths, range(5), 0.3, snap.bs)
-    manual = sum(snap.paths[i].gain * c for i, c in est.per_path_cost)
-    assert est.total_cost == pytest.approx(manual, rel=1e-12, abs=1e-15)
-    assert est.total_cost >= 0.0
+    ue, cost = _conditional_estimate(snap.paths, range(5), 0.3, snap.bs)
+    manual = sum(p.gain * path_cost(p, ue.position, ue.clock_bias, 0.3, snap.bs)
+                 for p in snap.paths)
+    assert cost == pytest.approx(manual, rel=1e-12, abs=1e-15)
+    assert cost >= 0.0
 
 
 def test_conditional_estimate_weight_scale_invariance():
     snap = random_h1_snapshot(5, n_single=4)
     scaled = [PathMeasurement(p.toa, p.aod, p.aoa, p.gain * 7.25)
               for p in snap.paths]
-    a = conditional_estimate(snap.paths, range(4), 0.8, snap.bs)
-    b = conditional_estimate(scaled, range(4), 0.8, snap.bs)
+    a, cost_a = _conditional_estimate(snap.paths, range(4), 0.8, snap.bs)
+    b, cost_b = _conditional_estimate(scaled, range(4), 0.8, snap.bs)
     assert np.allclose(a.position, b.position, atol=1e-9)
     assert a.clock_bias == pytest.approx(b.clock_bias, abs=1e-15)
-    assert b.total_cost == pytest.approx(7.25 * a.total_cost, rel=1e-9, abs=1e-18)
+    assert cost_b == pytest.approx(7.25 * cost_a, rel=1e-9, abs=1e-18)
 
 
 def test_conditional_estimate_rejects_empty_and_singular():
     snap = random_h1_snapshot(8)
     with pytest.raises(ValueError):
-        conditional_estimate(snap.paths, [], 0.0, snap.bs)
+        _conditional_estimate(snap.paths, [], 0.0, snap.bs)
     # four copies of one ray span a rank-2 system
     p = snap.paths[0]
     with pytest.raises(SingularGeometry):
-        conditional_estimate([p, p, p, p], range(4), 0.0, snap.bs)
+        _conditional_estimate([p, p, p, p], range(4), 0.0, snap.bs)
 
 
 def test_path_cost_zero_at_truth_positive_off_truth():
@@ -156,19 +170,20 @@ def test_nlos_search_recovers_on_grid_heading():
     for seed in range(5):
         snap = random_h1_snapshot(seed, n_single=4, on_grid=True)
         t = snap.truth
-        alpha, est = nlos_orientation_search(snap.paths, range(4),
-                                             orientation_grid(), snap.bs)
-        assert alpha == pytest.approx(t.ue.orientation, abs=1e-12)
-        assert np.allclose(est.position, t.ue.position, atol=1e-9)
-        assert est.total_cost == pytest.approx(0.0, abs=1e-12)
+        ue, cost = nlos_orientation_search(snap.paths, range(4),
+                                           orientation_grid(), snap.bs)
+        assert ue.orientation == pytest.approx(t.ue.orientation, abs=1e-12)
+        assert np.allclose(ue.position, t.ue.position, atol=1e-9)
+        assert ue.clock_bias == pytest.approx(t.ue.clock_bias, abs=1e-15)
+        assert cost == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nlos_search_off_grid_within_one_step():
     snap = random_h1_snapshot(77, n_single=5, on_grid=False)
     t = snap.truth
-    alpha, _ = nlos_orientation_search(snap.paths, range(5),
-                                       orientation_grid(), snap.bs)
-    assert abs(alpha - t.ue.orientation) <= math.radians(1.0)
+    ue, _ = nlos_orientation_search(snap.paths, range(5),
+                                    orientation_grid(), snap.bs)
+    assert abs(wrap_angle(ue.orientation - t.ue.orientation)) <= math.radians(1.0)
 
 
 def test_row_costs_send_failed_and_non_finite_rows_to_inf():

@@ -12,18 +12,15 @@ from snapslam import (
     MissingTruth,
     NoiseModel,
     PathMeasurement,
-    Pose,
     SlamSolution,
     Snapshot,
     UeState,
     classification_report,
     error_cdf,
-    evaluate_dataset,
     is_single_bounce_consistent,
     los_sensitivity_sweep,
     make_error_record,
     measurement_model,
-    mixed_solve,
     rmse,
     robust_solve,
     solve_snapshot,
@@ -33,7 +30,6 @@ from snapslam import (
 from snapslam import evaluation
 from helpers import (
     add_multibounce,
-    build_snapshot,
     expected_inliers,
     random_h0_snapshot,
     random_h1_snapshot,
@@ -192,8 +188,6 @@ def test_classification_report_consistent_absorption():
     assert rep.extra == (len(dirty.paths) - 1,)
     assert rep.consistent_extra == rep.extra
     assert not rep.exact and rep.acceptable
-    strict = classification_report(sol, dirty, count_consistent_as_errors=True)
-    assert not strict.acceptable
 
 
 def test_solve_snapshot_modes():
@@ -206,18 +200,17 @@ def test_solve_snapshot_modes():
         solve_snapshot(snap, "nonsense")
 
 
-def test_evaluate_dataset_counts_failures(monkeypatch, caplog):
+def test_run_snapshot_records_failures(monkeypatch, caplog):
     snaps = [random_h0_snapshot(s, n_single=3, sid=f"s{s}") for s in range(3)]
     lone = Snapshot(id="lone", bs=snaps[0].bs, paths=snaps[0].paths[:1],
                     truth=None)
-    results, records, failures = evaluate_dataset([*snaps, lone], "robust_mixed")
-    assert len(results) == 4 and results[3] is None
-    assert len(records) == 3
-    assert [f[0] for f in failures] == ["lone"]
-    assert all(r.position_error < 1e-9 for r in records)
-    assert all(r.solve_time > 0 for r in records)
+    with caplog.at_level("ERROR", logger="snapslam"):
+        assert evaluation.run_snapshot(lone, "robust_mixed") == \
+            (None, None, "TooFewPaths: need at least 2 paths, got 1")
+    assert caplog.text == ""
 
-    # an unexpected error in one snapshot is recorded; the rest still solve
+    # an unexpected error in one snapshot is recorded with its traceback;
+    # the others still solve
     solve = evaluation.solve_snapshot
 
     def flaky(snap, *args):
@@ -227,12 +220,12 @@ def test_evaluate_dataset_counts_failures(monkeypatch, caplog):
 
     monkeypatch.setattr(evaluation, "solve_snapshot", flaky)
     with caplog.at_level("ERROR", logger="snapslam"):
-        results, records, failures = evaluate_dataset([*snaps, lone], "robust_mixed")
-    assert [r is None for r in results] == [False, True, False, True]
-    assert [r.snapshot_id for r in records] == ["s0", "s2"]
-    assert failures[0] == ("s1", "ValueError: bad row")
-    assert [f[0] for f in failures] == ["s1", "lone"]
+        runs = [evaluation.run_snapshot(snap, "robust_mixed") for snap in snaps]
+    assert runs[1] == (None, None, "ValueError: bad row")
     assert "s1" in caplog.text and "Traceback" in caplog.text
+    for snap, (result, elapsed, error) in zip(snaps[::2], runs[::2]):
+        assert error is None and elapsed > 0
+        assert make_error_record(snap, result[0], elapsed).position_error < 1e-9
 
 
 def _sweep_set():

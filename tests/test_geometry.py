@@ -17,7 +17,6 @@ from snapslam import (
     bounce_fraction,
     measurement_model,
     mirror_point,
-    nominal_bounce_point,
     polyline_measurement,
     unit_vectors,
     wrap_angle,
@@ -172,14 +171,16 @@ def test_bounce_fraction_undefined_for_los():
         bounce_fraction(ue, PathMeasurement(toa, aod, aoa), bs)
 
 
-def test_nominal_bounce_point_true_fraction_hits_landmark():
+def test_bounce_fraction_along_departure_ray_hits_landmark():
     ue = UeState([6.0, 1.0], -0.3, 30e-9)
     bs = Pose([0.0, 0.0], 0.2)
     lm = np.array([2.0, 5.0])
     toa, aod, aoa = measurement_model(ue, bs, lm)
     path = PathMeasurement(toa, aod, aoa)
     gam = bounce_fraction(ue, path, bs)
-    assert np.allclose(nominal_bounce_point(ue, path, bs, gam), lm, atol=1e-9)
+    u, _ = unit_vectors(aod, aoa, bs.orientation, ue.orientation)
+    d = C * (toa - ue.clock_bias)
+    assert np.allclose(bs.position + gam * d * u, lm, atol=1e-9)
 
 
 def test_pose_and_state_validation():

@@ -1,0 +1,55 @@
+"""The package's public surface: exports, docstrings and imports.
+
+``snapslam.__all__`` lists exactly what ``__init__`` imports, once each;
+every public top-level function and class has a docstring; no module
+imports a name it does not use. No linter is a dependency, so the checks
+read the source with ``ast``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import snapslam
+
+PACKAGE = Path(snapslam.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported(tree):
+    """Every name the module binds by an import, ``__future__`` aside."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def test_all_lists_every_import_once():
+    exported = snapslam.__all__
+    assert len(exported) == len(set(exported))
+    assert set(exported) == _imported(_tree(PACKAGE / "__init__.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_public_definitions_have_docstrings(path):
+    missing = [node.name for node in _tree(path).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_") and not ast.get_docstring(node)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    # __init__ imports to re-export; the first test covers it
+    tree = _tree(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(_imported(tree) - used) == []

@@ -71,30 +71,43 @@ class LandmarkEstimate:
 
 
 class _PathTerms(NamedTuple):
-    """Per-(heading, path) arrays used by the batched conditional solver.
+    """Per-(path, heading) arrays used by the batched conditional solver.
 
-    Shapes: M headings by n paths. ``normal`` packs each path's
-    gain-weighted normal-matrix block A and right-hand side b as (a00, a01,
-    a02, a11, a12, a22, b0, b1, b2): the upper triangle of the symmetric A
-    row by row, then b. Sums of packed systems are packed systems, so a
-    subset's system is the sum of its paths' rows.
+    The layout is planar and path-major: every array is n paths by M
+    headings, and a 2-D vector or a packed system keeps its components on a
+    leading axis of their own, so each component is one contiguous (n, M)
+    plane in which a path's row runs over the headings. ``normal`` packs
+    each path's gain-weighted normal-matrix block A and right-hand side b
+    as the nine planes (a00, a01, a02, a11, a12, a22, b0, b1, b2): the
+    upper triangle of the symmetric A row by row, then b. Sums of packed
+    systems are packed systems, so a subset's system is the sum of its
+    paths' rows.
+
+    The search sums a minimal subset's rows plane by plane, one path after
+    the other. An inlier system is instead one product ``member @ systems``
+    whose right operand is a C-ordered (cells, n, 9) copy of the cells' rows,
+    gathered per batch (see ``_cell_costs``). NumPy hands that product to a
+    BLAS kernel whose summation order follows the operands' memory layout,
+    so the last bits of every inlier system depend on it, as they do on the
+    member mask's (see ``_heading_costs``); the operand keeps the layout
+    every inlier system has been built in.
     """
 
     tau: np.ndarray       # (n,)
     eta: np.ndarray       # (n,)
-    v: np.ndarray         # (M, n, 2)
-    nu: np.ndarray        # (M, n, 2)
-    nu_sq: np.ndarray     # (M, n)
-    nubar: np.ndarray     # (M, n, 2)  zero rows where the projector is identity
-    mu: np.ndarray        # (M, n, 2)
-    normal: np.ndarray    # (M, n, 9)
+    v: np.ndarray         # (2, n, M)
+    nu: np.ndarray        # (2, n, M)
+    nu_sq: np.ndarray     # (n, M)
+    nubar: np.ndarray     # (2, n, M)  zero where the projector is identity
+    mu: np.ndarray        # (2, n, M)
+    normal: np.ndarray    # (9, n, M)
 
 
 _UNPACK = [0, 1, 2, 1, 3, 4, 2, 4, 5]   # packed index of A[i, j], row-major
 
 
 def _dot2(x, y):
-    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
+    return x[0] * y[0] + x[1] * y[1]
 
 
 def _build_terms(paths: Sequence[PathMeasurement], bs: Pose, alphas: np.ndarray,
@@ -113,56 +126,49 @@ def _build_terms(paths: Sequence[PathMeasurement], bs: Pose, alphas: np.ndarray,
     aoa = np.array([p.aoa for p in paths])
 
     dep = bs.orientation + aod                      # world departure angle
-    u = np.stack([np.cos(dep), np.sin(dep)], axis=-1)
-    arr = alphas[:, None] + aoa[None, :]            # (M, n) world arrival angle
-    v = np.stack([np.cos(arr), np.sin(arr)], axis=-1)
+    u = np.array([np.cos(dep), np.sin(dep)])[:, :, None]
+    arr = aoa[:, None] + alphas                     # (n, M) world arrival angle
+    v = np.array([np.cos(arr), np.sin(arr)])
 
-    nu = u[None, :, :] + v
+    nu = u + v
     nu_sq = _dot2(nu, nu)
     identity_proj = nu_sq == 0.0
     if los_index is not None:
-        identity_proj = identity_proj.copy()
-        identity_proj[:, los_index] = True
+        identity_proj[los_index] = True
     with np.errstate(divide="ignore", invalid="ignore"):
-        nubar = np.where(identity_proj[..., None], 0.0,
-                         nu / np.sqrt(nu_sq)[..., None])
+        nubar = np.where(identity_proj, 0.0, nu / np.sqrt(nu_sq))
 
-    mu = bs.position[None, None, :] - (_C * tau)[None, :, None] * v
+    mu = bs.position[:, None, None] - (_C * tau)[:, None] * v
 
     # Per-path normal-matrix block for state [p_x, p_y, c*b]:
     #   A_i = eta * H^T P H,  rhs_i = eta * H^T P mu,  H = [I2 | -v], P = I - nubar nubar^T
-    w = v - nubar * _dot2(nubar, v)[..., None]      # P v
-    g = mu - nubar * _dot2(nubar, mu)[..., None]    # P mu
-    normal = np.stack([1.0 - nubar[..., 0] * nubar[..., 0],
-                       -nubar[..., 0] * nubar[..., 1],
-                       -w[..., 0],
-                       1.0 - nubar[..., 1] * nubar[..., 1],
-                       -w[..., 1],
-                       _dot2(v, w),
-                       g[..., 0],
-                       g[..., 1],
-                       -_dot2(v, g)], axis=-1)
+    w = v - nubar * _dot2(nubar, v)                 # P v
+    g = mu - nubar * _dot2(nubar, mu)               # P mu
+    normal = np.empty((9,) + nu_sq.shape)
+    normal[0] = 1.0 - nubar[0] * nubar[0]
+    normal[1] = -nubar[0] * nubar[1]
+    normal[2] = -w[0]
+    normal[3] = 1.0 - nubar[1] * nubar[1]
+    normal[4] = -w[1]
+    normal[5] = _dot2(v, w)
+    normal[6:8] = g
+    normal[8] = -_dot2(v, g)
     # weights scaled by a power of two so the largest is in [0.5, 1): exact,
     # and it keeps the kernel's squared entries in range for any gain scale
-    normal *= np.ldexp(eta, -np.frexp(eta.max())[1])[None, :, None]
+    normal *= np.ldexp(eta, -np.frexp(eta.max())[1])[:, None]
     return _PathTerms(tau, eta, v, nu, nu_sq, nubar, mu, normal)
 
 
-def _solve_packed(s: np.ndarray):
-    """Gate and solve a batch of packed symmetric PSD 3x3 systems.
+def _ldl_solve(s):
+    """Solve a batch of packed symmetric 3x3 systems, every row, ungated.
 
-    ``s`` has any leading batch shape and a last axis packed as
-    ``_PathTerms.normal``. Returns (x, ok): x (..., 3) solves A x = b on
-    rows whose condition number is below ``CONDITION_LIMIT`` and is zero
-    elsewhere.
-
-    Everything is elementwise: the condition number in closed form (see
-    ``CONDITION_LIMIT``), rechecked by SVD on the rare rows inside
-    ``_COND_GUARD_BAND``, and the solve by an unpivoted LDL^T
-    factorization, which is backward stable for positive semi-definite
-    matrices.
+    ``s`` holds the nine planes of ``_PathTerms.normal`` on its first axis
+    and any batch shape after it. Returns x (3, ...) from an unpivoted
+    LDL^T factorization, which is backward stable for positive semi-definite
+    matrices, and its second and third pivots d1 and d2 (the first is a00).
+    Only rows that ``_condition_ok`` passes have a meaningful x.
     """
-    a00, a01, a02, a11, a12, a22, b0, b1, b2 = np.moveaxis(s, -1, 0)
+    a00, a01, a02, a11, a12, a22, b0, b1, b2 = s
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # A = L D L^T with unit lower L = [[1], [l10, 1], [l20, l21, 1]]
         l10 = a01 / a00
@@ -170,6 +176,25 @@ def _solve_packed(s: np.ndarray):
         d1 = a11 - l10 * a01
         l21 = (a12 - l20 * a01) / d1
         d2 = a22 - l20 * a02 - l21 * l21 * d1
+        # forward substitution, diagonal, back substitution
+        z1 = b1 - l10 * b0
+        z2 = b2 - l20 * b0 - l21 * z1
+        x2 = z2 / d2
+        x1 = z1 / d1 - l21 * x2
+        x0 = b0 / a00 - l10 * x1 - l20 * x2
+    return np.array([x0, x1, x2]), d1, d2
+
+
+def _condition_ok(s, d1, d2):
+    """Condition gate of packed systems whose ``_ldl_solve`` pivots are d1, d2.
+
+    ``s`` holds at least the six planes of A. True where the condition
+    number is below ``CONDITION_LIMIT``: in closed form (see
+    ``CONDITION_LIMIT``), rechecked by SVD on the rare rows inside
+    ``_COND_GUARD_BAND``.
+    """
+    a00, a01, a02, a11, a12, a22 = s[:6]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pivots_ok = (a00 > 0.0) & (d1 > 0.0) & (d2 > 0.0)
 
         # largest eigenvalue from the trigonometric form of the cubic
@@ -201,54 +226,80 @@ def _solve_packed(s: np.ndarray):
         ok = (cond > 0.0) & (cond < lo)
         band = (cond >= lo) & (cond <= hi)
         if band.any():
-            sv = np.linalg.svd(s[band][:, _UNPACK].reshape(-1, 3, 3), compute_uv=False)
+            a = np.array([plane[band] for plane in s[:6]])[_UNPACK]
+            sv = np.linalg.svd(a.T.reshape(-1, 3, 3), compute_uv=False)
             ok[band] = sv[:, 0] / sv[:, 2] < CONDITION_LIMIT
+    return ok
 
-        # forward substitution, diagonal, back substitution
-        z1 = b1 - l10 * b0
-        z2 = b2 - l20 * b0 - l21 * z1
-        x2 = z2 / d2
-        x1 = z1 / d1 - l21 * x2
-        x0 = b0 / a00 - l10 * x1 - l20 * x2
-    x = np.stack([x0, x1, x2], axis=-1)
-    return np.where(ok[..., None], x, 0.0), ok
+
+def _solve_packed(s: np.ndarray, prior: tuple | None = None):
+    """Gate and solve a batch of packed symmetric PSD 3x3 systems.
+
+    ``s`` holds the nine planes of ``_PathTerms.normal`` on its first axis
+    and any batch shape after it. Returns (x, ok): x (3, ...) solves
+    A x = b on rows whose condition number is below ``CONDITION_LIMIT`` and
+    is zero elsewhere. Everything is elementwise: ``_ldl_solve`` solves,
+    ``_condition_ok`` gates.
+
+    ``prior`` = (A planes (6, K), d1, d2) gives a one-dimensional batch an
+    earlier, already factored system per row; a row then passes only if
+    both its systems pass, and both go through one ``_condition_ok``.
+    """
+    x, d1, d2 = _ldl_solve(s)
+    if prior is None:
+        ok = _condition_ok(s, d1, d2)
+    else:
+        a, e1, e2 = prior
+        both = _condition_ok(np.concatenate([s[:6], a], axis=1), np.concatenate([d1, e1]),
+                             np.concatenate([d2, e2]))
+        ok = both[:d1.size] & both[d1.size:]
+    return np.where(ok, x, 0.0), ok
 
 
 def _take_rows(terms: _PathTerms, rows: np.ndarray) -> _PathTerms:
-    """The terms of the given heading rows, in that order.
+    """The terms of the given heading rows, in that order, but ``normal``.
 
     The result is a ``_PathTerms`` whose M axis lists ``rows``, and every
-    system, residual, cost and bounce fraction computed from it equals the
-    one computed from ``terms`` at that heading, to the bit.
+    residual, cost and bounce fraction computed from it equals the one
+    computed from ``terms`` at that heading, to the bit. ``normal`` is None:
+    ``_cell_costs`` gathers the cells' systems in their own layout.
     """
-    return terms._replace(v=terms.v[rows], nu=terms.nu[rows], nu_sq=terms.nu_sq[rows],
-                          nubar=terms.nubar[rows], mu=terms.mu[rows],
-                          normal=terms.normal[rows])
+    return terms._replace(v=terms.v[..., rows], nu=terms.nu[..., rows],
+                          nu_sq=terms.nu_sq[:, rows], nubar=terms.nubar[..., rows],
+                          mu=terms.mu[..., rows], normal=None)
 
 
 def _residuals(terms: _PathTerms, x: np.ndarray) -> np.ndarray:
-    """Raw 2-D residuals H x - mu, shape (..., M, n, 2) for x of shape (..., M, 3)."""
-    return x[..., None, :2] - x[..., 2, None, None] * terms.v - terms.mu
+    """Raw 2-D residuals H x - mu, (2, n, ...) for states x of shape (3, ...).
+
+    The states' batch shape broadcasts against the (n, M) planes of
+    ``terms`` with the path axis in front.
+    """
+    r = x[2] * terms.v
+    np.subtract(x[:2, None], r, out=r)
+    r -= terms.mu
+    return r
 
 
 def _costs(terms: _PathTerms, x: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
-    """Squared projected residual of every path at every row's state, (..., M, n).
+    """Squared projected residual of every path at every state, (n, ...).
 
     ``r`` passes in ``_residuals(terms, x)`` when the caller already has it.
     """
-    r = _residuals(terms, x) if r is None else r
-    pr = r - terms.nubar * _dot2(terms.nubar, r)[..., None]
-    return _dot2(pr, pr)
+    pr = _residuals(terms, x) if r is None else r.copy()
+    pr -= terms.nubar * _dot2(terms.nubar, pr)
+    pr *= pr
+    return pr[0] + pr[1]
 
 
 def _gammas(terms: _PathTerms, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Bounce fraction of every path at every row's state, (..., M, n).
+    """Bounce fraction of every path at every cell's state, (n, K).
 
-    ``r`` is ``_residuals(terms, x)``. Rows where the fraction is undefined
-    (zero length or cancelled rays) come back infinite so that range checks
-    fail.
+    ``x`` is (3, K) and ``r`` is ``_residuals(terms, x)``. Paths where the
+    fraction is undefined (zero length or cancelled rays) come back
+    infinite so that range checks fail.
     """
-    d = _C * terms.tau - x[..., 2, None]
+    d = (_C * terms.tau)[:, None] - x[2]
     num = _dot2(terms.nu, r)
     den = d * terms.nu_sq
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -257,47 +308,52 @@ def _gammas(terms: _PathTerms, x: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _outlier_penalty(eta, member, t_eps):
-    """Per-path penalty summed over each row's outliers, (..., M)."""
+    """Per-path penalty summed over each row's outliers, (...,).
+
+    ``member`` holds the member rows, (..., n).
+    """
     return ((1.0 - member) * eta).sum(axis=-1) * t_eps
 
 
 def _feasibility_mask(terms: _PathTerms, x: np.ndarray, inlier: np.ndarray, n_min: int,
                       t_nu: float, r: np.ndarray) -> np.ndarray:
-    """Vectorized feasibility of each row's (state, inlier set), (..., M).
+    """Vectorized feasibility of each cell's (state, inlier set), (K,).
 
-    ``x`` is (..., M, 3) and ``inlier`` (..., M, n) for any leading batch
-    shape; ``r`` is ``_residuals(terms, x)``. Checks, per
-    row: enough inliers; non-negative bias-corrected delay of the earliest
-    inlier j; bounce fraction of j in [0, 1] unless its rays nearly cancel
-    (near-LoS geometry); bounce fraction of every other inlier in [0, 1].
+    ``x`` is (3, K), ``inlier`` holds the boolean (K, n) inlier rows and
+    ``r`` is ``_residuals(terms, x)``. Checks, per cell: enough inliers;
+    non-negative bias-corrected delay of the earliest inlier j; bounce
+    fraction of j in [0, 1] unless its rays nearly cancel (near-LoS
+    geometry); bounce fraction of every other inlier in [0, 1].
     """
-    count_ok = inlier.sum(axis=-1) >= n_min
-    j = np.argmin(np.where(inlier, terms.tau, np.inf), axis=-1)
-    delay_ok = _C * terms.tau[j] - x[..., 2] >= 0.0
+    inlier = inlier.T
+    cells = np.arange(inlier.shape[1])
+    count_ok = inlier.sum(axis=0) >= n_min
+    j = np.argmin(np.where(inlier, terms.tau[:, None], np.inf), axis=0)
+    delay_ok = _C * terms.tau[j] - x[2] >= 0.0
     gam = _gammas(terms, x, r)
     in_range = (gam >= 0.0) & (gam <= 1.0)
-    j_cols = np.arange(inlier.shape[-1]) == j[..., None]
-    j_in_range = (in_range & j_cols).any(axis=-1)
-    j_near_los = ((terms.nu_sq <= t_nu) & j_cols).any(axis=-1)
-    others_ok = np.all(in_range | ~inlier | j_cols, axis=-1)
-    return count_ok & delay_ok & (j_in_range | j_near_los) & others_ok
+    j_ok = in_range[j, cells] | (terms.nu_sq[j, cells] <= t_nu)
+    in_range[j, cells] = True
+    others_ok = np.all(in_range | ~inlier, axis=0)
+    return count_ok & delay_ok & j_ok & others_ok
 
 
 def _row_costs(terms: _PathTerms, x: np.ndarray, ok: np.ndarray, member: np.ndarray,
                gate: tuple | None = None) -> np.ndarray:
-    """Cost of each row's state over its member set, (..., M).
+    """Cost of each cell's state over its member set, (K,).
 
-    ``member`` is a boolean (..., M, n) mask and ``ok`` flags the rows
-    whose solve passed. The cost is the gain-weighted sum of the members'
-    squared projected residuals. A ``gate`` (n_min, t_nu, t_eps) adds the
-    per-path penalty t_eps for each non-member and requires the row to
-    pass ``_feasibility_mask``; the weighted sum is non-negative, so a
-    gated cost is never below its ``_outlier_penalty``. Rows whose solve
-    failed, that fail the gate, or whose cost is not finite get +inf.
+    ``x`` is (3, K), ``member`` holds the boolean (K, n) member rows and
+    ``ok`` flags the cells whose solve passed. The cost is the gain-weighted
+    sum of the members' squared projected residuals, summed over C-ordered
+    (K, n) rows. A ``gate`` (n_min, t_nu, t_eps) adds the per-path penalty
+    t_eps for each non-member and requires the cell to pass
+    ``_feasibility_mask``; the weighted sum is non-negative, so a gated cost
+    is never below its ``_outlier_penalty``. Cells whose solve failed, that
+    fail the gate, or whose cost is not finite get +inf.
     """
     weights = member.astype(float)
     r = _residuals(terms, x)
-    cost = (weights * terms.eta * _costs(terms, x, r)).sum(axis=-1)
+    cost = np.multiply(weights * terms.eta, _costs(terms, x, r).T, order="C").sum(axis=-1)
     valid = ok
     if gate is not None:
         n_min, t_nu, t_eps = gate
@@ -306,36 +362,55 @@ def _row_costs(terms: _PathTerms, x: np.ndarray, ok: np.ndarray, member: np.ndar
     return np.where(valid & np.isfinite(cost), cost, np.inf)
 
 
-def _best_cell(terms: _PathTerms, rows: np.ndarray, member: np.ndarray,
-               gate: tuple | None = None):
-    """First minimum of the gated costs of a batch of (heading, member set) cells.
+def _cell_costs(terms: _PathTerms, rows: np.ndarray | None, member: np.ndarray,
+                gate: tuple | None = None, prior: tuple | None = None):
+    """States and gated costs of a batch of (heading, member set) cells.
 
-    Cell k is heading row ``rows[k]`` of ``terms`` with the boolean (n,)
-    member row ``member[k]``. Each cell's system is the sum of its members'
-    packed rows at its heading; it is solved by ``_solve_packed``, then
-    costed and gated by ``_row_costs``. Returns (k, state (3,), cost) of the
-    first minimum, or None if every cell is +inf.
+    Cell k is heading row ``rows[k]`` of ``terms`` (heading k when ``rows``
+    is None) with the boolean (n,) member row ``member[k]``. Each cell's
+    system is the product of its member row with its heading's packed rows,
+    taken as a C-ordered (K, n, 9) array; it is solved by ``_solve_packed``
+    (with ``prior``, if given), then costed and gated by ``_row_costs``.
+    Returns x (3, K) and cost (K,).
 
     A cell's result does not depend on the other cells of the batch, but
-    its last bits depend on the member mask's memory layout (see
-    ``_best_heading``).
+    its last bits depend on the memory layout of both product operands
+    (see ``_heading_costs``).
     """
-    taken = _take_rows(terms, rows)
-    x, ok = _solve_packed((member.astype(float)[:, None, :] @ taken.normal)[:, 0])
-    cost = _row_costs(taken, x, ok, member, gate)
+    _, n, m = terms.normal.shape
+    taken = np.arange(m) if rows is None else rows
+    # systems[k, i, c] = normal[c, i, taken[k]], gathered straight into C order
+    systems = terms.normal.ravel().take(taken[:, None, None] + m * np.arange(n)[:, None]
+                                        + n * m * np.arange(9))
+    systems = (member.astype(float)[:, None, :] @ systems)[:, 0].T
+    if rows is not None:
+        terms = _take_rows(terms, rows)
+    x, ok = _solve_packed(systems, prior)
+    return x, _row_costs(terms, x, ok, member, gate)
+
+
+def _first_min(cost: np.ndarray) -> int | None:
+    """Index of the first minimum of ``cost``, or None if it is +inf."""
     k = int(np.argmin(cost))
-    if not np.isfinite(cost[k]):
-        return None
-    return k, x[k], float(cost[k])
+    return k if np.isfinite(cost[k]) else None
 
 
-def _best_heading(paths, bs: Pose, alphas: np.ndarray, member_row: np.ndarray,
-                  gate: tuple | None = None):
-    """``_best_cell`` over every heading of ``alphas`` for one frozen member set.
+def _best_cell(terms: _PathTerms, rows: np.ndarray, member: np.ndarray,
+               gate: tuple | None = None, prior: tuple | None = None):
+    """First minimum of ``_cell_costs``: (k, state (3,), cost), or None if
+    every cell is +inf."""
+    x, cost = _cell_costs(terms, rows, member, gate, prior)
+    k = _first_min(cost)
+    return None if k is None else (k, x[:, k], float(cost[k]))
+
+
+def _heading_costs(paths, bs: Pose, alphas: np.ndarray, member_row: np.ndarray,
+                   gate: tuple | None = None):
+    """``_cell_costs`` at every heading of ``alphas`` for one frozen member set.
 
     ``member_row`` is a boolean (n,) mask of the paths in the set, every one
-    treated as a single bounce. Returns (heading index, state (3,), cost) of
-    the first minimum, or None if every heading is +inf.
+    treated as a single bounce. Returns x (3, M) and cost (M,); a heading's
+    result does not depend on the other headings.
 
     This is the only place a frozen set is scanned over headings, so every
     such scan gets the same last bits: ``astype`` copies the broadcast member
@@ -343,8 +418,8 @@ def _best_heading(paths, bs: Pose, alphas: np.ndarray, member_row: np.ndarray,
     C-ordered row would be (at 6, 7, 10 and 11 paths, say).
     """
     terms = _build_terms(paths, bs, alphas)
-    return _best_cell(terms, np.arange(len(alphas)),
-                      np.broadcast_to(member_row, terms.nu_sq.shape), gate)
+    return _cell_costs(terms, None, np.broadcast_to(member_row, terms.nu_sq.shape[::-1]),
+                       gate)
 
 
 def path_cost(path: PathMeasurement, position, clock_bias: float, alpha_ue: float,
@@ -356,7 +431,7 @@ def path_cost(path: PathMeasurement, position, clock_bias: float, alpha_ue: floa
     """
     terms = _build_terms([path], bs, np.array([float(alpha_ue)]),
                          0 if is_los else None)
-    x = np.array([[position[0], position[1], _C * clock_bias]])
+    x = np.array([[position[0]], [position[1]], [_C * clock_bias]])
     return float(_costs(terms, x)[0, 0])
 
 
@@ -396,20 +471,23 @@ def nlos_orientation_search(paths: Sequence[PathMeasurement], index_set, grid,
     Raises
     ------
     ValueError
-        If ``index_set`` is empty.
+        If ``index_set`` is empty or holds an index outside 0..n-1.
     SingularGeometry
         If every grid point is skipped (e.g. all rays parallel).
     """
-    member_row = np.zeros(len(paths), dtype=bool)
-    member_row[[int(i) for i in index_set]] = True
-    if not member_row.any():
+    indices = [int(i) for i in index_set]
+    if not indices:
         raise ValueError("index_set must be non-empty")
+    if not all(0 <= i < len(paths) for i in indices):
+        raise ValueError(f"index_set {indices} has an index outside 0..{len(paths) - 1}")
+    member_row = np.zeros(len(paths), dtype=bool)
+    member_row[indices] = True
     grid = np.asarray(grid, dtype=float)
-    best = _best_heading(paths, bs, grid, member_row)
-    if best is None:
+    x, cost = _heading_costs(paths, bs, grid, member_row)
+    k = _first_min(cost)
+    if k is None:
         raise SingularGeometry("no heading on the grid yields an invertible system")
-    k, x, cost = best
-    return UeState(x[:2], grid[k], float(x[2]) / _C), cost
+    return UeState(x[:2, k], grid[k], float(x[2, k]) / _C), float(cost[k])
 
 
 def _bounce_model(ue: UeState, bs: Pose, landmark):

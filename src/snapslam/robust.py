@@ -9,18 +9,21 @@ physical feasibility checks, and keeps the cheapest feasible cell. Excluded
 paths pay a fixed per-path penalty so that explaining a path is never worse
 than discarding it.
 
-The search is batched over headings and subsets together: it takes whole
-subsets in chunks of at most ``_CHUNK_ROW_PATHS`` (heading x subset) cells
-times paths, which caps its working memory at about a megabyte whatever the
-path count, and solves every cell's 3x3 normal system elementwise (see
-``estimator.CONDITION_LIMIT``). Each chunk runs in two stages, as a RANSAC
-hypothesize-and-verify loop does (Fischler & Bolles, CACM 1981): every cell
-gets its minimal-subset solve and inlier partition, but only the cells that
-can still win go to ``estimator._best_cell``, which builds their inlier
-systems alone, solves, costs and gates them. A cell with too few inliers, or
-whose outlier penalty alone exceeds the best gated cost so far, cannot win,
-so the pruning is exact: the search returns what evaluating every cell
-returns, to the bit.
+The search is batched over headings and subsets together and runs in two
+stages, as a RANSAC hypothesize-and-verify loop does (Fischler & Bolles,
+CACM 1981). Stage 1 takes whole subsets in chunks of at most
+``_CHUNK_ROW_PATHS`` (heading x subset) cells times paths, solves every
+cell's 3x3 minimal-subset system elementwise by LDL^T on path-major planes
+(see ``estimator._PathTerms``) and partitions the paths into inliers and
+outliers at that state. A cell with too few inliers, or whose outlier
+penalty alone exceeds the best gated cost so far, cannot win; the others
+wait, across chunks, until they fill a block. Stage 2 takes a block at a
+time: ``estimator._best_cell`` gates each cell's minimal-subset system
+(see ``estimator.CONDITION_LIMIT``; the LDL^T pivots are reused), and
+builds, solves, costs and gates its inlier system. The pruning is exact:
+the search returns what evaluating every cell returns, to the bit. Its
+working memory has a fixed bound whatever the path count (see
+``_CHUNK_ROW_PATHS``).
 
 ``benchmark_solve`` is the non-robust reference: every path, NLoS model,
 grid search only.
@@ -38,11 +41,11 @@ import numpy as np
 from .errors import DegenerateGeometry, NoFeasibleSolution, TooFewPaths
 from .estimator import (
     _best_cell,
-    _best_heading,
     _build_terms,
     _costs,
+    _heading_costs,
+    _ldl_solve,
     _outlier_penalty,
-    _solve_packed,
     landmark_refine,
     los_orientation,
     nlos_orientation_search,
@@ -53,14 +56,14 @@ from .geometry import SPEED_OF_LIGHT, NoiseModel, UeState, wrap_angle
 _C = SPEED_OF_LIGHT
 
 _CHUNK_ROW_PATHS = 8192
-"""Rows (heading x subset cells) times paths evaluated together by the
-search; whole subsets are batched, one at least. The minimal-subset stage
-takes ~70 bytes per row and path, most of it freed before the survivors are
-evaluated, and each surviving row takes ~225 per path for its gathered terms
-and system, its residuals and its gate. Even when every row survives, this
-bounds the search's working memory at ~1.8 MB on top of the per-path terms,
-whatever the snapshot size. The worst chunks of the benchmark corpora pass
-about half their rows; most pass a few percent."""
+"""Rows (heading x subset cells) times paths of one stage-1 chunk of the
+search; whole subsets are batched, one at least. Measured with tracemalloc
+on 5 to 13 paths, stage 1 takes 40-65 bytes per row and path, most of it
+the residual planes of the inlier partition. A row and path of stage 2
+takes ~160 (gathered terms and system, residuals, costs and gate), so a
+stage-2 block holds an eighth as many. The search's working memory on top
+of its per-path terms thus stays under 80 bytes times ``_CHUNK_ROW_PATHS``
+(~650 KB), whatever the snapshot size and however many cells survive."""
 
 
 class Hypothesis(Enum):
@@ -158,45 +161,82 @@ def _search(paths, bs, alphas, combos, los_index, n_min, config):
 
     Returns (cost, heading index, subset index, x, inlier_row) of the
     cheapest feasible cell with ties broken by smallest heading index then
-    smallest subset index, or None if every cell is infeasible. Subsets
-    are evaluated in chunks of whole subsets, each at most
-    ``_CHUNK_ROW_PATHS`` cells times paths (one subset at least).
+    smallest subset index, or None if every cell is infeasible.
 
-    Each chunk runs in two stages. The minimal-subset stage solves every
-    cell and partitions the paths into inliers and outliers at that state.
-    Only the cells that can still win go on: those with at least ``n_min``
-    inliers whose outlier penalty is not above the best gated cost so far
-    (a gated cost is never below its penalty; the test is strict so that a
-    tie on an earlier heading still wins). ``_best_cell`` builds and solves
-    their inlier systems alone, then costs and gates them. The survivors
-    are taken in heading-major order, so the first minimum among them is
-    the first minimum of the whole chunk whenever it can beat the running
-    best. Every cell's arithmetic is independent of the chunking and of
-    which other cells survive.
+    Subsets are taken in chunks of whole subsets, each at most
+    ``_CHUNK_ROW_PATHS`` cells times paths (one subset at least). The
+    minimal-subset stage solves every cell of a chunk and partitions the
+    paths into inliers and outliers at that state. Only the cells that can
+    still win go on: those with at least ``n_min`` inliers whose outlier
+    penalty is not above the best gated cost so far (a gated cost is never
+    below its penalty; the test is strict so that a tie on an earlier
+    heading still wins). They wait, across chunks, until they fill a
+    stage-2 block (an eighth of ``_CHUNK_ROW_PATHS`` cells times paths) or
+    the chunks run out. ``_best_cell`` then gates each cell's minimal-subset
+    system, whose LDL^T pivots stage 1 kept, together with its inlier
+    system, which it builds, solves, costs and gates. A block lists its
+    cells in heading-major order, so its first minimum is the one that wins
+    ties, and blocks are compared by (cost, heading, subset). Every cell's
+    arithmetic is independent of the chunking and of which other cells
+    survive.
     """
     alphas = np.asarray(alphas, dtype=float)
     terms = _build_terms(paths, bs, alphas, los_index)
-    m, n = terms.nu_sq.shape
-    by_path = terms.normal.swapaxes(0, 1)               # (n, M, 9)
-    combos = np.asarray(combos)
+    n, m = terms.nu_sq.shape
+    # planes spread over the subset axis of a chunk's (subset, heading) cells
+    spread = terms._replace(v=terms.v[:, :, None], nubar=terms.nubar[:, :, None],
+                            mu=terms.mu[:, :, None])
+    slots = np.asarray(combos).T                        # (subset size, L)
     gate = (n_min, config.t_nu, config.t_eps)
     step = max(1, _CHUNK_ROW_PATHS // (m * n))
-    best = None
+    block = max(1, _CHUNK_ROW_PATHS // (8 * n))         # stage-2 cells; see _CHUNK_ROW_PATHS
+    best, waiting, count = None, [], 0
     for lo in range(0, len(combos), step):
-        x0, ok0 = _solve_packed(by_path[combos[lo:lo + step]].sum(axis=1))
-        inlier = (_costs(terms, x0) <= config.t_eps) & ok0[..., None]   # (L, M, n)
-        live = inlier.sum(axis=-1) >= n_min
+        chunk = slots[:, lo:lo + step]
+        # the (9, L, M) systems, summed path by path: ((a + b) + c) + d
+        s = terms.normal[:, chunk[0]]
+        for path in chunk[1:]:
+            s += terms.normal[:, path]
+        x, d1, d2 = _ldl_solve(s)
+        with np.errstate(invalid="ignore", over="ignore"):
+            inlier = _costs(spread, x) <= config.t_eps  # (n, L, M)
+        h, l = np.nonzero(inlier.sum(axis=0).T >= n_min)    # heading-major
+        member = np.ascontiguousarray(inlier[:, l, h].T)    # (K, n)
         if best is not None:
-            live &= ~(_outlier_penalty(terms.eta, inlier, config.t_eps) > best[0])
-        # heading-major: smallest heading, then subset
-        h, l = np.nonzero(live.T)
-        if h.size == 0:
+            keep = ~(_outlier_penalty(terms.eta, member, config.t_eps) > best[0])
+            h, l, member = h[keep], l[keep], member[keep]
+        if h.size:
+            waiting.append((h, lo + l, member, s[:6, l, h].T, d1[l, h], d2[l, h]))
+            count += h.size
+        if count >= block or (count and lo + step >= len(combos)):
+            best = _evaluate_block(terms, waiting, gate, block, best)
+            waiting, count = [], 0
+    return best
+
+
+def _evaluate_block(terms, waiting, gate, block, best):
+    """Evaluate the waiting cells; return the new best cell.
+
+    ``waiting`` lists one (heading, subset, inlier row, A row, d1, d2)
+    entry per chunk, one row per cell, heading-major within each entry. At
+    most ``block`` cells go to one ``_best_cell`` call, which gates each
+    cell's minimal-subset system (its six A entries and pivots d1, d2)
+    together with its inlier system.
+    """
+    if len(waiting) == 1:
+        h, l, member, a, d1, d2 = waiting[0]
+    else:
+        order = np.argsort(np.concatenate([part[0] for part in waiting]), kind="stable")
+        h, l, member, a, d1, d2 = (np.concatenate(part)[order] for part in zip(*waiting))
+    for lo in range(0, h.size, block):
+        cells = slice(lo, lo + block)
+        hit = _best_cell(terms, h[cells], member[cells], gate, (a[cells].T, d1[cells], d2[cells]))
+        if hit is None:
             continue
-        # a survivor has inliers, so its minimal-subset solve passed the gate
-        hit = _best_cell(terms, h, inlier[l, h], gate)
-        if hit is not None and (best is None or (hit[2], h[hit[0]]) < best[:2]):
-            k, x, cost = hit
-            best = (cost, int(h[k]), lo + int(l[k]), x.copy(), inlier[l[k], h[k]].copy())
+        k, x, cost = hit
+        k += lo
+        if best is None or (cost, h[k], l[k]) < best[:3]:
+            best = (cost, int(h[k]), int(l[k]), x.copy(), member[k].copy())
     return best
 
 
@@ -205,22 +245,34 @@ def _polish_heading(paths, bs, alpha, x, cost, inlier_row, n_min, config):
 
     The grid argmin lands within one step of the continuous optimum, so a
     multi-resolution scan over one step each side with the cell's inlier set
-    frozen removes the quantization. A probe is adopted only when it is
-    feasible and strictly cheaper, so this never worsens the grid answer.
+    frozen removes the quantization: 14 rounds of 9 probes, each round a
+    quarter as wide as the one before and centred on the best heading so
+    far. A probe is adopted only when it is feasible and strictly cheaper,
+    so this never worsens the grid answer.
+
+    Rounds are scanned two at a time. The next round's centre is always one
+    of this round's probes (probe 4 is the centre itself, as
+    ``linspace(-w, w, 9)[4] == 0.0``), so one scan takes the 9 probes and
+    the 9 follow-up probes around each of them, and the rule above then
+    picks both rounds' outcomes.
     """
     if config.grid_size < 2:
         return alpha, x, cost
     width = 2.0 * math.pi / (config.grid_size - 1)
     gate = (n_min, config.t_nu, config.t_eps)
     best = (alpha, x, cost)
-    center = alpha
-    for _ in range(14):
-        probes = center + np.linspace(-width, width, 9)
-        hit = _best_heading(paths, bs, probes, inlier_row, gate)
-        if hit is not None and hit[2] < best[2]:
-            center = float(probes[hit[0]])
-            best = (center, hit[1], hit[2])
-        width /= 4.0
+    for _ in range(7):
+        probes = best[0] + np.linspace(-width, width, 9)
+        probes = np.vstack([probes, probes[:, None] + np.linspace(-width / 4.0, width / 4.0, 9)])
+        xs, costs = _heading_costs(paths, bs, probes.ravel(), inlier_row, gate)
+        row = 0
+        for _ in range(2):
+            k = 9 * row + int(np.argmin(costs[9 * row:9 * row + 9]))
+            adopted = costs[k] < best[2]
+            if adopted:
+                best = (float(probes.flat[k]), xs[:, k], float(costs[k]))
+            row = 1 + (k % 9 if adopted else 4)
+        width /= 16.0
     return best
 
 

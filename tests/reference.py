@@ -5,6 +5,7 @@ same bits; the tests compare the two on seeded inputs.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from snapslam import (
 from snapslam import estimator
 from snapslam.estimator import CONDITION_LIMIT
 from snapslam.geometry import TWO_PI
+
+_C = SPEED_OF_LIGHT
 
 
 def wrap_angle_numpy(angle):
@@ -123,3 +126,199 @@ def landmark_refine(path, ue, bs, noise=NoiseModel(), source_path=-1):
     return LandmarkEstimate(position=p.copy(), covariance=cov,
                             source_path=source_path, converged=converged,
                             iterations=iterations)
+
+
+# --- interleaved solver kernels ---------------------------------------------
+#
+# The solver's per-path terms were once interleaved, (M headings, n paths,
+# component); they are now planar. These are the interleaved kernels, kept
+# to check that the planar ones return the same bits. ``_COND_GUARD_BAND``
+# is looked up on ``snapslam.estimator`` at call time, as the package's
+# kernel does.
+
+
+class PathTerms(NamedTuple):
+    """Interleaved per-(heading, path) terms: M headings by n paths.
+
+    ``normal`` packs each path's normal-matrix block and right-hand side as
+    (a00, a01, a02, a11, a12, a22, b0, b1, b2) on its last axis.
+    """
+
+    tau: np.ndarray       # (n,)
+    eta: np.ndarray       # (n,)
+    v: np.ndarray         # (M, n, 2)
+    nu: np.ndarray        # (M, n, 2)
+    nu_sq: np.ndarray     # (M, n)
+    nubar: np.ndarray     # (M, n, 2)  zero rows where the projector is identity
+    mu: np.ndarray        # (M, n, 2)
+    normal: np.ndarray    # (M, n, 9)
+
+
+_UNPACK = [0, 1, 2, 1, 3, 4, 2, 4, 5]
+
+
+def _dot2(x, y):
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
+
+
+def build_terms(paths, bs, alphas, los_index=None):
+    """Per-path solver terms for every heading in ``alphas``, interleaved."""
+    alphas = np.asarray(alphas, dtype=float)
+    tau = np.array([p.toa for p in paths])
+    eta = np.array([p.gain for p in paths])
+    aod = np.array([p.aod for p in paths])
+    aoa = np.array([p.aoa for p in paths])
+
+    dep = bs.orientation + aod
+    u = np.stack([np.cos(dep), np.sin(dep)], axis=-1)
+    arr = alphas[:, None] + aoa[None, :]
+    v = np.stack([np.cos(arr), np.sin(arr)], axis=-1)
+
+    nu = u[None, :, :] + v
+    nu_sq = _dot2(nu, nu)
+    identity_proj = nu_sq == 0.0
+    if los_index is not None:
+        identity_proj = identity_proj.copy()
+        identity_proj[:, los_index] = True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nubar = np.where(identity_proj[..., None], 0.0,
+                         nu / np.sqrt(nu_sq)[..., None])
+
+    mu = bs.position[None, None, :] - (_C * tau)[None, :, None] * v
+
+    w = v - nubar * _dot2(nubar, v)[..., None]
+    g = mu - nubar * _dot2(nubar, mu)[..., None]
+    normal = np.stack([1.0 - nubar[..., 0] * nubar[..., 0],
+                       -nubar[..., 0] * nubar[..., 1],
+                       -w[..., 0],
+                       1.0 - nubar[..., 1] * nubar[..., 1],
+                       -w[..., 1],
+                       _dot2(v, w),
+                       g[..., 0],
+                       g[..., 1],
+                       -_dot2(v, g)], axis=-1)
+    normal *= np.ldexp(eta, -np.frexp(eta.max())[1])[None, :, None]
+    return PathTerms(tau, eta, v, nu, nu_sq, nubar, mu, normal)
+
+
+def solve_packed(s):
+    """Gate and solve packed systems, ``s`` (..., 9); returns x (..., 3), ok."""
+    a00, a01, a02, a11, a12, a22, b0, b1, b2 = np.moveaxis(s, -1, 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        l10 = a01 / a00
+        l20 = a02 / a00
+        d1 = a11 - l10 * a01
+        l21 = (a12 - l20 * a01) / d1
+        d2 = a22 - l20 * a02 - l21 * l21 * d1
+        pivots_ok = (a00 > 0.0) & (d1 > 0.0) & (d2 > 0.0)
+
+        trace = a00 + a11 + a22
+        q = trace / 3.0
+        c00, c11, c22 = a00 - q, a11 - q, a22 - q
+        p = np.sqrt((c00 * c00 + c11 * c11 + c22 * c22
+                     + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
+        inv_p = 1.0 / p
+        c00, c11, c22 = c00 * inv_p, c11 * inv_p, c22 * inv_p
+        e01, e02, e12 = a01 * inv_p, a02 * inv_p, a12 * inv_p
+        det_c = (c00 * (c11 * c22 - e12 * e12) - e01 * (e01 * c22 - e12 * e02)
+                 + e02 * (e01 * e12 - c11 * e02))
+        r = np.clip(0.5 * det_c, -1.0, 1.0)
+        lam_max = np.where(p > 0.0, q + 2.0 * p * np.cos(np.arccos(r) / 3.0), q)
+
+        rest = trace - lam_max
+        prod = a00 * d1 * d2 / lam_max
+        lam_mid = 0.5 * (rest + np.sqrt(np.maximum(rest * rest - 4.0 * prod, 0.0)))
+        lam_min = np.minimum(prod / lam_mid, lam_mid)
+        cond = np.where(pivots_ok, lam_max / lam_min, -1.0)
+
+        lo, hi = estimator._COND_GUARD_BAND
+        ok = (cond > 0.0) & (cond < lo)
+        band = (cond >= lo) & (cond <= hi)
+        if band.any():
+            sv = np.linalg.svd(s[band][:, _UNPACK].reshape(-1, 3, 3), compute_uv=False)
+            ok[band] = sv[:, 0] / sv[:, 2] < estimator.CONDITION_LIMIT
+
+        z1 = b1 - l10 * b0
+        z2 = b2 - l20 * b0 - l21 * z1
+        x2 = z2 / d2
+        x1 = z1 / d1 - l21 * x2
+        x0 = b0 / a00 - l10 * x1 - l20 * x2
+    x = np.stack([x0, x1, x2], axis=-1)
+    return np.where(ok[..., None], x, 0.0), ok
+
+
+def residuals(terms, x):
+    """Raw 2-D residuals, (..., M, n, 2) for x of shape (..., M, 3)."""
+    return x[..., None, :2] - x[..., 2, None, None] * terms.v - terms.mu
+
+
+def costs(terms, x, r=None):
+    """Squared projected residual of every path at every row's state, (..., M, n)."""
+    r = residuals(terms, x) if r is None else r
+    pr = r - terms.nubar * _dot2(terms.nubar, r)[..., None]
+    return _dot2(pr, pr)
+
+
+def gammas(terms, x, r):
+    """Bounce fraction of every path at every row's state, (..., M, n)."""
+    d = _C * terms.tau - x[..., 2, None]
+    num = _dot2(terms.nu, r)
+    den = d * terms.nu_sq
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gam = num / den
+    return np.where(den == 0.0, np.inf, gam)
+
+
+def feasibility_mask(terms, x, inlier, n_min, t_nu, r):
+    """Feasibility of each row's (state, inlier set), (..., M)."""
+    count_ok = inlier.sum(axis=-1) >= n_min
+    j = np.argmin(np.where(inlier, terms.tau, np.inf), axis=-1)
+    delay_ok = _C * terms.tau[j] - x[..., 2] >= 0.0
+    gam = gammas(terms, x, r)
+    in_range = (gam >= 0.0) & (gam <= 1.0)
+    j_cols = np.arange(inlier.shape[-1]) == j[..., None]
+    j_in_range = (in_range & j_cols).any(axis=-1)
+    j_near_los = ((terms.nu_sq <= t_nu) & j_cols).any(axis=-1)
+    others_ok = np.all(in_range | ~inlier | j_cols, axis=-1)
+    return count_ok & delay_ok & (j_in_range | j_near_los) & others_ok
+
+
+def row_costs(terms, x, ok, member, gate=None):
+    """Gated cost of each row's state over its member set, (..., M)."""
+    weights = member.astype(float)
+    r = residuals(terms, x)
+    cost = (weights * terms.eta * costs(terms, x, r)).sum(axis=-1)
+    valid = ok
+    if gate is not None:
+        n_min, t_nu, t_eps = gate
+        cost = cost + ((1.0 - weights) * terms.eta).sum(axis=-1) * t_eps
+        valid = ok & feasibility_mask(terms, x, member, n_min, t_nu, r)
+    return np.where(valid & np.isfinite(cost), cost, np.inf)
+
+
+def cell_costs(terms, rows, member, gate=None):
+    """States (K, 3) and gated costs (K,) of cells at heading ``rows`` with
+    member rows ``member``, each system one product with the rows' normals."""
+    taken = terms._replace(**{name: getattr(terms, name)[rows]
+                              for name in ("v", "nu", "nu_sq", "nubar", "mu", "normal")})
+    x, ok = solve_packed((member.astype(float)[:, None, :] @ taken.normal)[:, 0])
+    return x, row_costs(taken, x, ok, member, gate)
+
+
+def polish_heading(paths, bs, alpha, x, cost, inlier_row, n_min, config):
+    """``robust._polish_heading`` one round per scan: 14 scans of 9 probes."""
+    if config.grid_size < 2:
+        return alpha, x, cost
+    width = 2.0 * math.pi / (config.grid_size - 1)
+    gate = (n_min, config.t_nu, config.t_eps)
+    best = (alpha, x, cost)
+    center = alpha
+    for _ in range(14):
+        probes = center + np.linspace(-width, width, 9)
+        xs, scan = estimator._heading_costs(paths, bs, probes, inlier_row, gate)
+        k = int(np.argmin(scan))
+        if np.isfinite(scan[k]) and scan[k] < best[2]:
+            center = float(probes[k])
+            best = (center, xs[:, k], float(scan[k]))
+        width /= 4.0
+    return best

@@ -65,8 +65,8 @@ def test_conditional_estimate_los_marked_path():
         terms = _build_terms(snap.paths, snap.bs, np.array([t.ue.orientation]), 0)
         x, ok = _solve_packed(terms.normal.sum(axis=1))
         assert ok[0]
-        assert np.allclose(x[0, :2], t.ue.position, atol=1e-9)
-        assert x[0, 2] / C == pytest.approx(t.ue.clock_bias, abs=1e-15)
+        assert np.allclose(x[:2, 0], t.ue.position, atol=1e-9)
+        assert x[2, 0] / C == pytest.approx(t.ue.clock_bias, abs=1e-15)
         assert np.allclose(_costs(terms, x), 0.0, atol=1e-12)
 
 
@@ -186,15 +186,24 @@ def test_nlos_search_off_grid_within_one_step():
     assert abs(wrap_angle(ue.orientation - t.ue.orientation)) <= math.radians(1.0)
 
 
+def test_nlos_search_rejects_indices_outside_the_snapshot():
+    # -1 would select the last path and 5 would index past it
+    snap = random_h1_snapshot(3, n_single=5)
+    for index_set in ([0, 1, 2, -1], [0, 1, 2, 5]):
+        with pytest.raises(ValueError, match="index_set"):
+            nlos_orientation_search(snap.paths, index_set, orientation_grid(), snap.bs)
+
+
 def test_row_costs_send_failed_and_non_finite_rows_to_inf():
     # the grid search takes the argmin of these costs: neither a failed
     # solve nor a NaN cost may win it
     snap = random_h1_snapshot(5, n_single=5)
     terms = _build_terms(snap.paths, snap.bs, orientation_grid(6))
-    member = np.ones(terms.nu_sq.shape, dtype=bool)
-    x, ok = _solve_packed((member.astype(float)[:, None, :] @ terms.normal)[:, 0])
+    member = np.ones(terms.nu_sq.shape[::-1], dtype=bool)      # (M, n) member rows
+    systems = np.ascontiguousarray(terms.normal.T)              # (M, n, 9)
+    x, ok = _solve_packed((member.astype(float)[:, None, :] @ systems)[:, 0].T)
     assert ok.all()
-    x[1] = np.nan
+    x[:, 1] = np.nan
     ok[2] = False
     cost = _row_costs(terms, x, ok, member)
     assert np.isinf(cost[1:3]).all()
@@ -421,7 +430,8 @@ def test_closed_form_gate_and_solve_match_lapack(draws):
     a = np.array([_psd_matrix(*d[:5]) for d in draws])
     b = np.array([d[5] for d in draws]) * np.array([10.0 ** d[3] for d in draws])[:, None]
     packed = np.concatenate([a[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]], b], axis=1)
-    x, ok = _solve_packed(packed)
+    x, ok = _solve_packed(packed.T)
+    x = x.T
     ref_ok, cond = _svd_gate(a)
     assert np.array_equal(ok, ref_ok), (cond, ok, ref_ok)
     assert np.all(x[~ok] == 0.0)
@@ -437,7 +447,7 @@ def test_closed_form_kernel_keeps_batch_shape():
     a = np.einsum("...ki,...kj->...ij", h, h)
     packed = np.concatenate([a[..., [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]],
                              rng.standard_normal((2, 5, 3))], axis=-1)
-    x, ok = _solve_packed(packed)
-    assert x.shape == (2, 5, 3) and ok.shape == (2, 5) and ok.all()
-    flat_x, flat_ok = _solve_packed(packed.reshape(10, 9))
-    assert np.array_equal(flat_x, x.reshape(10, 3)) and np.array_equal(flat_ok, ok.ravel())
+    x, ok = _solve_packed(np.moveaxis(packed, -1, 0))
+    assert x.shape == (3, 2, 5) and ok.shape == (2, 5) and ok.all()
+    flat_x, flat_ok = _solve_packed(packed.reshape(10, 9).T)
+    assert np.array_equal(flat_x, x.reshape(3, 10)) and np.array_equal(flat_ok, ok.ravel())

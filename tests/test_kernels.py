@@ -1,0 +1,219 @@
+"""The planar solver kernels against their interleaved references, bit for bit.
+
+``tests/reference.py`` keeps the kernels as they were when the per-path
+terms were interleaved (M headings, n paths, component). The planar kernels
+do the same arithmetic on another layout, so every value must come out with
+the same bits: the same numbers, the same signs of zero and the same NaNs.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from snapslam import (
+    Hypothesis,
+    NoiseModel,
+    PathMeasurement,
+    Pose,
+    RobustConfig,
+    enumerate_combinations,
+    orientation_grid,
+    robust_solve,
+)
+from snapslam import robust
+from snapslam.estimator import (
+    _build_terms,
+    _cell_costs,
+    _costs,
+    _feasibility_mask,
+    _gammas,
+    _ldl_solve,
+    _residuals,
+    _solve_packed,
+)
+import reference
+from helpers import add_multibounce, random_h1_snapshot
+
+
+def _same(got, want):
+    """Equal values, NaNs in the same places and zeros of the same sign."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got) | np.isnan(got),
+                               np.signbit(want) | np.isnan(want)))
+
+
+def _interleaved(planes):
+    """A planar (component, n, M) array as an interleaved (M, n, component) one."""
+    return np.transpose(planes, (2, 1, 0))
+
+
+_angle = st.floats(-math.pi, math.pi)
+_path = st.tuples(st.floats(1e-9, 3e-7), _angle, _angle, st.floats(1e-6, 1.0))
+_scene = st.fixed_dictionaries({
+    "paths": st.lists(_path, min_size=1, max_size=13),
+    # every gain scaled by 2**scale: the kernels must be exact at any gain scale
+    "scale": st.sampled_from([-600, 0, 600]),
+    "bs": st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), _angle),
+    "alphas": st.lists(_angle, min_size=1, max_size=12),
+    "los": st.integers(-1, 11),
+})
+
+
+def _inputs(scene):
+    paths = [PathMeasurement(toa, aod, aoa, math.ldexp(gain, scene["scale"]))
+             for toa, aod, aoa, gain in scene["paths"]]
+    x, y, heading = scene["bs"]
+    los = scene["los"] if 0 <= scene["los"] < len(paths) else None
+    return paths, Pose(np.array([x, y]), heading), np.array(scene["alphas"]), los
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scene)
+def test_planar_terms_match_interleaved(scene):
+    paths, bs, alphas, los = _inputs(scene)
+    got = _build_terms(paths, bs, alphas, los)
+    want = reference.build_terms(paths, bs, alphas, los)
+    assert _same(got.tau, want.tau) and _same(got.eta, want.eta)
+    assert _same(got.nu_sq.T, want.nu_sq)
+    for name in ("v", "nu", "nubar", "mu", "normal"):
+        assert _same(_interleaved(getattr(got, name)), getattr(want, name)), name
+    if los is not None:
+        assert not got.nubar[:, los].any()          # the LoS path's projector is I
+
+
+_value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, math.inf, -math.inf,
+                                                           math.nan]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scene, st.data())
+def test_planar_cost_kernels_match_interleaved(scene, data):
+    paths, bs, alphas, los = _inputs(scene)
+    m, n = len(alphas), len(paths)
+    planar = _build_terms(paths, bs, alphas, los)
+    inter = reference.build_terms(paths, bs, alphas, los)
+    # a path whose rays cancel at one heading: no projector, no bounce fraction
+    cancel = data.draw(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)) | st.none())
+    if cancel is not None:
+        h, i = cancel
+        planar.nu[:, i, h] = planar.nubar[:, i, h] = planar.nu_sq[i, h] = 0.0
+        inter.nu[h, i] = inter.nubar[h, i] = inter.nu_sq[h, i] = 0.0
+    # one state per heading near the anchor, some of them not finite
+    x = np.array(data.draw(st.lists(st.tuples(_value, _value, _value), min_size=m,
+                                    max_size=m)))
+    member = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                         min_size=m, max_size=m)))
+    n_min = data.draw(st.integers(0, n))
+    with np.errstate(all="ignore"):
+        r, want_r = _residuals(planar, x.T), reference.residuals(inter, x)
+        assert _same(_interleaved(r), want_r)
+        assert _same(_costs(planar, x.T).T, reference.costs(inter, x))
+        assert _same(_costs(planar, x.T, r).T, reference.costs(inter, x, want_r))
+        assert _same(_gammas(planar, x.T, r).T, reference.gammas(inter, x, want_r))
+        got = _feasibility_mask(planar, x.T, member, n_min, 0.1, r)
+        want = reference.feasibility_mask(inter, x, member, n_min, 0.1, want_r)
+    assert np.array_equal(got, want)
+
+
+def _systems(scene, data):
+    """Packed systems (K, 9): sums of path rows, some entries not finite."""
+    paths, bs, alphas, los = _inputs(scene)
+    normal = reference.build_terms(paths, bs, alphas, los).normal     # (M, n, 9)
+    member = np.array(data.draw(st.lists(st.booleans(), min_size=len(paths),
+                                         max_size=len(paths))))
+    s = normal[:, member].sum(axis=1)
+    for k, c, value in data.draw(st.lists(st.tuples(st.integers(0, len(s) - 1),
+                                                    st.integers(0, 8), _value), max_size=3)):
+        s[k, c] = value
+    return s
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scene, st.data())
+def test_planar_solve_matches_interleaved(scene, data):
+    s = _systems(scene, data)
+    want_x, want_ok = reference.solve_packed(s)
+    for planes in (s.T, np.ascontiguousarray(s.T)):       # strided and contiguous planes
+        x, ok = _solve_packed(planes)
+        assert np.array_equal(ok, want_ok)
+        assert _same(x.T, want_x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scene, _scene, st.data())
+def test_prior_system_is_gated_with_the_cell_system(scene, other, data):
+    s = _systems(scene, data)
+    prior = _systems(other, data)
+    k = min(len(s), len(prior))
+    s, prior = s[:k], prior[:k]
+    _, d1, d2 = _ldl_solve(prior.T)
+    x, ok = _solve_packed(s.T, (prior.T[:6], d1, d2))
+    want_x, want_ok = reference.solve_packed(s)
+    want_ok &= reference.solve_packed(prior)[1]
+    assert np.array_equal(ok, want_ok)
+    assert _same(x.T, np.where(want_ok[:, None], want_x, 0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scene, st.data())
+def test_cell_costs_match_interleaved(scene, data):
+    # the product's and the sum's last bits follow the member rows' layout:
+    # C-ordered rows as the search gathers them, and the column-major copy
+    # of one broadcast row that a frozen-set heading scan makes
+    paths, bs, alphas, los = _inputs(scene)
+    m, n = len(alphas), len(paths)
+    planar = _build_terms(paths, bs, alphas, los)
+    inter = reference.build_terms(paths, bs, alphas, los)
+    rows = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=20)))
+    member = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                         min_size=len(rows), max_size=len(rows))))
+    gate = data.draw(st.none() | st.just((4, 0.1, 0.1)))
+    with np.errstate(all="ignore"):
+        x, cost = _cell_costs(planar, rows, member, gate)
+        want_x, want_cost = reference.cell_costs(inter, rows, member, gate)
+        assert _same(x.T, want_x) and _same(cost, want_cost)
+        scan = np.broadcast_to(member[0], (m, n))
+        x, cost = _cell_costs(planar, None, scan, gate)
+        want_x, want_cost = reference.cell_costs(inter, np.arange(m), scan, gate)
+    assert _same(x.T, want_x) and _same(cost, want_cost)
+
+
+def _winning_cell(seed, n_single, n_multi):
+    noise = NoiseModel()
+    snap = random_h1_snapshot(seed, n_single=n_single, noise=noise)
+    snap = add_multibounce(snap, np.random.default_rng(seed), n_multi, noise=noise)
+    paths, config = list(snap.paths), RobustConfig()
+    alphas = orientation_grid(config.grid_size)
+    combos = enumerate_combinations(len(paths), Hypothesis.NLOS)
+    best = robust._search(paths, snap.bs, alphas, combos, None, 4, config)
+    return snap, paths, alphas, config, best
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_two_round_polish_matches_one_round_reference(seed):
+    n_single = 4 + seed % 6                     # and an outlier, up to 9 paths
+    snap, paths, alphas, config, best = _winning_cell(seed, n_single, seed % 2 * (n_single < 9))
+    assert 4 <= len(paths) <= 9 and best is not None
+    cost, h, _, x, row = best
+    args = (paths, snap.bs, float(alphas[h]), x, cost, row, 4, config)
+    got, want = robust._polish_heading(*args), reference.polish_heading(*args)
+    assert got[0] == want[0] and got[2] == want[2]
+    assert _same(got[1], want[1])
+
+
+def test_polish_scans_two_rounds_per_kernel_call(monkeypatch):
+    scans = []
+
+    def counted(paths, bs, alphas, *rest):
+        scans.append(len(alphas))
+        return heading_costs(paths, bs, alphas, *rest)
+
+    heading_costs = robust._heading_costs
+    monkeypatch.setattr(robust, "_heading_costs", counted)
+    snap = random_h1_snapshot(3, n_single=6, noise=NoiseModel())
+    robust_solve(snap, Hypothesis.NLOS)
+    assert scans == [90] * 7                    # 9 probes and 9 follow-ups of each

@@ -1,6 +1,8 @@
 import functools
 import itertools
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,15 +17,18 @@ from snapslam import (
     PathMeasurement,
     Pose,
     RobustConfig,
+    SimConfig,
     Snapshot,
     TooFewPaths,
     UeState,
     benchmark_solve,
     enumerate_combinations,
+    generate_dataset,
     los_orientation,
     minimal_counts,
     mixed_solve,
     orientation_grid,
+    read_scene,
     robust_solve,
     wrap_angle,
 )
@@ -142,7 +147,7 @@ def test_too_few_paths_raises():
 def _costs_at(ue, paths, bs):
     """``_row_costs`` of one state over every path: (ungated, gated)."""
     terms = _build_terms(paths, bs, np.array([ue.orientation]))
-    x = np.array([[*ue.position, SPEED_OF_LIGHT * ue.clock_bias]])
+    x = np.array([[ue.position[0]], [ue.position[1]], [SPEED_OF_LIGHT * ue.clock_bias]])
     ok = np.ones(1, dtype=bool)
     member = np.ones((1, len(paths)), dtype=bool)
     gate = (4, RobustConfig.t_nu, RobustConfig.t_eps)
@@ -329,16 +334,18 @@ def _reference_search(paths, bs, alphas, combos, los_index, n_min, config):
     """One subset at a time over every heading, every cell kept, one argmin.
 
     The minimal-subset systems are summed path by path and the inlier
-    systems of every heading built in one C-ordered product, as ``_search``
-    builds its survivors' systems, so every cell's arithmetic is the same
-    and the result must match to the bit; no cell is pruned.
+    systems of every heading built in one product of C-ordered inlier rows
+    and heading-major systems, as ``_search`` builds its survivors' systems,
+    so every cell's arithmetic is the same and the result must match to the
+    bit; no cell is pruned.
     """
     terms = _build_terms(paths, bs, alphas, los_index)
+    systems = np.ascontiguousarray(terms.normal.T)
     costs, states, masks = [], [], []
     for combo in combos:
         x0, ok0 = _solve_packed(terms.normal[:, list(combo)].sum(axis=1))
-        inlier = (_costs(terms, x0) <= config.t_eps) & ok0[:, None]
-        x1, ok1 = _solve_packed((inlier.astype(float)[:, None, :] @ terms.normal)[:, 0])
+        inlier = np.ascontiguousarray(((_costs(terms, x0) <= config.t_eps) & ok0).T)
+        x1, ok1 = _solve_packed((inlier.astype(float)[:, None, :] @ systems)[:, 0].T)
         costs.append(estimator._row_costs(terms, x1, ok0 & ok1, inlier,
                                           (n_min, config.t_nu, config.t_eps)))
         states.append(x1)
@@ -347,7 +354,7 @@ def _reference_search(paths, bs, alphas, combos, los_index, n_min, config):
     h, l = divmod(int(np.argmin(table)), len(combos))
     if not np.isfinite(table[h, l]):
         return None
-    return float(table[h, l]), h, l, states[l][h], masks[l][h]
+    return float(table[h, l]), h, l, states[l][:, h], masks[l][h]
 
 
 def _search_cases():
@@ -423,7 +430,7 @@ def test_pruned_search_equals_every_cell_reference(case, t_eps, monkeypatch):
     gated_rows = []
 
     def counted(terms, x, *rest):
-        gated_rows.append(len(x))
+        gated_rows.append(x.shape[-1])
         return _row_costs(terms, x, *rest)
 
     monkeypatch.setattr(estimator, "_row_costs", counted)
@@ -477,17 +484,94 @@ def test_batched_search_breaks_exact_ties_heading_first(monkeypatch):
     # other inlier rows than subset 3 at heading 2.
     scripted = {}
     for subset, heading in ((6, 2), (0, 7), (3, 2), (12, 336)):
-        x0, ok0 = _solve_packed(terms.normal[heading, list(combos[subset])].sum(axis=0))
-        inlier = (_costs(terms, x0[None])[heading] <= config.t_eps) & ok0
+        x0, ok0 = _solve_packed(terms.normal[:, list(combos[subset])].sum(axis=1)[:, heading])
+        inlier = (_costs(terms, x0[:, None])[:, heading] <= config.t_eps) & ok0
         assert inlier.sum() >= n_min                # survives the count test
-        scripted[terms.v[heading].tobytes(), inlier.tobytes()] = 1.0
+        scripted[terms.v[..., heading].tobytes(), inlier.tobytes()] = 1.0
     assert len(scripted) == 4
 
     def scripted_cost(terms, x, ok, member, gate):
         return np.array([scripted.get((v.tobytes(), row.tobytes()), 5.0)
-                         for v, row in zip(terms.v, member)])
+                         for v, row in zip(np.moveaxis(terms.v, -1, 0), member)])
 
     monkeypatch.setattr(estimator, "_row_costs", scripted_cost)
     for budget in (1, robust._CHUNK_ROW_PATHS, 10 ** 9):
         monkeypatch.setattr(robust, "_CHUNK_ROW_PATHS", budget)
         assert _search(*args)[:3] == (1.0, 2, 3)    # smallest heading, then subset
+
+
+# --- the deferred condition gate ----------------------------------------------
+
+def _svd_condition(planes):
+    """SVD condition number of packed systems given as nine planes, (9, ...)."""
+    a = np.moveaxis(planes[estimator._UNPACK], 0, -1).reshape(planes.shape[1:] + (3, 3))
+    sv = np.linalg.svd(a, compute_uv=False)
+    return sv[..., 0] / sv[..., 2]
+
+
+def _gate_by_svd_at(monkeypatch, limit):
+    """Send every condition check to the SVD and fail it at ``limit`` and above."""
+    monkeypatch.setattr(estimator, "CONDITION_LIMIT", limit)
+    monkeypatch.setattr(estimator, "_COND_GUARD_BAND", (0.0, math.inf))
+
+
+def test_search_gates_the_minimal_subset_solve_of_every_live_cell(monkeypatch):
+    # Case 0 (LoS, 6 paths) at t_eps = 1e6: every cell is live and every path
+    # is an inlier of it. The limit is the best condition of any minimal-subset
+    # system, so every one of them fails and no cell may win; some inlier
+    # systems are better conditioned than that, so a search that gated only
+    # the inlier systems would still return a cell.
+    args = _search_inputs(*list(_search_cases())[0], RobustConfig(t_eps=1e6))
+    paths, bs, alphas, combos, los_index, _, _ = args
+    terms = _build_terms(paths, bs, alphas, los_index)
+    limit = min(_svd_condition(terms.normal[:, list(c)].sum(axis=1)).min() for c in combos)
+    assert (_svd_condition(terms.normal.sum(axis=1)) < limit).any()
+    _gate_by_svd_at(monkeypatch, limit)
+    assert _reference_search(*args) is None
+    for budget in (1, robust._CHUNK_ROW_PATHS):
+        monkeypatch.setattr(robust, "_CHUNK_ROW_PATHS", budget)
+        assert _search(*args) is None
+
+
+@pytest.mark.parametrize("case", [2, 3, 5, 6, 7])
+def test_search_matches_reference_when_the_gate_fails_some_cells(case, monkeypatch):
+    # The limit is the condition of the unpatched winner's minimal-subset
+    # system: that cell and every worse conditioned one fail, the others
+    # pass, and another cell wins. In cases 2 and 3 the winner's inlier
+    # system is better conditioned than its minimal-subset system, so only
+    # the minimal-subset gate moves the answer there.
+    args = _search_inputs(*list(_search_cases())[case])
+    paths, bs, alphas, combos, los_index, _, _ = args
+    _, h, l, _, _ = _reference_search(*args)
+    terms = _build_terms(paths, bs, alphas, los_index)
+    _gate_by_svd_at(monkeypatch,
+                    _svd_condition(terms.normal[:, list(combos[l])].sum(axis=1)[:, h]))
+    want = _reference_search(*args)
+    assert want is not None and want[1:3] != (h, l)
+    for budget in (1, robust._CHUNK_ROW_PATHS, 10 ** 9):
+        monkeypatch.setattr(robust, "_CHUNK_ROW_PATHS", budget)
+        assert _same_cell(_search(*args), want)
+
+
+# --- working memory ------------------------------------------------------------
+
+_SEARCH_BYTES_PER_ROW_PATH = 80     # the budget the _CHUNK_ROW_PATHS docstring states
+
+
+@pytest.mark.parametrize("t_eps", [RobustConfig().t_eps, 1e6])
+def test_search_memory_stays_within_the_chunk_budget(t_eps):
+    # A 13-path room snapshot under NLoS: 715 subsets by 361 headings. At 1e6
+    # every cell survives to the inlier stage, which must still take its
+    # cells in bounded blocks.
+    scene = read_scene(Path(__file__).resolve().parents[1] / "demos" / "room.scene")
+    (snap,) = generate_dataset(scene, [np.array([3.0, 2.0])], SimConfig(max_bounces=2), seed=1)
+    assert len(snap.paths) == 13
+    args = _search_inputs(snap, Hypothesis.NLOS, RobustConfig(t_eps=t_eps))
+    held = sum(a.nbytes for a in _build_terms(*args[:3]))
+    tracemalloc.start()
+    try:
+        _search(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= _SEARCH_BYTES_PER_ROW_PATH * robust._CHUNK_ROW_PATHS

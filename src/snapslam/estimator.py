@@ -59,8 +59,9 @@ class LandmarkEstimate:
     """Refined reflection point of one single-bounce path.
 
     ``covariance`` is the Gauss-Newton covariance (J^T R^-1 J)^-1 at the
-    final iterate, m^2. ``converged`` is False when the iteration stopped on
-    the step budget or a non-improving step rather than the step tolerance.
+    final iterate, m^2. ``converged`` says whether ``landmark_refine`` met
+    one of its two convergence rules (a step below 1e-9 m, or a stalled step
+    predicting a decrease below 1e-8 of the objective).
     """
 
     position: np.ndarray
@@ -315,19 +316,19 @@ def _outlier_penalty(eta, member, t_eps):
     return ((1.0 - member) * eta).sum(axis=-1) * t_eps
 
 
-def _feasibility_mask(terms: _PathTerms, x: np.ndarray, inlier: np.ndarray, n_min: int,
-                      t_nu: float, r: np.ndarray) -> np.ndarray:
+def _feasibility_mask(terms: _PathTerms, x: np.ndarray, inlier: np.ndarray, t_nu: float,
+                      r: np.ndarray) -> np.ndarray:
     """Vectorized feasibility of each cell's (state, inlier set), (K,).
 
     ``x`` is (3, K), ``inlier`` holds the boolean (K, n) inlier rows and
-    ``r`` is ``_residuals(terms, x)``. Checks, per cell: enough inliers;
-    non-negative bias-corrected delay of the earliest inlier j; bounce
-    fraction of j in [0, 1] unless its rays nearly cancel (near-LoS
-    geometry); bounce fraction of every other inlier in [0, 1].
+    ``r`` is ``_residuals(terms, x)``. Checks, per cell: non-negative
+    bias-corrected delay of the earliest inlier j; bounce fraction of j in
+    [0, 1] unless its rays nearly cancel (near-LoS geometry); bounce
+    fraction of every other inlier in [0, 1]. Whether a cell has enough
+    inliers is the search's stage-1 test (``robust._search``), not this one.
     """
     inlier = inlier.T
     cells = np.arange(inlier.shape[1])
-    count_ok = inlier.sum(axis=0) >= n_min
     j = np.argmin(np.where(inlier, terms.tau[:, None], np.inf), axis=0)
     delay_ok = _C * terms.tau[j] - x[2] >= 0.0
     gam = _gammas(terms, x, r)
@@ -335,7 +336,7 @@ def _feasibility_mask(terms: _PathTerms, x: np.ndarray, inlier: np.ndarray, n_mi
     j_ok = in_range[j, cells] | (terms.nu_sq[j, cells] <= t_nu)
     in_range[j, cells] = True
     others_ok = np.all(in_range | ~inlier, axis=0)
-    return count_ok & delay_ok & j_ok & others_ok
+    return delay_ok & j_ok & others_ok
 
 
 def _row_costs(terms: _PathTerms, x: np.ndarray, ok: np.ndarray, member: np.ndarray,
@@ -345,7 +346,7 @@ def _row_costs(terms: _PathTerms, x: np.ndarray, ok: np.ndarray, member: np.ndar
     ``x`` is (3, K), ``member`` holds the boolean (K, n) member rows and
     ``ok`` flags the cells whose solve passed. The cost is the gain-weighted
     sum of the members' squared projected residuals, summed over C-ordered
-    (K, n) rows. A ``gate`` (n_min, t_nu, t_eps) adds the per-path penalty
+    (K, n) rows. A ``gate`` (t_nu, t_eps) adds the per-path penalty
     t_eps for each non-member and requires the cell to pass
     ``_feasibility_mask``; the weighted sum is non-negative, so a gated cost
     is never below its ``_outlier_penalty``. Cells whose solve failed, that
@@ -356,9 +357,9 @@ def _row_costs(terms: _PathTerms, x: np.ndarray, ok: np.ndarray, member: np.ndar
     cost = np.multiply(weights * terms.eta, _costs(terms, x, r).T, order="C").sum(axis=-1)
     valid = ok
     if gate is not None:
-        n_min, t_nu, t_eps = gate
+        t_nu, t_eps = gate
         cost = cost + _outlier_penalty(terms.eta, weights, t_eps)
-        valid = ok & _feasibility_mask(terms, x, member, n_min, t_nu, r)
+        valid = ok & _feasibility_mask(terms, x, member, t_nu, r)
     return np.where(valid & np.isfinite(cost), cost, np.inf)
 
 
@@ -373,9 +374,9 @@ def _cell_costs(terms: _PathTerms, rows: np.ndarray | None, member: np.ndarray,
     (with ``prior``, if given), then costed and gated by ``_row_costs``.
     Returns x (3, K) and cost (K,).
 
-    A cell's result does not depend on the other cells of the batch, but
-    its last bits depend on the memory layout of both product operands
-    (see ``_heading_costs``).
+    A cell's result depends neither on the other cells of the batch nor on
+    its place among them, but its last bits depend on the memory layout of
+    both product operands (see ``_heading_costs``).
     """
     _, n, m = terms.normal.shape
     taken = np.arange(m) if rows is None else rows
@@ -387,21 +388,6 @@ def _cell_costs(terms: _PathTerms, rows: np.ndarray | None, member: np.ndarray,
         terms = _take_rows(terms, rows)
     x, ok = _solve_packed(systems, prior)
     return x, _row_costs(terms, x, ok, member, gate)
-
-
-def _first_min(cost: np.ndarray) -> int | None:
-    """Index of the first minimum of ``cost``, or None if it is +inf."""
-    k = int(np.argmin(cost))
-    return k if np.isfinite(cost[k]) else None
-
-
-def _best_cell(terms: _PathTerms, rows: np.ndarray, member: np.ndarray,
-               gate: tuple | None = None, prior: tuple | None = None):
-    """First minimum of ``_cell_costs``: (k, state (3,), cost), or None if
-    every cell is +inf."""
-    x, cost = _cell_costs(terms, rows, member, gate, prior)
-    k = _first_min(cost)
-    return None if k is None else (k, x[:, k], float(cost[k]))
 
 
 def _heading_costs(paths, bs: Pose, alphas: np.ndarray, member_row: np.ndarray,
@@ -484,8 +470,8 @@ def nlos_orientation_search(paths: Sequence[PathMeasurement], index_set, grid,
     member_row[indices] = True
     grid = np.asarray(grid, dtype=float)
     x, cost = _heading_costs(paths, bs, grid, member_row)
-    k = _first_min(cost)
-    if k is None:
+    k = int(np.argmin(cost))
+    if not np.isfinite(cost[k]):
         raise SingularGeometry("no heading on the grid yields an invertible system")
     return UeState(x[:2, k], grid[k], float(x[2, k]) / _C), float(cost[k])
 
@@ -566,11 +552,15 @@ def landmark_refine(path: PathMeasurement, ue: UeState, bs: Pose,
     Minimizes the noise-whitened squared residual between the measured
     (toa, aod, aoa) and the single-bounce forward model at the given user
     state. Steps that increase the objective are halved up to 8 times; the
-    iteration converges when the step norm drops below 1e-9 m.
+    iteration converges when the step norm drops below 1e-9 m, or when no
+    halving lowers the objective and the full step's Gauss-Newton predicted
+    decrease ||J_w s||^2 is below 1e-8 of the objective: the iterate is then
+    at the optimum to rounding (such steps predict at most ~3e-13 of it, and
+    steps stalled away from the optimum 1e-3 or more).
 
-    Returns the best iterate with ``converged=False`` if that tolerance was
-    not reached within 50 iterations, or if the normal equations became
-    singular or no halving of the step lowered the objective first.
+    Returns the best iterate with ``converged=False`` when it stopped
+    otherwise: after 50 iterations, on singular normal equations, or on a
+    step predicting a real decrease that no halving of it achieves.
 
     Raises
     ------
@@ -581,7 +571,7 @@ def landmark_refine(path: PathMeasurement, ue: UeState, bs: Pose,
         singular or has condition number >= ``CONDITION_LIMIT`` (e.g. a
         point on the anchor-user segment, where both legs are collinear).
     """
-    max_iter, tol = 50, 1e-9
+    max_iter, tol, stall = 50, 1e-9, 1e-8
     sig = noise.sigmas
 
     p = _initial_landmark(path, ue, bs)
@@ -619,6 +609,7 @@ def landmark_refine(path: PathMeasurement, ue: UeState, bs: Pose,
                     break
             scale *= 0.5
         else:
+            converged = float(np.sum((wjac @ step) ** 2)) < stall * cost
             break
         p, r, cost, jac = cand, cand_r, cand_cost, cand_jac
         if float(np.hypot(*(scale * step))) < tol:

@@ -15,15 +15,18 @@ CACM 1981). Stage 1 takes whole subsets in chunks of at most
 ``_CHUNK_ROW_PATHS`` (heading x subset) cells times paths, solves every
 cell's 3x3 minimal-subset system elementwise by LDL^T on path-major planes
 (see ``estimator._PathTerms``) and partitions the paths into inliers and
-outliers at that state. A cell with too few inliers, or whose outlier
-penalty alone exceeds the best gated cost so far, cannot win; the others
-wait, across chunks, until they fill a block. Stage 2 takes a block at a
-time: ``estimator._best_cell`` gates each cell's minimal-subset system
-(see ``estimator.CONDITION_LIMIT``; the LDL^T pivots are reused), and
-builds, solves, costs and gates its inlier system. The pruning is exact:
-the search returns what evaluating every cell returns, to the bit. Its
-working memory has a fixed bound whatever the path count (see
-``_CHUNK_ROW_PATHS``).
+outliers at that state. Stage 1 alone applies the count rule: a cell with
+fewer inliers than a minimal subset has paths cannot win. Nor can one whose
+outlier penalty alone exceeds the best gated cost so far; the others wait,
+across chunks, until they fill a block. Stage 2 takes a block at a time:
+``estimator._cell_costs`` gates each cell's minimal-subset system (see
+``estimator.CONDITION_LIMIT``; the LDL^T pivots are reused), and builds,
+solves, costs and gates its inlier system. The winner is the least
+(cost, heading index, subset index) among the feasible cells, so it does not
+depend on the order in which cells are found. The pruning is exact: the
+search returns what evaluating every cell returns, to the bit. Its working
+memory has a fixed bound that grows with the path count only once one
+subset's cells exceed the chunk budget (see ``_CHUNK_ROW_PATHS``).
 
 ``benchmark_solve`` is the non-robust reference: every path, NLoS model,
 grid search only.
@@ -40,8 +43,8 @@ import numpy as np
 
 from .errors import DegenerateGeometry, NoFeasibleSolution, TooFewPaths
 from .estimator import (
-    _best_cell,
     _build_terms,
+    _cell_costs,
     _costs,
     _heading_costs,
     _ldl_solve,
@@ -61,9 +64,11 @@ search; whole subsets are batched, one at least. Measured with tracemalloc
 on 5 to 13 paths, stage 1 takes 40-65 bytes per row and path, most of it
 the residual planes of the inlier partition. A row and path of stage 2
 takes ~160 (gathered terms and system, residuals, costs and gate), so a
-stage-2 block holds an eighth as many. The search's working memory on top
-of its per-path terms thus stays under 80 bytes times ``_CHUNK_ROW_PATHS``
-(~650 KB), whatever the snapshot size and however many cells survive."""
+stage-2 block holds an eighth as many. A chunk holds one subset at least,
+M headings by n paths, so the search's working memory on top of its
+per-path terms stays under 80 bytes times max(``_CHUNK_ROW_PATHS``, M n),
+however many cells survive. On the default 361-point grid the second term
+takes over from 23 paths on; below that the bound is ~650 KB."""
 
 
 class Hypothesis(Enum):
@@ -160,25 +165,22 @@ def _search(paths, bs, alphas, combos, los_index, n_min, config):
     """Evaluate every (heading, subset) cell; return the winning cell.
 
     Returns (cost, heading index, subset index, x, inlier_row) of the
-    cheapest feasible cell with ties broken by smallest heading index then
-    smallest subset index, or None if every cell is infeasible.
+    feasible cell with the least (cost, heading index, subset index), or
+    None if every cell is infeasible.
 
     Subsets are taken in chunks of whole subsets, each at most
     ``_CHUNK_ROW_PATHS`` cells times paths (one subset at least). The
     minimal-subset stage solves every cell of a chunk and partitions the
     paths into inliers and outliers at that state. Only the cells that can
-    still win go on: those with at least ``n_min`` inliers whose outlier
-    penalty is not above the best gated cost so far (a gated cost is never
-    below its penalty; the test is strict so that a tie on an earlier
-    heading still wins). They wait, across chunks, until they fill a
-    stage-2 block (an eighth of ``_CHUNK_ROW_PATHS`` cells times paths) or
-    the chunks run out. ``_best_cell`` then gates each cell's minimal-subset
-    system, whose LDL^T pivots stage 1 kept, together with its inlier
-    system, which it builds, solves, costs and gates. A block lists its
-    cells in heading-major order, so its first minimum is the one that wins
-    ties, and blocks are compared by (cost, heading, subset). Every cell's
-    arithmetic is independent of the chunking and of which other cells
-    survive.
+    still win go on: those with at least ``n_min`` inliers (the one place
+    this count is tested) whose outlier penalty is not above the best gated
+    cost so far (a gated cost is never below its penalty; the test is
+    strict because a cell that ties the best cost can still win on heading
+    or subset). They wait, across chunks, until they fill a stage-2 block
+    (an eighth of ``_CHUNK_ROW_PATHS`` cells times paths) or the chunks run
+    out; ``_evaluate_block`` then evaluates them. Every cell's arithmetic
+    is independent of the chunking, of which other cells survive and of
+    their order.
     """
     alphas = np.asarray(alphas, dtype=float)
     terms = _build_terms(paths, bs, alphas, los_index)
@@ -187,7 +189,7 @@ def _search(paths, bs, alphas, combos, los_index, n_min, config):
     spread = terms._replace(v=terms.v[:, :, None], nubar=terms.nubar[:, :, None],
                             mu=terms.mu[:, :, None])
     slots = np.asarray(combos).T                        # (subset size, L)
-    gate = (n_min, config.t_nu, config.t_eps)
+    gate = (config.t_nu, config.t_eps)
     step = max(1, _CHUNK_ROW_PATHS // (m * n))
     block = max(1, _CHUNK_ROW_PATHS // (8 * n))         # stage-2 cells; see _CHUNK_ROW_PATHS
     best, waiting, count = None, [], 0
@@ -200,7 +202,7 @@ def _search(paths, bs, alphas, combos, los_index, n_min, config):
         x, d1, d2 = _ldl_solve(s)
         with np.errstate(invalid="ignore", over="ignore"):
             inlier = _costs(spread, x) <= config.t_eps  # (n, L, M)
-        h, l = np.nonzero(inlier.sum(axis=0).T >= n_min)    # heading-major
+        l, h = np.nonzero(inlier.sum(axis=0) >= n_min)
         member = np.ascontiguousarray(inlier[:, l, h].T)    # (K, n)
         if best is not None:
             keep = ~(_outlier_penalty(terms.eta, member, config.t_eps) > best[0])
@@ -218,29 +220,25 @@ def _evaluate_block(terms, waiting, gate, block, best):
     """Evaluate the waiting cells; return the new best cell.
 
     ``waiting`` lists one (heading, subset, inlier row, A row, d1, d2)
-    entry per chunk, one row per cell, heading-major within each entry. At
-    most ``block`` cells go to one ``_best_cell`` call, which gates each
-    cell's minimal-subset system (its six A entries and pivots d1, d2)
-    together with its inlier system.
+    entry per chunk, one row per cell, in any order. At most ``block``
+    cells go to one ``_cell_costs`` call, which gates each cell's
+    minimal-subset system (its six A entries and pivots d1, d2) together
+    with its inlier system. A cell replaces ``best`` when its cost is
+    finite and its (cost, heading, subset) is the least seen so far.
     """
-    if len(waiting) == 1:
-        h, l, member, a, d1, d2 = waiting[0]
-    else:
-        order = np.argsort(np.concatenate([part[0] for part in waiting]), kind="stable")
-        h, l, member, a, d1, d2 = (np.concatenate(part)[order] for part in zip(*waiting))
+    h, l, member, a, d1, d2 = (np.concatenate(part) for part in zip(*waiting))
     for lo in range(0, h.size, block):
         cells = slice(lo, lo + block)
-        hit = _best_cell(terms, h[cells], member[cells], gate, (a[cells].T, d1[cells], d2[cells]))
-        if hit is None:
-            continue
-        k, x, cost = hit
-        k += lo
-        if best is None or (cost, h[k], l[k]) < best[:3]:
-            best = (cost, int(h[k]), int(l[k]), x.copy(), member[k].copy())
+        x, cost = _cell_costs(terms, h[cells], member[cells], gate,
+                              (a[cells].T, d1[cells], d2[cells]))
+        k = np.lexsort((l[cells], h[cells], cost))[0]
+        cell = (float(cost[k]), int(h[lo + k]), int(l[lo + k]))
+        if math.isfinite(cell[0]) and (best is None or cell < best[:3]):
+            best = cell + (x[:, k].copy(), member[lo + k].copy())
     return best
 
 
-def _polish_heading(paths, bs, alpha, x, cost, inlier_row, n_min, config):
+def _polish_heading(paths, bs, alpha, x, cost, inlier_row, config):
     """Shrink the heading past grid resolution around the winning cell.
 
     The grid argmin lands within one step of the continuous optimum, so a
@@ -248,7 +246,8 @@ def _polish_heading(paths, bs, alpha, x, cost, inlier_row, n_min, config):
     frozen removes the quantization: 14 rounds of 9 probes, each round a
     quarter as wide as the one before and centred on the best heading so
     far. A probe is adopted only when it is feasible and strictly cheaper,
-    so this never worsens the grid answer.
+    so this never worsens the grid answer. The frozen set passed the
+    search's inlier count, so the gate does not count it again.
 
     Rounds are scanned two at a time. The next round's centre is always one
     of this round's probes (probe 4 is the centre itself, as
@@ -259,7 +258,7 @@ def _polish_heading(paths, bs, alpha, x, cost, inlier_row, n_min, config):
     if config.grid_size < 2:
         return alpha, x, cost
     width = 2.0 * math.pi / (config.grid_size - 1)
-    gate = (n_min, config.t_nu, config.t_eps)
+    gate = (config.t_nu, config.t_eps)
     best = (alpha, x, cost)
     for _ in range(7):
         probes = best[0] + np.linspace(-width, width, 9)
@@ -331,8 +330,7 @@ def robust_solve(snapshot, hypothesis: Hypothesis,
     cost, h, _, x, inlier_row = best
     alpha = float(alphas[h])
     if hypothesis is Hypothesis.NLOS:
-        alpha, x, cost = _polish_heading(paths, bs, alpha, x, cost, inlier_row,
-                                         n_min, config)
+        alpha, x, cost = _polish_heading(paths, bs, alpha, x, cost, inlier_row, config)
     ue = UeState(x[:2].copy(), wrap_angle(alpha), float(x[2]) / _C)
     inliers = tuple(int(i) for i in np.flatnonzero(inlier_row))
     outliers = tuple(int(i) for i in np.flatnonzero(~inlier_row))

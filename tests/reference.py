@@ -57,7 +57,7 @@ def landmark_refine(path, ue, bs, noise=NoiseModel(), source_path=-1):
     point. The initializer is looked up on ``snapslam.estimator`` at call
     time, so a test that replaces it there replaces it for both versions.
     """
-    max_iter, tol = 50, 1e-9
+    max_iter, tol, stall = 50, 1e-9, 1e-8
     z = np.array([path.toa, path.aod, path.aoa])
     sig = noise.sigmas
 
@@ -107,6 +107,8 @@ def landmark_refine(path, ue, bs, noise=NoiseModel(), source_path=-1):
                 break
             scale *= 0.5
         if not accepted:
+            # at the optimum if the step predicts no decrease above rounding
+            converged = float(np.sum((jac @ step) ** 2)) < stall * cost
             break
         p, r, cost = cand, r_new, cost_new
         if float(np.hypot(*(scale * step))) < tol:
@@ -269,9 +271,8 @@ def gammas(terms, x, r):
     return np.where(den == 0.0, np.inf, gam)
 
 
-def feasibility_mask(terms, x, inlier, n_min, t_nu, r):
+def feasibility_mask(terms, x, inlier, t_nu, r):
     """Feasibility of each row's (state, inlier set), (..., M)."""
-    count_ok = inlier.sum(axis=-1) >= n_min
     j = np.argmin(np.where(inlier, terms.tau, np.inf), axis=-1)
     delay_ok = _C * terms.tau[j] - x[..., 2] >= 0.0
     gam = gammas(terms, x, r)
@@ -280,7 +281,7 @@ def feasibility_mask(terms, x, inlier, n_min, t_nu, r):
     j_in_range = (in_range & j_cols).any(axis=-1)
     j_near_los = ((terms.nu_sq <= t_nu) & j_cols).any(axis=-1)
     others_ok = np.all(in_range | ~inlier | j_cols, axis=-1)
-    return count_ok & delay_ok & (j_in_range | j_near_los) & others_ok
+    return delay_ok & (j_in_range | j_near_los) & others_ok
 
 
 def row_costs(terms, x, ok, member, gate=None):
@@ -290,9 +291,9 @@ def row_costs(terms, x, ok, member, gate=None):
     cost = (weights * terms.eta * costs(terms, x, r)).sum(axis=-1)
     valid = ok
     if gate is not None:
-        n_min, t_nu, t_eps = gate
+        t_nu, t_eps = gate
         cost = cost + ((1.0 - weights) * terms.eta).sum(axis=-1) * t_eps
-        valid = ok & feasibility_mask(terms, x, member, n_min, t_nu, r)
+        valid = ok & feasibility_mask(terms, x, member, t_nu, r)
     return np.where(valid & np.isfinite(cost), cost, np.inf)
 
 
@@ -305,12 +306,12 @@ def cell_costs(terms, rows, member, gate=None):
     return x, row_costs(taken, x, ok, member, gate)
 
 
-def polish_heading(paths, bs, alpha, x, cost, inlier_row, n_min, config):
+def polish_heading(paths, bs, alpha, x, cost, inlier_row, config):
     """``robust._polish_heading`` one round per scan: 14 scans of 9 probes."""
     if config.grid_size < 2:
         return alpha, x, cost
     width = 2.0 * math.pi / (config.grid_size - 1)
-    gate = (n_min, config.t_nu, config.t_eps)
+    gate = (config.t_nu, config.t_eps)
     best = (alpha, x, cost)
     center = alpha
     for _ in range(14):

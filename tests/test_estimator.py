@@ -350,6 +350,36 @@ def test_landmark_refine_matches_the_general_model_reference():
     assert any(len(o) == 2 for o in outcomes)
 
 
+def _next_step(est, path, ue, bs, noise):
+    """Norm of the full Gauss-Newton step from a refinement's returned point."""
+    h = measurement_model(ue, bs, est.position)
+    r = np.array([path.toa - h[0], wrap_angle(path.aod - h[1]),
+                  wrap_angle(path.aoa - h[2])]) / noise.sigmas
+    jac = landmark_jacobian(ue, bs, est.position) / noise.sigmas[:, None]
+    return float(np.hypot(*np.linalg.solve(jac.T @ jac, jac.T @ r)))
+
+
+def test_landmark_refine_reports_converged_at_the_optimum():
+    # Where the next Gauss-Newton step is below 1e-6 m the refinement sits at
+    # the optimum, even when no halving of that step lowers the objective
+    # any more (30 cases stop that way, with steps of 1e-9..2e-7 m). Where
+    # it is 1e-2 m or more the refinement is not there, whatever the exit.
+    at_optimum, away = [], []
+    for path, ue, bs, noise, _ in _refine_cases():
+        try:
+            est = landmark_refine(path, ue, bs, noise)
+        except DegenerateGeometry:
+            continue
+        step = _next_step(est, path, ue, bs, noise)
+        if step < 1e-6:
+            at_optimum.append(est)
+        elif step >= 1e-2:
+            away.append(est)
+    assert len(at_optimum) >= 100 and len(away) >= 40
+    assert all(est.converged for est in at_optimum)
+    assert not any(est.converged for est in away)
+
+
 def test_landmark_refine_matches_the_reference_from_an_antenna_initializer(monkeypatch):
     # zero delay puts the initializer on the anchor, which is also the user
     colocated = (PathMeasurement(1e-8, 0.2, -1.1), UeState([1.0, -2.0], 0.5, 1e-8),

@@ -107,15 +107,14 @@ def test_planar_cost_kernels_match_interleaved(scene, data):
                                     max_size=m)))
     member = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
                                          min_size=m, max_size=m)))
-    n_min = data.draw(st.integers(0, n))
     with np.errstate(all="ignore"):
         r, want_r = _residuals(planar, x.T), reference.residuals(inter, x)
         assert _same(_interleaved(r), want_r)
         assert _same(_costs(planar, x.T).T, reference.costs(inter, x))
         assert _same(_costs(planar, x.T, r).T, reference.costs(inter, x, want_r))
         assert _same(_gammas(planar, x.T, r).T, reference.gammas(inter, x, want_r))
-        got = _feasibility_mask(planar, x.T, member, n_min, 0.1, r)
-        want = reference.feasibility_mask(inter, x, member, n_min, 0.1, want_r)
+        got = _feasibility_mask(planar, x.T, member, 0.1, r)
+        want = reference.feasibility_mask(inter, x, member, 0.1, want_r)
     assert np.array_equal(got, want)
 
 
@@ -171,7 +170,7 @@ def test_cell_costs_match_interleaved(scene, data):
     rows = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=20)))
     member = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
                                          min_size=len(rows), max_size=len(rows))))
-    gate = data.draw(st.none() | st.just((4, 0.1, 0.1)))
+    gate = data.draw(st.none() | st.just((0.1, 0.1)))
     with np.errstate(all="ignore"):
         x, cost = _cell_costs(planar, rows, member, gate)
         want_x, want_cost = reference.cell_costs(inter, rows, member, gate)
@@ -199,7 +198,7 @@ def test_two_round_polish_matches_one_round_reference(seed):
     snap, paths, alphas, config, best = _winning_cell(seed, n_single, seed % 2 * (n_single < 9))
     assert 4 <= len(paths) <= 9 and best is not None
     cost, h, _, x, row = best
-    args = (paths, snap.bs, float(alphas[h]), x, cost, row, 4, config)
+    args = (paths, snap.bs, float(alphas[h]), x, cost, row, config)
     got, want = robust._polish_heading(*args), reference.polish_heading(*args)
     assert got[0] == want[0] and got[2] == want[2]
     assert _same(got[1], want[1])

@@ -2,8 +2,9 @@
 
 ``snapslam.__all__`` lists exactly what ``__init__`` imports, once each;
 every public top-level function and class has a docstring; no module
-imports a name it does not use. No linter is a dependency, so the checks
-read the source with ``ast``.
+imports a name it does not use; every private top-level definition is used
+by the package itself, so tests alone cannot keep a dead helper alive. No
+linter is a dependency, so the checks read the source with ``ast``.
 """
 
 import ast
@@ -53,3 +54,34 @@ def test_no_unused_imports(path):
     tree = _tree(path)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(_imported(tree) - used) == []
+
+
+def _private_definitions(tree):
+    """Names of the module's ``_``-prefixed top-level functions, classes and
+    constants, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (name for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def test_no_orphaned_private_helpers():
+    # a name counts as used where the package reads it, not where it is
+    # defined or imported
+    used = set()
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    orphans = [f"{path.stem}.{name}" for path in MODULES
+               for name in _private_definitions(_tree(path)) if name not in used]
+    assert orphans == []

@@ -150,7 +150,7 @@ def _costs_at(ue, paths, bs):
     x = np.array([[ue.position[0]], [ue.position[1]], [SPEED_OF_LIGHT * ue.clock_bias]])
     ok = np.ones(1, dtype=bool)
     member = np.ones((1, len(paths)), dtype=bool)
-    gate = (4, RobustConfig.t_nu, RobustConfig.t_eps)
+    gate = (RobustConfig.t_nu, RobustConfig.t_eps)
     return (_row_costs(terms, x, ok, member)[0],
             _row_costs(terms, x, ok, member, gate)[0])
 
@@ -333,11 +333,12 @@ def test_solvers_follow_a_rigid_motion_of_the_scene(solver, seed, degrees, shift
 def _reference_search(paths, bs, alphas, combos, los_index, n_min, config):
     """One subset at a time over every heading, every cell kept, one argmin.
 
-    The minimal-subset systems are summed path by path and the inlier
-    systems of every heading built in one product of C-ordered inlier rows
-    and heading-major systems, as ``_search`` builds its survivors' systems,
-    so every cell's arithmetic is the same and the result must match to the
-    bit; no cell is pruned.
+    A cell with fewer than ``n_min`` inliers costs +inf, as stage 1 of
+    ``_search`` rules it out before the gate. The minimal-subset systems are
+    summed path by path and the inlier systems of every heading built in one
+    product of C-ordered inlier rows and heading-major systems, as
+    ``_search`` builds its survivors' systems, so every cell's arithmetic is
+    the same and the result must match to the bit; no cell is pruned.
     """
     terms = _build_terms(paths, bs, alphas, los_index)
     systems = np.ascontiguousarray(terms.normal.T)
@@ -346,8 +347,8 @@ def _reference_search(paths, bs, alphas, combos, los_index, n_min, config):
         x0, ok0 = _solve_packed(terms.normal[:, list(combo)].sum(axis=1))
         inlier = np.ascontiguousarray(((_costs(terms, x0) <= config.t_eps) & ok0).T)
         x1, ok1 = _solve_packed((inlier.astype(float)[:, None, :] @ systems)[:, 0].T)
-        costs.append(estimator._row_costs(terms, x1, ok0 & ok1, inlier,
-                                          (n_min, config.t_nu, config.t_eps)))
+        cost = estimator._row_costs(terms, x1, ok0 & ok1, inlier, (config.t_nu, config.t_eps))
+        costs.append(np.where(inlier.sum(axis=1) >= n_min, cost, np.inf))
         states.append(x1)
         masks.append(inlier)
     table = np.stack(costs, axis=1)                 # (M, L), heading-major
@@ -455,9 +456,8 @@ def test_pruned_search_keeps_cells_whose_penalty_ties_the_best(case, t_eps, monk
     # heading, so the penalty test must not prune it (case 5 at 10.0 has
     # such cells in later subsets).
     def penalty_only(terms, x, ok, member, gate):
-        n_min, _, t_eps = gate
-        cost = _outlier_penalty(terms.eta, member.astype(float), t_eps)
-        return np.where(ok & (member.sum(axis=-1) >= n_min), cost, np.inf)
+        cost = _outlier_penalty(terms.eta, member.astype(float), gate[1])
+        return np.where(ok, cost, np.inf)
 
     monkeypatch.setattr(estimator, "_row_costs", penalty_only)
     args = _search_inputs(*list(_search_cases())[case], RobustConfig(t_eps=t_eps))
@@ -498,6 +498,62 @@ def test_batched_search_breaks_exact_ties_heading_first(monkeypatch):
     for budget in (1, robust._CHUNK_ROW_PATHS, 10 ** 9):
         monkeypatch.setattr(robust, "_CHUNK_ROW_PATHS", budget)
         assert _search(*args)[:3] == (1.0, 2, 3)    # smallest heading, then subset
+
+
+def _bits(cell):
+    """A search result with its arrays as bytes, for a bit-for-bit comparison."""
+    return None if cell is None else cell[:3] + (cell[3].tobytes(), cell[4].tobytes())
+
+
+@pytest.mark.parametrize("case", [3, 5])
+def test_block_winner_does_not_depend_on_the_order_of_its_cells(case, monkeypatch):
+    # Record what stage 1 hands to stage 2 on a real NLoS search (6 and 8
+    # paths: several chunks wait for each block), then replay every block
+    # with its entries and their rows reversed, against the best cell the
+    # search held and against none, in its own block size and in blocks of 7.
+    calls = []
+
+    def recorded(terms, waiting, gate, block, best):
+        calls.append((terms, waiting, gate, block, best))
+        return evaluate_block(terms, waiting, gate, block, best)
+
+    evaluate_block = robust._evaluate_block
+    monkeypatch.setattr(robust, "_evaluate_block", recorded)
+    snap, hypothesis = list(_search_cases())[case]
+    assert hypothesis is Hypothesis.NLOS and _search(*_search_inputs(snap, hypothesis))
+    assert any(len(waiting) > 1 for _, waiting, _, _, _ in calls)
+    for terms, waiting, gate, block, best in calls:
+        backwards = [tuple(part[::-1] for part in entry) for entry in reversed(waiting)]
+        for start, size in itertools.product((best, None), (block, 7)):
+            want = evaluate_block(terms, waiting, gate, size, start)
+            assert want is not None
+            assert _bits(evaluate_block(terms, backwards, gate, size, start)) == _bits(want)
+
+
+def test_block_winner_breaks_exact_ties_by_heading_then_subset(monkeypatch):
+    # Every cell costs the same; the entries list the headings backwards and
+    # a block holds two cells, so the least (heading, subset) is found last,
+    # behind another cell of its block and heading.
+    # A cell's state is its (heading, subset, 0) and its member row its subset.
+    def level(terms, rows, member, gate, prior):
+        return np.array([rows, member[:, 0], 0 * rows], dtype=float), np.ones(len(rows))
+
+    monkeypatch.setattr(robust, "_cell_costs", level)
+
+    def entry(headings, subsets):
+        k = len(headings)
+        return (np.array(headings), np.array(subsets), np.array(subsets)[:, None],
+                np.zeros((k, 6)), np.zeros(k), np.zeros(k))
+
+    waiting = [entry([5, 3, 3], [0, 2, 1]), entry([4, 2, 2], [0, 9, 4])]
+    for best in (None, (1.0, 2, 5), (2.0, 0, 0)):
+        if best is not None:
+            best = best + (np.zeros(3), np.zeros(1))
+        got = robust._evaluate_block(None, waiting, None, 2, best)
+        assert got[:3] == (1.0, 2, 4)
+        assert np.array_equal(got[3], [2.0, 4.0, 0.0]) and np.array_equal(got[4], [4])
+    held = (1.0, 1, 99, np.zeros(3), np.zeros(1))
+    assert robust._evaluate_block(None, waiting, None, 2, held) is held
 
 
 # --- the deferred condition gate ----------------------------------------------
@@ -559,19 +615,25 @@ _SEARCH_BYTES_PER_ROW_PATH = 80     # the budget the _CHUNK_ROW_PATHS docstring 
 
 
 @pytest.mark.parametrize("t_eps", [RobustConfig().t_eps, 1e6])
-def test_search_memory_stays_within_the_chunk_budget(t_eps):
+def test_search_memory_stays_within_the_chunk_budget(t_eps, monkeypatch):
     # A 13-path room snapshot under NLoS: 715 subsets by 361 headings. At 1e6
     # every cell survives to the inlier stage, which must still take its
-    # cells in bounded blocks.
+    # cells in bounded blocks. A chunk holds one subset at least, so under a
+    # budget below 361 x 13 row-paths the bound is one subset's. That is a
+    # stage-1 matter, checked at the default t_eps; at 1e6 the small budget
+    # would only split stage 2 into ~14 000 blocks.
     scene = read_scene(Path(__file__).resolve().parents[1] / "demos" / "room.scene")
     (snap,) = generate_dataset(scene, [np.array([3.0, 2.0])], SimConfig(max_bounces=2), seed=1)
     assert len(snap.paths) == 13
     args = _search_inputs(snap, Hypothesis.NLOS, RobustConfig(t_eps=t_eps))
     held = sum(a.nbytes for a in _build_terms(*args[:3]))
-    tracemalloc.start()
-    try:
-        _search(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - held <= _SEARCH_BYTES_PER_ROW_PATH * robust._CHUNK_ROW_PATHS
+    subset = len(args[2]) * len(snap.paths)
+    for budget in (robust._CHUNK_ROW_PATHS,) + ((2048,) if t_eps < 1.0 else ()):
+        monkeypatch.setattr(robust, "_CHUNK_ROW_PATHS", budget)
+        tracemalloc.start()
+        try:
+            _search(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= _SEARCH_BYTES_PER_ROW_PATH * max(budget, subset)

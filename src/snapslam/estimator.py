@@ -46,7 +46,8 @@ an LDL^T factorization. The smallest eigenvalue then carries an absolute
 error of a few ulps of the largest, as LAPACK's SVD does. Rows whose
 closed-form condition falls inside ``_COND_GUARD_BAND`` are rechecked with
 ``np.linalg.svd``, so every gate decision is the one an SVD-only gate
-makes."""
+makes. ``landmark_refine`` gates its 2x2 landmark normal matrix the same
+way, from the closed-form 2x2 eigenvalues."""
 
 _COND_GUARD_BAND = (1e9, 1e15)
 """Closed-form condition numbers in this closed interval are rechecked by
@@ -477,8 +478,12 @@ def nlos_orientation_search(paths: Sequence[PathMeasurement], index_set, grid,
 
 
 def _bounce_model(ue: UeState, bs: Pose, landmark):
-    """(toa, aod, aoa) of a single-bounce path and their 3x2 Jacobian w.r.t.
-    the landmark; the values equal ``measurement_model``'s to the bit.
+    """(toa, aod, aoa) of a single-bounce path and their landmark Jacobian.
+
+    Returns (h, jac) in Python floats: h is the 3-tuple of model values,
+    equal to ``measurement_model``'s to the bit, and jac the 3x2 Jacobian
+    w.r.t. the landmark as the 6-tuple (d toa/dx, d toa/dy, d aod/dx,
+    d aod/dy, d aoa/dx, d aoa/dy), row by row.
 
     Raises
     ------
@@ -499,9 +504,9 @@ def _bounce_model(ue: UeState, bs: Pose, landmark):
     h = (length / _C + ue.clock_bias,
          wrap_angle(math.atan2(d1y, d1x) - bs.orientation),
          wrap_angle(math.atan2(d2y, d2x) - ue.orientation))
-    jac = np.array([[(d1x / n1 + d2x / n2) / _C, (d1y / n1 + d2y / n2) / _C],
-                    [-d1y / (n1 * n1), d1x / (n1 * n1)],
-                    [-d2y / (n2 * n2), d2x / (n2 * n2)]])
+    jac = ((d1x / n1 + d2x / n2) / _C, (d1y / n1 + d2y / n2) / _C,
+           -d1y / (n1 * n1), d1x / (n1 * n1),
+           -d2y / (n2 * n2), d2x / (n2 * n2))
     return h, jac
 
 
@@ -513,14 +518,31 @@ def landmark_jacobian(ue: UeState, bs: Pose, landmark) -> np.ndarray:
     DegenerateGeometry
         If the landmark coincides with the anchor or the user.
     """
-    return _bounce_model(ue, bs, landmark)[1]
+    return np.array(_bounce_model(ue, bs, landmark)[1]).reshape(3, 2)
 
 
-def _whitened(path: PathMeasurement, h, sigmas: np.ndarray):
-    """Whitened residual of ``path`` against model values h, and its squared norm."""
-    r = np.array([path.toa - h[0], wrap_angle(path.aod - h[1]),
-                  wrap_angle(path.aoa - h[2])]) / sigmas
-    return r, float(r @ r)
+def _whitened(path: PathMeasurement, h, sigmas):
+    """Whitened residual of ``path`` against model values h, and its squared norm.
+
+    ``sigmas`` are the (toa, aod, aoa) standard deviations; the residual is
+    a 3-tuple.
+    """
+    s0, s1, s2 = sigmas
+    r = ((path.toa - h[0]) / s0, wrap_angle(path.aod - h[1]) / s1,
+         wrap_angle(path.aoa - h[2]) / s2)
+    return r, r[0] * r[0] + r[1] * r[1] + r[2] * r[2]
+
+
+def _normal_2x2(jac, sigmas):
+    """Whitened Jacobian J_w = R^-1/2 J of a ``_bounce_model`` jac, as a
+    6-tuple in its layout, and the entries (a, b, c) of J_w^T J_w =
+    [[a, b], [b, c]]."""
+    s0, s1, s2 = sigmas
+    w = (jac[0] / s0, jac[1] / s0, jac[2] / s1, jac[3] / s1, jac[4] / s2, jac[5] / s2)
+    a = w[0] * w[0] + w[2] * w[2] + w[4] * w[4]
+    b = w[0] * w[1] + w[2] * w[3] + w[4] * w[5]
+    c = w[1] * w[1] + w[3] * w[3] + w[5] * w[5]
+    return w, a, b, c
 
 
 def _initial_landmark(path: PathMeasurement, ue: UeState, bs: Pose) -> np.ndarray:
@@ -551,16 +573,24 @@ def landmark_refine(path: PathMeasurement, ue: UeState, bs: Pose,
 
     Minimizes the noise-whitened squared residual between the measured
     (toa, aod, aoa) and the single-bounce forward model at the given user
-    state. Steps that increase the objective are halved up to 8 times; the
-    iteration converges when the step norm drops below 1e-9 m, or when no
-    halving lowers the objective and the full step's Gauss-Newton predicted
-    decrease ||J_w s||^2 is below 1e-8 of the objective: the iterate is then
-    at the optimum to rounding (such steps predict at most ~3e-13 of it, and
-    steps stalled away from the optimum 1e-3 or more).
+    state. Each step solves the 2x2 normal equations by an unpivoted LDL^T
+    factorization, as ``_ldl_solve`` does. Steps that increase the objective
+    are halved up to 8 times; the iteration converges when the step norm
+    drops below 1e-9 m, or when no halving lowers the objective and the full
+    step's Gauss-Newton predicted decrease ||J_w s||^2 is below 1e-8 of the
+    objective: the iterate is then at the optimum to rounding (such steps
+    predict at most ~3e-13 of it, and steps stalled away from the optimum
+    1e-3 or more). Everything runs in Python floats: at these sizes a NumPy
+    call costs more than the arithmetic it does.
 
     Returns the best iterate with ``converged=False`` when it stopped
-    otherwise: after 50 iterations, on singular normal equations, or on a
-    step predicting a real decrease that no halving of it achieves.
+    otherwise: after 50 iterations, on a non-positive LDL^T pivot of the
+    normal equations, or on a step predicting a real decrease that no
+    halving of it achieves. The covariance is the closed-form inverse of
+    J^T R^-1 J at the returned iterate, and its condition number comes from
+    the closed-form eigenvalues, rechecked by ``np.linalg.svd`` inside
+    ``_COND_GUARD_BAND`` as ``_condition_ok`` does, so the rank gate decides
+    as an SVD-only gate.
 
     Raises
     ------
@@ -572,35 +602,42 @@ def landmark_refine(path: PathMeasurement, ue: UeState, bs: Pose,
         point on the anchor-user segment, where both legs are collinear).
     """
     max_iter, tol, stall = 50, 1e-9, 1e-8
-    sig = noise.sigmas
+    sig = noise.sigmas.tolist()
 
-    p = _initial_landmark(path, ue, bs)
+    px, py = _initial_landmark(path, ue, bs).tolist()
     try:
-        h, jac = _bounce_model(ue, bs, p)
+        h, jac = _bounce_model(ue, bs, (px, py))
     except DegenerateGeometry:
         # initializer landed on an antenna; nudge off it
-        p = p + 1e-6
+        px, py = px + 1e-6, py + 1e-6
         try:
-            h, jac = _bounce_model(ue, bs, p)
+            h, jac = _bounce_model(ue, bs, (px, py))
         except DegenerateGeometry:
             raise DegenerateGeometry("cannot evaluate the model near the initializer") from None
     r, cost = _whitened(path, h, sig)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        wjac = jac / sig[:, None]
-        try:
-            step = np.linalg.solve(wjac.T @ wjac, wjac.T @ r)
-        except np.linalg.LinAlgError:
+        w, a, b, c = _normal_2x2(jac, sig)
+        g0 = w[0] * r[0] + w[2] * r[1] + w[4] * r[2]
+        g1 = w[1] * r[0] + w[3] * r[1] + w[5] * r[2]
+        # [[a, b], [b, c]] = L D L^T with L = [[1, 0], [l10, 1]], D = diag(a, d1)
+        if not a > 0.0:
             break
-        if float(np.hypot(*step)) < tol:
+        l10 = b / a
+        d1 = c - l10 * b
+        if not d1 > 0.0:
+            break
+        dy = (g1 - l10 * g0) / d1
+        dx = g0 / a - l10 * dy
+        if math.hypot(dx, dy) < tol:
             converged = True    # already at a stationary point
             break
         scale = 1.0
         for _ in range(9):  # full step, then up to 8 halvings
-            cand = p + scale * step
+            cx, cy = px + scale * dx, py + scale * dy
             try:
-                h, cand_jac = _bounce_model(ue, bs, cand)
+                h, cand_jac = _bounce_model(ue, bs, (cx, cy))
             except DegenerateGeometry:
                 pass
             else:
@@ -609,20 +646,30 @@ def landmark_refine(path: PathMeasurement, ue: UeState, bs: Pose,
                     break
             scale *= 0.5
         else:
-            converged = float(np.sum((wjac @ step) ** 2)) < stall * cost
+            e0, e1, e2 = (w[0] * dx + w[1] * dy, w[2] * dx + w[3] * dy,
+                          w[4] * dx + w[5] * dy)
+            converged = e0 * e0 + e1 * e1 + e2 * e2 < stall * cost
             break
-        p, r, cost, jac = cand, cand_r, cand_cost, cand_jac
-        if float(np.hypot(*(scale * step))) < tol:
+        px, py, r, cost, jac = cx, cy, cand_r, cand_cost, cand_jac
+        if math.hypot(scale * dx, scale * dy) < tol:
             converged = True
             break
 
-    wjac = jac / sig[:, None]
-    ata = wjac.T @ wjac
-    sv = np.linalg.svd(ata, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] >= CONDITION_LIMIT:
+    _, a, b, c = _normal_2x2(jac, sig)
+    det = a * c - b * b
+    # closed-form eigenvalues: the larger from the half trace and half spread,
+    # the smaller as det / lam_max, which keeps its relative accuracy
+    lam_max = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
+    cond = lam_max * lam_max / det if det > 0.0 else -1.0
+    lo, hi = _COND_GUARD_BAND
+    if lo <= cond <= hi:
+        sv = np.linalg.svd(np.array([[a, b], [b, c]]), compute_uv=False)
+        ok = sv[-1] > 0.0 and sv[0] / sv[-1] < CONDITION_LIMIT
+    else:
+        ok = 0.0 < cond < lo
+    if not ok:
         raise DegenerateGeometry("rank-deficient Jacobian at the optimum")
-    cov = np.linalg.inv(ata)
-    cov = 0.5 * (cov + cov.T)
-    return LandmarkEstimate(position=p.copy(), covariance=cov,
+    cov = np.array([[c / det, -b / det], [-b / det, a / det]])
+    return LandmarkEstimate(position=np.array([px, py]), covariance=cov,
                             source_path=source_path, converged=converged,
                             iterations=iterations)

@@ -287,12 +287,20 @@ def test_landmark_refine_noisy_stays_close():
 
 # --- single-bounce kernel against the general-model reference -------------
 
-def _refine_outcome(refine, *args):
-    """Every field of a refinement, as bytes where it is an array, or its error."""
+def _estimate_or_error(refine, *args):
+    """A refinement's estimate, or its error as (type name, message)."""
     try:
-        est = refine(*args)
+        return refine(*args)
     except DegenerateGeometry as exc:
         return type(exc).__name__, str(exc)
+
+
+def _refine_outcome(args):
+    """Every field of ``landmark_refine(*args)``, as bytes where it is an
+    array, or its error."""
+    est = _estimate_or_error(landmark_refine, *args)
+    if isinstance(est, tuple):
+        return est
     return (est.position.tobytes(), est.covariance.tobytes(), est.iterations,
             est.converged, est.source_path)
 
@@ -336,18 +344,43 @@ def _refine_cases():
         yield path, ue, bs, noise, seed
 
 
+def _keeps_the_reference_contract(args):
+    """Check the float kernel against the NumPy reference on one refinement.
+
+    The contract: the same exit (a return, or a raise with the same
+    message), the same ``converged`` flag, positions within 1e-6 m, and a
+    covariance equal to inv(J^T R^-1 J) at the kernel's own returned point
+    within 4 cond eps of its largest entry. Iteration counts may differ:
+    the two evaluate the same arithmetic in a different order, and an
+    iterate that moves by rounding can take a step more or less. Returns
+    the kernel's estimate, or its error as (type name, message).
+    """
+    est = _estimate_or_error(landmark_refine, *args)
+    ref = _estimate_or_error(reference.landmark_refine, *args)
+    if isinstance(est, tuple) or isinstance(ref, tuple):
+        assert est == ref, args
+        return est
+    assert est.converged == ref.converged and est.source_path == ref.source_path, args
+    assert np.hypot(*(est.position - ref.position)) <= 1e-6, args
+    _, ue, bs = args[:3]
+    noise = args[3] if len(args) > 3 else NoiseModel()
+    jac = reference.landmark_jacobian(ue, bs, est.position) / noise.sigmas[:, None]
+    ata = jac.T @ jac
+    want = np.linalg.inv(ata)
+    err = np.abs(est.covariance - want).max()
+    assert err <= 4.0 * np.linalg.cond(ata) * np.finfo(float).eps * np.abs(want).max(), args
+    return est
+
+
 def test_landmark_refine_matches_the_general_model_reference():
-    outcomes = []
-    for args in _refine_cases():
-        new = _refine_outcome(landmark_refine, *args)
-        assert new == _refine_outcome(reference.landmark_refine, *args), args
-        outcomes.append(new)
+    outcomes = [_keeps_the_reference_contract(args[:4]) for args in _refine_cases()]
     assert len(outcomes) >= 200
+    estimates = [o for o in outcomes if not isinstance(o, tuple)]
     # the cases reach every exit: converged, stopped early, and raised
-    assert any(len(o) == 5 and o[3] for o in outcomes)
-    assert any(len(o) == 5 and not o[3] and o[2] == 50 for o in outcomes)
-    assert any(len(o) == 5 and not o[3] and o[2] < 50 for o in outcomes)
-    assert any(len(o) == 2 for o in outcomes)
+    assert any(est.converged for est in estimates)
+    assert any(not est.converged and est.iterations == 50 for est in estimates)
+    assert any(not est.converged and est.iterations < 50 for est in estimates)
+    assert len(estimates) < len(outcomes)
 
 
 def _next_step(est, path, ue, bs, noise):
@@ -380,27 +413,97 @@ def test_landmark_refine_reports_converged_at_the_optimum():
     assert not any(est.converged for est in away)
 
 
-def test_landmark_refine_matches_the_reference_from_an_antenna_initializer(monkeypatch):
-    # zero delay puts the initializer on the anchor, which is also the user
-    colocated = (PathMeasurement(1e-8, 0.2, -1.1), UeState([1.0, -2.0], 0.5, 1e-8),
-                 Pose([1.0, -2.0], 0.3))
-    assert np.array_equal(estimator._initial_landmark(*colocated), colocated[2].position)
-    assert (_refine_outcome(landmark_refine, *colocated)
-            == _refine_outcome(reference.landmark_refine, *colocated))
+def _on_the_anchor(path, ue, bs):
+    return bs.position.copy()
 
-    monkeypatch.setattr(estimator, "_initial_landmark",
-                        lambda path, ue, bs: bs.position.copy())
+
+def _antenna_cases():
+    """Refinements that start on an antenna, as (args, initializer); an
+    initializer of None keeps the package's own."""
+    # zero delay puts the initializer on the anchor, which is also the user
+    yield (PathMeasurement(1e-8, 0.2, -1.1), UeState([1.0, -2.0], 0.5, 1e-8),
+           Pose([1.0, -2.0], 0.3)), None
     # the initializer is on the anchor: the nudged point is used
     ue, bs = UeState([6.0, 4.0], 0.5, 1e-8), Pose([0.0, 0.0])
-    args = (PathMeasurement(*measurement_model(ue, bs, [3.0, 5.0])), ue, bs)
-    assert np.allclose(landmark_refine(*args).position, [3.0, 5.0], atol=1e-9)
-    assert (_refine_outcome(landmark_refine, *args)
-            == _refine_outcome(reference.landmark_refine, *args))
+    yield (PathMeasurement(*measurement_model(ue, bs, [3.0, 5.0])), ue, bs), _on_the_anchor
     # and its nudge is on the user: no point near the initializer evaluates
-    args = (PathMeasurement(12.0 / C, 0.2, -1.1), UeState([1e-6, 1e-6]), Pose([0.0, 0.0]))
-    new = _refine_outcome(landmark_refine, *args)
-    assert new == ("DegenerateGeometry", "cannot evaluate the model near the initializer")
-    assert new == _refine_outcome(reference.landmark_refine, *args)
+    yield ((PathMeasurement(12.0 / C, 0.2, -1.1), UeState([1e-6, 1e-6]), Pose([0.0, 0.0])),
+           _on_the_anchor)
+
+
+def _gate_cases():
+    """Every refinement case as (args, initializer): the seeded ones, the
+    antenna ones, and a landmark on the anchor-user segment, whose normal
+    matrix is exactly singular."""
+    for path, ue, bs, noise, _ in _refine_cases():
+        yield (path, ue, bs, noise), None
+    yield from _antenna_cases()
+    ue, bs = UeState([10.0, 0.0], 0.4), Pose([0.0, 0.0], -0.2)
+    yield (PathMeasurement(*measurement_model(ue, bs, [4.0, 0.0])), ue, bs), None
+
+
+def _run_case(monkeypatch, run, args, initializer):
+    with monkeypatch.context() as patch:
+        if initializer is not None:
+            patch.setattr(estimator, "_initial_landmark", initializer)
+        return run(args)
+
+
+def test_landmark_refine_matches_the_reference_from_an_antenna_initializer(monkeypatch):
+    colocated = next(_antenna_cases())[0]
+    assert np.array_equal(estimator._initial_landmark(*colocated), colocated[2].position)
+    outcomes = [_run_case(monkeypatch, _keeps_the_reference_contract, args, init)
+                for args, init in _antenna_cases()]
+    assert np.allclose(outcomes[1].position, [3.0, 5.0], atol=1e-9)
+    assert outcomes[2] == ("DegenerateGeometry",
+                           "cannot evaluate the model near the initializer")
+
+
+def test_landmark_refine_rank_gate_decides_as_an_svd_only_gate(monkeypatch):
+    # The closed-form condition number decides outside _COND_GUARD_BAND; an
+    # unbounded band sends every positive one to the SVD. The near-antenna
+    # and near-parallel kinds reach conditions of 1e9..2e14, on both sides
+    # of CONDITION_LIMIT; the segment case is singular and fails in closed
+    # form under either band.
+    cases = list(_gate_cases())
+    want = [_run_case(monkeypatch, _refine_outcome, *case) for case in cases]
+    monkeypatch.setattr(estimator, "_COND_GUARD_BAND", (0.0, math.inf))
+    got = [_run_case(monkeypatch, _refine_outcome, *case) for case in cases]
+    assert got == want
+    assert sum(o == ("DegenerateGeometry", "rank-deficient Jacobian at the optimum")
+               for o in want) >= 5
+
+
+def test_landmark_refine_makes_no_numpy_solve_and_svd_only_in_the_band(monkeypatch):
+    # The refinement's 2x2 algebra runs in floats; only a closed-form
+    # condition inside _COND_GUARD_BAND may call the SVD, once per case.
+    cases = list(_gate_cases())
+    want = [_run_case(monkeypatch, _refine_outcome, *case) for case in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("landmark_refine called a NumPy solve")
+
+    svd, seen = np.linalg.svd, []
+
+    def counted_svd(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    monkeypatch.setattr(np.linalg, "inv", forbidden)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    lo, hi = estimator._COND_GUARD_BAND
+    checked = 0
+    for case, outcome in zip(cases, want):
+        del seen[:]
+        assert _run_case(monkeypatch, _refine_outcome, *case) == outcome
+        assert len(seen) <= 1
+        for m in seen:
+            (a, b), (_, c) = m.tolist()
+            lam_max = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
+            assert lo <= lam_max * lam_max / (a * c - b * b) <= hi
+            checked += 1
+    assert 0 < checked < len(cases) // 4
 
 
 def test_landmark_jacobian_matches_the_reference():

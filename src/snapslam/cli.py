@@ -47,7 +47,6 @@ class RunConfig:
     t_eps: float = RobustConfig.t_eps
     t_nu: float = RobustConfig.t_nu
     t_los: float = DEFAULT_T_LOS
-    grid_size: int = RobustConfig.grid_size
     sigma_toa_ns: float = NoiseModel.sigma_toa * 1e9
     sigma_aod_deg: float = math.degrees(NoiseModel.sigma_aod)
     sigma_aoa_deg: float = math.degrees(NoiseModel.sigma_aoa)
@@ -61,6 +60,13 @@ class RunConfig:
     bias_range_ns: tuple = tuple(b * 1e9 for b in SimConfig.bias_range)
     trials: int = 1000
 
+    def __post_init__(self):
+        # rejected before any solve: the detector takes any threshold
+        if not math.isfinite(self.t_los):
+            raise ValueError(f"t_los must be finite, got {self.t_los}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+
     def noise_model(self) -> NoiseModel:
         # divide rather than multiply by 1e-9: exact for integral nanoseconds
         return NoiseModel(sigma_toa=self.sigma_toa_ns / 1e9,
@@ -68,8 +74,7 @@ class RunConfig:
                           sigma_aoa=math.radians(self.sigma_aoa_deg))
 
     def robust_config(self) -> RobustConfig:
-        return RobustConfig(t_eps=self.t_eps, t_nu=self.t_nu,
-                            grid_size=self.grid_size, noise=self.noise_model())
+        return RobustConfig(t_eps=self.t_eps, t_nu=self.t_nu, noise=self.noise_model())
 
     def gain_model(self) -> PathLossModel:
         return PathLossModel(l0_db=self.l0_db, zeta=self.zeta,
@@ -119,7 +124,10 @@ def build_run_config(config_path, overrides: dict) -> RunConfig:
                 raise ValueError(f"config key {key!r}: {exc}") from None
     for key, value in overrides.items():
         if key in names and value is not None:
-            data[key] = _convert(key, value)
+            try:
+                data[key] = _convert(key, value)
+            except ValueError as exc:
+                raise ValueError(f"--{key}: {exc}") from None
     return RunConfig(**data)
 
 

@@ -79,10 +79,15 @@ def write_jsonl(rows: Iterable[dict], path) -> None:
             fh.write("\n")
 
 
-def _numbered_lines(path):
-    """(line number, stripped text) of every non-blank line."""
+def _numbered_lines(path, comments: bool = False):
+    """(line number, stripped text) of every non-blank line.
+
+    With ``comments``, a ``#`` and the rest of its line are dropped first.
+    """
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
+            if comments:
+                line = line.partition("#")[0]
             line = line.strip()
             if line:
                 yield lineno, line
@@ -169,11 +174,6 @@ def write_sweep_csv(sweep: SweepResult, path) -> None:
             fh.write(f"{p!r},{a!r},{b!r}\n")
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
-
-
 def read_scene(path) -> Scene:
     """Parse a scene file: one ``bs = [x, y, ori]`` line and ``wall =`` lines.
 
@@ -183,41 +183,37 @@ def read_scene(path) -> Scene:
     """
     bs = None
     walls = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = _strip_comment(raw).strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep or key not in ("bs", "wall"):
-                raise ValueError(f"line {lineno}: expected 'bs = ...' or 'wall = ...'")
+    for lineno, line in _numbered_lines(path, comments=True):
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep or key not in ("bs", "wall"):
+            raise ValueError(f"line {lineno}: expected 'bs = ...' or 'wall = ...'")
+        try:
+            parsed = ast.literal_eval(value.strip())
+        except (ValueError, SyntaxError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if key == "bs":
+            if bs is not None:
+                raise ValueError(f"line {lineno}: duplicate bs")
+            if not (isinstance(parsed, (list, tuple)) and len(parsed) == 3):
+                raise ValueError(f"line {lineno}: bs needs [x, y, orientation]")
+            bs = Pose(position=(float(parsed[0]), float(parsed[1])),
+                      orientation=float(parsed[2]))
+        else:
+            k = len(walls)
+            if not (isinstance(parsed, (list, tuple)) and len(parsed) in (2, 3)):
+                raise ValueError(
+                    f"line {lineno}: wall {k} needs [[x1, y1], [x2, y2]] "
+                    "with optional loss_db")
+            a, b = parsed[0], parsed[1]
+            loss = float(parsed[2]) if len(parsed) == 3 else 0.0
+            if not (isinstance(a, (list, tuple)) and len(a) == 2
+                    and isinstance(b, (list, tuple)) and len(b) == 2):
+                raise ValueError(f"line {lineno}: wall {k} endpoints must be pairs")
             try:
-                parsed = ast.literal_eval(value.strip())
-            except (ValueError, SyntaxError) as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            if key == "bs":
-                if bs is not None:
-                    raise ValueError(f"line {lineno}: duplicate bs")
-                if not (isinstance(parsed, (list, tuple)) and len(parsed) == 3):
-                    raise ValueError(f"line {lineno}: bs needs [x, y, orientation]")
-                bs = Pose(position=(float(parsed[0]), float(parsed[1])),
-                          orientation=float(parsed[2]))
-            else:
-                k = len(walls)
-                if not (isinstance(parsed, (list, tuple)) and len(parsed) in (2, 3)):
-                    raise ValueError(
-                        f"line {lineno}: wall {k} needs [[x1, y1], [x2, y2]] "
-                        "with optional loss_db")
-                a, b = parsed[0], parsed[1]
-                loss = float(parsed[2]) if len(parsed) == 3 else 0.0
-                if not (isinstance(a, (list, tuple)) and len(a) == 2
-                        and isinstance(b, (list, tuple)) and len(b) == 2):
-                    raise ValueError(f"line {lineno}: wall {k} endpoints must be pairs")
-                try:
-                    walls.append(Wall(a=a, b=b, loss_db=loss))
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: wall {k}: {exc}") from None
+                walls.append(Wall(a=a, b=b, loss_db=loss))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: wall {k}: {exc}") from None
     if bs is None:
         raise ValueError("scene file has no 'bs = [x, y, orientation]' line")
     return Scene(walls=tuple(walls), bs=bs)
@@ -237,23 +233,19 @@ def write_scene(scene: Scene, path) -> None:
 def read_positions(path) -> list[np.ndarray]:
     """Receiver positions, one JSON ``[x, y]`` pair per line."""
     out = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = _strip_comment(raw).strip()
-            if not line:
-                continue
-            try:
-                pair = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ValueError(f"line {lineno}: expected [x, y]")
-            # false for NaN; compares a huge JSON integer without converting it
-            if not all(type(c) in (int, float) and abs(c) <= sys.float_info.max
-                       for c in pair):
-                raise ValueError(f"line {lineno}: coordinates must be finite numbers, "
-                                 f"got {pair!r}")
-            out.append(np.array(pair, dtype=float))
+    for lineno, line in _numbered_lines(path, comments=True):
+        try:
+            pair = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError(f"line {lineno}: expected [x, y]")
+        # false for NaN; compares a huge JSON integer without converting it
+        if not all(type(c) in (int, float) and abs(c) <= sys.float_info.max
+                   for c in pair):
+            raise ValueError(f"line {lineno}: coordinates must be finite numbers, "
+                             f"got {pair!r}")
+        out.append(np.array(pair, dtype=float))
     if not out:
         raise ValueError("positions file is empty")
     return out
@@ -269,16 +261,12 @@ def write_positions(positions, path) -> None:
 def read_config(path) -> dict[str, str]:
     """``key = value`` pairs; values stay strings for the caller to type."""
     out: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = _strip_comment(raw).strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"line {lineno}: expected 'key = value'")
-            key, value = key.strip(), value.strip()
-            if not key or not value:
-                raise ValueError(f"line {lineno}: expected 'key = value'")
-            out[key] = value
+    for lineno, line in _numbered_lines(path, comments=True):
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"line {lineno}: expected 'key = value'")
+        key, value = key.strip(), value.strip()
+        if not key or not value:
+            raise ValueError(f"line {lineno}: expected 'key = value'")
+        out[key] = value
     return out

@@ -85,14 +85,12 @@ class _PathTerms(NamedTuple):
     systems are packed systems, so a subset's system is the sum of its
     paths' rows.
 
-    The search sums a minimal subset's rows plane by plane, one path after
-    the other. An inlier system is instead one product ``member @ systems``
-    whose right operand is a C-ordered (cells, n, 9) copy of the cells' rows,
-    gathered per batch (see ``_cell_costs``). NumPy hands that product to a
-    BLAS kernel whose summation order follows the operands' memory layout,
-    so the last bits of every inlier system depend on it, as they do on the
-    member mask's (see ``_heading_costs``); the operand keeps the layout
-    every inlier system has been built in.
+    Every packed system, cost and penalty of a cell is a sum over its
+    paths in ascending path order, ((p0 + p1) + p2) + ...: the search's
+    minimal-subset systems over the subset's paths, the rest through
+    ``_path_sum`` over every path with non-members weighted 0. The bits of
+    a cell's result therefore depend neither on the batch it is evaluated
+    in nor on any memory layout.
     """
 
     tau: np.ndarray       # (n,)
@@ -110,6 +108,26 @@ _UNPACK = [0, 1, 2, 1, 3, 4, 2, 4, 5]   # packed index of A[i, j], row-major
 
 def _dot2(x, y):
     return x[0] * y[0] + x[1] * y[1]
+
+
+def _path_sum(a):
+    """Sum of ``a`` over its path axis, the second to last, in ascending
+    path order: ((a_0 + a_1) + a_2) + ...
+
+    ``sum`` would not keep that order: NumPy sums the innermost axis of its
+    loop pairwise from 8 terms up, and which axis that is depends on the
+    layout and on how many cells there are. ``np.add.accumulate`` is a
+    recurrence along the axis, so it keeps the order, but it runs one inner
+    loop per number of a path; past 128 numbers per path (about where the
+    two cost the same) a loop over the paths, which adds in the same order,
+    is faster.
+    """
+    if a[..., 0, :].size <= 128:
+        return np.add.accumulate(a, axis=-2)[..., -1, :]
+    total = a[..., 0, :].copy()
+    for i in range(1, a.shape[-2]):
+        total += a[..., i, :]
+    return total
 
 
 def _build_terms(paths: Sequence[PathMeasurement], bs: Pose, alphas: np.ndarray,
@@ -259,16 +277,15 @@ def _solve_packed(s: np.ndarray, prior: tuple | None = None):
 
 
 def _take_rows(terms: _PathTerms, rows: np.ndarray) -> _PathTerms:
-    """The terms of the given heading rows, in that order, but ``normal``.
+    """The terms of the given heading rows, in that order.
 
     The result is a ``_PathTerms`` whose M axis lists ``rows``, and every
     residual, cost and bounce fraction computed from it equals the one
-    computed from ``terms`` at that heading, to the bit. ``normal`` is None:
-    ``_cell_costs`` gathers the cells' systems in their own layout.
+    computed from ``terms`` at that heading, to the bit.
     """
     return terms._replace(v=terms.v[..., rows], nu=terms.nu[..., rows],
                           nu_sq=terms.nu_sq[:, rows], nubar=terms.nubar[..., rows],
-                          mu=terms.mu[..., rows], normal=None)
+                          mu=terms.mu[..., rows], normal=terms.normal[..., rows])
 
 
 def _residuals(terms: _PathTerms, x: np.ndarray) -> np.ndarray:
@@ -310,25 +327,24 @@ def _gammas(terms: _PathTerms, x: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _outlier_penalty(eta, member, t_eps):
-    """Per-path penalty summed over each row's outliers, (...,).
+    """Per-path penalty summed over each cell's outliers, (K,).
 
-    ``member`` holds the member rows, (..., n).
+    ``member`` holds the (n, K) member masks.
     """
-    return ((1.0 - member) * eta).sum(axis=-1) * t_eps
+    return _path_sum((1.0 - member) * eta[:, None]) * t_eps
 
 
 def _feasibility_mask(terms: _PathTerms, x: np.ndarray, inlier: np.ndarray, t_nu: float,
                       r: np.ndarray) -> np.ndarray:
     """Vectorized feasibility of each cell's (state, inlier set), (K,).
 
-    ``x`` is (3, K), ``inlier`` holds the boolean (K, n) inlier rows and
+    ``x`` is (3, K), ``inlier`` holds the boolean (n, K) inlier masks and
     ``r`` is ``_residuals(terms, x)``. Checks, per cell: non-negative
     bias-corrected delay of the earliest inlier j; bounce fraction of j in
     [0, 1] unless its rays nearly cancel (near-LoS geometry); bounce
     fraction of every other inlier in [0, 1]. Whether a cell has enough
     inliers is the search's stage-1 test (``robust._search``), not this one.
     """
-    inlier = inlier.T
     cells = np.arange(inlier.shape[1])
     j = np.argmin(np.where(inlier, terms.tau[:, None], np.inf), axis=0)
     delay_ok = _C * terms.tau[j] - x[2] >= 0.0
@@ -344,22 +360,20 @@ def _row_costs(terms: _PathTerms, x: np.ndarray, ok: np.ndarray, member: np.ndar
                gate: tuple | None = None) -> np.ndarray:
     """Cost of each cell's state over its member set, (K,).
 
-    ``x`` is (3, K), ``member`` holds the boolean (K, n) member rows and
+    ``x`` is (3, K), ``member`` holds the boolean (n, K) member masks and
     ``ok`` flags the cells whose solve passed. The cost is the gain-weighted
-    sum of the members' squared projected residuals, summed over C-ordered
-    (K, n) rows. A ``gate`` (t_nu, t_eps) adds the per-path penalty
-    t_eps for each non-member and requires the cell to pass
-    ``_feasibility_mask``; the weighted sum is non-negative, so a gated cost
-    is never below its ``_outlier_penalty``. Cells whose solve failed, that
+    ``_path_sum`` of the members' squared projected residuals. A ``gate``
+    (t_nu, t_eps) adds the per-path penalty t_eps for each non-member and
+    requires the cell to pass ``_feasibility_mask``; the weighted sum is
+    non-negative, so a gated cost is never below its ``_outlier_penalty``. Cells whose solve failed, that
     fail the gate, or whose cost is not finite get +inf.
     """
-    weights = member.astype(float)
     r = _residuals(terms, x)
-    cost = np.multiply(weights * terms.eta, _costs(terms, x, r).T, order="C").sum(axis=-1)
+    cost = _path_sum(member * terms.eta[:, None] * _costs(terms, x, r))
     valid = ok
     if gate is not None:
         t_nu, t_eps = gate
-        cost = cost + _outlier_penalty(terms.eta, weights, t_eps)
+        cost = cost + _outlier_penalty(terms.eta, member, t_eps)
         valid = ok & _feasibility_mask(terms, x, member, t_nu, r)
     return np.where(valid & np.isfinite(cost), cost, np.inf)
 
@@ -369,25 +383,16 @@ def _cell_costs(terms: _PathTerms, rows: np.ndarray | None, member: np.ndarray,
     """States and gated costs of a batch of (heading, member set) cells.
 
     Cell k is heading row ``rows[k]`` of ``terms`` (heading k when ``rows``
-    is None) with the boolean (n,) member row ``member[k]``. Each cell's
-    system is the product of its member row with its heading's packed rows,
-    taken as a C-ordered (K, n, 9) array; it is solved by ``_solve_packed``
-    (with ``prior``, if given), then costed and gated by ``_row_costs``.
-    Returns x (3, K) and cost (K,).
-
-    A cell's result depends neither on the other cells of the batch nor on
-    its place among them, but its last bits depend on the memory layout of
-    both product operands (see ``_heading_costs``).
+    is None) with the boolean (n,) member mask ``member[:, k]``. Each cell's
+    system is the ``_path_sum`` of its members' packed rows; it is solved by
+    ``_solve_packed`` (with ``prior``, if given), then costed and gated by
+    ``_row_costs``. Returns x (3, K) and cost (K,). A cell's result, to the
+    bit, depends neither on the other cells of the batch nor on its place
+    among them.
     """
-    _, n, m = terms.normal.shape
-    taken = np.arange(m) if rows is None else rows
-    # systems[k, i, c] = normal[c, i, taken[k]], gathered straight into C order
-    systems = terms.normal.ravel().take(taken[:, None, None] + m * np.arange(n)[:, None]
-                                        + n * m * np.arange(9))
-    systems = (member.astype(float)[:, None, :] @ systems)[:, 0].T
     if rows is not None:
         terms = _take_rows(terms, rows)
-    x, ok = _solve_packed(systems, prior)
+    x, ok = _solve_packed(_path_sum(member * terms.normal), prior)
     return x, _row_costs(terms, x, ok, member, gate)
 
 
@@ -398,14 +403,9 @@ def _heading_costs(paths, bs: Pose, alphas: np.ndarray, member_row: np.ndarray,
     ``member_row`` is a boolean (n,) mask of the paths in the set, every one
     treated as a single bounce. Returns x (3, M) and cost (M,); a heading's
     result does not depend on the other headings.
-
-    This is the only place a frozen set is scanned over headings, so every
-    such scan gets the same last bits: ``astype`` copies the broadcast member
-    row column-major, and NumPy then sums it in another order than a
-    C-ordered row would be (at 6, 7, 10 and 11 paths, say).
     """
     terms = _build_terms(paths, bs, alphas)
-    return _cell_costs(terms, None, np.broadcast_to(member_row, terms.nu_sq.shape[::-1]),
+    return _cell_costs(terms, None, np.broadcast_to(member_row[:, None], terms.nu_sq.shape),
                        gate)
 
 

@@ -97,20 +97,18 @@ class RobustConfig:
         also the per-path penalty charged for each excluded path.
     t_nu : near-parallel threshold on ||u + v||^2 under which the bounce
         fraction of the earliest inlier is not range-checked.
-    grid_size : number of heading grid points under the NLoS hypothesis.
     noise : measurement noise model used for landmark refinement.
+
+    Under the NLoS hypothesis the heading is searched on ``orientation_grid()``.
     """
 
     t_eps: float = 0.1
     t_nu: float = 0.1
-    grid_size: int = 361
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self):
-        if not (self.t_eps > 0.0 and self.t_nu > 0.0):
-            raise ValueError("thresholds must be strictly positive")
-        if self.grid_size < 1:
-            raise ValueError("grid_size must be >= 1")
+        if not (0.0 < self.t_eps < math.inf and 0.0 < self.t_nu < math.inf):
+            raise ValueError("thresholds must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -203,12 +201,12 @@ def _search(paths, bs, alphas, combos, los_index, n_min, config):
         with np.errstate(invalid="ignore", over="ignore"):
             inlier = _costs(spread, x) <= config.t_eps  # (n, L, M)
         l, h = np.nonzero(inlier.sum(axis=0) >= n_min)
-        member = np.ascontiguousarray(inlier[:, l, h].T)    # (K, n)
+        member = inlier[:, l, h]                        # (n, K)
         if best is not None:
             keep = ~(_outlier_penalty(terms.eta, member, config.t_eps) > best[0])
-            h, l, member = h[keep], l[keep], member[keep]
+            h, l, member = h[keep], l[keep], member[:, keep]
         if h.size:
-            waiting.append((h, lo + l, member, s[:6, l, h].T, d1[l, h], d2[l, h]))
+            waiting.append((h, lo + l, member, s[:6, l, h], d1[l, h], d2[l, h]))
             count += h.size
         if count >= block or (count and lo + step >= len(combos)):
             best = _evaluate_block(terms, waiting, gate, block, best)
@@ -219,22 +217,23 @@ def _search(paths, bs, alphas, combos, los_index, n_min, config):
 def _evaluate_block(terms, waiting, gate, block, best):
     """Evaluate the waiting cells; return the new best cell.
 
-    ``waiting`` lists one (heading, subset, inlier row, A row, d1, d2)
-    entry per chunk, one row per cell, in any order. At most ``block``
+    ``waiting`` lists one (heading, subset, inlier mask, A, d1, d2) entry
+    per chunk, its last axis running over the cells in any order: the
+    inlier masks are (n, K) and the six A entries (6, K). At most ``block``
     cells go to one ``_cell_costs`` call, which gates each cell's
     minimal-subset system (its six A entries and pivots d1, d2) together
     with its inlier system. A cell replaces ``best`` when its cost is
     finite and its (cost, heading, subset) is the least seen so far.
     """
-    h, l, member, a, d1, d2 = (np.concatenate(part) for part in zip(*waiting))
+    h, l, member, a, d1, d2 = (np.concatenate(part, axis=-1) for part in zip(*waiting))
     for lo in range(0, h.size, block):
         cells = slice(lo, lo + block)
-        x, cost = _cell_costs(terms, h[cells], member[cells], gate,
-                              (a[cells].T, d1[cells], d2[cells]))
+        x, cost = _cell_costs(terms, h[cells], member[:, cells], gate,
+                              (a[:, cells], d1[cells], d2[cells]))
         k = np.lexsort((l[cells], h[cells], cost))[0]
         cell = (float(cost[k]), int(h[lo + k]), int(l[lo + k]))
         if math.isfinite(cell[0]) and (best is None or cell < best[:3]):
-            best = cell + (x[:, k].copy(), member[lo + k].copy())
+            best = cell + (x[:, k].copy(), member[:, lo + k].copy())
     return best
 
 
@@ -255,9 +254,7 @@ def _polish_heading(paths, bs, alpha, x, cost, inlier_row, config):
     the 9 follow-up probes around each of them, and the rule above then
     picks both rounds' outcomes.
     """
-    if config.grid_size < 2:
-        return alpha, x, cost
-    width = 2.0 * math.pi / (config.grid_size - 1)
+    width = 2.0 * math.pi / 360                 # one step of orientation_grid()
     gate = (config.t_nu, config.t_eps)
     best = (alpha, x, cost)
     for _ in range(7):
@@ -320,7 +317,7 @@ def robust_solve(snapshot, hypothesis: Hypothesis,
         los_index = candidate
     else:
         candidate = None
-        alphas = orientation_grid(config.grid_size)
+        alphas = orientation_grid()
         combos = enumerate_combinations(n, hypothesis)
         los_index = None
 

@@ -4,7 +4,9 @@ The package replaced each of these with a leaner one that must return the
 same bits; the tests compare the two on seeded inputs.
 """
 
+import functools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -284,33 +286,40 @@ def feasibility_mask(terms, x, inlier, t_nu, r):
     return delay_ok & (j_in_range | j_near_los) & others_ok
 
 
+def path_order_sum(parts):
+    """The sum of per-path terms listed in ascending path order, one path
+    added after the other: ((p0 + p1) + p2) + ..."""
+    return functools.reduce(operator.add, parts)
+
+
 def row_costs(terms, x, ok, member, gate=None):
     """Gated cost of each row's state over its member set, (..., M)."""
-    weights = member.astype(float)
     r = residuals(terms, x)
-    cost = (weights * terms.eta * costs(terms, x, r)).sum(axis=-1)
+    weighted = member * terms.eta * costs(terms, x, r)
+    cost = path_order_sum(weighted[..., i] for i in range(len(terms.eta)))
     valid = ok
     if gate is not None:
         t_nu, t_eps = gate
-        cost = cost + ((1.0 - weights) * terms.eta).sum(axis=-1) * t_eps
+        outliers = (1.0 - member) * terms.eta
+        cost = cost + path_order_sum(outliers[..., i] for i in range(len(terms.eta))) * t_eps
         valid = ok & feasibility_mask(terms, x, member, t_nu, r)
     return np.where(valid & np.isfinite(cost), cost, np.inf)
 
 
 def cell_costs(terms, rows, member, gate=None):
     """States (K, 3) and gated costs (K,) of cells at heading ``rows`` with
-    member rows ``member``, each system one product with the rows' normals."""
+    member rows ``member``, each system the path-order sum of the members'
+    rows of ``normal``."""
     taken = terms._replace(**{name: getattr(terms, name)[rows]
                               for name in ("v", "nu", "nu_sq", "nubar", "mu", "normal")})
-    x, ok = solve_packed((member.astype(float)[:, None, :] @ taken.normal)[:, 0])
+    x, ok = solve_packed(path_order_sum(member[:, i, None] * taken.normal[:, i]
+                                        for i in range(len(terms.eta))))
     return x, row_costs(taken, x, ok, member, gate)
 
 
 def polish_heading(paths, bs, alpha, x, cost, inlier_row, config):
     """``robust._polish_heading`` one round per scan: 14 scans of 9 probes."""
-    if config.grid_size < 2:
-        return alpha, x, cost
-    width = 2.0 * math.pi / (config.grid_size - 1)
+    width = 2.0 * math.pi / 360
     gate = (config.t_nu, config.t_eps)
     best = (alpha, x, cost)
     center = alpha

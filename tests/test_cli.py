@@ -44,18 +44,18 @@ def test_run_config_layering(tmp_path, monkeypatch):
     assert rc == RunConfig()
 
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("t_eps = 0.2\ngrid_size = 181\nbias_range_ns = [-50, 50]\n")
+    cfg.write_text("t_eps = 0.2\ntrials = 181\nbias_range_ns = [-50, 50]\n")
     rc = build_run_config(cfg, {})
     assert rc.t_eps == 0.2
-    assert rc.grid_size == 181
+    assert rc.trials == 181
     assert rc.bias_range_ns == (-50.0, 50.0)
 
-    rc = build_run_config(cfg, {"grid_size": "361", "seed": None})
-    assert rc.grid_size == 361 and rc.t_eps == 0.2
+    rc = build_run_config(cfg, {"trials": "361", "seed": None})
+    assert rc.trials == 361 and rc.t_eps == 0.2
 
     monkeypatch.setenv("SNAPSLAM_CONFIG", str(cfg))
     rc = build_run_config(None, {})
-    assert rc.grid_size == 181
+    assert rc.trials == 181
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("not_a_knob = 3\n")
@@ -73,7 +73,7 @@ def _field_text(value):
 def test_run_config_types_every_field_from_its_default(tmp_path, monkeypatch):
     monkeypatch.delenv("SNAPSLAM_CONFIG", raising=False)
     defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
-    assert len(defaults) == 16
+    assert len(defaults) == 15
     # integral text for every field: a float field must still come back float
     integral = {k: "-5, 5" if isinstance(v, tuple) else "2" for k, v in defaults.items()}
     for texts, expected in ((integral, None),
@@ -102,7 +102,7 @@ def test_run_config_unit_conversion():
     assert noise.sigma_aod == pytest.approx(math.radians(3.0))
     assert noise.sigma_aoa == pytest.approx(math.radians(4.0))
     robust = rc.robust_config()
-    assert robust.t_eps == rc.t_eps and robust.grid_size == rc.grid_size
+    assert robust.t_eps == rc.t_eps and robust.t_nu == rc.t_nu
     sim = rc.sim_config(noiseless=True)
     assert sim.noise is None and sim.gain_sigma_db == 0.0
     assert sim.bias_range == (-100e-9, 100e-9)
@@ -242,6 +242,39 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         assert main(["sweep", "--data", str(data), "--out", str(curve),
                      "--trials", trials]) == 2
         assert "trials must be >= 1" in capsys.readouterr().err
+    assert not curve.exists()
+
+    # a threshold the gate cannot use is rejected before any snapshot is solved
+    out = tmp_path / "rejected.jsonl"
+    for flag in ("--t_eps", "--t_nu"):
+        assert main(["solve", "--data", str(data), "--out", str(out), flag, "inf"]) == 2
+        assert "thresholds must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_rejects_bad_settings_before_any_solve(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    write_dataset([random_h0_snapshot(0)], data)
+    out = tmp_path / "sols.jsonl"
+    for flag, value, message in (("--t_los", "nan", "t_los must be finite"),
+                                 ("--t_los", "inf", "t_los must be finite"),
+                                 ("--workers", "0", "workers must be >= 1"),
+                                 ("--workers", "-2", "workers must be >= 1")):
+        assert main(["solve", "--data", str(data), "--out", str(out), flag, value]) == 2
+        assert message in capsys.readouterr().err, (flag, value)
+        assert not out.exists()
+
+
+def test_cli_names_the_flag_of_a_value_that_does_not_convert(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    write_dataset([random_h0_snapshot(0)], data)
+    curve = tmp_path / "c.csv"
+    assert main(["sweep", "--data", str(data), "--out", str(curve), "--trials", "2.5"]) == 2
+    assert "error: --trials: invalid literal" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials = 2.5\n")
+    assert main(["sweep", "--data", str(data), "--out", str(curve), "--config", str(cfg)]) == 2
+    assert "error: config key 'trials': invalid literal" in capsys.readouterr().err
     assert not curve.exists()
 
 

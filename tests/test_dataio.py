@@ -206,8 +206,8 @@ def test_positions_file(tmp_path):
 
 def test_config_file(tmp_path):
     p = tmp_path / "run.cfg"
-    p.write_text("# solver\nt_eps = 0.2\ngrid_size = 181  # coarse\n\n")
-    assert read_config(p) == {"t_eps": "0.2", "grid_size": "181"}
+    p.write_text("# solver\nt_eps = 0.2\ntrials = 181  # fewer\n\n")
+    assert read_config(p) == {"t_eps": "0.2", "trials": "181"}
     p.write_text("t_eps 0.2\n")
     with pytest.raises(ValueError, match="line 1"):
         read_config(p)

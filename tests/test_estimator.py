@@ -199,9 +199,8 @@ def test_row_costs_send_failed_and_non_finite_rows_to_inf():
     # solve nor a NaN cost may win it
     snap = random_h1_snapshot(5, n_single=5)
     terms = _build_terms(snap.paths, snap.bs, orientation_grid(6))
-    member = np.ones(terms.nu_sq.shape[::-1], dtype=bool)      # (M, n) member rows
-    systems = np.ascontiguousarray(terms.normal.T)              # (M, n, 9)
-    x, ok = _solve_packed((member.astype(float)[:, None, :] @ systems)[:, 0].T)
+    member = np.ones(terms.nu_sq.shape, dtype=bool)            # (n, M) member masks
+    x, ok = _solve_packed(terms.normal.sum(axis=1))
     assert ok.all()
     x[:, 1] = np.nan
     ok[2] = False

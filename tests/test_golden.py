@@ -9,15 +9,32 @@ sets, detection decisions and landmark source paths exactly, every float to
 a relative 1e-9. Regenerate with
 ``PYTHONPATH=src python tests/test_golden.py`` only when an output is meant
 to change, and say so in the change log.
+
+To see what a change moves, regenerate into another directory DIR and
+compare:
+
+    PYTHONPATH=src python tests/test_golden.py DIR
+    PYTHONPATH=src python tests/test_golden.py --diff DIR
+
+For every golden file, ``--diff`` lists the rows whose structural fields
+differ (id, failure flag, hypothesis, inlier and outlier sets, detection
+decision, landmark source paths) and the largest change of each float
+field: the distance a point moved, in metres for positions, and the
+absolute change of a scalar. The exit status is 1 when a structural field
+differs. ``diff(got_dir, want_dir)`` compares any two directories of
+solve and sweep outputs with the same file names.
 """
 
+import argparse
 import csv
+import math
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
-from snapslam import read_jsonl
+from snapslam import read_jsonl, write_jsonl
 from snapslam.cli import main
 from snapslam.evaluation import MODES
 
@@ -93,6 +110,105 @@ def test_sweep_matches_golden(dataset, tmp_path):
         _assert_same([float(v) for v in g], [float(v) for v in w], f"sweep[{i}]")
 
 
+def _structure(row):
+    """The fields of a solution row that a rounding-level change leaves alone."""
+    detection = row.get("detection")
+    return (row["id"], row["failed"], row.get("hypothesis"), row.get("inliers"),
+            row.get("outliers"), detection and detection["decided"],
+            [lm["source_path"] for lm in row.get("landmarks", [])])
+
+
+def _floats(value, field=""):
+    """(field, value) of every float and every [x, y] point of a row.
+
+    List positions are left out of the field name, so every landmark's
+    position is one field.
+    """
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _floats(item, f"{field}.{key}" if field else key)
+    elif isinstance(value, list):
+        if len(value) == 2 and all(isinstance(item, float) for item in value):
+            yield field, value
+        else:
+            for item in value:
+                yield from _floats(item, field)
+    elif isinstance(value, float):
+        yield field, value
+
+
+def _change(got, want):
+    if isinstance(want, list):
+        return math.hypot(got[0] - want[0], got[1] - want[1])
+    return 0.0 if got == want else abs(got - want)
+
+
+def _rows(path):
+    if path.suffix == ".jsonl":
+        return read_jsonl(path)
+    header, *body = _read_csv(path)
+    return [{"id": i, "failed": False, **{k: float(v) for k, v in zip(header, line)}}
+            for i, line in enumerate(body)]
+
+
+def diff(got_dir, want_dir=GOLDEN):
+    """Print how each output of ``got_dir`` differs from ``want_dir``'s.
+
+    Returns the number of rows whose structural fields differ, counting a
+    missing file or a different row count as one.
+    """
+    broken = 0
+    for want_path in sorted(want_dir.glob("*.csv")) + sorted(want_dir.glob("*.jsonl")):
+        got_path = got_dir / want_path.name
+        if not got_path.exists():
+            print(f"{want_path.name}: missing")
+            broken += 1
+            continue
+        got, want = _rows(got_path), _rows(want_path)
+        largest, moved, bad = {}, 0, []
+        if len(got) != len(want):
+            bad.append(f"{len(got)} rows, want {len(want)}")
+        for g, w in zip(got, want):
+            floats_g, floats_w = list(_floats(g)), list(_floats(w))
+            if (_structure(g) != _structure(w)
+                    or [f for f, _ in floats_g] != [f for f, _ in floats_w]):
+                bad.append(f"row {w['id']}: {_structure(g)} != {_structure(w)}")
+                continue
+            changes = [(field, _change(a, b)) for (field, a), (_, b) in zip(floats_g, floats_w)]
+            moved += any(c for _, c in changes)
+            for field, c in changes:
+                largest[field] = max(largest.get(field, 0.0), c)
+        broken += len(bad)
+        print(f"{want_path.name}: {len(bad)} structural differences, "
+              f"{moved} of {len(want)} rows moved")
+        for line in bad:
+            print(f"  {line}")
+        for field, c in largest.items():
+            print(f"  {field:24s} {c:.3g}")
+    return broken
+
+
+def test_diff_lists_structural_changes_and_the_largest_float_change(tmp_path, capsys):
+    for path in GOLDEN.iterdir():
+        shutil.copy(path, tmp_path / path.name)
+    name = "room_b2_robust_mixed.jsonl"
+    rows = read_jsonl(GOLDEN / name)
+    rows[0]["ue"]["pos"][1] += 0.5
+    rows[0]["cost"] *= 2.0
+    rows[2]["outliers"] = rows[2]["outliers"] + [99]
+    write_jsonl(rows, tmp_path / name)
+    assert diff(tmp_path) == 1
+    out = capsys.readouterr().out
+    assert out.count(" 0 structural differences, 0 of ") == 9
+    report = out[out.index(name):]
+    assert report.startswith(f"{name}: 1 structural differences, 1 of 4 rows moved")
+    assert f"row {rows[2]['id']}: " in report
+    assert "  ue.pos                   0.5\n" in report
+    assert f"  cost                     {rows[0]['cost'] / 2.0:.3g}\n" in report
+    (tmp_path / name).unlink()
+    assert diff(tmp_path) == 1 and f"{name}: missing" in capsys.readouterr().out
+
+
 def regenerate(out_dir=GOLDEN):
     """Rewrite every golden file from the current code."""
     out_dir.mkdir(exist_ok=True)
@@ -105,4 +221,12 @@ def regenerate(out_dir=GOLDEN):
 
 
 if __name__ == "__main__":
-    regenerate(Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN)
+    parser = argparse.ArgumentParser(description="Regenerate or compare the golden files.")
+    parser.add_argument("out", nargs="?", type=Path, default=GOLDEN,
+                        help="directory to regenerate into (default: tests/golden)")
+    parser.add_argument("--diff", type=Path, metavar="DIR",
+                        help="compare DIR with tests/golden instead of regenerating")
+    args = parser.parse_args()
+    if args.diff is not None:
+        sys.exit(1 if diff(args.diff) else 0)
+    regenerate(args.out)

@@ -23,7 +23,7 @@ from snapslam import (
     orientation_grid,
     robust_solve,
 )
-from snapslam import robust
+from snapslam import estimator, robust
 from snapslam.estimator import (
     _build_terms,
     _cell_costs,
@@ -31,6 +31,7 @@ from snapslam.estimator import (
     _feasibility_mask,
     _gammas,
     _ldl_solve,
+    _outlier_penalty,
     _residuals,
     _solve_packed,
 )
@@ -113,7 +114,7 @@ def test_planar_cost_kernels_match_interleaved(scene, data):
         assert _same(_costs(planar, x.T).T, reference.costs(inter, x))
         assert _same(_costs(planar, x.T, r).T, reference.costs(inter, x, want_r))
         assert _same(_gammas(planar, x.T, r).T, reference.gammas(inter, x, want_r))
-        got = _feasibility_mask(planar, x.T, member, 0.1, r)
+        got = _feasibility_mask(planar, x.T, member.T, 0.1, r)
         want = reference.feasibility_mask(inter, x, member, 0.1, want_r)
     assert np.array_equal(got, want)
 
@@ -160,9 +161,8 @@ def test_prior_system_is_gated_with_the_cell_system(scene, other, data):
 @settings(max_examples=100, deadline=None)
 @given(_scene, st.data())
 def test_cell_costs_match_interleaved(scene, data):
-    # the product's and the sum's last bits follow the member rows' layout:
-    # C-ordered rows as the search gathers them, and the column-major copy
-    # of one broadcast row that a frozen-set heading scan makes
+    # path-major member masks as the search gathers them, and one mask
+    # broadcast over every heading as a frozen-set heading scan passes it
     paths, bs, alphas, los = _inputs(scene)
     m, n = len(alphas), len(paths)
     planar = _build_terms(paths, bs, alphas, los)
@@ -172,13 +172,79 @@ def test_cell_costs_match_interleaved(scene, data):
                                          min_size=len(rows), max_size=len(rows))))
     gate = data.draw(st.none() | st.just((0.1, 0.1)))
     with np.errstate(all="ignore"):
-        x, cost = _cell_costs(planar, rows, member, gate)
+        x, cost = _cell_costs(planar, rows, member.T, gate)
         want_x, want_cost = reference.cell_costs(inter, rows, member, gate)
         assert _same(x.T, want_x) and _same(cost, want_cost)
-        scan = np.broadcast_to(member[0], (m, n))
-        x, cost = _cell_costs(planar, None, scan, gate)
-        want_x, want_cost = reference.cell_costs(inter, np.arange(m), scan, gate)
+        x, cost = _cell_costs(planar, None, np.broadcast_to(member[0][:, None], (n, m)), gate)
+        want_x, want_cost = reference.cell_costs(inter, np.arange(m),
+                                                 np.broadcast_to(member[0], (m, n)), gate)
     assert _same(x.T, want_x) and _same(cost, want_cost)
+
+
+@pytest.mark.parametrize("n", [8, 9, 13])
+def test_cell_sums_add_the_paths_in_ascending_order(n, monkeypatch):
+    # NumPy sums an axis pairwise from 8 terms up when that axis is the
+    # innermost of its loop, as the path axis of a single cell is. Gains
+    # spread over six decades make pairwise and sequential sums differ.
+    # Batches of up to 14 cells accumulate their systems, larger ones loop
+    # over the paths; up to 128 cells accumulate their costs and penalties.
+    rng = np.random.default_rng(n)
+    snap = random_h1_snapshot(n, n_single=n)
+    paths = [PathMeasurement(p.toa, p.aod, p.aoa, p.gain * 10.0 ** rng.uniform(-6.0, 0.0))
+             for p in snap.paths]
+    planar = _build_terms(paths, snap.bs, orientation_grid())
+    inter = reference.build_terms(paths, snap.bs, orientation_grid())
+    systems = []
+
+    def solve(s, prior=None):
+        systems.append(s)
+        return _solve_packed(s, prior)
+
+    monkeypatch.setattr(estimator, "_solve_packed", solve)
+    for k in (1, 2, 7, 20, 150):
+        rows = rng.integers(0, 361, k)
+        member = rng.random((n, k)) < 0.9
+        for gate in (None, (0.1, 1e-3)):
+            systems.clear()
+            with np.errstate(all="ignore"):
+                x, cost = _cell_costs(planar, rows, member, gate)
+                want_x, want_cost = reference.cell_costs(inter, rows, member.T, gate)
+            want_s = reference.path_order_sum(member[i] * planar.normal[:, i, rows]
+                                              for i in range(n))
+            assert _same(systems[0], want_s), (k, gate)
+            assert _same(x.T, want_x) and _same(cost, want_cost), (k, gate)
+        masks = [member, ~member] + list(rng.random((20, n, 1)) < 0.5)   # and single cells
+        for mask in masks:
+            penalty = reference.path_order_sum((1.0 - mask[i]) * planar.eta[i] for i in range(n))
+            assert _same(_outlier_penalty(planar.eta, mask, 1e-3), penalty * 1e-3), k
+
+
+def _field_winners():
+    """Winning NLoS cells of field-style scenes: 5-7 noisy single bounces
+    and 0-2 multi-bounce outliers, as ``field_nlos`` draws them."""
+    for seed in range(18):
+        snap, paths, alphas, config, best = _winning_cell(seed, 5 + seed % 3, seed // 3 % 3)
+        yield snap, paths, alphas, (config.t_nu, config.t_eps), best
+
+
+def test_a_cell_has_the_same_bits_alone_in_a_block_and_in_a_heading_scan():
+    # The search evaluates its winner inside a block of cells, the polish
+    # re-costs it inside a 90-heading scan of its frozen set (probe 4 of the
+    # first scan is the winner's heading itself), and it can be evaluated
+    # alone; all three must agree to the bit.
+    for snap, paths, alphas, gate, best in _field_winners():
+        assert best is not None
+        cost, h, _, x, row = best
+        terms = _build_terms(paths, snap.bs, alphas)
+        alone_x, alone_cost = _cell_costs(terms, np.array([h]), row[:, None], gate)
+        width = 2.0 * math.pi / 360
+        probes = alphas[h] + np.linspace(-width, width, 9)
+        probes = np.concatenate([probes, (probes[:, None] + np.linspace(-width / 4.0, width / 4.0,
+                                                                        9)).ravel()])
+        assert len(probes) == 90 and probes[4] == alphas[h]
+        scan_x, scan_cost = robust._heading_costs(paths, snap.bs, probes, row, gate)
+        for got_x, got_cost in ((alone_x[:, 0], alone_cost[0]), (scan_x[:, 4], scan_cost[4])):
+            assert got_cost == cost and _same(got_x, x), h
 
 
 def _winning_cell(seed, n_single, n_multi):
@@ -186,7 +252,7 @@ def _winning_cell(seed, n_single, n_multi):
     snap = random_h1_snapshot(seed, n_single=n_single, noise=noise)
     snap = add_multibounce(snap, np.random.default_rng(seed), n_multi, noise=noise)
     paths, config = list(snap.paths), RobustConfig()
-    alphas = orientation_grid(config.grid_size)
+    alphas = orientation_grid()
     combos = enumerate_combinations(len(paths), Hypothesis.NLOS)
     best = robust._search(paths, snap.bs, alphas, combos, None, 4, config)
     return snap, paths, alphas, config, best

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import operator
 import tracemalloc
 from pathlib import Path
 
@@ -74,8 +75,11 @@ def test_robust_config_validation():
         RobustConfig(t_eps=0.0)
     with pytest.raises(ValueError):
         RobustConfig(t_nu=-1.0)
-    with pytest.raises(ValueError):
-        RobustConfig(grid_size=0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            RobustConfig(t_eps=bad)
+        with pytest.raises(ValueError, match="finite"):
+            RobustConfig(t_nu=bad)
 
 
 def test_h0_clean_exact():
@@ -149,7 +153,7 @@ def _costs_at(ue, paths, bs):
     terms = _build_terms(paths, bs, np.array([ue.orientation]))
     x = np.array([[ue.position[0]], [ue.position[1]], [SPEED_OF_LIGHT * ue.clock_bias]])
     ok = np.ones(1, dtype=bool)
-    member = np.ones((1, len(paths)), dtype=bool)
+    member = np.ones((len(paths), 1), dtype=bool)
     gate = (RobustConfig.t_nu, RobustConfig.t_eps)
     return (_row_costs(terms, x, ok, member)[0],
             _row_costs(terms, x, ok, member, gate)[0])
@@ -334,28 +338,28 @@ def _reference_search(paths, bs, alphas, combos, los_index, n_min, config):
     """One subset at a time over every heading, every cell kept, one argmin.
 
     A cell with fewer than ``n_min`` inliers costs +inf, as stage 1 of
-    ``_search`` rules it out before the gate. The minimal-subset systems are
-    summed path by path and the inlier systems of every heading built in one
-    product of C-ordered inlier rows and heading-major systems, as
-    ``_search`` builds its survivors' systems, so every cell's arithmetic is
+    ``_search`` rules it out before the gate. Every system is summed path by
+    path in ascending order, the inlier systems over every path weighted by
+    its inlier mask, as ``_search`` sums them, so every cell's arithmetic is
     the same and the result must match to the bit; no cell is pruned.
     """
     terms = _build_terms(paths, bs, alphas, los_index)
-    systems = np.ascontiguousarray(terms.normal.T)
     costs, states, masks = [], [], []
     for combo in combos:
-        x0, ok0 = _solve_packed(terms.normal[:, list(combo)].sum(axis=1))
-        inlier = np.ascontiguousarray(((_costs(terms, x0) <= config.t_eps) & ok0).T)
-        x1, ok1 = _solve_packed((inlier.astype(float)[:, None, :] @ systems)[:, 0].T)
+        x0, ok0 = _solve_packed(functools.reduce(operator.add,
+                                                 (terms.normal[:, i] for i in combo)))
+        inlier = (_costs(terms, x0) <= config.t_eps) & ok0          # (n, M)
+        x1, ok1 = _solve_packed(functools.reduce(
+            operator.add, (inlier[i] * terms.normal[:, i] for i in range(len(paths)))))
         cost = estimator._row_costs(terms, x1, ok0 & ok1, inlier, (config.t_nu, config.t_eps))
-        costs.append(np.where(inlier.sum(axis=1) >= n_min, cost, np.inf))
+        costs.append(np.where(inlier.sum(axis=0) >= n_min, cost, np.inf))
         states.append(x1)
         masks.append(inlier)
     table = np.stack(costs, axis=1)                 # (M, L), heading-major
     h, l = divmod(int(np.argmin(table)), len(combos))
     if not np.isfinite(table[h, l]):
         return None
-    return float(table[h, l]), h, l, states[l][:, h], masks[l][h]
+    return float(table[h, l]), h, l, states[l][:, h], masks[l][:, h]
 
 
 def _search_cases():
@@ -456,7 +460,7 @@ def test_pruned_search_keeps_cells_whose_penalty_ties_the_best(case, t_eps, monk
     # heading, so the penalty test must not prune it (case 5 at 10.0 has
     # such cells in later subsets).
     def penalty_only(terms, x, ok, member, gate):
-        cost = _outlier_penalty(terms.eta, member.astype(float), gate[1])
+        cost = _outlier_penalty(terms.eta, member, gate[1])
         return np.where(ok, cost, np.inf)
 
     monkeypatch.setattr(estimator, "_row_costs", penalty_only)
@@ -492,7 +496,7 @@ def test_batched_search_breaks_exact_ties_heading_first(monkeypatch):
 
     def scripted_cost(terms, x, ok, member, gate):
         return np.array([scripted.get((v.tobytes(), row.tobytes()), 5.0)
-                         for v, row in zip(np.moveaxis(terms.v, -1, 0), member)])
+                         for v, row in zip(np.moveaxis(terms.v, -1, 0), member.T)])
 
     monkeypatch.setattr(estimator, "_row_costs", scripted_cost)
     for budget in (1, robust._CHUNK_ROW_PATHS, 10 ** 9):
@@ -523,7 +527,7 @@ def test_block_winner_does_not_depend_on_the_order_of_its_cells(case, monkeypatc
     assert hypothesis is Hypothesis.NLOS and _search(*_search_inputs(snap, hypothesis))
     assert any(len(waiting) > 1 for _, waiting, _, _, _ in calls)
     for terms, waiting, gate, block, best in calls:
-        backwards = [tuple(part[::-1] for part in entry) for entry in reversed(waiting)]
+        backwards = [tuple(part[..., ::-1] for part in entry) for entry in reversed(waiting)]
         for start, size in itertools.product((best, None), (block, 7)):
             want = evaluate_block(terms, waiting, gate, size, start)
             assert want is not None
@@ -534,16 +538,16 @@ def test_block_winner_breaks_exact_ties_by_heading_then_subset(monkeypatch):
     # Every cell costs the same; the entries list the headings backwards and
     # a block holds two cells, so the least (heading, subset) is found last,
     # behind another cell of its block and heading.
-    # A cell's state is its (heading, subset, 0) and its member row its subset.
+    # A cell's state is its (heading, subset, 0) and its member mask its subset.
     def level(terms, rows, member, gate, prior):
-        return np.array([rows, member[:, 0], 0 * rows], dtype=float), np.ones(len(rows))
+        return np.array([rows, member[0], 0 * rows], dtype=float), np.ones(len(rows))
 
     monkeypatch.setattr(robust, "_cell_costs", level)
 
     def entry(headings, subsets):
         k = len(headings)
-        return (np.array(headings), np.array(subsets), np.array(subsets)[:, None],
-                np.zeros((k, 6)), np.zeros(k), np.zeros(k))
+        return (np.array(headings), np.array(subsets), np.array(subsets)[None, :],
+                np.zeros((6, k)), np.zeros(k), np.zeros(k))
 
     waiting = [entry([5, 3, 3], [0, 2, 1]), entry([4, 2, 2], [0, 9, 4])]
     for best in (None, (1.0, 2, 5), (2.0, 0, 0)):

@@ -61,7 +61,8 @@ class RunConfig:
     trials: int = 1000
 
     def __post_init__(self):
-        # rejected before any solve: the detector takes any threshold
+        # rejected here, before any dataset is read; the detector rejects
+        # a non-finite threshold too, but only when a solve starts
         if not math.isfinite(self.t_los):
             raise ValueError(f"t_los must be finite, got {self.t_los}")
         if self.workers < 1:

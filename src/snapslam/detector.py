@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DegenerateGeometry, NoFeasibleSolution, TooFewPaths
 from .geometry import Pose
-from .robust import Hypothesis, RobustConfig, SlamSolution, _los_candidate, robust_solve
+from .robust import (Hypothesis, RobustConfig, SlamSolution, _los_candidate, minimal_counts,
+                     robust_solve)
 
 DEFAULT_T_LOS = 10.8
 """Default decision threshold on the negative log likelihood statistic."""
@@ -79,7 +80,16 @@ def los_test(gain_db: float, estimated_position, bs: Pose,
 
     ``gain_db`` is the candidate path's gain in dB; ``estimated_position``
     the user position estimate the straight-line distance is taken to.
+
+    Raises
+    ------
+    ValueError
+        If ``threshold`` is not finite.
+    DegenerateGeometry
+        If the estimated position coincides with the anchor.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     p = np.asarray(estimated_position, dtype=float)
     dist = float(np.hypot(*(bs.position - p)))
     mean = path_loss_mean(dist, model)
@@ -104,30 +114,32 @@ def mixed_solve(snapshot, config: RobustConfig = RobustConfig(),
 
     Raises
     ------
+    ValueError
+        If ``threshold`` is not finite; checked before any solve.
     TooFewPaths
-        If the snapshot has fewer than 2 paths.
+        If the snapshot has fewer than 2 paths, the LoS branch's minimal
+        subset.
     NoFeasibleSolution
         If both branches fail.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     paths = list(snapshot.paths)
-    if len(paths) < 2:
-        raise TooFewPaths(f"need at least 2 paths, got {len(paths)}")
+    n_min = sum(minimal_counts(Hypothesis.LOS))
+    if len(paths) < n_min:
+        raise TooFewPaths(f"need at least {n_min} paths, got {len(paths)}")
     candidate = _los_candidate(paths)
 
-    los_solution = None
     try:
         los_solution = robust_solve(snapshot, Hypothesis.LOS, config)
     except NoFeasibleSolution:
-        pass
-
-    if los_solution is not None:
+        detection = DetectionResult(decided=Hypothesis.NLOS, statistic=math.inf,
+                                    threshold=threshold, candidate=candidate)
+    else:
         gain_db = 10.0 * math.log10(paths[candidate].gain)
         detection = los_test(gain_db, los_solution.ue.position, snapshot.bs, model,
                              threshold, candidate)
         if detection.decided is Hypothesis.LOS:
             return los_solution, detection
-    else:
-        detection = DetectionResult(decided=Hypothesis.NLOS, statistic=math.inf,
-                                    threshold=threshold, candidate=candidate)
 
     return robust_solve(snapshot, Hypothesis.NLOS, config), detection

@@ -38,21 +38,31 @@ CONDITION_LIMIT = 1e12
 """Condition number of the scaled normal matrix above which the geometry is
 treated as singular.
 
-The search gates its 3x3 normal matrices in closed form: the largest
-eigenvalue from the trigonometric solution of the characteristic cubic
-(O. K. Smith, "Eigenvalues of a symmetric 3x3 matrix", CACM 1961), the
-other two from their sum and their product, the product from the pivots of
-an LDL^T factorization. The smallest eigenvalue then carries an absolute
-error of a few ulps of the largest, as LAPACK's SVD does. Rows whose
-closed-form condition falls inside ``_COND_GUARD_BAND`` are rechecked with
+Both gates, ``_condition_ok`` on the 3x3 cell systems and
+``landmark_refine`` on its 2x2 landmark normal matrix, estimate the
+condition number of a symmetric positive definite A by one rule:
+trace(A) * trace(A^-1) = trace(A) * trace(adj A) / det(A), with det(A) the
+product of the LDL^T pivots (a c - b^2 for the 2x2 [[a, b], [b, c]]). For
+eigenvalues l_1 >= ... >= l_n > 0 it is (sum l_i) * (sum 1 / l_i), which
+lies between cond(A) = l_1 / l_n and n^2 cond(A): 9 cond(A) for 3x3 and
+4 cond(A) for 2x2 (Golub and Van Loan, Matrix Computations, section 2.3).
+Rows whose estimate falls inside ``_COND_GUARD_BAND`` are rechecked with
 ``np.linalg.svd``, so every gate decision is the one an SVD-only gate
-makes. ``landmark_refine`` gates its 2x2 landmark normal matrix the same
-way, from the closed-form 2x2 eigenvalues."""
+makes."""
 
 _COND_GUARD_BAND = (1e9, 1e15)
-"""Closed-form condition numbers in this closed interval are rechecked by
-SVD; below it a row passes, above it (or at or below zero, or when an LDL^T
-pivot is not positive) it fails."""
+"""Condition estimates in this closed interval are rechecked by SVD; below
+it a row passes, above it (or at or below zero, or when an LDL^T pivot is
+not positive) it fails.
+
+An estimate is never below the condition number and at most 9 times it
+(4 times for 2x2), so a row below the band has cond < 1e9 < CONDITION_LIMIT
+and a row above it cond > 1e15 / 9 > CONDITION_LIMIT. The factor 1000 on
+either side of ``CONDITION_LIMIT`` covers that spread and the rounding of
+the estimate, whose trace(adj A) cancels on near-singular rows. A row
+whose pivot product a00 d1 d2 underflows to zero fails; an eigenvalue gate
+that takes l_2 l_3 = a00 d1 d2 / l_1 from the same pivots loses the same
+rows."""
 
 
 @dataclass(frozen=True)
@@ -209,39 +219,15 @@ def _condition_ok(s, d1, d2):
     """Condition gate of packed systems whose ``_ldl_solve`` pivots are d1, d2.
 
     ``s`` holds at least the six planes of A. True where the condition
-    number is below ``CONDITION_LIMIT``: in closed form (see
-    ``CONDITION_LIMIT``), rechecked by SVD on the rare rows inside
-    ``_COND_GUARD_BAND``.
+    number is below ``CONDITION_LIMIT``: estimated as trace(A) *
+    trace(adj A) / (a00 d1 d2) (see ``CONDITION_LIMIT``), rechecked by SVD
+    on the rare rows inside ``_COND_GUARD_BAND``.
     """
     a00, a01, a02, a11, a12, a22 = s[:6]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pivots_ok = (a00 > 0.0) & (d1 > 0.0) & (d2 > 0.0)
-
-        # largest eigenvalue from the trigonometric form of the cubic
-        trace = a00 + a11 + a22
-        q = trace / 3.0
-        c00, c11, c22 = a00 - q, a11 - q, a22 - q
-        p = np.sqrt((c00 * c00 + c11 * c11 + c22 * c22
-                     + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
-        # det((A - qI) / p) / 2, scaled before the product so that a tiny
-        # spread p (a near-multiple of I) cannot underflow p**3 to zero
-        inv_p = 1.0 / p
-        c00, c11, c22 = c00 * inv_p, c11 * inv_p, c22 * inv_p
-        e01, e02, e12 = a01 * inv_p, a02 * inv_p, a12 * inv_p
-        det_c = (c00 * (c11 * c22 - e12 * e12) - e01 * (e01 * c22 - e12 * e02)
-                 + e02 * (e01 * e12 - c11 * e02))
-        r = np.clip(0.5 * det_c, -1.0, 1.0)
-        lam_max = np.where(p > 0.0, q + 2.0 * p * np.cos(np.arccos(r) / 3.0), q)
-
-        # the other two from their sum and their product det(A) / lam_max;
-        # the pivots give det(A) to the backward error of the factorization
-        rest = trace - lam_max
-        prod = a00 * d1 * d2 / lam_max
-        lam_mid = 0.5 * (rest + np.sqrt(np.maximum(rest * rest - 4.0 * prod, 0.0)))
-        # lam_min <= lam_mid; the bound holds where rounding left no real pair
-        lam_min = np.minimum(prod / lam_mid, lam_mid)
-        cond = np.where(pivots_ok, lam_max / lam_min, -1.0)
-
+        adj = (a11 * a22 - a12 * a12) + (a00 * a22 - a02 * a02) + (a00 * a11 - a01 * a01)
+        cond = np.where((a00 > 0.0) & (d1 > 0.0) & (d2 > 0.0),
+                        (a00 + a11 + a22) * adj / (a00 * d1 * d2), -1.0)
         lo, hi = _COND_GUARD_BAND
         ok = (cond > 0.0) & (cond < lo)
         band = (cond >= lo) & (cond <= hi)
@@ -259,7 +245,8 @@ def _solve_packed(s: np.ndarray, prior: tuple | None = None):
     and any batch shape after it. Returns (x, ok): x (3, ...) solves
     A x = b on rows whose condition number is below ``CONDITION_LIMIT`` and
     is zero elsewhere. Everything is elementwise: ``_ldl_solve`` solves,
-    ``_condition_ok`` gates.
+    ``_condition_ok`` gates by the trace rule of ``CONDITION_LIMIT`` from
+    the same pivots.
 
     ``prior`` = (A planes (6, K), d1, d2) gives a one-dimensional batch an
     earlier, already factored system per row; a row then passes only if
@@ -433,15 +420,16 @@ def los_orientation(path: PathMeasurement, bs: Pose) -> float:
     return wrap_angle(math.atan2(xy[1], xy[0]))
 
 
-def orientation_grid(size: int = 361) -> np.ndarray:
-    """Uniform heading grid over [-pi, pi] with ``size`` points.
+_GRID_STEPS = 360
+"""Steps of ``orientation_grid`` over [-pi, pi]: a 1-degree resolution."""
 
-    Both interval endpoints are included (they alias to the same heading);
-    the default matches the solver's 1-degree resolution.
+
+def orientation_grid() -> np.ndarray:
+    """Uniform heading grid over [-pi, pi], ``_GRID_STEPS`` + 1 points.
+
+    Both interval endpoints are included (they alias to the same heading).
     """
-    if size < 1:
-        raise ValueError("grid size must be >= 1")
-    return np.linspace(-math.pi, math.pi, size)
+    return np.linspace(-math.pi, math.pi, _GRID_STEPS + 1)
 
 
 def nlos_orientation_search(paths: Sequence[PathMeasurement], index_set, grid,
@@ -587,10 +575,10 @@ def landmark_refine(path: PathMeasurement, ue: UeState, bs: Pose,
     otherwise: after 50 iterations, on a non-positive LDL^T pivot of the
     normal equations, or on a step predicting a real decrease that no
     halving of it achieves. The covariance is the closed-form inverse of
-    J^T R^-1 J at the returned iterate, and its condition number comes from
-    the closed-form eigenvalues, rechecked by ``np.linalg.svd`` inside
-    ``_COND_GUARD_BAND`` as ``_condition_ok`` does, so the rank gate decides
-    as an SVD-only gate.
+    J^T R^-1 J at the returned iterate, and its condition number is
+    estimated as (a + c)^2 / det by the trace rule of ``CONDITION_LIMIT``,
+    rechecked by ``np.linalg.svd`` inside ``_COND_GUARD_BAND`` as
+    ``_condition_ok`` does, so the rank gate decides as an SVD-only gate.
 
     Raises
     ------
@@ -657,10 +645,7 @@ def landmark_refine(path: PathMeasurement, ue: UeState, bs: Pose,
 
     _, a, b, c = _normal_2x2(jac, sig)
     det = a * c - b * b
-    # closed-form eigenvalues: the larger from the half trace and half spread,
-    # the smaller as det / lam_max, which keeps its relative accuracy
-    lam_max = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
-    cond = lam_max * lam_max / det if det > 0.0 else -1.0
+    cond = (a + c) * (a + c) / det if det > 0.0 else -1.0
     lo, hi = _COND_GUARD_BAND
     if lo <= cond <= hi:
         sv = np.linalg.svd(np.array([[a, b], [b, c]]), compute_uv=False)

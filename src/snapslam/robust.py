@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import DegenerateGeometry, NoFeasibleSolution, TooFewPaths
 from .estimator import (
+    _GRID_STEPS,
     _build_terms,
     _cell_costs,
     _costs,
@@ -254,7 +255,7 @@ def _polish_heading(paths, bs, alpha, x, cost, inlier_row, config):
     the 9 follow-up probes around each of them, and the rule above then
     picks both rounds' outcomes.
     """
-    width = 2.0 * math.pi / 360                 # one step of orientation_grid()
+    width = 2.0 * math.pi / _GRID_STEPS         # one step of orientation_grid()
     gate = (config.t_nu, config.t_eps)
     best = (alpha, x, cost)
     for _ in range(7):
@@ -306,22 +307,19 @@ def robust_solve(snapshot, hypothesis: Hypothesis,
     bs = snapshot.bs
     paths = list(snapshot.paths)
     n = len(paths)
-    n_los, n_nlos = minimal_counts(hypothesis)
-    n_min = n_los + n_nlos
+    n_min = sum(minimal_counts(hypothesis))
     if n < n_min:
         raise NoFeasibleSolution(f"need at least {n_min} paths, got {n}")
     if hypothesis is Hypothesis.LOS:
         candidate = _los_candidate(paths)
         alphas = np.array([los_orientation(paths[candidate], bs)])
         combos = enumerate_combinations(n, hypothesis, candidate)
-        los_index = candidate
     else:
         candidate = None
         alphas = orientation_grid()
         combos = enumerate_combinations(n, hypothesis)
-        los_index = None
 
-    best = _search(paths, bs, alphas, combos, los_index, n_min, config)
+    best = _search(paths, bs, alphas, combos, candidate, n_min, config)
     if best is None:
         raise NoFeasibleSolution("every (heading, subset) cell failed feasibility")
     cost, h, _, x, inlier_row = best
@@ -353,8 +351,9 @@ def benchmark_solve(snapshot, noise: NoiseModel = NoiseModel()) -> SlamSolution:
     bs = snapshot.bs
     paths = list(snapshot.paths)
     n = len(paths)
-    if n < 4:
-        raise TooFewPaths(f"benchmark needs at least 4 paths, got {n}")
+    n_min = sum(minimal_counts(Hypothesis.NLOS))
+    if n < n_min:
+        raise TooFewPaths(f"benchmark needs at least {n_min} paths, got {n}")
     ue, cost = nlos_orientation_search(paths, range(n), orientation_grid(), bs)
     landmarks = _refine_landmarks(paths, range(n), ue, bs, noise)
     return SlamSolution(ue=ue, landmarks=landmarks, inliers=tuple(range(n)),

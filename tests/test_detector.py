@@ -19,6 +19,7 @@ from snapslam import (
     robust_solve,
     wrap_angle,
 )
+from snapslam import detector
 from helpers import gain_for, random_h0_snapshot, random_h1_snapshot
 
 
@@ -87,10 +88,26 @@ def test_mixed_solve_falls_back_on_nlos_snapshot():
         assert np.hypot(*(sol.ue.position - t.ue.position)) < 1e-9
 
 
+def test_non_finite_threshold_is_rejected_before_any_solve(monkeypatch):
+    # a NaN threshold would decide NLoS everywhere and write "threshold": NaN
+    bs = __import__("snapslam").Pose([0.0, 0.0])
+    snap = random_h0_snapshot(0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mixed_solve solved before checking its threshold")
+
+    monkeypatch.setattr(detector, "robust_solve", forbidden)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            los_test(30.0, [10.0, 0.0], bs, threshold=bad)
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            mixed_solve(snap, threshold=bad)
+
+
 def test_mixed_solve_needs_two_paths():
     snap = random_h0_snapshot(1)
     one = Snapshot(id="o", bs=snap.bs, paths=snap.paths[:1], truth=None)
-    with pytest.raises(TooFewPaths):
+    with pytest.raises(TooFewPaths, match="need at least 2 paths, got 1"):
         mixed_solve(one)
 
 

@@ -162,8 +162,6 @@ def test_orientation_grid_shape():
     assert len(g) == 361
     assert g[0] == -math.pi and g[-1] == math.pi
     assert np.allclose(np.diff(g), math.pi / 180.0)
-    with pytest.raises(ValueError):
-        orientation_grid(0)
 
 
 def test_nlos_search_recovers_on_grid_heading():
@@ -198,7 +196,7 @@ def test_row_costs_send_failed_and_non_finite_rows_to_inf():
     # the grid search takes the argmin of these costs: neither a failed
     # solve nor a NaN cost may win it
     snap = random_h1_snapshot(5, n_single=5)
-    terms = _build_terms(snap.paths, snap.bs, orientation_grid(6))
+    terms = _build_terms(snap.paths, snap.bs, np.linspace(-math.pi, math.pi, 6))
     member = np.ones(terms.nu_sq.shape, dtype=bool)            # (n, M) member masks
     x, ok = _solve_packed(terms.normal.sum(axis=1))
     assert ok.all()
@@ -459,23 +457,25 @@ def test_landmark_refine_matches_the_reference_from_an_antenna_initializer(monke
 
 
 def test_landmark_refine_rank_gate_decides_as_an_svd_only_gate(monkeypatch):
-    # The closed-form condition number decides outside _COND_GUARD_BAND; an
-    # unbounded band sends every positive one to the SVD. The near-antenna
-    # and near-parallel kinds reach conditions of 1e9..2e14, on both sides
-    # of CONDITION_LIMIT; the segment case is singular and fails in closed
-    # form under either band.
+    # The estimate (a + c)^2 / det decides outside _COND_GUARD_BAND; an
+    # unbounded band sends every positive one to the SVD. The estimate is
+    # at most 4x the condition number, so a band of (L/2, 8L) still decides
+    # as the SVD does. The near-antenna and near-parallel kinds reach
+    # conditions of 1e9..2e14, on both sides of CONDITION_LIMIT; the segment
+    # case is singular and fails without the SVD under every band.
     cases = list(_gate_cases())
     want = [_run_case(monkeypatch, _refine_outcome, *case) for case in cases]
-    monkeypatch.setattr(estimator, "_COND_GUARD_BAND", (0.0, math.inf))
-    got = [_run_case(monkeypatch, _refine_outcome, *case) for case in cases]
-    assert got == want
+    for band in ((0.0, math.inf), (CONDITION_LIMIT / 2, 8 * CONDITION_LIMIT)):
+        monkeypatch.setattr(estimator, "_COND_GUARD_BAND", band)
+        got = [_run_case(monkeypatch, _refine_outcome, *case) for case in cases]
+        assert got == want, band
     assert sum(o == ("DegenerateGeometry", "rank-deficient Jacobian at the optimum")
                for o in want) >= 5
 
 
 def test_landmark_refine_makes_no_numpy_solve_and_svd_only_in_the_band(monkeypatch):
-    # The refinement's 2x2 algebra runs in floats; only a closed-form
-    # condition inside _COND_GUARD_BAND may call the SVD, once per case.
+    # The refinement's 2x2 algebra runs in floats; only a condition
+    # estimate inside _COND_GUARD_BAND may call the SVD, once per case.
     cases = list(_gate_cases())
     want = [_run_case(monkeypatch, _refine_outcome, *case) for case in cases]
 
@@ -499,8 +499,7 @@ def test_landmark_refine_makes_no_numpy_solve_and_svd_only_in_the_band(monkeypat
         assert len(seen) <= 1
         for m in seen:
             (a, b), (_, c) = m.tolist()
-            lam_max = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
-            assert lo <= lam_max * lam_max / (a * c - b * b) <= hi
+            assert lo <= (a + c) * (a + c) / (a * c - b * b) <= hi
             checked += 1
     assert 0 < checked < len(cases) // 4
 
@@ -556,21 +555,27 @@ _psd_draw = st.tuples(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_psd_draw, min_size=1, max_size=24))
-# 100 I up to an off-diagonal of ~1e-148: the eigenvalue spread p cubed underflows
+# 100 I up to an off-diagonal of ~1e-148: a near-multiple of I, on which an
+# eigenvalue formula that cubes the eigenvalue spread underflows
 @example([("full", 0.0, 0.0, 2.0, [0.0, 0.0, 1.0, 7.4e-135], [0.0, 0.0, 1.0])])
 def test_closed_form_gate_and_solve_match_lapack(draws):
+    # The condition estimate is at most 9x the condition number, so a band
+    # of (L/2, 18L) around the limit L still decides as the SVD does.
     a = np.array([_psd_matrix(*d[:5]) for d in draws])
     b = np.array([d[5] for d in draws]) * np.array([10.0 ** d[3] for d in draws])[:, None]
     packed = np.concatenate([a[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]], b], axis=1)
-    x, ok = _solve_packed(packed.T)
-    x = x.T
     ref_ok, cond = _svd_gate(a)
-    assert np.array_equal(ok, ref_ok), (cond, ok, ref_ok)
-    assert np.all(x[~ok] == 0.0)
-    if ok.any():
-        ref_x = np.linalg.solve(a[ok], b[ok][..., None])[..., 0]
-        err = np.linalg.norm(x[ok] - ref_x, axis=1)
-        assert np.all(err <= cond[ok] * 1e-13 * np.linalg.norm(ref_x, axis=1))
+    for band in (estimator._COND_GUARD_BAND, (CONDITION_LIMIT / 2, 18 * CONDITION_LIMIT)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimator, "_COND_GUARD_BAND", band)
+            x, ok = _solve_packed(packed.T)
+        x = x.T
+        assert np.array_equal(ok, ref_ok), (band, cond, ok, ref_ok)
+        assert np.all(x[~ok] == 0.0)
+        if ok.any():
+            ref_x = np.linalg.solve(a[ok], b[ok][..., None])[..., 0]
+            err = np.linalg.norm(x[ok] - ref_x, axis=1)
+            assert np.all(err <= cond[ok] * 1e-13 * np.linalg.norm(ref_x, axis=1))
 
 
 def test_closed_form_kernel_keeps_batch_shape():

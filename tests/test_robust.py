@@ -188,7 +188,7 @@ def test_benchmark_treats_everything_as_inlier():
     sol = benchmark_solve(snap)
     assert sol.inliers == tuple(range(6))
     assert sol.outliers == ()
-    with pytest.raises(TooFewPaths):
+    with pytest.raises(TooFewPaths, match="benchmark needs at least 4 paths, got 3"):
         benchmark_solve(Snapshot(id="z", bs=snap.bs, paths=snap.paths[:3],
                                  truth=None))
 

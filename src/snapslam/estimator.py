@@ -98,9 +98,11 @@ class _PathTerms(NamedTuple):
     Every packed system, cost and penalty of a cell is a sum over its
     paths in ascending path order, ((p0 + p1) + p2) + ...: the search's
     minimal-subset systems over the subset's paths, the rest through
-    ``_path_sum`` over every path with non-members weighted 0. The bits of
-    a cell's result therefore depend neither on the batch it is evaluated
-    in nor on any memory layout.
+    ``_path_sum`` over every path with non-members weighted 0. A frozen-set
+    heading scan (``_heading_costs``) builds its members' terms alone; a
+    non-member adds an exact zero to such a sum, so that gives the same
+    bits. The bits of a cell's result therefore depend neither on the batch
+    it is evaluated in nor on any memory layout.
     """
 
     tau: np.ndarray       # (n,)
@@ -298,6 +300,59 @@ def _costs(terms: _PathTerms, x: np.ndarray, r: np.ndarray | None = None) -> np.
     return pr[0] + pr[1]
 
 
+def _line_terms(terms: _PathTerms, bs: Pose, los_index: int | None = None):
+    """Terms of ``_line_costs``, built once per search.
+
+    A bounce path's projector is P = I - nubar nubar^T = q q^T, with q
+    nubar turned by 90 degrees, (-nubar_1, nubar_0). So its squared
+    projected residual is (q . r)^2. With r = [x0, x1] - x2 v - mu and
+    mu = p_bs - c tau v, q . r = q0 (x0 - p_bs,0) + q1 (x1 - p_bs,1) +
+    c_q (x2 - c tau) is linear in the state, with c_q = -q . v fixed per
+    (path, heading); ``bs`` is the anchor pose the terms were built for.
+    Shifting the state that way holds one plane per search, where adding
+    -q . mu would hold a second one through stage 2.
+
+    Returns (spread, c_q, c tau, p_bs): ``terms`` with v, nubar and mu
+    spread over the subset axis of a chunk's (subset, heading) cells,
+    planes (2, n, 1, M), c_q as (n, 1, M) planes, c tau as (n, 1, 1) and
+    the anchor position. A path whose projector is the identity has no such
+    form: both residual components count. That is the LoS candidate
+    ``los_index`` and any (path, heading) whose rays cancel exactly, as
+    ``_build_terms`` marks them. When the terms have one, c_q is None and
+    ``_line_costs`` costs every path by ``_costs``: the LoS branch searches
+    one heading in one chunk, too few cells to repay the plane c_q.
+    """
+    spread = terms._replace(v=terms.v[:, :, None], nubar=terms.nubar[:, :, None],
+                            mu=terms.mu[:, :, None])
+    if los_index is not None or not terms.nu_sq.all():
+        return spread, None, None, None
+    cq = terms.nubar[::-1] * terms.v              # (nubar_1 v0, nubar_0 v1)
+    cq = cq[0] - cq[1]
+    return spread, cq[:, None], (_C * terms.tau)[:, None, None], bs.position
+
+
+def _line_costs(lines: tuple, x: np.ndarray) -> np.ndarray:
+    """Stage-1 cost of every path at states x (3, L, M), (n, L, M): the
+    squared projected residual of ``_costs``, up to rounding.
+
+    ``lines`` is ``_line_terms`` of the search's terms. Each path's cost is
+    its linear form q . r, squared, or, when the terms have an
+    identity-projector path, ``_costs`` itself.
+    """
+    spread, cq, ctau, anchor = lines
+    with np.errstate(invalid="ignore", over="ignore"):
+        if cq is None:
+            return _costs(spread, x)
+        q = x[2] - ctau
+        q *= cq
+        part = spread.nubar[0] * (x[1] - anchor[1])
+        q += part
+        np.multiply(spread.nubar[1], x[0] - anchor[0], out=part)
+        q -= part
+        q *= q
+    return q
+
+
 def _gammas(terms: _PathTerms, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Bounce fraction of every path at every cell's state, (n, K).
 
@@ -388,12 +443,26 @@ def _heading_costs(paths, bs: Pose, alphas: np.ndarray, member_row: np.ndarray,
     """``_cell_costs`` at every heading of ``alphas`` for one frozen member set.
 
     ``member_row`` is a boolean (n,) mask of the paths in the set, every one
-    treated as a single bounce. Returns x (3, M) and cost (M,); a heading's
-    result does not depend on the other headings.
+    treated as a single bounce; one path at least. Returns x (3, M) and cost
+    (M,); a heading's result does not depend on the other headings.
+
+    Only the members' terms are built, and the non-members' penalty is
+    added once. The result has the bits of ``_cell_costs`` over every path
+    with the non-members weighted 0: such a path adds an exact zero to each
+    path-order sum, the earliest inlier of the feasibility gate is a member,
+    and the power-of-two weight scale of ``_build_terms`` (set by the
+    largest member gain here) cancels exactly in the solve, the condition
+    estimate and its SVD recheck, while the costs weigh by the unscaled
+    gains. That holds while no non-member's squared residual overflows and
+    no member's scaled weight is subnormal.
     """
-    terms = _build_terms(paths, bs, alphas)
-    return _cell_costs(terms, None, np.broadcast_to(member_row[:, None], terms.nu_sq.shape),
-                       gate)
+    members = np.flatnonzero(member_row)
+    terms = _build_terms([paths[i] for i in members], bs, alphas)
+    x, cost = _cell_costs(terms, None, np.broadcast_to(True, terms.nu_sq.shape), gate)
+    if gate is not None:
+        eta = np.array([p.gain for p in paths])
+        cost = cost + _outlier_penalty(eta, member_row[:, None], gate[1])
+    return x, cost
 
 
 def path_cost(path: PathMeasurement, position, clock_bias: float, alpha_ue: float,

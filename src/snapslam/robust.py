@@ -15,7 +15,13 @@ CACM 1981). Stage 1 takes whole subsets in chunks of at most
 ``_CHUNK_ROW_PATHS`` (heading x subset) cells times paths, solves every
 cell's 3x3 minimal-subset system elementwise by LDL^T on path-major planes
 (see ``estimator._PathTerms``) and partitions the paths into inliers and
-outliers at that state. Stage 1 alone applies the count rule: a cell with
+outliers at that state. The partition compares ``estimator._line_costs``
+with the threshold: one scalar residual per bounce path, linear in the
+state with coefficients fixed per (path, heading). It equals
+``estimator._costs`` up to rounding; a search with an identity-projector
+path (the LoS branch, whose candidate needs both residual components)
+partitions by ``_costs`` itself, and stage 2 and every reported cost use
+``_costs``. Stage 1 alone applies the count rule: a cell with
 fewer inliers than a minimal subset has paths cannot win. Nor can one whose
 outlier penalty alone exceeds the best gated cost so far; the others wait,
 across chunks, until they fill a block. Stage 2 takes a block at a time:
@@ -46,9 +52,10 @@ from .estimator import (
     _GRID_STEPS,
     _build_terms,
     _cell_costs,
-    _costs,
     _heading_costs,
     _ldl_solve,
+    _line_costs,
+    _line_terms,
     _outlier_penalty,
     landmark_refine,
     los_orientation,
@@ -62,14 +69,20 @@ _C = SPEED_OF_LIGHT
 _CHUNK_ROW_PATHS = 8192
 """Rows (heading x subset cells) times paths of one stage-1 chunk of the
 search; whole subsets are batched, one at least. Measured with tracemalloc
-on 5 to 13 paths, stage 1 takes 40-65 bytes per row and path, most of it
-the residual planes of the inlier partition. A row and path of stage 2
-takes ~160 (gathered terms and system, residuals, costs and gate), so a
-stage-2 block holds an eighth as many. A chunk holds one subset at least,
-M headings by n paths, so the search's working memory on top of its
-per-path terms stays under 80 bytes times max(``_CHUNK_ROW_PATHS``, M n),
-however many cells survive. On the default 361-point grid the second term
-takes over from 23 paths on; below that the bound is ~650 KB."""
+over one chunk on builder snapshots of 5 to 13 paths, at this budget and
+at 2048, stage 1 takes 34-57 bytes per row and path: ~17 for the cost
+plane of ``estimator._line_costs``, its scratch plane and the inlier
+mask, the rest for each cell's minimal-subset system and LDL^T solve,
+shared by its n paths; none of it is held through stage 2.
+``estimator._line_terms`` holds 8 bytes per path and heading for the
+whole search. A row and path of stage 2 takes ~160 (gathered terms and
+system, residuals, costs and gate), so a stage-2 block holds an eighth as
+many. A chunk holds one subset at least, M headings by n paths, so the
+search's working memory on top of its per-path terms stays under 80 bytes
+times max(``_CHUNK_ROW_PATHS``, M n), however many cells survive: whole
+searches on builder snapshots of 5 to 13 paths took 45-75 at t_eps 0.1
+and 1e6. On the default 361-point grid the second term takes over from 23
+paths on; below that the bound is ~650 KB."""
 
 
 class Hypothesis(Enum):
@@ -156,8 +169,12 @@ def enumerate_combinations(n_paths: int, hypothesis: Hypothesis,
 
 
 def _los_candidate(paths) -> int:
-    """Index of the path the LoS branch treats as line of sight: the earliest."""
-    return int(np.argmin([p.toa for p in paths]))
+    """Index of the path the LoS branch treats as line of sight: the earliest.
+
+    Ties go to the lowest index; every ``toa`` is finite
+    (``PathMeasurement`` checks it), so the comparison is a total order.
+    """
+    return min(range(len(paths)), key=lambda i: paths[i].toa)
 
 
 def _search(paths, bs, alphas, combos, los_index, n_min, config):
@@ -170,7 +187,8 @@ def _search(paths, bs, alphas, combos, los_index, n_min, config):
     Subsets are taken in chunks of whole subsets, each at most
     ``_CHUNK_ROW_PATHS`` cells times paths (one subset at least). The
     minimal-subset stage solves every cell of a chunk and partitions the
-    paths into inliers and outliers at that state. Only the cells that can
+    paths into inliers and outliers at that state by ``_line_costs``, whose
+    terms ``_line_terms`` builds once per search. Only the cells that can
     still win go on: those with at least ``n_min`` inliers (the one place
     this count is tested) whose outlier penalty is not above the best gated
     cost so far (a gated cost is never below its penalty; the test is
@@ -183,10 +201,8 @@ def _search(paths, bs, alphas, combos, los_index, n_min, config):
     """
     alphas = np.asarray(alphas, dtype=float)
     terms = _build_terms(paths, bs, alphas, los_index)
+    lines = _line_terms(terms, bs, los_index)
     n, m = terms.nu_sq.shape
-    # planes spread over the subset axis of a chunk's (subset, heading) cells
-    spread = terms._replace(v=terms.v[:, :, None], nubar=terms.nubar[:, :, None],
-                            mu=terms.mu[:, :, None])
     slots = np.asarray(combos).T                        # (subset size, L)
     gate = (config.t_nu, config.t_eps)
     step = max(1, _CHUNK_ROW_PATHS // (m * n))
@@ -199,8 +215,7 @@ def _search(paths, bs, alphas, combos, los_index, n_min, config):
         for path in chunk[1:]:
             s += terms.normal[:, path]
         x, d1, d2 = _ldl_solve(s)
-        with np.errstate(invalid="ignore", over="ignore"):
-            inlier = _costs(spread, x) <= config.t_eps  # (n, L, M)
+        inlier = _line_costs(lines, x) <= config.t_eps      # (n, L, M)
         l, h = np.nonzero(inlier.sum(axis=0) >= n_min)
         member = inlier[:, l, h]                        # (n, K)
         if best is not None:
@@ -209,6 +224,7 @@ def _search(paths, bs, alphas, combos, los_index, n_min, config):
         if h.size:
             waiting.append((h, lo + l, member, s[:6, l, h], d1[l, h], d2[l, h]))
             count += h.size
+        del s, x, d1, d2, inlier                        # not held through stage 2
         if count >= block or (count and lo + step >= len(combos)):
             best = _evaluate_block(terms, waiting, gate, block, best)
             waiting, count = [], 0

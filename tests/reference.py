@@ -318,17 +318,19 @@ def cell_costs(terms, rows, member, gate=None):
 
 
 def polish_heading(paths, bs, alpha, x, cost, inlier_row, config):
-    """``robust._polish_heading`` one round per scan: 14 scans of 9 probes."""
+    """``robust._polish_heading`` one round per scan: 14 scans of 9 probes,
+    each over every path with the frozen set's non-members weighted 0."""
     width = 2.0 * math.pi / 360
     gate = (config.t_nu, config.t_eps)
+    member = np.broadcast_to(inlier_row, (9, len(paths)))
     best = (alpha, x, cost)
     center = alpha
     for _ in range(14):
         probes = center + np.linspace(-width, width, 9)
-        xs, scan = estimator._heading_costs(paths, bs, probes, inlier_row, gate)
+        xs, scan = cell_costs(build_terms(paths, bs, probes), np.arange(9), member, gate)
         k = int(np.argmin(scan))
         if np.isfinite(scan[k]) and scan[k] < best[2]:
             center = float(probes[k])
-            best = (center, xs[:, k], float(scan[k]))
+            best = (center, xs[k], float(scan[k]))
         width /= 4.0
     return best

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snapslam import (
+    SPEED_OF_LIGHT,
     Hypothesis,
     NoiseModel,
     PathMeasurement,
@@ -30,7 +31,10 @@ from snapslam.estimator import (
     _costs,
     _feasibility_mask,
     _gammas,
+    _heading_costs,
     _ldl_solve,
+    _line_costs,
+    _line_terms,
     _outlier_penalty,
     _residuals,
     _solve_packed,
@@ -219,6 +223,73 @@ def test_cell_sums_add_the_paths_in_ascending_order(n, monkeypatch):
             assert _same(_outlier_penalty(planar.eta, mask, 1e-3), penalty * 1e-3), k
 
 
+# A bounce whose rays cancel exactly, ||u + v||^2 == 0, when the anchor and
+# the user both face heading 0: (aod, aoa), found by a search over floats.
+_CANCEL = (2.5934197786078093, -0.548172874981984)
+
+_U = 2.0 ** -53     # unit roundoff of float64
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scene, st.data())
+def test_line_costs_decide_as_costs(scene, data):
+    # The stage-1 statistic of the search against _costs. Some scenes have an
+    # identity-projector row, the LoS candidate or a bounce whose rays cancel
+    # at heading 0; both residual components count there, so _line_costs
+    # must give the numbers of _costs. States solve random 2- to 4-subsets,
+    # so some paths sit near any threshold, and some are drawn outright.
+    #
+    # Otherwise both values are the square of one residual rho = q . r of
+    # the stored terms. Write S = |x0| + |x1| + |x2| + |mu0| + |mu1| +
+    # |p_bs,0| + |p_bs,1| + c tau (|v| and |nubar| are 1 to rounding). The
+    # linear form shifts the state by the anchor and c tau, multiplies by
+    # q0, q1 and c_q (rounded twice) and adds: error <= 8 u S; it takes mu
+    # as p_bs - c tau v, which the stored mu rounds: <= 2 u S. _costs rounds
+    # r (3 u S per component), then the projection and its dot product:
+    # <= 23 u S on |P r|. A stored nubar is a unit vector to ~4 u, which
+    # moves (q . r)^2 against |P r|^2 by that relative amount: <= 3 u S on
+    # the root. The test's own square roots add <= 2 u S. So
+    # |sqrt(line) - sqrt(costs)| <= 38 u S; delta = 40 u S. Decisions may
+    # differ only where the threshold's root lies within delta of the root
+    # of the _costs value.
+    paths, bs, alphas, los = _inputs(scene)
+    cancel = data.draw(st.booleans())
+    if cancel:
+        k = data.draw(st.integers(0, len(paths)))
+        paths.insert(k, PathMeasurement(5e-8, *_CANCEL, 0.5))
+        bs = Pose(bs.position, 0.0)
+        j = data.draw(st.integers(0, len(alphas) - 1))
+        alphas[j] = 0.0
+    terms = _build_terms(paths, bs, alphas, los)
+    assert not cancel or terms.nu_sq[k, j] == 0.0
+    n, m = terms.nu_sq.shape
+    subsets = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=4),
+                                 min_size=1, max_size=6))
+    with np.errstate(all="ignore"):
+        x = np.stack([_ldl_solve(sum(terms.normal[:, i] for i in subset))[0]
+                      for subset in subsets], axis=1)                       # (3, L, M)
+    drawn = data.draw(st.lists(st.tuples(_value, _value, _value), min_size=m, max_size=m))
+    x = np.concatenate([x, np.array(drawn).T[:, None]], axis=1)
+    spread = terms._replace(v=terms.v[:, :, None], nubar=terms.nubar[:, :, None],
+                            mu=terms.mu[:, :, None])
+    with np.errstate(all="ignore"):
+        want = _costs(spread, x)                                            # (n, L, M)
+        got = _line_costs(_line_terms(terms, bs, los), x)
+        size = (np.abs(x).sum(axis=0) + np.abs(terms.mu).sum(axis=0)[:, None]
+                + (np.abs(bs.position).sum() + SPEED_OF_LIGHT * terms.tau)[:, None, None])
+    if cancel or los is not None:
+        assert _same(got, want)
+        return
+    finite = np.isfinite(want)
+    assert not np.isfinite(got[~finite]).any()
+    delta = 40.0 * _U * size
+    assert (np.abs(np.sqrt(got) - np.sqrt(want)) <= delta)[finite].all()
+    values = want[finite & (want > 0.0)]
+    for t_eps in (1e-9, 0.1, 10.0) + ((data.draw(st.sampled_from(values)),) if values.size else ()):
+        decided = ~(np.abs(np.sqrt(want) - math.sqrt(t_eps)) <= delta)
+        assert np.array_equal((got <= t_eps)[decided], (want <= t_eps)[decided])
+
+
 def _field_winners():
     """Winning NLoS cells of field-style scenes: 5-7 noisy single bounces
     and 0-2 multi-bounce outliers, as ``field_nlos`` draws them."""
@@ -245,6 +316,79 @@ def test_a_cell_has_the_same_bits_alone_in_a_block_and_in_a_heading_scan():
         scan_x, scan_cost = robust._heading_costs(paths, snap.bs, probes, row, gate)
         for got_x, got_cost in ((alone_x[:, 0], alone_cost[0]), (scan_x[:, 4], scan_cost[4])):
             assert got_cost == cost and _same(got_x, x), h
+
+
+def _all_path_scan(paths, bs, alphas, member_row, gate):
+    """A frozen-set heading scan over every path, non-members weighted 0:
+    ``reference.cell_costs`` at every heading."""
+    member = np.broadcast_to(member_row, (len(alphas), len(paths)))
+    x, cost = reference.cell_costs(reference.build_terms(paths, bs, alphas),
+                                   np.arange(len(alphas)), member, gate)
+    return x.T, cost
+
+
+def _member_only_cases():
+    """(paths, bs, member_row, probes) with non-members that change the
+    terms of a member-only scan: the largest gain, so the power-of-two
+    weight scale, and the earliest delay, so the first path of the
+    feasibility gate."""
+    noise = NoiseModel()
+    for seed in range(3):
+        snap = random_h1_snapshot(70 + seed, n_single=6, noise=noise)
+        paths = list(snap.paths)
+        top = max(p.gain for p in paths)
+        first = min(p.toa for p in paths)
+        paths[1] = PathMeasurement(paths[1].toa, paths[1].aod, paths[1].aoa, 8.0 * top)
+        paths[4] = PathMeasurement(first - 1e-9, paths[4].aod, paths[4].aoa, paths[4].gain)
+        member_row = np.array([True, False, True, True, False, True])
+        truth = snap.truth.ue.orientation
+        yield paths, snap.bs, member_row, truth + np.linspace(-0.05, 0.05, 25)
+
+
+@pytest.mark.parametrize("gate", [None, (0.1, 0.1), (0.1, 1e6)])
+def test_member_only_scan_matches_the_all_path_scan(gate):
+    for paths, bs, member_row, probes in _member_only_cases():
+        assert np.frexp(paths[1].gain)[1] > np.frexp(max(p.gain for p, keep
+                                                         in zip(paths, member_row) if keep))[1]
+        assert min(range(len(paths)), key=lambda i: paths[i].toa) == 4
+        x, cost = _heading_costs(paths, bs, probes, member_row, gate)
+        want_x, want_cost = _all_path_scan(paths, bs, probes, member_row, gate)
+        assert np.isfinite(cost).any()
+        assert _same(x, want_x) and _same(cost, want_cost)
+
+
+def test_member_only_scan_matches_the_all_path_scan_inside_the_guard_band(monkeypatch):
+    # Three members fit exactly, and their system is singular where the rows
+    # [q0, q1, c] of their linear forms are dependent. Next to such a heading
+    # the condition number lies between 1e10 and 1e13, so its trace estimate
+    # (at most 9 times it) falls inside _COND_GUARD_BAND and the gate
+    # rechecks it by SVD, on a system whose weights the member-only scan
+    # scales by another power of two than the all-path one.
+    paths, bs, _, _ = next(_member_only_cases())
+    member_row = np.array([True, False, True, False, False, True])
+    grid = np.linspace(-math.pi, math.pi, 3601)
+    s = _build_terms([p for p, keep in zip(paths, member_row) if keep], bs, grid).normal
+    a = np.moveaxis(s.sum(axis=1)[estimator._UNPACK], 0, -1).reshape(-1, 3, 3)
+    sv = np.linalg.svd(a, compute_uv=False)
+    h = int(np.argmax(sv[:, 0] / sv[:, 2]))
+    assert 1e10 <= sv[h, 0] / sv[h, 2] <= 1e13
+    probes = grid[h - 1:h + 2]
+    checked = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        checked.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    for gate in (None, (0.1, 0.1)):
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        x, cost = _heading_costs(paths, bs, probes, member_row, gate)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert checked
+        checked.clear()
+        want_x, want_cost = _all_path_scan(paths, bs, probes, member_row, gate)
+        assert np.isfinite(want_cost).any()
+        assert _same(x, want_x) and _same(cost, want_cost)
 
 
 def _winning_cell(seed, n_single, n_multi):

@@ -9,6 +9,7 @@ round-trip repr, so a write/read cycle reproduces every value bit for bit
 from __future__ import annotations
 
 import ast
+import csv
 import json
 import math
 import sys
@@ -155,15 +156,18 @@ def failure_to_dict(snapshot_id: str, message: str, mode: str = "") -> dict:
 
 
 def write_metrics_csv(records: Sequence[ErrorRecord], path) -> None:
-    """Per-snapshot error table; heading in degrees, bias in nanoseconds."""
-    with open(path, "w") as fh:
-        fh.write("id,position_error_m,heading_error_deg,bias_error_ns,"
-                 "hypothesis_decided,hypothesis_true\n")
+    """Per-snapshot error table; heading in degrees, bias in nanoseconds.
+
+    Rows are CSV-quoted, so an id with a comma or a quote stays one field.
+    """
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["id", "position_error_m", "heading_error_deg", "bias_error_ns",
+                      "hypothesis_decided", "hypothesis_true"])
         for r in records:
-            fh.write(f"{r.snapshot_id},{r.position_error!r},"
-                     f"{math.degrees(r.heading_error)!r},"
-                     f"{r.bias_error * NS!r},{r.hypothesis_decided.value},"
-                     f"{r.hypothesis_true.value}\n")
+            out.writerow([r.snapshot_id, r.position_error, math.degrees(r.heading_error),
+                          r.bias_error * NS, r.hypothesis_decided.value,
+                          r.hypothesis_true.value])
 
 
 def write_sweep_csv(sweep: SweepResult, path) -> None:
@@ -197,8 +201,11 @@ def read_scene(path) -> Scene:
                 raise ValueError(f"line {lineno}: duplicate bs")
             if not (isinstance(parsed, (list, tuple)) and len(parsed) == 3):
                 raise ValueError(f"line {lineno}: bs needs [x, y, orientation]")
-            bs = Pose(position=(float(parsed[0]), float(parsed[1])),
-                      orientation=float(parsed[2]))
+            try:
+                bs = Pose(position=(float(parsed[0]), float(parsed[1])),
+                          orientation=float(parsed[2]))
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"line {lineno}: bs: {exc}") from None
         else:
             k = len(walls)
             if not (isinstance(parsed, (list, tuple)) and len(parsed) in (2, 3)):
@@ -206,13 +213,13 @@ def read_scene(path) -> Scene:
                     f"line {lineno}: wall {k} needs [[x1, y1], [x2, y2]] "
                     "with optional loss_db")
             a, b = parsed[0], parsed[1]
-            loss = float(parsed[2]) if len(parsed) == 3 else 0.0
             if not (isinstance(a, (list, tuple)) and len(a) == 2
                     and isinstance(b, (list, tuple)) and len(b) == 2):
                 raise ValueError(f"line {lineno}: wall {k} endpoints must be pairs")
             try:
+                loss = float(parsed[2]) if len(parsed) == 3 else 0.0
                 walls.append(Wall(a=a, b=b, loss_db=loss))
-            except ValueError as exc:
+            except (ValueError, TypeError) as exc:
                 raise ValueError(f"line {lineno}: wall {k}: {exc}") from None
     if bs is None:
         raise ValueError("scene file has no 'bs = [x, y, orientation]' line")

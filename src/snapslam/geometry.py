@@ -92,10 +92,6 @@ class UeState:
         object.__setattr__(self, "orientation", wrap_angle(float(self.orientation)))
         object.__setattr__(self, "clock_bias", float(self.clock_bias))
 
-    @property
-    def pose(self) -> Pose:
-        return Pose(self.position, self.orientation)
-
 
 @dataclass(frozen=True)
 class PathMeasurement:
@@ -185,6 +181,31 @@ def unit_vectors(aod: float, aoa: float, alpha_bs: float, alpha_ue: float):
     return u, v
 
 
+def _chain_measurement(ue: UeState, bs: Pose, chain) -> tuple[float, float, float, float]:
+    """(length, toa, aod, aoa) of an anchor-to-user chain of validated points.
+
+    ``chain`` runs from ``bs.position`` through the reflection points to
+    ``ue.position``. The length is the left-to-right sum of the legs from 0.0.
+
+    Raises
+    ------
+    DegenerateGeometry
+        If any two consecutive chain points coincide.
+    """
+    length = 0.0
+    for a, b in zip(chain[:-1], chain[1:]):
+        seg = float(np.hypot(b[0] - a[0], b[1] - a[1]))
+        if seg == 0.0:
+            raise DegenerateGeometry("coincident consecutive points on path")
+        length += seg
+    first = chain[1] - chain[0]
+    last = chain[-2] - chain[-1]
+    toa = length / SPEED_OF_LIGHT + ue.clock_bias
+    aod = wrap_angle(math.atan2(first[1], first[0]) - bs.orientation)
+    aoa = wrap_angle(math.atan2(last[1], last[0]) - ue.orientation)
+    return length, toa, aod, aoa
+
+
 def polyline_measurement(ue: UeState, bs: Pose, points) -> tuple[float, float, float]:
     """Noiseless (toa, aod, aoa) of a path reflecting at ``points`` in order.
 
@@ -198,18 +219,7 @@ def polyline_measurement(ue: UeState, bs: Pose, points) -> tuple[float, float, f
         If any two consecutive chain points coincide.
     """
     chain = [bs.position, *[_as_point(p) for p in points], ue.position]
-    length = 0.0
-    for a, b in zip(chain[:-1], chain[1:]):
-        seg = float(np.hypot(b[0] - a[0], b[1] - a[1]))
-        if seg == 0.0:
-            raise DegenerateGeometry("coincident consecutive points on path")
-        length += seg
-    first = chain[1] - chain[0]
-    last = chain[-2] - chain[-1]
-    toa = length / SPEED_OF_LIGHT + ue.clock_bias
-    aod = wrap_angle(math.atan2(first[1], first[0]) - bs.orientation)
-    aoa = wrap_angle(math.atan2(last[1], last[0]) - ue.orientation)
-    return toa, aod, aoa
+    return _chain_measurement(ue, bs, chain)[1:]
 
 
 def measurement_model(ue: UeState, bs: Pose, landmark=None) -> tuple[float, float, float]:
@@ -254,11 +264,15 @@ def mirror_point(p, wall) -> np.ndarray:
     p = _as_point(p)
     a = _as_point(wall[0])
     b = _as_point(wall[1])
-    d = b - a
-    dd = float(d @ d)
-    if dd == 0.0:
+    if float((b - a) @ (b - a)) == 0.0:
         raise DegenerateGeometry("zero-length wall")
-    t = float((p - a) @ d) / dd
+    return _mirror(p, a, b)
+
+
+def _mirror(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``mirror_point`` on validated points, with ``a != b``."""
+    d = b - a
+    t = float((p - a) @ d) / float(d @ d)
     foot = a + t * d
     return 2.0 * foot - p
 

@@ -5,8 +5,9 @@ reflection loss. Paths up to triple bounces are enumerated with the image
 method (mirror the anchor across each wall of an ordered wall sequence, then
 unfold the reflection points back), keeping only paths whose reflection
 points fall strictly inside their walls and whose legs are not blocked by
-other walls. Gains follow the same distance model the detector tests
-against, so simulated data is self-consistent end to end.
+other walls. The direct path is the empty wall sequence, traced, tested and
+measured like every other. Gains follow the same distance model the
+detector tests against, so simulated data is self-consistent end to end.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .geometry import (
     PathMeasurement,
     Pose,
     UeState,
+    _chain_measurement,
     _frozen_point,
-    mirror_point,
-    polyline_measurement,
+    _mirror,
     wrap_angle,
 )
 
@@ -79,10 +80,6 @@ class Wall:
         object.__setattr__(self, "loss_db", float(self.loss_db))
         if self.loss_db < 0.0 or not math.isfinite(self.loss_db):
             raise ValueError("wall loss must be finite and non-negative")
-
-    @property
-    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.a, self.b
 
 
 @dataclass(frozen=True)
@@ -190,60 +187,55 @@ def _blocked(p, q, walls) -> bool:
 
 
 def _unfold(scene: Scene, seq: tuple[int, ...], ue: UeState):
-    """Reflection points of the wall sequence via the image method, or None."""
+    """Anchor-to-user chain of the wall sequence via the image method, or None.
+
+    The chain is the anchor, the reflection points in order, then the user;
+    None if a point falls outside its wall's interior or a leg is blocked.
+    """
     walls = scene.walls
     images = [scene.bs.position]
     for wi in seq:
-        images.append(mirror_point(images[-1], walls[wi].endpoints))
-    points: list[np.ndarray] = [None] * len(seq)
-    target = ue.position
+        images.append(_mirror(images[-1], walls[wi].a, walls[wi].b))
+    chain = [scene.bs.position, *[None] * len(seq), ue.position]
     for j in range(len(seq), 0, -1):
         w = walls[seq[j - 1]]
-        tu = _crossing_params(images[j], target, w.a, w.b)
+        tu = _crossing_params(images[j], chain[j + 1], w.a, w.b)
         if tu is None:
             return None
         t, u = tu
         if not (_EPS < t < 1.0 - _EPS and _EPS < u < 1.0 - _EPS):
             return None
-        points[j - 1] = w.a + u * (w.b - w.a)
-        target = points[j - 1]
-    chain = [scene.bs.position, *points, ue.position]
+        chain[j] = w.a + u * (w.b - w.a)
     for leg_a, leg_b in zip(chain[:-1], chain[1:]):
         if _blocked(leg_a, leg_b, walls):
             return None
-    return points
+    return chain
 
 
 def trace_paths(scene: Scene, ue: UeState, max_bounces: int = 3) -> list[TruePath]:
     """All propagation paths from the scene's anchor to the user.
 
-    Enumerates the LoS path (if unblocked) and every ordered wall sequence
-    up to ``max_bounces`` reflections without immediate wall repeats.
-    Results are sorted by increasing delay (stable within ties).
+    Enumerates every ordered wall sequence of 0 to ``max_bounces``
+    reflections without immediate wall repeats; the empty sequence is the
+    direct (LoS) path. Each unblocked chain is measured once, for its
+    length, delay and angles. Results are sorted by increasing delay
+    (stable within ties).
     """
     if not 0 <= max_bounces <= 3:
         raise ValueError("max_bounces must be between 0 and 3")
     entries = []
-    if not _blocked(scene.bs.position, ue.position, scene.walls):
-        toa, aod, aoa = polyline_measurement(ue, scene.bs, [])
-        length = float(np.hypot(*(scene.bs.position - ue.position)))
-        entries.append(TruePath(KIND_LOS, (), toa, aod, aoa,
-                                length_m=length, reflection_loss_db=0.0))
     wall_ids = range(len(scene.walls))
-    for k in range(1, max_bounces + 1):
+    for k in range(max_bounces + 1):
         for seq in itertools.product(wall_ids, repeat=k):
             if any(seq[i] == seq[i + 1] for i in range(k - 1)):
                 continue
-            points = _unfold(scene, seq, ue)
-            if points is None:
+            chain = _unfold(scene, seq, ue)
+            if chain is None:
                 continue
-            toa, aod, aoa = polyline_measurement(ue, scene.bs, points)
-            chain = [scene.bs.position, *points, ue.position]
-            length = float(sum(np.hypot(*(b - a))
-                               for a, b in zip(chain[:-1], chain[1:])))
+            length, toa, aod, aoa = _chain_measurement(ue, scene.bs, chain)
             loss = float(sum(scene.walls[wi].loss_db for wi in seq))
             entries.append(TruePath(_KIND_BY_BOUNCES[k],
-                                    tuple(_frozen_point(pt) for pt in points),
+                                    tuple(_frozen_point(pt) for pt in chain[1:-1]),
                                     toa, aod, aoa, length_m=length,
                                     reflection_loss_db=loss))
     return sorted(entries, key=lambda e: e.toa)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -131,6 +132,19 @@ def test_metrics_csv_golden(tmp_path):
     assert fields[4] == "los" and fields[5] == "nlos"
 
 
+def test_metrics_csv_keeps_an_id_in_one_field(tmp_path):
+    rec = ErrorRecord(snapshot_id='room A, pos "7"', position_error=0.25,
+                      heading_error=0.0, bias_error=0.0, solve_time=0.01,
+                      hypothesis_decided=Hypothesis.LOS,
+                      hypothesis_true=Hypothesis.LOS)
+    p = tmp_path / "m.csv"
+    write_metrics_csv([rec], p)
+    with open(p, newline="") as fh:
+        header, row = csv.reader(fh)
+    assert len(header) == len(row) == 6
+    assert row[0] == 'room A, pos "7"' and float(row[1]) == 0.25
+
+
 def test_sweep_csv_golden(tmp_path):
     sweep = SweepResult(p_grid=(0.0, 1.0), rmse=(2.0, 0.5),
                         rmse_excluding=(1.75, 0.5), trials=10)
@@ -178,6 +192,14 @@ def test_scene_parsing(tmp_path):
     p.write_text("bs = [0, 0, 0]\nwall = [[0, 0], [0, 0]]\n")
     with pytest.raises(DegenerateGeometry, match="wall 0"):
         read_scene(p)
+    # a non-numeric or non-finite value names its line
+    p.write_text("bs = [0, 0, 0]\nwall = [[0, 1], [1, 1], 'x']\n")
+    with pytest.raises(ValueError, match="line 2: wall 0: could not convert"):
+        read_scene(p)
+    for bad in ("['a', 0, 0]", "[0, 1e999, 0]"):
+        p.write_text(f"# anchor\nbs = {bad}\n")
+        with pytest.raises(ValueError, match="line 2: bs: "):
+            read_scene(p)
 
 
 def test_positions_file(tmp_path):

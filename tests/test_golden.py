@@ -6,7 +6,9 @@
 Each test re-runs the CLI in-process on a freshly simulated dataset and
 compares row by row: ids, failure flags, hypotheses, inlier and outlier
 sets, detection decisions and landmark source paths exactly, every float to
-a relative 1e-9. Regenerate with
+a relative 1e-9. ``golden/datasets.sha256`` pins the simulated datasets
+themselves, byte for byte, so a simulator change shows apart from a solver
+change. Regenerate with
 ``PYTHONPATH=src python tests/test_golden.py`` only when an output is meant
 to change, and say so in the change log.
 
@@ -16,7 +18,8 @@ compare:
     PYTHONPATH=src python tests/test_golden.py DIR
     PYTHONPATH=src python tests/test_golden.py --diff DIR
 
-For every golden file, ``--diff`` lists the rows whose structural fields
+``--diff`` first says whether each simulated dataset's digest matches.
+For every golden file, it then lists the rows whose structural fields
 differ (id, failure flag, hypothesis, inlier and outlier sets, detection
 decision, landmark source paths) and the largest change of each float
 field: the distance a point moved, in metres for positions, and the
@@ -27,6 +30,7 @@ solve and sweep outputs with the same file names.
 
 import argparse
 import csv
+import hashlib
 import math
 import shutil
 import sys
@@ -41,6 +45,7 @@ from snapslam.evaluation import MODES
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BOUNCES = (1, 2)
+DIGESTS = "datasets.sha256"
 
 
 def _simulate(bounces, out_dir):
@@ -50,6 +55,19 @@ def _simulate(bounces, out_dir):
                  "--seed", "0", "--max_bounces", str(bounces),
                  "--out", str(data)]) == 0
     return data
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _digests(directory):
+    """{dataset file name: sha256} as ``sha256sum`` lists it in DIGESTS."""
+    path = directory / DIGESTS
+    if not path.exists():
+        return {}
+    return {name: digest for digest, name in
+            (line.split() for line in path.read_text().splitlines())}
 
 
 def _solve(data, mode, out):
@@ -85,6 +103,11 @@ def _assert_same(got, want, where):
 @pytest.fixture(scope="module", params=BOUNCES, ids=lambda b: f"bounces{b}")
 def dataset(request, tmp_path_factory):
     return request.param, _simulate(request.param, tmp_path_factory.mktemp("golden"))
+
+
+def test_simulated_dataset_matches_its_digest(dataset):
+    _, data = dataset
+    assert _sha256(data) == _digests(GOLDEN)[data.name]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -154,9 +177,18 @@ def _rows(path):
 def diff(got_dir, want_dir=GOLDEN):
     """Print how each output of ``got_dir`` differs from ``want_dir``'s.
 
-    Returns the number of rows whose structural fields differ, counting a
-    missing file or a different row count as one.
+    First, for each dataset digest ``want_dir`` records, whether ``got_dir``
+    records the same one. Returns the number of rows whose structural fields
+    differ, counting a missing file or a different row count as one; a
+    dataset digest is reported, not counted.
     """
+    got_digests, want_digests = _digests(got_dir), _digests(want_dir)
+    for name, want_digest in want_digests.items():
+        got_digest = got_digests.get(name)
+        state = ("missing" if got_digest is None
+                 else "same" if got_digest == want_digest
+                 else f"differs: {got_digest[:12]}, want {want_digest[:12]}")
+        print(f"simulated {name}: {state}")
     broken = 0
     for want_path in sorted(want_dir.glob("*.csv")) + sorted(want_dir.glob("*.jsonl")):
         got_path = got_dir / want_path.name
@@ -197,8 +229,14 @@ def test_diff_lists_structural_changes_and_the_largest_float_change(tmp_path, ca
     rows[0]["cost"] *= 2.0
     rows[2]["outliers"] = rows[2]["outliers"] + [99]
     write_jsonl(rows, tmp_path / name)
+    digests = _digests(GOLDEN)
+    (tmp_path / DIGESTS).write_text(f"{digests['room_b1.jsonl']}  room_b1.jsonl\n"
+                                    f"{'0' * 64}  room_b2.jsonl\n")
     assert diff(tmp_path) == 1
     out = capsys.readouterr().out
+    assert out.startswith("simulated room_b1.jsonl: same\n"
+                          "simulated room_b2.jsonl: differs: 000000000000, want "
+                          f"{digests['room_b2.jsonl'][:12]}\n")
     assert out.count(" 0 structural differences, 0 of ") == 9
     report = out[out.index(name):]
     assert report.startswith(f"{name}: 1 structural differences, 1 of 4 rows moved")
@@ -210,14 +248,17 @@ def test_diff_lists_structural_changes_and_the_largest_float_change(tmp_path, ca
 
 
 def regenerate(out_dir=GOLDEN):
-    """Rewrite every golden file from the current code."""
+    """Rewrite every golden file, and the dataset digests, from the current code."""
     out_dir.mkdir(exist_ok=True)
+    digests = []
     for bounces in BOUNCES:
         data = _simulate(bounces, out_dir)
         for mode in MODES:
             _solve(data, mode, out_dir / f"room_b{bounces}_{mode}.jsonl")
         _sweep(data, out_dir / f"room_b{bounces}_sweep.csv")
+        digests.append(f"{_sha256(data)}  {data.name}\n")
         data.unlink()
+    (out_dir / DIGESTS).write_text("".join(digests))
 
 
 if __name__ == "__main__":

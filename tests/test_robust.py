@@ -1,7 +1,11 @@
+import ast
 import functools
 import itertools
 import math
 import operator
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -618,26 +622,55 @@ def test_search_matches_reference_when_the_gate_fails_some_cells(case, monkeypat
 _SEARCH_BYTES_PER_ROW_PATH = 80     # the budget the _CHUNK_ROW_PATHS docstring states
 
 
-@pytest.mark.parametrize("t_eps", [RobustConfig().t_eps, 1e6])
-def test_search_memory_stays_within_the_chunk_budget(t_eps, monkeypatch):
-    # A 13-path room snapshot under NLoS: 715 subsets by 361 headings. At 1e6
-    # every cell survives to the inlier stage, which must still take its
-    # cells in bounded blocks. A chunk holds one subset at least, so under a
-    # budget below 361 x 13 row-paths the bound is one subset's. That is a
-    # stage-1 matter, checked at the default t_eps; at 1e6 the small budget
-    # would only split stage 2 into ~14 000 blocks.
+def _search_peaks(t_eps, budgets):
+    """(budget, peak, bound) of one traced NLoS search per chunk budget.
+
+    The search runs on a 13-path room snapshot: 715 subsets by 361 headings.
+    ``peak`` is the tracemalloc peak less the terms the search holds, in
+    bytes; ``bound`` is the stated budget for it. It sets
+    ``robust._CHUNK_ROW_PATHS``, so it is meant for a fresh interpreter.
+    """
     scene = read_scene(Path(__file__).resolve().parents[1] / "demos" / "room.scene")
     (snap,) = generate_dataset(scene, [np.array([3.0, 2.0])], SimConfig(max_bounces=2), seed=1)
     assert len(snap.paths) == 13
     args = _search_inputs(snap, Hypothesis.NLOS, RobustConfig(t_eps=t_eps))
     held = sum(a.nbytes for a in _build_terms(*args[:3]))
     subset = len(args[2]) * len(snap.paths)
-    for budget in (robust._CHUNK_ROW_PATHS,) + ((2048,) if t_eps < 1.0 else ()):
-        monkeypatch.setattr(robust, "_CHUNK_ROW_PATHS", budget)
+    out = []
+    for budget in budgets:
+        robust._CHUNK_ROW_PATHS = budget
         tracemalloc.start()
         try:
             _search(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - held <= _SEARCH_BYTES_PER_ROW_PATH * max(budget, subset)
+        out.append((budget, peak - held, _SEARCH_BYTES_PER_ROW_PATH * max(budget, subset)))
+    return out
+
+
+@pytest.mark.parametrize("t_eps", [RobustConfig().t_eps, 1e6])
+def test_search_memory_stays_within_the_chunk_budget(t_eps):
+    # At 1e6 every cell survives to the inlier stage, which must still take
+    # its cells in bounded blocks. A chunk holds one subset at least, so under
+    # a budget below 361 x 13 row-paths the bound is one subset's. That is a
+    # stage-1 matter, checked at the default t_eps; at 1e6 the small budget
+    # would only split stage 2 into ~14 000 blocks.
+    # The searches run in a fresh interpreter. The first ~2000
+    # ``_PathTerms._replace`` calls of a process each take a new 104-byte
+    # block that ends in CPython's free list of 8-tuples (namedtuple._make
+    # builds a 10-slot tuple from an iterator and shrinks it), so the first
+    # search reads ~200 KB more than later ones, and in-process the reading
+    # would depend on which tests ran before.
+    budgets = (robust._CHUNK_ROW_PATHS,) + ((2048,) if t_eps < 1.0 else ())
+    tests = Path(__file__).resolve().parent
+    src = str(Path(robust.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, str(tests), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c",
+         f"import test_robust; print(test_robust._search_peaks({t_eps!r}, {budgets!r}))"],
+        capture_output=True, text=True, timeout=300, env=env, cwd=tests)
+    assert run.returncode == 0, run.stderr
+    for budget, peak, bound in ast.literal_eval(run.stdout.splitlines()[-1]):
+        assert peak <= bound, (budget, peak, bound)

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from snapslam import (
     generate_dataset,
     measurement_model,
     mirror_point,
+    polyline_measurement,
+    read_scene,
     synthesize_gains,
     trace_paths,
 )
@@ -92,17 +95,47 @@ def _wall_of(point, walls, tol=1e-9):
 
 def test_traced_lengths_match_mirror_images():
     # image method check: the polyline length of a k-bounce path equals the
-    # straight distance from the successively mirrored anchor to the user
-    scene = square_scene()
-    ue = UeState([3.0, -4.0], 0.0, 0.0)
-    for p in trace_paths(scene, ue, max_bounces=3):
-        image = scene.bs.position
-        for pt in p.incidence_points:
-            wi = _wall_of(pt, scene.walls)
-            image = mirror_point(image, scene.walls[wi].endpoints)
-        direct = float(np.hypot(*(image - ue.position)))
-        assert p.length_m == pytest.approx(direct, abs=1e-9)
-        assert p.toa == pytest.approx(p.length_m / SPEED_OF_LIGHT, abs=1e-18)
+    # straight distance from the successively mirrored anchor to the user.
+    # Each path is also its chain measured once, bit for bit: (toa, aod, aoa)
+    # is polyline_measurement of its reflection points, length_m the
+    # left-to-right sum of its legs, and the direct path, when present, the
+    # empty polyline.
+    room = read_scene(Path(__file__).resolve().parents[1] / "demos" / "room.scene")
+    # an interior wall across the room blocks the direct path behind it
+    inner = square_scene(extra_walls=(Wall([0.0, -3.0], [0.0, 4.0], 1.0),))
+    rng = np.random.default_rng(17)
+    for scene in (room, inner):
+        blocked = 0
+        ues = [UeState([3.0, -4.0], 0.0, 0.0)] + [
+            UeState(rng.uniform([-7.5, -5.5], [7.5, 5.5]), rng.uniform(-3.0, 3.0),
+                    rng.uniform(-1e-7, 1e-7)) for _ in range(12)]
+        for ue in ues:
+            for max_bounces in range(4):
+                paths = trace_paths(scene, ue, max_bounces)
+                for p in paths:
+                    image = scene.bs.position
+                    for pt in p.incidence_points:
+                        w = scene.walls[_wall_of(pt, scene.walls)]
+                        image = mirror_point(image, (w.a, w.b))
+                    direct = float(np.hypot(*(image - ue.position)))
+                    assert p.length_m == pytest.approx(direct, abs=1e-9)
+                    assert p.toa - ue.clock_bias == pytest.approx(
+                        p.length_m / SPEED_OF_LIGHT, abs=1e-18)
+                    assert (p.toa, p.aod, p.aoa) == polyline_measurement(
+                        ue, scene.bs, p.incidence_points)
+                    chain = [scene.bs.position, *p.incidence_points, ue.position]
+                    length = 0.0
+                    for a, b in zip(chain[:-1], chain[1:]):
+                        length += float(np.hypot(b[0] - a[0], b[1] - a[1]))
+                    assert p.length_m == length
+                direct = [p for p in paths if p.kind == "los"]
+                assert len(direct) <= 1 and all(p.incidence_points == () for p in direct)
+                if direct:
+                    assert (direct[0].toa, direct[0].aod, direct[0].aoa) == \
+                        polyline_measurement(ue, scene.bs, [])
+                else:
+                    blocked += 1
+        assert (blocked > 0) == (scene is inner)
 
 
 def test_traced_single_bounces_close_the_measurement_model():

@@ -144,8 +144,10 @@ def parse_p_grid(text: str) -> tuple:
         raise ValueError("step must be positive")
     if stop < start:
         raise ValueError("stop must not precede start")
-    count = int(math.floor((stop - start) / step + 1e-9))
-    return tuple(min(round(start + i * step, 12), stop) for i in range(count + 1))
+    count = (stop - start) / step
+    if not all(map(math.isfinite, (start, step, stop, count))):
+        raise ValueError(f"p_grid {text!r}: start, step, stop and the point count must be finite")
+    return tuple(min(round(start + i * step, 12), stop) for i in range(int(count + 1e-9) + 1))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -189,8 +191,10 @@ def _cmd_solve(args) -> int:
     if not snapshots:
         raise ValueError(f"{args.data} holds no snapshots")
     tasks = [(snap, args.mode, rc) for snap in snapshots]
-    if rc.workers > 1:
-        with ProcessPoolExecutor(max_workers=rc.workers) as pool:
+    # a fork pool starts every worker at the first submit, needed or not
+    workers = min(rc.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_solve_one, tasks))
     else:
         results = [_solve_one(t) for t in tasks]
@@ -213,8 +217,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     rc = build_run_config(args.config, _overrides(args))
-    snapshots = read_dataset(args.data)
     grid = parse_p_grid(args.p_grid)
+    snapshots = read_dataset(args.data)
     exclude = tuple(t.strip() for t in (args.exclude or "").split(",") if t.strip())
     sweep = los_sensitivity_sweep(snapshots, rc.robust_config(), grid,
                                   trials=rc.trials, seed=rc.seed,

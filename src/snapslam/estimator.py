@@ -240,7 +240,7 @@ def _condition_ok(s, d1, d2):
     return ok
 
 
-def _solve_packed(s: np.ndarray, prior: tuple | None = None):
+def _solve_packed(s: np.ndarray):
     """Gate and solve a batch of packed symmetric PSD 3x3 systems.
 
     ``s`` holds the nine planes of ``_PathTerms.normal`` on its first axis
@@ -248,20 +248,12 @@ def _solve_packed(s: np.ndarray, prior: tuple | None = None):
     A x = b on rows whose condition number is below ``CONDITION_LIMIT`` and
     is zero elsewhere. Everything is elementwise: ``_ldl_solve`` solves,
     ``_condition_ok`` gates by the trace rule of ``CONDITION_LIMIT`` from
-    the same pivots.
-
-    ``prior`` = (A planes (6, K), d1, d2) gives a one-dimensional batch an
-    earlier, already factored system per row; a row then passes only if
-    both its systems pass, and both go through one ``_condition_ok``.
+    the same pivots. It gates the systems it is given and no other: the
+    search's minimal-subset systems are gated once per flush, in
+    ``robust._evaluate_block``, before their cells get here.
     """
     x, d1, d2 = _ldl_solve(s)
-    if prior is None:
-        ok = _condition_ok(s, d1, d2)
-    else:
-        a, e1, e2 = prior
-        both = _condition_ok(np.concatenate([s[:6], a], axis=1), np.concatenate([d1, e1]),
-                             np.concatenate([d2, e2]))
-        ok = both[:d1.size] & both[d1.size:]
+    ok = _condition_ok(s, d1, d2)
     return np.where(ok, x, 0.0), ok
 
 
@@ -421,20 +413,21 @@ def _row_costs(terms: _PathTerms, x: np.ndarray, ok: np.ndarray, member: np.ndar
 
 
 def _cell_costs(terms: _PathTerms, rows: np.ndarray | None, member: np.ndarray,
-                gate: tuple | None = None, prior: tuple | None = None):
+                gate: tuple | None = None):
     """States and gated costs of a batch of (heading, member set) cells.
 
     Cell k is heading row ``rows[k]`` of ``terms`` (heading k when ``rows``
     is None) with the boolean (n,) member mask ``member[:, k]``. Each cell's
-    system is the ``_path_sum`` of its members' packed rows; it is solved by
-    ``_solve_packed`` (with ``prior``, if given), then costed and gated by
-    ``_row_costs``. Returns x (3, K) and cost (K,). A cell's result, to the
-    bit, depends neither on the other cells of the batch nor on its place
-    among them.
+    system is the ``_path_sum`` of its members' packed rows; it is solved and
+    condition-gated by ``_solve_packed``, then costed and gated by
+    ``_row_costs``. A search cell's minimal-subset system is not gated here
+    but in ``robust._evaluate_block``, which drops the cells it fails.
+    Returns x (3, K) and cost (K,). A cell's result, to the bit, depends
+    neither on the other cells of the batch nor on its place among them.
     """
     if rows is not None:
         terms = _take_rows(terms, rows)
-    x, ok = _solve_packed(_path_sum(member * terms.normal), prior)
+    x, ok = _solve_packed(_path_sum(member * terms.normal))
     return x, _row_costs(terms, x, ok, member, gate)
 
 

@@ -24,10 +24,12 @@ partitions by ``_costs`` itself, and stage 2 and every reported cost use
 ``_costs``. Stage 1 alone applies the count rule: a cell with
 fewer inliers than a minimal subset has paths cannot win. Nor can one whose
 outlier penalty alone exceeds the best gated cost so far; the others wait,
-across chunks, until they fill a block. Stage 2 takes a block at a time:
-``estimator._cell_costs`` gates each cell's minimal-subset system (see
-``estimator.CONDITION_LIMIT``; the LDL^T pivots are reused), and builds,
-solves, costs and gates its inlier system. The winner is the least
+across chunks, until they fill a block. Stage 2 runs once per flush of
+the waiting cells: ``_evaluate_block`` gates every cell's minimal-subset
+system once, by ``estimator._condition_ok`` on the LDL^T pivots stage 1
+kept (see ``estimator.CONDITION_LIMIT``), drops the cells that fail, and
+passes the rest a block at a time to ``estimator._cell_costs``, which
+builds, solves, costs and gates each inlier system. The winner is the least
 (cost, heading index, subset index) among the feasible cells, so it does not
 depend on the order in which cells are found. The pruning is exact: the
 search returns what evaluating every cell returns, to the bit. Its working
@@ -52,6 +54,7 @@ from .estimator import (
     _GRID_STEPS,
     _build_terms,
     _cell_costs,
+    _condition_ok,
     _heading_costs,
     _ldl_solve,
     _line_costs,
@@ -73,7 +76,9 @@ over one chunk on builder snapshots of 5 to 13 paths, at this budget and
 at 2048, stage 1 takes 34-57 bytes per row and path: ~17 for the cost
 plane of ``estimator._line_costs``, its scratch plane and the inlier
 mask, the rest for each cell's minimal-subset system and LDL^T solve,
-shared by its n paths; none of it is held through stage 2.
+shared by its n paths. Of that, a cell that survives stage 1 keeps its
+six A entries and pivots d1, d2 (64 bytes) until the flush that gates
+them (``_evaluate_block``); the rest is not held through stage 2.
 ``estimator._line_terms`` holds 8 bytes per path and heading for the
 whole search. A row and path of stage 2 takes ~160 (gathered terms and
 system, residuals, costs and gate), so a stage-2 block holds an eighth as
@@ -195,7 +200,8 @@ def _search(paths, bs, alphas, combos, los_index, n_min, config):
     strict because a cell that ties the best cost can still win on heading
     or subset). They wait, across chunks, until they fill a stage-2 block
     (an eighth of ``_CHUNK_ROW_PATHS`` cells times paths) or the chunks run
-    out; ``_evaluate_block`` then evaluates them. Every cell's arithmetic
+    out; ``_evaluate_block`` then gates their minimal-subset systems and
+    evaluates the cells that pass. Every cell's arithmetic
     is independent of the chunking, of which other cells survive and of
     their order.
     """
@@ -236,17 +242,20 @@ def _evaluate_block(terms, waiting, gate, block, best):
 
     ``waiting`` lists one (heading, subset, inlier mask, A, d1, d2) entry
     per chunk, its last axis running over the cells in any order: the
-    inlier masks are (n, K) and the six A entries (6, K). At most ``block``
-    cells go to one ``_cell_costs`` call, which gates each cell's
-    minimal-subset system (its six A entries and pivots d1, d2) together
-    with its inlier system. A cell replaces ``best`` when its cost is
-    finite and its (cost, heading, subset) is the least seen so far.
+    inlier masks are (n, K) and the six A entries (6, K). This is the one
+    place a cell's minimal-subset system is gated: ``_condition_ok`` takes
+    its six A entries and LDL^T pivots d1, d2 once per flush, and the cells
+    that fail are dropped. At most ``block`` of the rest go to one
+    ``_cell_costs`` call, which gates their inlier systems. A cell replaces
+    ``best`` when its cost is finite and its (cost, heading, subset) is the
+    least seen so far.
     """
     h, l, member, a, d1, d2 = (np.concatenate(part, axis=-1) for part in zip(*waiting))
+    ok = _condition_ok(a, d1, d2)
+    h, l, member = h[ok], l[ok], member[:, ok]
     for lo in range(0, h.size, block):
         cells = slice(lo, lo + block)
-        x, cost = _cell_costs(terms, h[cells], member[:, cells], gate,
-                              (a[:, cells], d1[cells], d2[cells]))
+        x, cost = _cell_costs(terms, h[cells], member[:, cells], gate)
         k = np.lexsort((l[cells], h[cells], cost))[0]
         cell = (float(cost[k]), int(h[lo + k]), int(l[lo + k]))
         if math.isfinite(cell[0]) and (best is None or cell < best[:3]):

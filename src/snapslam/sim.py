@@ -33,6 +33,7 @@ from .geometry import (
 )
 
 _EPS = 1e-9  # parameter tolerance for segment interiority
+_ON_WALL_M = 1e-9  # distance within which a user position lies on a wall
 
 KIND_LOS = "los"
 KIND_SINGLE = "single_bounce"
@@ -301,14 +302,14 @@ class SimConfig:
     bias_range: tuple = (-100e-9, 100e-9)
 
 
-def _on_any_wall(p, walls, tol: float = 1e-9) -> bool:
+def _on_any_wall(p, walls) -> bool:
     for w in walls:
         d = w.b - w.a
         dd = float(d @ d)
         t = float((p - w.a) @ d) / dd
         t = min(max(t, 0.0), 1.0)
         foot = w.a + t * d
-        if float(np.hypot(*(p - foot))) <= tol:
+        if float(np.hypot(*(p - foot))) <= _ON_WALL_M:
             return True
     return False
 

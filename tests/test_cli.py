@@ -36,6 +36,10 @@ def test_parse_p_grid():
         parse_p_grid("1:0.1:0")
     with pytest.raises(ValueError):
         parse_p_grid("0:1")
+    # non-finite bounds, and a step so small that the point count overflows
+    for text in ("0:0.1:inf", "-inf:1:0", "0:1e-320:1"):
+        with pytest.raises(ValueError, match=f"p_grid '{text}'"):
+            parse_p_grid(text)
 
 
 def test_run_config_layering(tmp_path, monkeypatch):
@@ -212,6 +216,38 @@ def test_cli_workers_do_not_change_output(tmp_path, scene_files):
     assert m_one.read_bytes() == m_two.read_bytes()
 
 
+def test_cli_asks_for_no_more_workers_than_snapshots(tmp_path, monkeypatch):
+    # a stand-in pool that records its size and maps in-process: no real
+    # process is started
+    asked = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcess)
+    data, lone = tmp_path / "data.jsonl", tmp_path / "lone.jsonl"
+    write_dataset([random_h0_snapshot(seed) for seed in range(4)], data)
+    write_dataset([random_h0_snapshot(0)], lone)
+    one, many = tmp_path / "w1.jsonl", tmp_path / "w64.jsonl"
+    assert main(["solve", "--data", str(data), "--out", str(one), "--workers", "1"]) == 0
+    assert main(["solve", "--data", str(data), "--out", str(many), "--workers", "64"]) == 0
+    assert asked == [4]
+    assert one.read_bytes() == many.read_bytes()
+    # one snapshot takes the serial path
+    assert main(["solve", "--data", str(lone), "--out", str(many), "--workers", "64"]) == 0
+    assert asked == [4]
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["solve", "--data", str(tmp_path / "missing.jsonl"),
                  "--out", str(tmp_path / "o.jsonl")]) == 2
@@ -242,6 +278,13 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         assert main(["sweep", "--data", str(data), "--out", str(curve),
                      "--trials", trials]) == 2
         assert "trials must be >= 1" in capsys.readouterr().err
+    assert not curve.exists()
+
+    # a grid with an infinite bound is rejected before the dataset is read
+    assert main(["sweep", "--data", str(tmp_path / "missing.jsonl"), "--out", str(curve),
+                 "--p_grid", "0:0.1:inf"]) == 2
+    assert "p_grid '0:0.1:inf': start, step, stop and the point count must be finite" in (
+        capsys.readouterr().err)
     assert not curve.exists()
 
     # a threshold the gate cannot use is rejected before any snapshot is solved

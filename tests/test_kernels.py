@@ -148,21 +148,6 @@ def test_planar_solve_matches_interleaved(scene, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_scene, _scene, st.data())
-def test_prior_system_is_gated_with_the_cell_system(scene, other, data):
-    s = _systems(scene, data)
-    prior = _systems(other, data)
-    k = min(len(s), len(prior))
-    s, prior = s[:k], prior[:k]
-    _, d1, d2 = _ldl_solve(prior.T)
-    x, ok = _solve_packed(s.T, (prior.T[:6], d1, d2))
-    want_x, want_ok = reference.solve_packed(s)
-    want_ok &= reference.solve_packed(prior)[1]
-    assert np.array_equal(ok, want_ok)
-    assert _same(x.T, np.where(want_ok[:, None], want_x, 0.0))
-
-
-@settings(max_examples=100, deadline=None)
 @given(_scene, st.data())
 def test_cell_costs_match_interleaved(scene, data):
     # path-major member masks as the search gathers them, and one mask
@@ -200,9 +185,9 @@ def test_cell_sums_add_the_paths_in_ascending_order(n, monkeypatch):
     inter = reference.build_terms(paths, snap.bs, orientation_grid())
     systems = []
 
-    def solve(s, prior=None):
+    def solve(s):
         systems.append(s)
-        return _solve_packed(s, prior)
+        return _solve_packed(s)
 
     monkeypatch.setattr(estimator, "_solve_packed", solve)
     for k in (1, 2, 7, 20, 150):

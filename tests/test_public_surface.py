@@ -1,10 +1,13 @@
-"""The package's public surface: exports, docstrings and imports.
+"""The package's public surface: exports, docstrings, imports and parameters.
 
 ``snapslam.__all__`` lists exactly what ``__init__`` imports, once each;
 every public top-level function and class has a docstring; no module
 imports a name it does not use; every private top-level definition is used
-by the package itself, so tests alone cannot keep a dead helper alive. No
-linter is a dependency, so the checks read the source with ``ast``.
+by the package itself, so tests alone cannot keep a dead helper alive.
+Every parameter of every function is read, and every defaulted parameter
+of a private function is passed by some call in the package, so neither
+an unread argument nor a default no caller overrides survives. No linter
+is a dependency, so the checks read the source with ``ast``.
 """
 
 import ast
@@ -85,3 +88,54 @@ def test_no_orphaned_private_helpers():
     orphans = [f"{path.stem}.{name}" for path in MODULES
                for name in _private_definitions(_tree(path)) if name not in used]
     assert orphans == []
+
+
+def _functions():
+    """(module name, function node) of every function and lambda in the package."""
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield path.stem, node
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for module, fn in _functions():
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {node.id for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        name = getattr(fn, "name", "<lambda>")
+        unread += [f"{module}.{name}({a.arg})" for a in params if a.arg not in read]
+    assert unread == []
+
+
+def test_every_default_of_a_private_function_is_passed():
+    # a default that no call overrides is a constant
+    calls = [node for path in MODULES for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Call)]
+    unpassed = []
+    for module, fn in _functions():
+        name = getattr(fn, "name", "")
+        if not name.startswith("_") or name.startswith("__"):
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        passed = set()
+        for call in calls:
+            callee = call.func
+            if getattr(callee, "id", getattr(callee, "attr", None)) != name:
+                continue
+            keywords = {kw.arg for kw in call.keywords}
+            spread = any(isinstance(a, ast.Starred) for a in call.args)
+            passed.update(arg for i, arg in defaulted
+                          if arg in keywords or None in keywords
+                          or (i is not None and (spread or i < len(call.args))))
+        unpassed += [f"{module}.{name}({arg})" for _, arg in defaulted if arg not in passed]
+    assert unpassed == []

@@ -40,7 +40,9 @@ from snapslam import (
 from snapslam import estimator, robust
 from snapslam.estimator import (
     _build_terms,
+    _condition_ok,
     _costs,
+    _ldl_solve,
     _outlier_penalty,
     _row_costs,
     _solve_packed,
@@ -48,9 +50,12 @@ from snapslam.estimator import (
 from snapslam.robust import _los_candidate, _search
 from helpers import (
     add_multibounce,
+    build_snapshot,
     expected_inliers,
     random_h0_snapshot,
     random_h1_snapshot,
+    random_landmarks,
+    random_state,
 )
 
 
@@ -513,22 +518,31 @@ def _bits(cell):
     return None if cell is None else cell[:3] + (cell[3].tobytes(), cell[4].tobytes())
 
 
-@pytest.mark.parametrize("case", [3, 5])
-def test_block_winner_does_not_depend_on_the_order_of_its_cells(case, monkeypatch):
-    # Record what stage 1 hands to stage 2 on a real NLoS search (6 and 8
-    # paths: several chunks wait for each block), then replay every block
-    # with its entries and their rows reversed, against the best cell the
-    # search held and against none, in its own block size and in blocks of 7.
+def _flushes(case):
+    """What stage 1 hands to stage 2 on a real NLoS search: the arguments
+    (terms, waiting, gate, block, best) of every ``_evaluate_block`` call."""
     calls = []
-
-    def recorded(terms, waiting, gate, block, best):
-        calls.append((terms, waiting, gate, block, best))
-        return evaluate_block(terms, waiting, gate, block, best)
-
     evaluate_block = robust._evaluate_block
-    monkeypatch.setattr(robust, "_evaluate_block", recorded)
+
+    def recorded(*args):
+        calls.append(args)
+        return evaluate_block(*args)
+
     snap, hypothesis = list(_search_cases())[case]
-    assert hypothesis is Hypothesis.NLOS and _search(*_search_inputs(snap, hypothesis))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(robust, "_evaluate_block", recorded)
+        assert hypothesis is Hypothesis.NLOS and _search(*_search_inputs(snap, hypothesis))
+    return calls
+
+
+@pytest.mark.parametrize("case", [3, 5])
+def test_block_winner_does_not_depend_on_the_order_of_its_cells(case):
+    # Record the flushes of a real NLoS search (6 and 8 paths: several
+    # chunks wait for each block), then replay every block with its entries
+    # and their rows reversed, against the best cell the search held and
+    # against none, in its own block size and in blocks of 7.
+    calls = _flushes(case)
+    evaluate_block = robust._evaluate_block
     assert any(len(waiting) > 1 for _, waiting, _, _, _ in calls)
     for terms, waiting, gate, block, best in calls:
         backwards = [tuple(part[..., ::-1] for part in entry) for entry in reversed(waiting)]
@@ -538,12 +552,39 @@ def test_block_winner_does_not_depend_on_the_order_of_its_cells(case, monkeypatc
             assert _bits(evaluate_block(terms, backwards, gate, size, start)) == _bits(want)
 
 
+@pytest.mark.parametrize("case", [3, 5])
+def test_block_drops_a_cell_whose_minimal_subset_system_is_singular(case):
+    # The flush gates each waiting cell's minimal-subset system and drops
+    # the cells that fail before scoring them. Give the block winner the
+    # packed system of one bounce path, which has rank one: the block must
+    # then return what it returns on its entries without that cell.
+    for terms, waiting, gate, block, best in _flushes(case):
+        cell = robust._evaluate_block(terms, waiting, gate, block, None)[1:3]
+        e, k = next((e, int(k)) for e, (h, l, *_) in enumerate(waiting)
+                    for k in np.flatnonzero((h == cell[0]) & (l == cell[1])))
+        system = terms.normal[:, 0, cell[0]]
+        _, d1, d2 = _ldl_solve(system)
+        assert not _condition_ok(system, d1, d2)
+        h, l, member, a, e1, e2 = (part.copy() for part in waiting[e])
+        a[:, k], e1[k], e2[k] = system[:6], d1, d2
+        singular = waiting[:e] + [(h, l, member, a, e1, e2)] + waiting[e + 1:]
+        without = [tuple(np.delete(part, k, axis=-1) for part in entry) if i == e else entry
+                   for i, entry in enumerate(waiting)]
+        for start, size in itertools.product((best, None), (block, 7)):
+            want = robust._evaluate_block(terms, without, gate, size, start)
+            got = robust._evaluate_block(terms, singular, gate, size, start)
+            assert _bits(got) == _bits(want)
+            assert got is None or got[1:3] != cell
+
+
 def test_block_winner_breaks_exact_ties_by_heading_then_subset(monkeypatch):
     # Every cell costs the same; the entries list the headings backwards and
     # a block holds two cells, so the least (heading, subset) is found last,
     # behind another cell of its block and heading.
-    # A cell's state is its (heading, subset, 0) and its member mask its subset.
-    def level(terms, rows, member, gate, prior):
+    # A cell's state is its (heading, subset, 0) and its member mask its
+    # subset; its minimal-subset system is the identity, which the flush's
+    # condition gate passes.
+    def level(terms, rows, member, gate):
         return np.array([rows, member[0], 0 * rows], dtype=float), np.ones(len(rows))
 
     monkeypatch.setattr(robust, "_cell_costs", level)
@@ -551,7 +592,8 @@ def test_block_winner_breaks_exact_ties_by_heading_then_subset(monkeypatch):
     def entry(headings, subsets):
         k = len(headings)
         return (np.array(headings), np.array(subsets), np.array(subsets)[None, :],
-                np.zeros((6, k)), np.zeros(k), np.zeros(k))
+                np.repeat([[1.0], [0.0], [0.0], [1.0], [0.0], [1.0]], k, axis=1),
+                np.ones(k), np.ones(k))
 
     waiting = [entry([5, 3, 3], [0, 2, 1]), entry([4, 2, 2], [0, 9, 4])]
     for best in (None, (1.0, 2, 5), (2.0, 0, 0)):
@@ -615,6 +657,34 @@ def test_search_matches_reference_when_the_gate_fails_some_cells(case, monkeypat
     for budget in (1, robust._CHUNK_ROW_PATHS, 10 ** 9):
         monkeypatch.setattr(robust, "_CHUNK_ROW_PATHS", budget)
         assert _same_cell(_search(*args), want)
+
+
+def test_search_gate_rejects_the_subsets_of_three_nearly_coincident_bounces(monkeypatch):
+    # Three of five noiseless single bounces come off landmarks 3 um apart:
+    # at every heading they give one constraint, so the minimal-subset
+    # system of a subset holding all three is singular and the flush's
+    # condition gate must reject its cells, unscripted, at every chunk budget.
+    rng = np.random.default_rng(0)
+    bs, ue = random_state(rng, on_grid=True)
+    landmarks = random_landmarks(rng, 3, bs, ue)
+    landmarks += [landmarks[0] + [3e-6, 0.0], landmarks[0] + [0.0, 3e-6]]
+    snap = build_snapshot("close", bs, ue, landmarks, with_los=False)
+    args = _search_inputs(snap, Hypothesis.NLOS)
+    want = _reference_search(*args)
+    assert want is not None
+    rejected = []
+
+    def counted(a, d1, d2):
+        ok = _condition_ok(a, d1, d2)
+        rejected.append(int(ok.size - ok.sum()))
+        return ok
+
+    monkeypatch.setattr(robust, "_condition_ok", counted)
+    for budget in (1, robust._CHUNK_ROW_PATHS, 10 ** 9):
+        monkeypatch.setattr(robust, "_CHUNK_ROW_PATHS", budget)
+        rejected.clear()
+        assert _bits(_search(*args)) == _bits(want)
+        assert sum(rejected) >= 1
 
 
 # --- working memory ------------------------------------------------------------

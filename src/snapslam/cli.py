@@ -132,6 +132,11 @@ def build_run_config(config_path, overrides: dict) -> RunConfig:
     return RunConfig(**data)
 
 
+_P_GRID_MAX_POINTS = 10001
+"""Most points ``parse_p_grid`` returns: a 1e-4 step over [0, 1]. The count
+is checked before any point is built, so a tiny step fails at once."""
+
+
 def parse_p_grid(text: str) -> tuple:
     """``start:step:stop`` inclusive of both ends, or a single probability."""
     parts = text.split(":")
@@ -147,7 +152,10 @@ def parse_p_grid(text: str) -> tuple:
     count = (stop - start) / step
     if not all(map(math.isfinite, (start, step, stop, count))):
         raise ValueError(f"p_grid {text!r}: start, step, stop and the point count must be finite")
-    return tuple(min(round(start + i * step, 12), stop) for i in range(int(count + 1e-9) + 1))
+    points = int(count + 1e-9) + 1
+    if points > _P_GRID_MAX_POINTS:
+        raise ValueError(f"p_grid {text!r}: {points} points, more than {_P_GRID_MAX_POINTS}")
+    return tuple(min(round(start + i * step, 12), stop) for i in range(points))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -156,11 +164,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for f in fields(RunConfig):
         parser.add_argument(f"--{f.name}", default=None, metavar="V",
                             help=f"override {f.name} (default {f.default})")
-
-
-def _overrides(args: argparse.Namespace) -> dict:
-    names = {f.name for f in fields(RunConfig)}
-    return {k: v for k, v in vars(args).items() if k in names}
 
 
 def _solve_one(task):
@@ -175,7 +178,7 @@ def _solve_one(task):
 
 
 def _cmd_simulate(args) -> int:
-    rc = build_run_config(args.config, _overrides(args))
+    rc = build_run_config(args.config, vars(args))
     scene = read_scene(args.scene)
     positions = read_positions(args.positions)
     snapshots = generate_dataset(scene, positions, rc.sim_config(args.noiseless),
@@ -186,7 +189,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    rc = build_run_config(args.config, _overrides(args))
+    rc = build_run_config(args.config, vars(args))
     snapshots = read_dataset(args.data)
     if not snapshots:
         raise ValueError(f"{args.data} holds no snapshots")
@@ -216,7 +219,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    rc = build_run_config(args.config, _overrides(args))
+    rc = build_run_config(args.config, vars(args))
     grid = parse_p_grid(args.p_grid)
     snapshots = read_dataset(args.data)
     exclude = tuple(t.strip() for t in (args.exclude or "").split(",") if t.strip())

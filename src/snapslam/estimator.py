@@ -26,8 +26,8 @@ from .geometry import (
     PathMeasurement,
     Pose,
     UeState,
+    _dot2,
     bounce_fraction,
-    rotation,
     unit_vectors,
     wrap_angle,
 )
@@ -116,10 +116,6 @@ class _PathTerms(NamedTuple):
 
 
 _UNPACK = [0, 1, 2, 1, 3, 4, 2, 4, 5]   # packed index of A[i, j], row-major
-
-
-def _dot2(x, y):
-    return x[0] * y[0] + x[1] * y[1]
 
 
 def _path_sum(a):
@@ -475,11 +471,11 @@ def los_orientation(path: PathMeasurement, bs: Pose) -> float:
     """User heading implied by a line-of-sight path, closed form.
 
     The arrival ray of a LoS path points back at the anchor, which pins the
-    heading given the departure direction and the local arrival angle.
+    heading given the departure direction and the local arrival angle: the
+    path arrives along its departure ray reversed, at world angle
+    ``bs.orientation + aod + pi``.
     """
-    u, _ = unit_vectors(path.aod, 0.0, bs.orientation, 0.0)
-    xy = -rotation(-path.aoa) @ u
-    return wrap_angle(math.atan2(xy[1], xy[0]))
+    return wrap_angle(bs.orientation + path.aod + math.pi - path.aoa)
 
 
 _GRID_STEPS = 360

@@ -44,6 +44,16 @@ def wrap_angle(angle: float) -> float:
     return a if -math.pi < a <= math.pi else math.pi - (math.pi - a) % TWO_PI
 
 
+def _dot2(x, y):
+    """x[0] y[0] + x[1] y[1]: the package's one product of 2-vectors.
+
+    Written out rather than left to ``@``, whose BLAS kernel is chosen by
+    the CPU and may round differently, so every output is the same on any
+    machine. Works elementwise on stacked vectors of shape (2, ...).
+    """
+    return x[0] * y[0] + x[1] * y[1]
+
+
 def _as_point(p) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (2,):
@@ -148,12 +158,6 @@ class NoiseModel:
     def sigmas(self) -> np.ndarray:
         """Component standard deviations as a length-3 vector (toa, aod, aoa)."""
         return np.array([self.sigma_toa, self.sigma_aod, self.sigma_aoa])
-
-
-def rotation(alpha: float) -> np.ndarray:
-    """2x2 counterclockwise rotation matrix for angle ``alpha`` (radians)."""
-    c, s = math.cos(alpha), math.sin(alpha)
-    return np.array([[c, -s], [s, c]])
 
 
 def unit_vectors(aod: float, aoa: float, alpha_bs: float, alpha_ue: float):
@@ -264,7 +268,7 @@ def mirror_point(p, wall) -> np.ndarray:
     p = _as_point(p)
     a = _as_point(wall[0])
     b = _as_point(wall[1])
-    if float((b - a) @ (b - a)) == 0.0:
+    if _dot2(b - a, b - a) == 0.0:
         raise DegenerateGeometry("zero-length wall")
     return _mirror(p, a, b)
 
@@ -272,7 +276,7 @@ def mirror_point(p, wall) -> np.ndarray:
 def _mirror(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``mirror_point`` on validated points, with ``a != b``."""
     d = b - a
-    t = float((p - a) @ d) / float(d @ d)
+    t = _dot2(p - a, d) / _dot2(d, d)
     foot = a + t * d
     return 2.0 * foot - p
 
@@ -293,11 +297,11 @@ def bounce_fraction(ue: UeState, path: PathMeasurement, bs: Pose, t_nu: float = 
     """
     u, v = unit_vectors(path.aod, path.aoa, bs.orientation, ue.orientation)
     nu = u + v
-    s = float(nu @ nu)
+    s = float(_dot2(nu, nu))
     if s <= t_nu:
         raise NearParallel(f"||u + v||^2 = {s:.3g} <= {t_nu:.3g}")
     d = SPEED_OF_LIGHT * (path.toa - ue.clock_bias)
     if d == 0.0:
         raise DegenerateGeometry("zero path length")
     r = (ue.position - bs.position) + d * v
-    return float(nu @ r) / (d * s)
+    return float(_dot2(nu, r)) / (d * s)

@@ -182,7 +182,7 @@ def _los_candidate(paths) -> int:
     return min(range(len(paths)), key=lambda i: paths[i].toa)
 
 
-def _search(paths, bs, alphas, combos, los_index, n_min, config):
+def _search(paths, bs, alphas, combos, los_index, config):
     """Evaluate every (heading, subset) cell; return the winning cell.
 
     Returns (cost, heading index, subset index, x, inlier_row) of the
@@ -194,18 +194,17 @@ def _search(paths, bs, alphas, combos, los_index, n_min, config):
     minimal-subset stage solves every cell of a chunk and partitions the
     paths into inliers and outliers at that state by ``_line_costs``, whose
     terms ``_line_terms`` builds once per search. Only the cells that can
-    still win go on: those with at least ``n_min`` inliers (the one place
-    this count is tested) whose outlier penalty is not above the best gated
-    cost so far (a gated cost is never below its penalty; the test is
-    strict because a cell that ties the best cost can still win on heading
-    or subset). They wait, across chunks, until they fill a stage-2 block
+    still win go on: those with at least as many inliers as a subset has
+    paths (the one place this count is tested) whose outlier penalty is not
+    above the best gated cost so far (a gated cost is never below its
+    penalty; the test is strict because a cell that ties the best cost can
+    still win on heading or subset). They wait, across chunks, until they fill a stage-2 block
     (an eighth of ``_CHUNK_ROW_PATHS`` cells times paths) or the chunks run
     out; ``_evaluate_block`` then gates their minimal-subset systems and
     evaluates the cells that pass. Every cell's arithmetic
     is independent of the chunking, of which other cells survive and of
     their order.
     """
-    alphas = np.asarray(alphas, dtype=float)
     terms = _build_terms(paths, bs, alphas, los_index)
     lines = _line_terms(terms, bs, los_index)
     n, m = terms.nu_sq.shape
@@ -222,7 +221,7 @@ def _search(paths, bs, alphas, combos, los_index, n_min, config):
             s += terms.normal[:, path]
         x, d1, d2 = _ldl_solve(s)
         inlier = _line_costs(lines, x) <= config.t_eps      # (n, L, M)
-        l, h = np.nonzero(inlier.sum(axis=0) >= n_min)
+        l, h = np.nonzero(inlier.sum(axis=0) >= len(slots))
         member = inlier[:, l, h]                        # (n, K)
         if best is not None:
             keep = ~(_outlier_penalty(terms.eta, member, config.t_eps) > best[0])
@@ -275,25 +274,27 @@ def _polish_heading(paths, bs, alpha, x, cost, inlier_row, config):
     search's inlier count, so the gate does not count it again.
 
     Rounds are scanned two at a time. The next round's centre is always one
-    of this round's probes (probe 4 is the centre itself, as
-    ``linspace(-w, w, 9)[4] == 0.0``), so one scan takes the 9 probes and
-    the 9 follow-up probes around each of them, and the rule above then
-    picks both rounds' outcomes.
+    of this round's probes, so one scan takes the 9 follow-up probes around
+    each of them: row r of the (9, 9) grid is centred on probe r. Column 4
+    holds the probes themselves (``linspace(-w, w, 9)[4] == 0.0``), so the
+    rule above picks round one's outcome from column 4 and round two's from
+    the row of the adopted probe, or from row 4 if none was adopted.
     """
     width = 2.0 * math.pi / _GRID_STEPS         # one step of orientation_grid()
     gate = (config.t_nu, config.t_eps)
     best = (alpha, x, cost)
     for _ in range(7):
-        probes = best[0] + np.linspace(-width, width, 9)
-        probes = np.vstack([probes, probes[:, None] + np.linspace(-width / 4.0, width / 4.0, 9)])
+        centres = best[0] + np.linspace(-width, width, 9)
+        probes = centres[:, None] + np.linspace(-width / 4.0, width / 4.0, 9)
         xs, costs = _heading_costs(paths, bs, probes.ravel(), inlier_row, gate)
-        row = 0
+        picks = np.arange(4, 81, 9)             # round one: column 4
         for _ in range(2):
-            k = 9 * row + int(np.argmin(costs[9 * row:9 * row + 9]))
+            k = int(picks[np.argmin(costs[picks])])
             adopted = costs[k] < best[2]
             if adopted:
                 best = (float(probes.flat[k]), xs[:, k], float(costs[k]))
-            row = 1 + (k % 9 if adopted else 4)
+            row = k // 9 if adopted else 4
+            picks = np.arange(9 * row, 9 * row + 9)
         width /= 16.0
     return best
 
@@ -344,7 +345,7 @@ def robust_solve(snapshot, hypothesis: Hypothesis,
         alphas = orientation_grid()
         combos = enumerate_combinations(n, hypothesis)
 
-    best = _search(paths, bs, alphas, combos, candidate, n_min, config)
+    best = _search(paths, bs, alphas, combos, candidate, config)
     if best is None:
         raise NoFeasibleSolution("every (heading, subset) cell failed feasibility")
     cost, h, _, x, inlier_row = best

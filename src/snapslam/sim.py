@@ -27,6 +27,7 @@ from .geometry import (
     Pose,
     UeState,
     _chain_measurement,
+    _dot2,
     _frozen_point,
     _mirror,
     wrap_angle,
@@ -100,7 +101,7 @@ class Scene:
         walls = tuple(self.walls)
         object.__setattr__(self, "walls", walls)
         for k, w in enumerate(walls):
-            if float((w.b - w.a) @ (w.b - w.a)) == 0.0:
+            if _dot2(w.b - w.a, w.b - w.a) == 0.0:
                 raise DegenerateGeometry(f"wall {k} has zero length")
 
 
@@ -305,9 +306,7 @@ class SimConfig:
 def _on_any_wall(p, walls) -> bool:
     for w in walls:
         d = w.b - w.a
-        dd = float(d @ d)
-        t = float((p - w.a) @ d) / dd
-        t = min(max(t, 0.0), 1.0)
+        t = min(max(_dot2(p - w.a, d) / _dot2(d, d), 0.0), 1.0)
         foot = w.a + t * d
         if float(np.hypot(*(p - foot))) <= _ON_WALL_M:
             return True

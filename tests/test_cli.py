@@ -22,7 +22,15 @@ from snapslam.cli import RunConfig, build_run_config, main, parse_p_grid
 from helpers import random_h0_snapshot, square_scene
 
 
-def test_parse_p_grid():
+def _build_no_grid_point(monkeypatch):
+    """Fail the test at the first grid point ``parse_p_grid`` builds, so a
+    refused grid allocates nothing even where the count check is missing."""
+    def refuse(*args):
+        raise AssertionError("a grid point was built")
+    monkeypatch.setattr(cli, "round", refuse, raising=False)
+
+
+def test_parse_p_grid(monkeypatch):
     grid = parse_p_grid("0:0.1:1")
     assert len(grid) == 11
     assert grid[0] == 0.0 and grid[-1] == 1.0
@@ -36,8 +44,11 @@ def test_parse_p_grid():
         parse_p_grid("1:0.1:0")
     with pytest.raises(ValueError):
         parse_p_grid("0:1")
-    # non-finite bounds, and a step so small that the point count overflows
-    for text in ("0:0.1:inf", "-inf:1:0", "0:1e-320:1"):
+    assert len(parse_p_grid("0:1e-4:1")) == 10001
+    # non-finite bounds, a step so small that the point count overflows,
+    # and one whose 10^12 points are refused before any is built
+    _build_no_grid_point(monkeypatch)
+    for text in ("0:0.1:inf", "-inf:1:0", "0:1e-320:1", "0:1e-12:1"):
         with pytest.raises(ValueError, match=f"p_grid '{text}'"):
             parse_p_grid(text)
 
@@ -88,7 +99,7 @@ def test_run_config_types_every_field_from_its_default(tmp_path, monkeypatch):
         argv = ["solve", "--data", "d", "--out", "o"]
         for k, t in texts.items():
             argv += [f"--{k}", t]
-        from_flags = build_run_config(None, cli._overrides(cli.build_parser().parse_args(argv)))
+        from_flags = build_run_config(None, vars(cli.build_parser().parse_args(argv)))
         assert from_file == from_flags
         if expected is not None:
             assert from_file == expected
@@ -248,7 +259,7 @@ def test_cli_asks_for_no_more_workers_than_snapshots(tmp_path, monkeypatch):
     assert asked == [4]
 
 
-def test_cli_error_exit_codes(tmp_path, capsys):
+def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["solve", "--data", str(tmp_path / "missing.jsonl"),
                  "--out", str(tmp_path / "o.jsonl")]) == 2
     assert "missing.jsonl" in capsys.readouterr().err
@@ -284,6 +295,13 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--data", str(tmp_path / "missing.jsonl"), "--out", str(curve),
                  "--p_grid", "0:0.1:inf"]) == 2
     assert "p_grid '0:0.1:inf': start, step, stop and the point count must be finite" in (
+        capsys.readouterr().err)
+    assert not curve.exists()
+    with monkeypatch.context() as patch:
+        _build_no_grid_point(patch)
+        assert main(["sweep", "--data", str(data), "--out", str(curve),
+                     "--p_grid", "0:1e-12:1"]) == 2
+    assert "p_grid '0:1e-12:1': 1000000000001 points, more than 10001" in (
         capsys.readouterr().err)
     assert not curve.exists()
 

@@ -383,7 +383,7 @@ def _winning_cell(seed, n_single, n_multi):
     paths, config = list(snap.paths), RobustConfig()
     alphas = orientation_grid()
     combos = enumerate_combinations(len(paths), Hypothesis.NLOS)
-    best = robust._search(paths, snap.bs, alphas, combos, None, 4, config)
+    best = robust._search(paths, snap.bs, alphas, combos, None, config)
     return snap, paths, alphas, config, best
 
 
@@ -410,4 +410,4 @@ def test_polish_scans_two_rounds_per_kernel_call(monkeypatch):
     monkeypatch.setattr(robust, "_heading_costs", counted)
     snap = random_h1_snapshot(3, n_single=6, noise=NoiseModel())
     robust_solve(snap, Hypothesis.NLOS)
-    assert scans == [90] * 7                    # 9 probes and 9 follow-ups of each
+    assert scans == [81] * 7                    # 9 follow-ups of each of 9 probes

@@ -6,8 +6,9 @@ imports a name it does not use; every private top-level definition is used
 by the package itself, so tests alone cannot keep a dead helper alive.
 Every parameter of every function is read, and every defaulted parameter
 of a private function is passed by some call in the package, so neither
-an unread argument nor a default no caller overrides survives. No linter
-is a dependency, so the checks read the source with ``ast``.
+an unread argument nor a default no caller overrides survives. No module
+computes a matrix or vector product through BLAS. No linter is a
+dependency, so the checks read the source with ``ast``.
 """
 
 import ast
@@ -139,3 +140,22 @@ def test_every_default_of_a_private_function_is_passed():
                           or (i is not None and (spread or i < len(call.args))))
         unpassed += [f"{module}.{name}({arg})" for _, arg in defaulted if arg not in passed]
     assert unpassed == []
+
+
+_PRODUCTS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "norm"}
+
+
+def test_no_matrix_product():
+    # BLAS picks its product kernel by CPU, and kernels round differently,
+    # so outputs would depend on the machine; 2-vector products go through
+    # geometry._dot2 instead
+    found = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.stem}:{node.lineno} @")
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in _PRODUCTS:
+                    found.append(f"{path.stem}:{node.lineno} {name}")
+    assert found == []

@@ -343,10 +343,10 @@ def test_solvers_follow_a_rigid_motion_of_the_scene(solver, seed, degrees, shift
 
 # --- batched search against a per-combination reference --------------------
 
-def _reference_search(paths, bs, alphas, combos, los_index, n_min, config):
+def _reference_search(paths, bs, alphas, combos, los_index, config):
     """One subset at a time over every heading, every cell kept, one argmin.
 
-    A cell with fewer than ``n_min`` inliers costs +inf, as stage 1 of
+    A cell with fewer inliers than a subset has paths costs +inf, as stage 1 of
     ``_search`` rules it out before the gate. Every system is summed path by
     path in ascending order, the inlier systems over every path weighted by
     its inlier mask, as ``_search`` sums them, so every cell's arithmetic is
@@ -361,7 +361,7 @@ def _reference_search(paths, bs, alphas, combos, los_index, n_min, config):
         x1, ok1 = _solve_packed(functools.reduce(
             operator.add, (inlier[i] * terms.normal[:, i] for i in range(len(paths)))))
         cost = estimator._row_costs(terms, x1, ok0 & ok1, inlier, (config.t_nu, config.t_eps))
-        costs.append(np.where(inlier.sum(axis=0) >= n_min, cost, np.inf))
+        costs.append(np.where(inlier.sum(axis=0) >= len(combo), cost, np.inf))
         states.append(x1)
         masks.append(inlier)
     table = np.stack(costs, axis=1)                 # (M, L), heading-major
@@ -383,7 +383,6 @@ def _search_cases():
 
 def _search_inputs(snap, hypothesis, config=RobustConfig()):
     paths, bs = list(snap.paths), snap.bs
-    n_los, n_nlos = minimal_counts(hypothesis)
     if hypothesis is Hypothesis.LOS:
         candidate = _los_candidate(paths)
         alphas = np.array([los_orientation(paths[candidate], bs)])
@@ -393,7 +392,7 @@ def _search_inputs(snap, hypothesis, config=RobustConfig()):
         alphas = orientation_grid()
         combos = enumerate_combinations(len(paths), hypothesis)
         los_index = None
-    return paths, bs, alphas, combos, los_index, n_los + n_nlos, config
+    return paths, bs, alphas, combos, los_index, config
 
 
 def _same_cell(got, want):
@@ -488,7 +487,7 @@ def test_batched_search_breaks_exact_ties_heading_first(monkeypatch):
              for p in snap.paths]
     args = _search_inputs(Snapshot(id="tie", bs=snap.bs, paths=paths, truth=None),
                           hypothesis)
-    paths, bs, alphas, combos, los_index, n_min, config = args
+    paths, bs, alphas, combos, los_index, config = args
     terms = _build_terms(paths, bs, alphas, los_index)
     assert _outlier_penalty(terms.eta, 0.0, config.t_eps) < 1.0
     # A cell's gated cost depends on its heading and its inlier set alone,
@@ -499,7 +498,7 @@ def test_batched_search_breaks_exact_ties_heading_first(monkeypatch):
     for subset, heading in ((6, 2), (0, 7), (3, 2), (12, 336)):
         x0, ok0 = _solve_packed(terms.normal[:, list(combos[subset])].sum(axis=1)[:, heading])
         inlier = (_costs(terms, x0[:, None])[:, heading] <= config.t_eps) & ok0
-        assert inlier.sum() >= n_min                # survives the count test
+        assert inlier.sum() >= len(combos[subset])  # survives the count test
         scripted[terms.v[..., heading].tobytes(), inlier.tobytes()] = 1.0
     assert len(scripted) == 4
 
@@ -628,7 +627,7 @@ def test_search_gates_the_minimal_subset_solve_of_every_live_cell(monkeypatch):
     # systems are better conditioned than that, so a search that gated only
     # the inlier systems would still return a cell.
     args = _search_inputs(*list(_search_cases())[0], RobustConfig(t_eps=1e6))
-    paths, bs, alphas, combos, los_index, _, _ = args
+    paths, bs, alphas, combos, los_index, _ = args
     terms = _build_terms(paths, bs, alphas, los_index)
     limit = min(_svd_condition(terms.normal[:, list(c)].sum(axis=1)).min() for c in combos)
     assert (_svd_condition(terms.normal.sum(axis=1)) < limit).any()
@@ -647,7 +646,7 @@ def test_search_matches_reference_when_the_gate_fails_some_cells(case, monkeypat
     # system is better conditioned than its minimal-subset system, so only
     # the minimal-subset gate moves the answer there.
     args = _search_inputs(*list(_search_cases())[case])
-    paths, bs, alphas, combos, los_index, _, _ = args
+    paths, bs, alphas, combos, los_index, _ = args
     _, h, l, _, _ = _reference_search(*args)
     terms = _build_terms(paths, bs, alphas, los_index)
     _gate_by_svd_at(monkeypatch,

@@ -98,11 +98,11 @@ class _PathTerms(NamedTuple):
     Every packed system, cost and penalty of a cell is a sum over its
     paths in ascending path order, ((p0 + p1) + p2) + ...: the search's
     minimal-subset systems over the subset's paths, the rest through
-    ``_path_sum`` over every path with non-members weighted 0. A frozen-set
-    heading scan (``_heading_costs``) builds its members' terms alone; a
-    non-member adds an exact zero to such a sum, so that gives the same
-    bits. The bits of a cell's result therefore depend neither on the batch
-    it is evaluated in nor on any memory layout.
+    ``_path_sum`` over every path with non-members weighted 0. A frozen set
+    (``_frozen_set``) builds its members' terms alone; a non-member adds an
+    exact zero to such a sum, so that gives the same bits. The bits of a
+    cell's result therefore depend neither on the batch it is evaluated in
+    nor on any memory layout.
     """
 
     tau: np.ndarray       # (n,)
@@ -138,27 +138,48 @@ def _path_sum(a):
     return total
 
 
-def _build_terms(paths: Sequence[PathMeasurement], bs: Pose, alphas: np.ndarray,
-                 los_index: int | None = None) -> _PathTerms:
-    """Precompute per-path solver terms for every heading in ``alphas``.
+class _PathConstants(NamedTuple):
+    """The heading-free part of ``_build_terms``: per-path arrays that every
+    heading shares, built once per search and once per frozen set.
 
-    ``los_index`` marks the path hypothesized as line of sight: its projector
-    is the identity (both residual components constrain the state). Paths
-    whose departure/arrival rays cancel exactly get the same treatment, the
-    correct limit of the eliminated-bounce constraint.
+    ``u`` is the departure unit vector, ``ctau`` is c tau, and ``scale``
+    holds the gains times the power of two that puts the largest in
+    [0.5, 1). Each is shaped to broadcast against the (n, M) planes of
+    ``_PathTerms``.
     """
-    alphas = np.asarray(alphas, dtype=float)
+
+    tau: np.ndarray       # (n,)
+    eta: np.ndarray       # (n,)
+    aoa: np.ndarray       # (n,)
+    u: np.ndarray         # (2, n, 1)
+    ctau: np.ndarray      # (n, 1)
+    anchor: np.ndarray    # (2, 1, 1)  anchor position
+    scale: np.ndarray     # (n, 1)
+
+
+def _path_constants(paths: Sequence[PathMeasurement], bs: Pose) -> _PathConstants:
+    """The per-path constants of ``paths`` seen from anchor ``bs``."""
     tau = np.array([p.toa for p in paths])
     eta = np.array([p.gain for p in paths])
     aod = np.array([p.aod for p in paths])
     aoa = np.array([p.aoa for p in paths])
-
     dep = bs.orientation + aod                      # world departure angle
     u = np.array([np.cos(dep), np.sin(dep)])[:, :, None]
-    arr = aoa[:, None] + alphas                     # (n, M) world arrival angle
+    # weights scaled by a power of two so the largest is in [0.5, 1): exact,
+    # and it keeps the kernel's squared entries in range for any gain scale
+    scale = np.ldexp(eta, -np.frexp(eta.max())[1])[:, None]
+    return _PathConstants(tau, eta, aoa, u, (_C * tau)[:, None], bs.position[:, None, None],
+                          scale)
+
+
+def _heading_terms(const: _PathConstants, alphas: np.ndarray,
+                   los_index: int | None = None) -> _PathTerms:
+    """The terms of ``_build_terms`` at every heading of ``alphas`` from the
+    paths' constants: all of its per-heading arithmetic."""
+    arr = const.aoa[:, None] + alphas               # (n, M) world arrival angle
     v = np.array([np.cos(arr), np.sin(arr)])
 
-    nu = u + v
+    nu = const.u + v
     nu_sq = _dot2(nu, nu)
     identity_proj = nu_sq == 0.0
     if los_index is not None:
@@ -166,7 +187,7 @@ def _build_terms(paths: Sequence[PathMeasurement], bs: Pose, alphas: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         nubar = np.where(identity_proj, 0.0, nu / np.sqrt(nu_sq))
 
-    mu = bs.position[:, None, None] - (_C * tau)[:, None] * v
+    mu = const.anchor - const.ctau * v
 
     # Per-path normal-matrix block for state [p_x, p_y, c*b]:
     #   A_i = eta * H^T P H,  rhs_i = eta * H^T P mu,  H = [I2 | -v], P = I - nubar nubar^T
@@ -181,10 +202,21 @@ def _build_terms(paths: Sequence[PathMeasurement], bs: Pose, alphas: np.ndarray,
     normal[5] = _dot2(v, w)
     normal[6:8] = g
     normal[8] = -_dot2(v, g)
-    # weights scaled by a power of two so the largest is in [0.5, 1): exact,
-    # and it keeps the kernel's squared entries in range for any gain scale
-    normal *= np.ldexp(eta, -np.frexp(eta.max())[1])[:, None]
-    return _PathTerms(tau, eta, v, nu, nu_sq, nubar, mu, normal)
+    normal *= const.scale
+    return _PathTerms(const.tau, const.eta, v, nu, nu_sq, nubar, mu, normal)
+
+
+def _build_terms(paths: Sequence[PathMeasurement], bs: Pose, alphas: np.ndarray,
+                 los_index: int | None = None) -> _PathTerms:
+    """Precompute per-path solver terms for every heading in ``alphas``.
+
+    ``los_index`` marks the path hypothesized as line of sight: its projector
+    is the identity (both residual components constrain the state). Paths
+    whose departure/arrival rays cancel exactly get the same treatment, the
+    correct limit of the eliminated-bounce constraint.
+    """
+    return _heading_terms(_path_constants(paths, bs), np.asarray(alphas, dtype=float),
+                          los_index)
 
 
 def _ldl_solve(s):
@@ -364,93 +396,126 @@ def _outlier_penalty(eta, member, t_eps):
     return _path_sum((1.0 - member) * eta[:, None]) * t_eps
 
 
-def _feasibility_mask(terms: _PathTerms, x: np.ndarray, inlier: np.ndarray, t_nu: float,
+def _feasibility_mask(terms: _PathTerms, x: np.ndarray, inlier: np.ndarray | None, t_nu: float,
                       r: np.ndarray) -> np.ndarray:
     """Vectorized feasibility of each cell's (state, inlier set), (K,).
 
-    ``x`` is (3, K), ``inlier`` holds the boolean (n, K) inlier masks and
-    ``r`` is ``_residuals(terms, x)``. Checks, per cell: non-negative
-    bias-corrected delay of the earliest inlier j; bounce fraction of j in
-    [0, 1] unless its rays nearly cancel (near-LoS geometry); bounce
-    fraction of every other inlier in [0, 1]. Whether a cell has enough
-    inliers is the search's stage-1 test (``robust._search``), not this one.
+    ``x`` is (3, K), ``inlier`` holds the boolean (n, K) inlier masks, or is
+    None when every path is an inlier of every cell, and ``r`` is
+    ``_residuals(terms, x)``. Checks, per cell: non-negative bias-corrected
+    delay of the earliest inlier j; bounce fraction of j in [0, 1] unless
+    its rays nearly cancel (near-LoS geometry); bounce fraction of every
+    other inlier in [0, 1]. Whether a cell has enough inliers is the
+    search's stage-1 test (``robust._search``), not this one.
     """
-    cells = np.arange(inlier.shape[1])
-    j = np.argmin(np.where(inlier, terms.tau[:, None], np.inf), axis=0)
+    if inlier is None:                  # one earliest path for every cell
+        j, cells = int(np.argmin(terms.tau)), slice(None)
+    else:
+        j = np.argmin(np.where(inlier, terms.tau[:, None], np.inf), axis=0)
+        cells = np.arange(inlier.shape[1])
     delay_ok = _C * terms.tau[j] - x[2] >= 0.0
     gam = _gammas(terms, x, r)
     in_range = (gam >= 0.0) & (gam <= 1.0)
     j_ok = in_range[j, cells] | (terms.nu_sq[j, cells] <= t_nu)
     in_range[j, cells] = True
-    others_ok = np.all(in_range | ~inlier, axis=0)
-    return delay_ok & j_ok & others_ok
+    if inlier is not None:
+        in_range |= ~inlier
+    return delay_ok & j_ok & np.all(in_range, axis=0)
 
 
-def _row_costs(terms: _PathTerms, x: np.ndarray, ok: np.ndarray, member: np.ndarray,
+def _row_costs(terms: _PathTerms, x: np.ndarray, ok: np.ndarray, member: np.ndarray | None,
                gate: tuple | None = None) -> np.ndarray:
     """Cost of each cell's state over its member set, (K,).
 
-    ``x`` is (3, K), ``member`` holds the boolean (n, K) member masks and
-    ``ok`` flags the cells whose solve passed. The cost is the gain-weighted
-    ``_path_sum`` of the members' squared projected residuals. A ``gate``
-    (t_nu, t_eps) adds the per-path penalty t_eps for each non-member and
-    requires the cell to pass ``_feasibility_mask``; the weighted sum is
-    non-negative, so a gated cost is never below its ``_outlier_penalty``. Cells whose solve failed, that
-    fail the gate, or whose cost is not finite get +inf.
+    ``x`` is (3, K), ``member`` holds the boolean (n, K) member masks (None:
+    every path is a member of every cell) and ``ok`` flags the cells whose
+    solve passed. The cost is the gain-weighted ``_path_sum`` of the
+    members' squared projected residuals. A ``gate`` (t_nu, t_eps) adds the
+    per-path penalty t_eps for each non-member and requires the cell to
+    pass ``_feasibility_mask``; the weighted sum is non-negative, so a
+    gated cost is never below its ``_outlier_penalty``. Cells whose solve
+    failed, that fail the gate, or whose cost is not finite get +inf.
     """
     r = _residuals(terms, x)
-    cost = _path_sum(member * terms.eta[:, None] * _costs(terms, x, r))
+    weights = terms.eta[:, None] if member is None else member * terms.eta[:, None]
+    cost = _path_sum(weights * _costs(terms, x, r))
     valid = ok
     if gate is not None:
         t_nu, t_eps = gate
-        cost = cost + _outlier_penalty(terms.eta, member, t_eps)
+        # with no non-member the penalty is +0.0, and a cost is never -0.0
+        if member is not None:
+            cost = cost + _outlier_penalty(terms.eta, member, t_eps)
         valid = ok & _feasibility_mask(terms, x, member, t_nu, r)
     return np.where(valid & np.isfinite(cost), cost, np.inf)
 
 
-def _cell_costs(terms: _PathTerms, rows: np.ndarray | None, member: np.ndarray,
+def _cell_costs(terms: _PathTerms, rows: np.ndarray | None, member: np.ndarray | None,
                 gate: tuple | None = None):
     """States and gated costs of a batch of (heading, member set) cells.
 
     Cell k is heading row ``rows[k]`` of ``terms`` (heading k when ``rows``
-    is None) with the boolean (n,) member mask ``member[:, k]``. Each cell's
-    system is the ``_path_sum`` of its members' packed rows; it is solved and
-    condition-gated by ``_solve_packed``, then costed and gated by
-    ``_row_costs``. A search cell's minimal-subset system is not gated here
-    but in ``robust._evaluate_block``, which drops the cells it fails.
+    is None) with the boolean (n,) member mask ``member[:, k]``; a
+    ``member`` of None makes every path a member of every cell, with the
+    bits of an all-True mask (a weight of 1.0 changes no product). Each
+    cell's system is the ``_path_sum`` of its members' packed rows; it is
+    solved and condition-gated by ``_solve_packed``, then costed and gated
+    by ``_row_costs``. A search cell's minimal-subset system is not gated
+    here but in ``robust._evaluate_block``, which drops the cells it fails.
     Returns x (3, K) and cost (K,). A cell's result, to the bit, depends
     neither on the other cells of the batch nor on its place among them.
     """
     if rows is not None:
         terms = _take_rows(terms, rows)
-    x, ok = _solve_packed(_path_sum(member * terms.normal))
+    x, ok = _solve_packed(_path_sum(terms.normal if member is None else member * terms.normal))
     return x, _row_costs(terms, x, ok, member, gate)
 
 
-def _heading_costs(paths, bs: Pose, alphas: np.ndarray, member_row: np.ndarray,
-                   gate: tuple | None = None):
-    """``_cell_costs`` at every heading of ``alphas`` for one frozen member set.
+class _FrozenSet(NamedTuple):
+    """One member set held fixed over heading scans, from ``_frozen_set``.
 
-    ``member_row`` is a boolean (n,) mask of the paths in the set, every one
-    treated as a single bounce; one path at least. Returns x (3, M) and cost
-    (M,); a heading's result does not depend on the other headings.
-
-    Only the members' terms are built, and the non-members' penalty is
-    added once. The result has the bits of ``_cell_costs`` over every path
-    with the non-members weighted 0: such a path adds an exact zero to each
-    path-order sum, the earliest inlier of the feasibility gate is a member,
-    and the power-of-two weight scale of ``_build_terms`` (set by the
-    largest member gain here) cancels exactly in the solve, the condition
-    estimate and its SVD recheck, while the costs weigh by the unscaled
-    gains. That holds while no non-member's squared residual overflows and
-    no member's scaled weight is subnormal.
+    ``members`` holds the members' ``_PathConstants``, ``gate`` the
+    (t_nu, t_eps) gate or None, and ``penalty`` the non-members' outlier
+    penalty under it (None without a gate): neither depends on the heading.
     """
-    members = np.flatnonzero(member_row)
-    terms = _build_terms([paths[i] for i in members], bs, alphas)
-    x, cost = _cell_costs(terms, None, np.broadcast_to(True, terms.nu_sq.shape), gate)
+
+    members: _PathConstants
+    gate: tuple | None
+    penalty: float | None
+
+
+def _frozen_set(paths, bs: Pose, member_row: np.ndarray, gate: tuple | None = None) -> _FrozenSet:
+    """The frozen set of the paths in the boolean (n,) mask ``member_row``,
+    every one treated as a single bounce; one path at least.
+
+    Built once per set, it holds all that its ``_heading_costs`` scans
+    share. Only the members' terms are built, and the non-members' penalty
+    is added once. A scan has the bits of ``_cell_costs`` over every path
+    with the non-members weighted 0: such a path adds an exact zero to each
+    path-order sum, the earliest inlier of the feasibility gate is a
+    member, and the power-of-two weight scale of ``_build_terms`` (set by
+    the largest member gain here) cancels exactly in the solve, the
+    condition estimate and its SVD recheck, while the costs weigh by the
+    unscaled gains. That holds while no non-member's squared residual
+    overflows and no member's scaled weight is subnormal.
+    """
+    members = _path_constants([paths[i] for i in np.flatnonzero(member_row)], bs)
+    penalty = None
     if gate is not None:
         eta = np.array([p.gain for p in paths])
-        cost = cost + _outlier_penalty(eta, member_row[:, None], gate[1])
+        penalty = float(_outlier_penalty(eta, member_row[:, None], gate[1])[0])
+    return _FrozenSet(members, gate, penalty)
+
+
+def _heading_costs(frozen: _FrozenSet, alphas: np.ndarray):
+    """``_cell_costs`` at every heading of ``alphas`` for one frozen set.
+
+    Returns x (3, M) and cost (M,); a heading's result does not depend on
+    the other headings. Each scan builds the members' per-heading terms
+    alone and runs the kernel with every one a member.
+    """
+    x, cost = _cell_costs(_heading_terms(frozen.members, alphas), None, None, frozen.gate)
+    if frozen.penalty is not None:
+        cost = cost + frozen.penalty
     return x, cost
 
 
@@ -516,7 +581,7 @@ def nlos_orientation_search(paths: Sequence[PathMeasurement], index_set, grid,
     member_row = np.zeros(len(paths), dtype=bool)
     member_row[indices] = True
     grid = np.asarray(grid, dtype=float)
-    x, cost = _heading_costs(paths, bs, grid, member_row)
+    x, cost = _heading_costs(_frozen_set(paths, bs, member_row), grid)
     k = int(np.argmin(cost))
     if not np.isfinite(cost[k]):
         raise SingularGeometry("no heading on the grid yields an invertible system")

@@ -274,11 +274,16 @@ def mirror_point(p, wall) -> np.ndarray:
 
 
 def _mirror(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``mirror_point`` on validated points, with ``a != b``."""
-    d = b - a
-    t = _dot2(p - a, d) / _dot2(d, d)
-    foot = a + t * d
-    return 2.0 * foot - p
+    """``mirror_point`` on validated points, with ``a != b``.
+
+    The image is 2 (a + t d) - p for d = b - a and t = (p - a) . d / d . d,
+    worked in Python floats: on 2-vectors a NumPy call costs more than the
+    arithmetic it does, and the floats round the same way.
+    """
+    (px, py), (ax, ay), (bx, by) = p.tolist(), a.tolist(), b.tolist()
+    d = (bx - ax, by - ay)
+    t = _dot2((px - ax, py - ay), d) / _dot2(d, d)
+    return np.array([2.0 * (ax + t * d[0]) - px, 2.0 * (ay + t * d[1]) - py])
 
 
 def bounce_fraction(ue: UeState, path: PathMeasurement, bs: Pose, t_nu: float = 0.1) -> float:

@@ -55,6 +55,7 @@ from .estimator import (
     _build_terms,
     _cell_costs,
     _condition_ok,
+    _frozen_set,
     _heading_costs,
     _ldl_solve,
     _line_costs,
@@ -262,6 +263,14 @@ def _evaluate_block(terms, waiting, gate, block, best):
     return best
 
 
+_POLISH_OFFSETS = np.array([(np.linspace(-w, w, 9), np.linspace(-w / 4.0, w / 4.0, 9))
+                            for w in (2.0 * math.pi / _GRID_STEPS / 16.0 ** i for i in range(7))])
+"""The (7, 2, 9) heading offsets of ``_polish_heading``'s scans: scan i
+takes ``linspace(-w, w, 9)`` for its centres and ``linspace(-w / 4, w / 4,
+9)`` around each, w being one step of ``orientation_grid()`` over 16 ** i,
+an exact division by a power of two."""
+
+
 def _polish_heading(paths, bs, alpha, x, cost, inlier_row, config):
     """Shrink the heading past grid resolution around the winning cell.
 
@@ -271,31 +280,29 @@ def _polish_heading(paths, bs, alpha, x, cost, inlier_row, config):
     quarter as wide as the one before and centred on the best heading so
     far. A probe is adopted only when it is feasible and strictly cheaper,
     so this never worsens the grid answer. The frozen set passed the
-    search's inlier count, so the gate does not count it again.
+    search's inlier count, so the gate does not count it again; it is
+    built once, and each scan builds only its per-heading terms.
 
-    Rounds are scanned two at a time. The next round's centre is always one
-    of this round's probes, so one scan takes the 9 follow-up probes around
-    each of them: row r of the (9, 9) grid is centred on probe r. Column 4
-    holds the probes themselves (``linspace(-w, w, 9)[4] == 0.0``), so the
-    rule above picks round one's outcome from column 4 and round two's from
-    the row of the adopted probe, or from row 4 if none was adopted.
+    Rounds are scanned two at a time, at the offsets of
+    ``_POLISH_OFFSETS``. The next round's centre is always one of this
+    round's probes, so one scan takes the 9 follow-up probes around each of
+    them: row r of the (9, 9) grid is centred on probe r. Column 4 holds
+    the probes themselves (``linspace(-w, w, 9)[4] == 0.0``), so the rule
+    above picks round one's outcome from column 4 and round two's from the
+    row of the adopted probe, or from row 4 if none was adopted.
     """
-    width = 2.0 * math.pi / _GRID_STEPS         # one step of orientation_grid()
-    gate = (config.t_nu, config.t_eps)
+    frozen = _frozen_set(paths, bs, inlier_row, (config.t_nu, config.t_eps))
     best = (alpha, x, cost)
-    for _ in range(7):
-        centres = best[0] + np.linspace(-width, width, 9)
-        probes = centres[:, None] + np.linspace(-width / 4.0, width / 4.0, 9)
-        xs, costs = _heading_costs(paths, bs, probes.ravel(), inlier_row, gate)
-        picks = np.arange(4, 81, 9)             # round one: column 4
+    for centres, follow_ups in _POLISH_OFFSETS:
+        probes = ((best[0] + centres)[:, None] + follow_ups).ravel()
+        xs, costs = _heading_costs(frozen, probes)
+        start, step = 4, 9                      # round one: column 4
         for _ in range(2):
-            k = int(picks[np.argmin(costs[picks])])
+            k = start + step * int(np.argmin(costs[start:start + 9 * step:step]))
             adopted = costs[k] < best[2]
             if adopted:
-                best = (float(probes.flat[k]), xs[:, k], float(costs[k]))
-            row = k // 9 if adopted else 4
-            picks = np.arange(9 * row, 9 * row + 9)
-        width /= 16.0
+                best = (float(probes[k]), xs[:, k], float(costs[k]))
+            start, step = 9 * (k // 9 if adopted else 4), 1
     return best
 
 

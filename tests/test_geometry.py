@@ -22,6 +22,7 @@ from snapslam import (
     wrap_angle,
 )
 
+from snapslam.geometry import _dot2, _mirror
 from reference import wrap_angle_numpy
 
 C = SPEED_OF_LIGHT
@@ -136,6 +137,22 @@ def test_mirror_point_oracle_and_involution():
         # points on the mirror line are fixed, distances preserved
         assert np.hypot(*(mirror_point(p, [a, b]) - a)) == pytest.approx(
             np.hypot(*(p - a)), abs=1e-9)
+
+
+_coordinate = st.floats(-1.0, 1.0)
+_point = st.tuples(_coordinate, _coordinate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_point, a=_point, b=_point, scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_mirror_has_the_bits_of_the_numpy_formula(p, a, b, scale):
+    p, a, b = (scale * np.array(q) for q in (p, a, b))
+    d = b - a
+    if _dot2(d, d) == 0.0:
+        return
+    want = 2.0 * (a + _dot2(p - a, d) / _dot2(d, d) * d) - p
+    got = _mirror(p, a, b)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_mirror_point_zero_length_wall():

@@ -30,6 +30,7 @@ from snapslam.estimator import (
     _cell_costs,
     _costs,
     _feasibility_mask,
+    _frozen_set,
     _gammas,
     _heading_costs,
     _ldl_solve,
@@ -285,21 +286,20 @@ def _field_winners():
 
 def test_a_cell_has_the_same_bits_alone_in_a_block_and_in_a_heading_scan():
     # The search evaluates its winner inside a block of cells, the polish
-    # re-costs it inside a 90-heading scan of its frozen set (probe 4 of the
-    # first scan is the winner's heading itself), and it can be evaluated
-    # alone; all three must agree to the bit.
+    # re-costs it inside its first scan of the frozen set, the (9, 9) grid
+    # of 81 headings whose centre, flat index 40, is the winner's heading
+    # itself, and it can be evaluated alone; all three must agree to the bit.
     for snap, paths, alphas, gate, best in _field_winners():
         assert best is not None
         cost, h, _, x, row = best
         terms = _build_terms(paths, snap.bs, alphas)
         alone_x, alone_cost = _cell_costs(terms, np.array([h]), row[:, None], gate)
         width = 2.0 * math.pi / 360
-        probes = alphas[h] + np.linspace(-width, width, 9)
-        probes = np.concatenate([probes, (probes[:, None] + np.linspace(-width / 4.0, width / 4.0,
-                                                                        9)).ravel()])
-        assert len(probes) == 90 and probes[4] == alphas[h]
-        scan_x, scan_cost = robust._heading_costs(paths, snap.bs, probes, row, gate)
-        for got_x, got_cost in ((alone_x[:, 0], alone_cost[0]), (scan_x[:, 4], scan_cost[4])):
+        centres = alphas[h] + np.linspace(-width, width, 9)
+        probes = (centres[:, None] + np.linspace(-width / 4.0, width / 4.0, 9)).ravel()
+        assert len(probes) == 81 and probes[40] == alphas[h]
+        scan_x, scan_cost = _heading_costs(_frozen_set(paths, snap.bs, row, gate), probes)
+        for got_x, got_cost in ((alone_x[:, 0], alone_cost[0]), (scan_x[:, 40], scan_cost[40])):
             assert got_cost == cost and _same(got_x, x), h
 
 
@@ -336,7 +336,7 @@ def test_member_only_scan_matches_the_all_path_scan(gate):
         assert np.frexp(paths[1].gain)[1] > np.frexp(max(p.gain for p, keep
                                                          in zip(paths, member_row) if keep))[1]
         assert min(range(len(paths)), key=lambda i: paths[i].toa) == 4
-        x, cost = _heading_costs(paths, bs, probes, member_row, gate)
+        x, cost = _heading_costs(_frozen_set(paths, bs, member_row, gate), probes)
         want_x, want_cost = _all_path_scan(paths, bs, probes, member_row, gate)
         assert np.isfinite(cost).any()
         assert _same(x, want_x) and _same(cost, want_cost)
@@ -367,7 +367,7 @@ def test_member_only_scan_matches_the_all_path_scan_inside_the_guard_band(monkey
 
     for gate in (None, (0.1, 0.1)):
         monkeypatch.setattr(np.linalg, "svd", counted)
-        x, cost = _heading_costs(paths, bs, probes, member_row, gate)
+        x, cost = _heading_costs(_frozen_set(paths, bs, member_row, gate), probes)
         monkeypatch.setattr(np.linalg, "svd", svd)
         assert checked
         checked.clear()
@@ -400,14 +400,46 @@ def test_two_round_polish_matches_one_round_reference(seed):
 
 
 def test_polish_scans_two_rounds_per_kernel_call(monkeypatch):
-    scans = []
+    builds, scans = [], []
 
-    def counted(paths, bs, alphas, *rest):
+    def counted_build(paths, *rest):
+        builds.append(len(paths))
+        return frozen_set(paths, *rest)
+
+    def counted_scan(frozen, alphas):
         scans.append(len(alphas))
-        return heading_costs(paths, bs, alphas, *rest)
+        return heading_costs(frozen, alphas)
 
-    heading_costs = robust._heading_costs
-    monkeypatch.setattr(robust, "_heading_costs", counted)
+    frozen_set, heading_costs = robust._frozen_set, robust._heading_costs
+    monkeypatch.setattr(robust, "_frozen_set", counted_build)
+    monkeypatch.setattr(robust, "_heading_costs", counted_scan)
     snap = random_h1_snapshot(3, n_single=6, noise=NoiseModel())
     robust_solve(snap, Hypothesis.NLOS)
+    assert builds == [6]                        # one frozen set per polish
     assert scans == [81] * 7                    # 9 follow-ups of each of 9 probes
+
+
+@pytest.mark.parametrize("gate", [None, (0.1, 0.1), (0.1, 1e6)])
+def test_every_member_kernel_matches_an_all_true_mask(gate):
+    # member=None skips the mask products, the in-kernel penalty and the
+    # per-cell search for the earliest inlier; the bits stay those of a
+    # broadcast all-True mask, over every path (the earliest is path 4, the
+    # largest gain path 1) and over the members alone
+    for paths, bs, member_row, probes in _member_only_cases():
+        for subset in (paths, [p for p, keep in zip(paths, member_row) if keep]):
+            terms = _build_terms(subset, bs, probes)
+            everyone = np.broadcast_to(True, terms.nu_sq.shape)
+            x, cost = _cell_costs(terms, None, None, gate)
+            want_x, want_cost = _cell_costs(terms, None, everyone, gate)
+            assert np.isfinite(cost).any()
+            assert _same(x, want_x) and _same(cost, want_cost)
+
+
+def test_polish_offsets_are_the_linspace_rows_of_each_scan():
+    width = 2.0 * math.pi / estimator._GRID_STEPS
+    assert robust._POLISH_OFFSETS.shape == (7, 2, 9)
+    for centres, follow_ups in robust._POLISH_OFFSETS:
+        assert _same(centres, np.linspace(-width, width, 9))
+        assert _same(follow_ups, np.linspace(-width / 4.0, width / 4.0, 9))
+        assert centres[4] == 0.0 and follow_ups[4] == 0.0
+        width /= 16.0

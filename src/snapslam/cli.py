@@ -1,9 +1,9 @@
 """Command line front end: simulate, solve, sweep.
 
-Exit codes: 0 on success, 2 on bad input (arguments, config, files), 3 when
-every snapshot failed to solve. Settings resolve in order: built-in default,
-config file (``--config`` or the SNAPSLAM_CONFIG environment variable), then
-same-named command line flags.
+Exit codes: 0 on success, 2 on bad input (arguments, config, files, a
+dataset with no snapshots), 3 when every snapshot failed to solve. Settings
+resolve in order: built-in default, config file (``--config`` or the
+SNAPSLAM_CONFIG environment variable), then same-named command line flags.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .dataio import (
     write_sweep_csv,
 )
 from .detector import DEFAULT_T_LOS, PathLossModel
-from .errors import SlamError
+from .errors import EmptyInput, NoFeasibleSolution, SlamError
 from .evaluation import MODES, los_sensitivity_sweep, make_error_record, run_snapshot
 from .geometry import NoiseModel
 from .robust import RobustConfig
@@ -188,11 +188,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _read_snapshots(path):
+    """``read_dataset``, rejecting a file that holds no snapshots as bad input."""
+    snapshots = read_dataset(path)
+    if not snapshots:
+        raise ValueError(f"{path} holds no snapshots")
+    return snapshots
+
+
 def _cmd_solve(args) -> int:
     rc = build_run_config(args.config, vars(args))
-    snapshots = read_dataset(args.data)
-    if not snapshots:
-        raise ValueError(f"{args.data} holds no snapshots")
+    snapshots = _read_snapshots(args.data)
     tasks = [(snap, args.mode, rc) for snap in snapshots]
     # a fork pool starts every worker at the first submit, needed or not
     workers = min(rc.workers, len(tasks))
@@ -221,7 +227,7 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     rc = build_run_config(args.config, vars(args))
     grid = parse_p_grid(args.p_grid)
-    snapshots = read_dataset(args.data)
+    snapshots = _read_snapshots(args.data)
     exclude = tuple(t.strip() for t in (args.exclude or "").split(",") if t.strip())
     sweep = los_sensitivity_sweep(snapshots, rc.robust_config(), grid,
                                   trials=rc.trials, seed=rc.seed,
@@ -275,19 +281,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command and return its exit status.
 
-    3 when there is nothing to solve or no feasible solution, 2 for any
-    other error.
+    3 when every snapshot failed to solve (no feasible solution, or no
+    usable snapshot), 2 for any other error, an empty dataset included.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except SlamError as exc:
-        kind = type(exc).__name__
-        if kind in ("EmptyInput", "NoFeasibleSolution"):
+        if isinstance(exc, (EmptyInput, NoFeasibleSolution)):
             print(f"error: {exc}", file=sys.stderr)
             return 3
-        print(f"error: {kind}: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,16 +19,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGeometry, NearParallel, SingularGeometry
+from .errors import DegenerateGeometry, SingularGeometry
 from .geometry import (
     SPEED_OF_LIGHT,
     NoiseModel,
     PathMeasurement,
     Pose,
     UeState,
+    _bounce,
     _dot2,
-    bounce_fraction,
-    unit_vectors,
     wrap_angle,
 )
 
@@ -82,10 +81,30 @@ class LandmarkEstimate:
     iterations: int = 0
 
 
+class _PathConstants(NamedTuple):
+    """The heading-free part of ``_build_terms``: per-path arrays that every
+    heading shares, built once per search and once per frozen set.
+
+    ``u`` is the departure unit vector, ``ctau`` is c tau, and ``scale``
+    holds the gains times the power of two that puts the largest in
+    [0.5, 1). Each is shaped to broadcast against the (n, M) planes of
+    ``_PathTerms``, which carries them as ``const``: the kernel reads every
+    per-path constant from there and derives none of them again.
+    """
+
+    tau: np.ndarray       # (n,)
+    eta: np.ndarray       # (n,)
+    aoa: np.ndarray       # (n,)
+    u: np.ndarray         # (2, n, 1)
+    ctau: np.ndarray      # (n, 1)
+    anchor: np.ndarray    # (2, 1, 1)  anchor position
+    scale: np.ndarray     # (n, 1)
+
+
 class _PathTerms(NamedTuple):
     """Per-(path, heading) arrays used by the batched conditional solver.
 
-    The layout is planar and path-major: every array is n paths by M
+    The layout is planar and path-major: every plane is n paths by M
     headings, and a 2-D vector or a packed system keeps its components on a
     leading axis of their own, so each component is one contiguous (n, M)
     plane in which a path's row runs over the headings. ``normal`` packs
@@ -103,10 +122,14 @@ class _PathTerms(NamedTuple):
     exact zero to such a sum, so that gives the same bits. The bits of a
     cell's result therefore depend neither on the batch it is evaluated in
     nor on any memory layout.
+
+    ``const`` holds the paths' ``_PathConstants``. Every field after it is
+    a per-heading plane with the heading on its last axis, so one
+    expression gathers or spreads all of them (``_take_rows``,
+    ``_line_terms``).
     """
 
-    tau: np.ndarray       # (n,)
-    eta: np.ndarray       # (n,)
+    const: _PathConstants
     v: np.ndarray         # (2, n, M)
     nu: np.ndarray        # (2, n, M)
     nu_sq: np.ndarray     # (n, M)
@@ -136,25 +159,6 @@ def _path_sum(a):
     for i in range(1, a.shape[-2]):
         total += a[..., i, :]
     return total
-
-
-class _PathConstants(NamedTuple):
-    """The heading-free part of ``_build_terms``: per-path arrays that every
-    heading shares, built once per search and once per frozen set.
-
-    ``u`` is the departure unit vector, ``ctau`` is c tau, and ``scale``
-    holds the gains times the power of two that puts the largest in
-    [0.5, 1). Each is shaped to broadcast against the (n, M) planes of
-    ``_PathTerms``.
-    """
-
-    tau: np.ndarray       # (n,)
-    eta: np.ndarray       # (n,)
-    aoa: np.ndarray       # (n,)
-    u: np.ndarray         # (2, n, 1)
-    ctau: np.ndarray      # (n, 1)
-    anchor: np.ndarray    # (2, 1, 1)  anchor position
-    scale: np.ndarray     # (n, 1)
 
 
 def _path_constants(paths: Sequence[PathMeasurement], bs: Pose) -> _PathConstants:
@@ -203,7 +207,7 @@ def _heading_terms(const: _PathConstants, alphas: np.ndarray,
     normal[6:8] = g
     normal[8] = -_dot2(v, g)
     normal *= const.scale
-    return _PathTerms(const.tau, const.eta, v, nu, nu_sq, nubar, mu, normal)
+    return _PathTerms(const, v, nu, nu_sq, nubar, mu, normal)
 
 
 def _build_terms(paths: Sequence[PathMeasurement], bs: Pose, alphas: np.ndarray,
@@ -292,9 +296,7 @@ def _take_rows(terms: _PathTerms, rows: np.ndarray) -> _PathTerms:
     residual, cost and bounce fraction computed from it equals the one
     computed from ``terms`` at that heading, to the bit.
     """
-    return terms._replace(v=terms.v[..., rows], nu=terms.nu[..., rows],
-                          nu_sq=terms.nu_sq[:, rows], nubar=terms.nubar[..., rows],
-                          mu=terms.mu[..., rows], normal=terms.normal[..., rows])
+    return _PathTerms(terms.const, *(plane[..., rows] for plane in terms[1:]))
 
 
 def _residuals(terms: _PathTerms, x: np.ndarray) -> np.ndarray:
@@ -320,7 +322,7 @@ def _costs(terms: _PathTerms, x: np.ndarray, r: np.ndarray | None = None) -> np.
     return pr[0] + pr[1]
 
 
-def _line_terms(terms: _PathTerms, bs: Pose, los_index: int | None = None):
+def _line_terms(terms: _PathTerms, los_index: int | None = None):
     """Terms of ``_line_costs``, built once per search.
 
     A bounce path's projector is P = I - nubar nubar^T = q q^T, with q
@@ -328,27 +330,26 @@ def _line_terms(terms: _PathTerms, bs: Pose, los_index: int | None = None):
     projected residual is (q . r)^2. With r = [x0, x1] - x2 v - mu and
     mu = p_bs - c tau v, q . r = q0 (x0 - p_bs,0) + q1 (x1 - p_bs,1) +
     c_q (x2 - c tau) is linear in the state, with c_q = -q . v fixed per
-    (path, heading); ``bs`` is the anchor pose the terms were built for.
+    (path, heading); c tau and the anchor p_bs are read from ``terms.const``.
     Shifting the state that way holds one plane per search, where adding
     -q . mu would hold a second one through stage 2.
 
-    Returns (spread, c_q, c tau, p_bs): ``terms`` with v, nubar and mu
-    spread over the subset axis of a chunk's (subset, heading) cells,
-    planes (2, n, 1, M), c_q as (n, 1, M) planes, c tau as (n, 1, 1) and
-    the anchor position. A path whose projector is the identity has no such
-    form: both residual components count. That is the LoS candidate
-    ``los_index`` and any (path, heading) whose rays cancel exactly, as
-    ``_build_terms`` marks them. When the terms have one, c_q is None and
-    ``_line_costs`` costs every path by ``_costs``: the LoS branch searches
-    one heading in one chunk, too few cells to repay the plane c_q.
+    Returns (spread, c_q): ``terms`` with every plane spread over the
+    subset axis of a chunk's (subset, heading) cells, an axis inserted
+    before the heading axis, and c_q as (n, 1, M) planes. A path whose
+    projector is the identity has no such form: both residual components
+    count. That is the LoS candidate ``los_index`` and any (path, heading)
+    whose rays cancel exactly, as ``_build_terms`` marks them. When the
+    terms have one, c_q is None and ``_line_costs`` costs every path by
+    ``_costs``: the LoS branch searches one heading in one chunk, too few
+    cells to repay the plane c_q.
     """
-    spread = terms._replace(v=terms.v[:, :, None], nubar=terms.nubar[:, :, None],
-                            mu=terms.mu[:, :, None])
+    spread = _PathTerms(terms.const, *(plane[..., None, :] for plane in terms[1:]))
     if los_index is not None or not terms.nu_sq.all():
-        return spread, None, None, None
+        return spread, None
     cq = terms.nubar[::-1] * terms.v              # (nubar_1 v0, nubar_0 v1)
     cq = cq[0] - cq[1]
-    return spread, cq[:, None], (_C * terms.tau)[:, None, None], bs.position
+    return spread, cq[:, None]
 
 
 def _line_costs(lines: tuple, x: np.ndarray) -> np.ndarray:
@@ -359,15 +360,15 @@ def _line_costs(lines: tuple, x: np.ndarray) -> np.ndarray:
     its linear form q . r, squared, or, when the terms have an
     identity-projector path, ``_costs`` itself.
     """
-    spread, cq, ctau, anchor = lines
+    spread, cq = lines
     with np.errstate(invalid="ignore", over="ignore"):
         if cq is None:
             return _costs(spread, x)
-        q = x[2] - ctau
+        q = x[2] - spread.const.ctau[:, None]       # (n, 1, 1) against (L, M)
         q *= cq
-        part = spread.nubar[0] * (x[1] - anchor[1])
+        part = spread.nubar[0] * (x[1] - spread.const.anchor[1])
         q += part
-        np.multiply(spread.nubar[1], x[0] - anchor[0], out=part)
+        np.multiply(spread.nubar[1], x[0] - spread.const.anchor[0], out=part)
         q -= part
         q *= q
     return q
@@ -380,7 +381,7 @@ def _gammas(terms: _PathTerms, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     fraction is undefined (zero length or cancelled rays) come back
     infinite so that range checks fail.
     """
-    d = (_C * terms.tau)[:, None] - x[2]
+    d = terms.const.ctau - x[2]
     num = _dot2(terms.nu, r)
     den = d * terms.nu_sq
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -409,11 +410,11 @@ def _feasibility_mask(terms: _PathTerms, x: np.ndarray, inlier: np.ndarray | Non
     search's stage-1 test (``robust._search``), not this one.
     """
     if inlier is None:                  # one earliest path for every cell
-        j, cells = int(np.argmin(terms.tau)), slice(None)
+        j, cells = int(np.argmin(terms.const.tau)), slice(None)
     else:
-        j = np.argmin(np.where(inlier, terms.tau[:, None], np.inf), axis=0)
+        j = np.argmin(np.where(inlier, terms.const.tau[:, None], np.inf), axis=0)
         cells = np.arange(inlier.shape[1])
-    delay_ok = _C * terms.tau[j] - x[2] >= 0.0
+    delay_ok = terms.const.ctau[j, 0] - x[2] >= 0.0
     gam = _gammas(terms, x, r)
     in_range = (gam >= 0.0) & (gam <= 1.0)
     j_ok = in_range[j, cells] | (terms.nu_sq[j, cells] <= t_nu)
@@ -437,14 +438,14 @@ def _row_costs(terms: _PathTerms, x: np.ndarray, ok: np.ndarray, member: np.ndar
     failed, that fail the gate, or whose cost is not finite get +inf.
     """
     r = _residuals(terms, x)
-    weights = terms.eta[:, None] if member is None else member * terms.eta[:, None]
-    cost = _path_sum(weights * _costs(terms, x, r))
+    eta = terms.const.eta[:, None]
+    cost = _path_sum((eta if member is None else member * eta) * _costs(terms, x, r))
     valid = ok
     if gate is not None:
         t_nu, t_eps = gate
         # with no non-member the penalty is +0.0, and a cost is never -0.0
         if member is not None:
-            cost = cost + _outlier_penalty(terms.eta, member, t_eps)
+            cost = cost + _outlier_penalty(terms.const.eta, member, t_eps)
         valid = ok & _feasibility_mask(terms, x, member, t_nu, r)
     return np.where(valid & np.isfinite(cost), cost, np.inf)
 
@@ -475,12 +476,12 @@ class _FrozenSet(NamedTuple):
 
     ``members`` holds the members' ``_PathConstants``, ``gate`` the
     (t_nu, t_eps) gate or None, and ``penalty`` the non-members' outlier
-    penalty under it (None without a gate): neither depends on the heading.
+    penalty under it (0.0 without a gate): neither depends on the heading.
     """
 
     members: _PathConstants
     gate: tuple | None
-    penalty: float | None
+    penalty: float
 
 
 def _frozen_set(paths, bs: Pose, member_row: np.ndarray, gate: tuple | None = None) -> _FrozenSet:
@@ -499,7 +500,7 @@ def _frozen_set(paths, bs: Pose, member_row: np.ndarray, gate: tuple | None = No
     overflows and no member's scaled weight is subnormal.
     """
     members = _path_constants([paths[i] for i in np.flatnonzero(member_row)], bs)
-    penalty = None
+    penalty = 0.0
     if gate is not None:
         eta = np.array([p.gain for p in paths])
         penalty = float(_outlier_penalty(eta, member_row[:, None], gate[1])[0])
@@ -511,12 +512,11 @@ def _heading_costs(frozen: _FrozenSet, alphas: np.ndarray):
 
     Returns x (3, M) and cost (M,); a heading's result does not depend on
     the other headings. Each scan builds the members' per-heading terms
-    alone and runs the kernel with every one a member.
+    alone and runs the kernel with every one a member. A cost is never
+    -0.0, so adding a penalty of 0.0 changes no bits.
     """
     x, cost = _cell_costs(_heading_terms(frozen.members, alphas), None, None, frozen.gate)
-    if frozen.penalty is not None:
-        cost = cost + frozen.penalty
-    return x, cost
+    return x, cost + frozen.penalty
 
 
 def path_cost(path: PathMeasurement, position, clock_bias: float, alpha_ue: float,
@@ -660,21 +660,19 @@ def _initial_landmark(path: PathMeasurement, ue: UeState, bs: Pose) -> np.ndarra
     """Initializer: midpoint of the two ray endpoints at the recovered fraction.
 
     The fraction is clamped to [0.05, 0.95] when it falls outside [0, 1] and
-    defaults to 0.5 when undefined (near-parallel rays, ||u + v||^2 <= 0.1).
+    defaults to 0.5 when undefined (near-parallel rays, ||u + v||^2 <= 0.1,
+    a zero path length) or not finite. Worked in Python floats, as
+    ``_bounce_model`` is.
     """
-    try:
-        gam = bounce_fraction(ue, path, bs)
-        if not math.isfinite(gam):
-            gam = 0.5
-        elif not 0.0 <= gam <= 1.0:
-            gam = min(max(gam, 0.05), 0.95)
-    except (NearParallel, DegenerateGeometry):
+    u, v, s, d, gam = _bounce(ue, path, bs)
+    if s <= 0.1 or d == 0.0 or not math.isfinite(gam):
         gam = 0.5
-    u, v = unit_vectors(path.aod, path.aoa, bs.orientation, ue.orientation)
-    d = SPEED_OF_LIGHT * (path.toa - ue.clock_bias)
-    anchor_side = bs.position + d * gam * u
-    user_side = ue.position + d * (1.0 - gam) * v
-    return 0.5 * (anchor_side + user_side)
+    elif not 0.0 <= gam <= 1.0:
+        gam = min(max(gam, 0.05), 0.95)
+    (bx, by), (ux, uy) = bs.position.tolist(), ue.position.tolist()
+    a, b = d * gam, d * (1.0 - gam)
+    return np.array([0.5 * ((bx + a * u[0]) + (ux + b * v[0])),
+                     0.5 * ((by + a * u[1]) + (uy + b * v[1]))])
 
 
 def landmark_refine(path: PathMeasurement, ue: UeState, bs: Pose,

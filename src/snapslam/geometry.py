@@ -178,11 +178,32 @@ def unit_vectors(aod: float, aoa: float, alpha_bs: float, alpha_ue: float):
         from the user toward the last interaction (landmark or anchor).
         For a line-of-sight path v = -u.
     """
-    a = alpha_bs + aod
-    b = alpha_ue + aoa
-    u = np.array([math.cos(a), math.sin(a)])
-    v = np.array([math.cos(b), math.sin(b)])
-    return u, v
+    u, v = _rays(aod, aoa, alpha_bs, alpha_ue)
+    return np.array(u), np.array(v)
+
+
+def _rays(aod: float, aoa: float, alpha_bs: float, alpha_ue: float):
+    """``unit_vectors`` as two (x, y) tuples of Python floats."""
+    a, b = alpha_bs + aod, alpha_ue + aoa
+    return (math.cos(a), math.sin(a)), (math.cos(b), math.sin(b))
+
+
+def _bounce(ue: UeState, path: PathMeasurement, bs: Pose):
+    """(u, v, s, d, gamma) of ``path`` at user state ``ue``, in Python floats.
+
+    u and v are the rays of ``unit_vectors``, s = ||u + v||^2, d = c (toa -
+    clock_bias) the path length, and gamma the bounce fraction of
+    ``bounce_fraction``, nu . r / (d s) with nu = u + v and r = p_ue - p_bs
+    + d v; gamma is nan where d s is 0. Floats round as NumPy does, and on
+    2-vectors a NumPy call costs more than the arithmetic it does.
+    """
+    u, v = _rays(path.aod, path.aoa, bs.orientation, ue.orientation)
+    nu = (u[0] + v[0], u[1] + v[1])
+    s = _dot2(nu, nu)
+    d = SPEED_OF_LIGHT * (path.toa - ue.clock_bias)
+    (ux, uy), (bx, by) = ue.position.tolist(), bs.position.tolist()
+    r = ((ux - bx) + d * v[0], (uy - by) + d * v[1])
+    return u, v, s, d, _dot2(nu, r) / (d * s) if d * s != 0.0 else math.nan
 
 
 def _chain_measurement(ue: UeState, bs: Pose, chain) -> tuple[float, float, float, float]:
@@ -300,13 +321,9 @@ def bounce_fraction(ue: UeState, path: PathMeasurement, bs: Pose, t_nu: float = 
         If the departure and arrival rays are close to anti-parallel
         (``||u + v||^2 <= t_nu``), where the fraction is undefined.
     """
-    u, v = unit_vectors(path.aod, path.aoa, bs.orientation, ue.orientation)
-    nu = u + v
-    s = float(_dot2(nu, nu))
+    _, _, s, d, gam = _bounce(ue, path, bs)
     if s <= t_nu:
         raise NearParallel(f"||u + v||^2 = {s:.3g} <= {t_nu:.3g}")
-    d = SPEED_OF_LIGHT * (path.toa - ue.clock_bias)
     if d == 0.0:
         raise DegenerateGeometry("zero path length")
-    r = (ue.position - bs.position) + d * v
-    return float(_dot2(nu, r)) / (d * s)
+    return gam

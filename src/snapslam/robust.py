@@ -207,7 +207,7 @@ def _search(paths, bs, alphas, combos, los_index, config):
     their order.
     """
     terms = _build_terms(paths, bs, alphas, los_index)
-    lines = _line_terms(terms, bs, los_index)
+    lines = _line_terms(terms, los_index)
     n, m = terms.nu_sq.shape
     slots = np.asarray(combos).T                        # (subset size, L)
     gate = (config.t_nu, config.t_eps)
@@ -225,7 +225,7 @@ def _search(paths, bs, alphas, combos, los_index, config):
         l, h = np.nonzero(inlier.sum(axis=0) >= len(slots))
         member = inlier[:, l, h]                        # (n, K)
         if best is not None:
-            keep = ~(_outlier_penalty(terms.eta, member, config.t_eps) > best[0])
+            keep = ~(_outlier_penalty(terms.const.eta, member, config.t_eps) > best[0])
             h, l, member = h[keep], l[keep], member[:, keep]
         if h.size:
             waiting.append((h, lo + l, member, s[:6, l, h], d1[l, h], d2[l, h]))

@@ -15,6 +15,7 @@ from snapslam import (
     SPEED_OF_LIGHT,
     DegenerateGeometry,
     LandmarkEstimate,
+    NearParallel,
     NoiseModel,
     measurement_model,
 )
@@ -130,6 +131,44 @@ def landmark_refine(path, ue, bs, noise=NoiseModel(), source_path=-1):
     return LandmarkEstimate(position=p.copy(), covariance=cov,
                             source_path=source_path, converged=converged,
                             iterations=iterations)
+
+
+def bounce_fraction(ue, path, bs, t_nu=0.1):
+    """``bounce_fraction`` on NumPy 2-vectors."""
+    a = bs.orientation + path.aod
+    b = ue.orientation + path.aoa
+    u = np.array([math.cos(a), math.sin(a)])
+    v = np.array([math.cos(b), math.sin(b)])
+    nu = u + v
+    s = float(nu[0] * nu[0] + nu[1] * nu[1])
+    if s <= t_nu:
+        raise NearParallel(f"||u + v||^2 = {s:.3g} <= {t_nu:.3g}")
+    d = SPEED_OF_LIGHT * (path.toa - ue.clock_bias)
+    if d == 0.0:
+        raise DegenerateGeometry("zero path length")
+    r = (ue.position - bs.position) + d * v
+    return float(nu[0] * r[0] + nu[1] * r[1]) / (d * s)
+
+
+def initial_landmark(path, ue, bs):
+    """The landmark initializer on NumPy 2-vectors: the midpoint of the two
+    ray endpoints at the clamped bounce fraction."""
+    try:
+        gam = bounce_fraction(ue, path, bs)
+        if not math.isfinite(gam):
+            gam = 0.5
+        elif not 0.0 <= gam <= 1.0:
+            gam = min(max(gam, 0.05), 0.95)
+    except (NearParallel, DegenerateGeometry):
+        gam = 0.5
+    a = bs.orientation + path.aod
+    b = ue.orientation + path.aoa
+    u = np.array([math.cos(a), math.sin(a)])
+    v = np.array([math.cos(b), math.sin(b)])
+    d = SPEED_OF_LIGHT * (path.toa - ue.clock_bias)
+    anchor_side = bs.position + d * gam * u
+    user_side = ue.position + d * (1.0 - gam) * v
+    return 0.5 * (anchor_side + user_side)
 
 
 # --- interleaved solver kernels ---------------------------------------------

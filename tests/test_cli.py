@@ -272,6 +272,14 @@ def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
                  str(pos), "--out", str(tmp_path / "d.jsonl")]) == 2
     capsys.readouterr()
 
+    # a dataset with no snapshots is bad input to every command
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    for command in ("solve", "sweep"):
+        assert main([command, "--data", str(empty), "--out", str(tmp_path / "e.out")]) == 2
+        assert "empty.jsonl holds no snapshots" in capsys.readouterr().err
+        assert not (tmp_path / "e.out").exists()
+
     # a dataset nothing can solve: single-path snapshots
     snap = random_h0_snapshot(0)
     lone = Snapshot(id="lone", bs=snap.bs, paths=snap.paths[:1], truth=None)

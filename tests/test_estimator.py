@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from snapslam import (
     SPEED_OF_LIGHT,
     DegenerateGeometry,
+    NearParallel,
     NoiseModel,
     PathMeasurement,
     Pose,
     SingularGeometry,
     UeState,
+    bounce_fraction,
     landmark_jacobian,
     landmark_refine,
     los_orientation,
@@ -454,6 +456,51 @@ def test_landmark_refine_matches_the_reference_from_an_antenna_initializer(monke
     assert np.allclose(outcomes[1].position, [3.0, 5.0], atol=1e-9)
     assert outcomes[2] == ("DegenerateGeometry",
                            "cannot evaluate the model near the initializer")
+
+
+def _initializer_cases():
+    """(path, ue, bs) for every path of seeded builder snapshots, at the true
+    state and at five perturbed ones, then the fraction's edge cases."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        build = random_h0_snapshot if seed % 2 else random_h1_snapshot
+        snap = build(seed, n_single=4, noise=NoiseModel() if seed % 4 >= 2 else None)
+        true = snap.truth.ue
+        states = [true] + [UeState(true.position + rng.normal(0.0, 2.0, 2),
+                                   true.orientation + rng.normal(0.0, 0.3),
+                                   true.clock_bias + rng.normal(0.0, 2e-8)) for _ in range(5)]
+        for ue in states:
+            for path in snap.paths:
+                yield path, ue, snap.bs
+    ue, bs = UeState([6.0, 4.0], 0.5, 1e-8), Pose([1.0, -2.0], 0.3)
+    yield PathMeasurement(*measurement_model(ue, bs)), ue, bs           # LoS: ||u + v||^2 ~ 0
+    yield PathMeasurement(1e-8, 0.2, -1.1), ue, bs                      # zero path length
+    yield PathMeasurement(1e308, 0.2, -1.1), UeState([6.0, 4.0], 0.5, -1e308), bs   # d = inf
+
+
+def _fraction_or_error(fraction, path, ue, bs):
+    try:
+        return fraction(ue, path, bs)
+    except (NearParallel, DegenerateGeometry) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_initial_landmark_matches_the_numpy_reference_bit_for_bit():
+    kinds = set()
+    for path, ue, bs in _initializer_cases():
+        got = estimator._initial_landmark(path, ue, bs)
+        with np.errstate(all="ignore"):         # NumPy warns where d is infinite
+            want = reference.initial_landmark(path, ue, bs)
+        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+        gam = _fraction_or_error(reference.bounce_fraction, path, ue, bs)
+        got_gam = _fraction_or_error(bounce_fraction, path, ue, bs)
+        assert np.array(got_gam).tobytes() == np.array(gam).tobytes()
+        if isinstance(gam, tuple):
+            kinds.add(gam[0])
+        else:
+            kinds.add("inside" if 0.0 <= gam <= 1.0 else
+                      "outside" if math.isfinite(gam) else "not finite")
+    assert kinds == {"inside", "outside", "not finite", "NearParallel", "DegenerateGeometry"}
 
 
 def test_landmark_refine_rank_gate_decides_as_an_svd_only_gate(monkeypatch):

@@ -39,6 +39,7 @@ from snapslam.estimator import (
     _outlier_penalty,
     _residuals,
     _solve_packed,
+    _take_rows,
 )
 import reference
 from helpers import add_multibounce, random_h1_snapshot
@@ -83,12 +84,39 @@ def test_planar_terms_match_interleaved(scene):
     paths, bs, alphas, los = _inputs(scene)
     got = _build_terms(paths, bs, alphas, los)
     want = reference.build_terms(paths, bs, alphas, los)
-    assert _same(got.tau, want.tau) and _same(got.eta, want.eta)
+    assert _same(got.const.tau, want.tau) and _same(got.const.eta, want.eta)
     assert _same(got.nu_sq.T, want.nu_sq)
     for name in ("v", "nu", "nubar", "mu", "normal"):
         assert _same(_interleaved(getattr(got, name)), getattr(want, name)), name
     if los is not None:
         assert not got.nubar[:, los].any()          # the LoS path's projector is I
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scene, st.data())
+def test_terms_keep_the_heading_on_the_last_axis_of_every_plane(scene, data):
+    # Every field after ``const`` is a per-heading plane, heading last, so
+    # one expression gathers heading rows (``_take_rows``) and one inserts
+    # the subset axis of stage 1 (``_line_terms``), and each gives the
+    # planes built directly at those headings.
+    paths, bs, alphas, los = _inputs(scene)
+    terms = _build_terms(paths, bs, alphas, los)
+    one = _build_terms(paths, bs, alphas[:1], los)
+    assert terms._fields[0] == "const" and isinstance(terms.const, estimator._PathConstants)
+    for name, plane, single in zip(terms._fields[1:], terms[1:], one[1:]):
+        assert plane.shape == single.shape[:-1] + (len(alphas),), name
+        assert plane.shape[-2] == len(paths), name
+    rows = np.array(data.draw(st.lists(st.integers(0, len(alphas) - 1), min_size=1,
+                                       max_size=20)))
+    taken = _take_rows(terms, rows)
+    built = _build_terms(paths, bs, alphas[rows], los)
+    assert taken.const is terms.const
+    for name, got, want in zip(terms._fields[1:], taken[1:], built[1:]):
+        assert _same(got, want), name
+    spread, _ = _line_terms(terms, los)
+    assert spread.const is terms.const
+    for name, got, plane in zip(terms._fields[1:], spread[1:], terms[1:]):
+        assert _same(got, plane[..., None, :]), name
 
 
 _value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, math.inf, -math.inf,
@@ -205,8 +233,9 @@ def test_cell_sums_add_the_paths_in_ascending_order(n, monkeypatch):
             assert _same(x.T, want_x) and _same(cost, want_cost), (k, gate)
         masks = [member, ~member] + list(rng.random((20, n, 1)) < 0.5)   # and single cells
         for mask in masks:
-            penalty = reference.path_order_sum((1.0 - mask[i]) * planar.eta[i] for i in range(n))
-            assert _same(_outlier_penalty(planar.eta, mask, 1e-3), penalty * 1e-3), k
+            penalty = reference.path_order_sum((1.0 - mask[i]) * planar.const.eta[i]
+                                               for i in range(n))
+            assert _same(_outlier_penalty(planar.const.eta, mask, 1e-3), penalty * 1e-3), k
 
 
 # A bounce whose rays cancel exactly, ||u + v||^2 == 0, when the anchor and
@@ -260,9 +289,9 @@ def test_line_costs_decide_as_costs(scene, data):
                             mu=terms.mu[:, :, None])
     with np.errstate(all="ignore"):
         want = _costs(spread, x)                                            # (n, L, M)
-        got = _line_costs(_line_terms(terms, bs, los), x)
+        got = _line_costs(_line_terms(terms, los), x)
         size = (np.abs(x).sum(axis=0) + np.abs(terms.mu).sum(axis=0)[:, None]
-                + (np.abs(bs.position).sum() + SPEED_OF_LIGHT * terms.tau)[:, None, None])
+                + (np.abs(bs.position).sum() + SPEED_OF_LIGHT * terms.const.tau)[:, None, None])
     if cancel or los is not None:
         assert _same(got, want)
         return

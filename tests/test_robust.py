@@ -468,7 +468,7 @@ def test_pruned_search_keeps_cells_whose_penalty_ties_the_best(case, t_eps, monk
     # heading, so the penalty test must not prune it (case 5 at 10.0 has
     # such cells in later subsets).
     def penalty_only(terms, x, ok, member, gate):
-        cost = _outlier_penalty(terms.eta, member, gate[1])
+        cost = _outlier_penalty(terms.const.eta, member, gate[1])
         return np.where(ok, cost, np.inf)
 
     monkeypatch.setattr(estimator, "_row_costs", penalty_only)
@@ -489,7 +489,7 @@ def test_batched_search_breaks_exact_ties_heading_first(monkeypatch):
                           hypothesis)
     paths, bs, alphas, combos, los_index, config = args
     terms = _build_terms(paths, bs, alphas, los_index)
-    assert _outlier_penalty(terms.eta, 0.0, config.t_eps) < 1.0
+    assert _outlier_penalty(terms.const.eta, 0.0, config.t_eps) < 1.0
     # A cell's gated cost depends on its heading and its inlier set alone,
     # so the script is keyed by those: the heading's arrival rays and the
     # inlier row of the cell's minimal-subset solve. Subsets 0-2 select
@@ -703,7 +703,8 @@ def _search_peaks(t_eps, budgets):
     (snap,) = generate_dataset(scene, [np.array([3.0, 2.0])], SimConfig(max_bounces=2), seed=1)
     assert len(snap.paths) == 13
     args = _search_inputs(snap, Hypothesis.NLOS, RobustConfig(t_eps=t_eps))
-    held = sum(a.nbytes for a in _build_terms(*args[:3]))
+    terms = _build_terms(*args[:3])
+    held = sum(a.nbytes for a in terms.const + terms[1:])
     subset = len(args[2]) * len(snap.paths)
     out = []
     for budget in budgets:
@@ -725,12 +726,8 @@ def test_search_memory_stays_within_the_chunk_budget(t_eps):
     # a budget below 361 x 13 row-paths the bound is one subset's. That is a
     # stage-1 matter, checked at the default t_eps; at 1e6 the small budget
     # would only split stage 2 into ~14 000 blocks.
-    # The searches run in a fresh interpreter. The first ~2000
-    # ``_PathTerms._replace`` calls of a process each take a new 104-byte
-    # block that ends in CPython's free list of 8-tuples (namedtuple._make
-    # builds a 10-slot tuple from an iterator and shrinks it), so the first
-    # search reads ~200 KB more than later ones, and in-process the reading
-    # would depend on which tests ran before.
+    # The searches run in a fresh interpreter, so the reading does not
+    # depend on which tests ran before.
     budgets = (robust._CHUNK_ROW_PATHS,) + ((2048,) if t_eps < 1.0 else ())
     tests = Path(__file__).resolve().parent
     src = str(Path(robust.__file__).resolve().parents[1])

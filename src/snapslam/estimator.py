@@ -594,12 +594,8 @@ def _bounce_model(ue: UeState, bs: Pose, landmark):
     Returns (h, jac) in Python floats: h is the 3-tuple of model values,
     equal to ``measurement_model``'s to the bit, and jac the 3x2 Jacobian
     w.r.t. the landmark as the 6-tuple (d toa/dx, d toa/dy, d aod/dx,
-    d aod/dy, d aoa/dx, d aoa/dy), row by row.
-
-    Raises
-    ------
-    DegenerateGeometry
-        If the landmark coincides with the anchor or the user.
+    d aod/dy, d aoa/dx, d aoa/dy), row by row. Returns None if the landmark
+    coincides with the anchor or the user, where the model is undefined.
     """
     px, py = float(landmark[0]), float(landmark[1])
     bx, by = bs.position.tolist()
@@ -609,7 +605,7 @@ def _bounce_model(ue: UeState, bs: Pose, landmark):
     n1 = math.hypot(d1x, d1y)
     n2 = math.hypot(d2x, d2y)
     if n1 == 0.0 or n2 == 0.0:
-        raise DegenerateGeometry("landmark coincides with an antenna")
+        return None
     # np.hypot as in polyline_measurement: math.hypot differs in the last bit
     length = float(np.hypot(d1x, d1y)) + float(np.hypot(d2x, d2y))
     h = (length / _C + ue.clock_bias,
@@ -629,7 +625,10 @@ def landmark_jacobian(ue: UeState, bs: Pose, landmark) -> np.ndarray:
     DegenerateGeometry
         If the landmark coincides with the anchor or the user.
     """
-    return np.array(_bounce_model(ue, bs, landmark)[1]).reshape(3, 2)
+    model = _bounce_model(ue, bs, landmark)
+    if model is None:
+        raise DegenerateGeometry("landmark coincides with an antenna")
+    return np.array(model[1]).reshape(3, 2)
 
 
 def _whitened(path: PathMeasurement, h, sigmas):
@@ -714,15 +713,14 @@ def landmark_refine(path: PathMeasurement, ue: UeState, bs: Pose,
     sig = noise.sigmas.tolist()
 
     px, py = _initial_landmark(path, ue, bs).tolist()
-    try:
-        h, jac = _bounce_model(ue, bs, (px, py))
-    except DegenerateGeometry:
+    model = _bounce_model(ue, bs, (px, py))
+    if model is None:
         # initializer landed on an antenna; nudge off it
         px, py = px + 1e-6, py + 1e-6
-        try:
-            h, jac = _bounce_model(ue, bs, (px, py))
-        except DegenerateGeometry:
-            raise DegenerateGeometry("cannot evaluate the model near the initializer") from None
+        model = _bounce_model(ue, bs, (px, py))
+        if model is None:
+            raise DegenerateGeometry("cannot evaluate the model near the initializer")
+    h, jac = model
     r, cost = _whitened(path, h, sig)
     converged = False
     iterations = 0
@@ -745,12 +743,9 @@ def landmark_refine(path: PathMeasurement, ue: UeState, bs: Pose,
         scale = 1.0
         for _ in range(9):  # full step, then up to 8 halvings
             cx, cy = px + scale * dx, py + scale * dy
-            try:
-                h, cand_jac = _bounce_model(ue, bs, (cx, cy))
-            except DegenerateGeometry:
-                pass
-            else:
-                cand_r, cand_cost = _whitened(path, h, sig)
+            model = _bounce_model(ue, bs, (cx, cy))
+            if model is not None:
+                cand_r, cand_cost = _whitened(path, model[0], sig)
                 if cand_cost <= cost:
                     break
             scale *= 0.5
@@ -759,7 +754,7 @@ def landmark_refine(path: PathMeasurement, ue: UeState, bs: Pose,
                           w[4] * dx + w[5] * dy)
             converged = e0 * e0 + e1 * e1 + e2 * e2 < stall * cost
             break
-        px, py, r, cost, jac = cx, cy, cand_r, cand_cost, cand_jac
+        px, py, r, cost, jac = cx, cy, cand_r, cand_cost, model[1]
         if math.hypot(scale * dx, scale * dy) < tol:
             converged = True
             break

@@ -26,6 +26,7 @@ from .geometry import (
     PathMeasurement,
     Pose,
     UeState,
+    _T_NU,
     _bounce,
     _dot2,
     wrap_angle,
@@ -659,12 +660,12 @@ def _initial_landmark(path: PathMeasurement, ue: UeState, bs: Pose) -> np.ndarra
     """Initializer: midpoint of the two ray endpoints at the recovered fraction.
 
     The fraction is clamped to [0.05, 0.95] when it falls outside [0, 1] and
-    defaults to 0.5 when undefined (near-parallel rays, ||u + v||^2 <= 0.1,
+    defaults to 0.5 when undefined (near-parallel rays, ||u + v||^2 <= _T_NU,
     a zero path length) or not finite. Worked in Python floats, as
     ``_bounce_model`` is.
     """
     u, v, s, d, gam = _bounce(ue, path, bs)
-    if s <= 0.1 or d == 0.0 or not math.isfinite(gam):
+    if s <= _T_NU or d == 0.0 or not math.isfinite(gam):
         gam = 0.5
     elif not 0.0 <= gam <= 1.0:
         gam = min(max(gam, 0.05), 0.95)

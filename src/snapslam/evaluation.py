@@ -19,12 +19,11 @@ from .errors import (
     DegenerateGeometry,
     EmptyInput,
     MissingTruth,
-    NearParallel,
     NoFeasibleSolution,
     SlamError,
 )
 from .estimator import _whitened, landmark_refine, path_cost
-from .geometry import NoiseModel, Pose, UeState, bounce_fraction, measurement_model, wrap_angle
+from .geometry import NoiseModel, Pose, UeState, _bounce, measurement_model, wrap_angle
 from .robust import Hypothesis, RobustConfig, SlamSolution, benchmark_solve, robust_solve
 from .sim import GroundTruth, Snapshot
 
@@ -167,11 +166,8 @@ def is_single_bounce_consistent(path, ue_true: UeState, bs: Pose,
                      ue_true.orientation, bs)
     if not cost <= t_eps:
         return False
-    try:
-        gam = bounce_fraction(ue_true, path, bs, t_nu)
-    except (NearParallel, DegenerateGeometry):
-        return False
-    return 0.0 <= gam <= 1.0
+    _, _, s, d, gam = _bounce(ue_true, path, bs)
+    return s > t_nu and d != 0.0 and 0.0 <= gam <= 1.0
 
 
 @dataclass(frozen=True)

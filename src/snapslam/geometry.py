@@ -182,6 +182,12 @@ def unit_vectors(aod: float, aoa: float, alpha_bs: float, alpha_ue: float):
     return np.array(u), np.array(v)
 
 
+_T_NU = 0.1
+"""Default near-parallel threshold on s = ||u + v||^2: at or below it the
+departure and arrival rays are close to anti-parallel and the bounce
+fraction is treated as undefined."""
+
+
 def _rays(aod: float, aoa: float, alpha_bs: float, alpha_ue: float):
     """``unit_vectors`` as two (x, y) tuples of Python floats."""
     a, b = alpha_bs + aod, alpha_ue + aoa
@@ -307,7 +313,7 @@ def _mirror(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([2.0 * (ax + t * d[0]) - px, 2.0 * (ay + t * d[1]) - py])
 
 
-def bounce_fraction(ue: UeState, path: PathMeasurement, bs: Pose, t_nu: float = 0.1) -> float:
+def bounce_fraction(ue: UeState, path: PathMeasurement, bs: Pose, t_nu: float = _T_NU) -> float:
     """Fraction of a path's length spent on the anchor-side leg.
 
     For a single-bounce path consistent with the state, the reflection point

@@ -66,7 +66,7 @@ from .estimator import (
     nlos_orientation_search,
     orientation_grid,
 )
-from .geometry import SPEED_OF_LIGHT, NoiseModel, UeState, wrap_angle
+from .geometry import _T_NU, SPEED_OF_LIGHT, NoiseModel, UeState, wrap_angle
 
 _C = SPEED_OF_LIGHT
 
@@ -123,7 +123,7 @@ class RobustConfig:
     """
 
     t_eps: float = 0.1
-    t_nu: float = 0.1
+    t_nu: float = _T_NU
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self):

@@ -91,7 +91,7 @@ def los_test(gain_db: float, estimated_position, bs: Pose,
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
     p = np.asarray(estimated_position, dtype=float)
-    dist = float(np.hypot(*(bs.position - p)))
+    dist = math.hypot(*(bs.position - p))
     mean = path_loss_mean(dist, model)
     z = (gain_db - mean) / model.sigma_db
     statistic = 0.5 * (math.log(2.0 * math.pi * model.sigma_db ** 2) + z * z)

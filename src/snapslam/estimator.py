@@ -607,9 +607,7 @@ def _bounce_model(ue: UeState, bs: Pose, landmark):
     n2 = math.hypot(d2x, d2y)
     if n1 == 0.0 or n2 == 0.0:
         return None
-    # np.hypot as in polyline_measurement: math.hypot differs in the last bit
-    length = float(np.hypot(d1x, d1y)) + float(np.hypot(d2x, d2y))
-    h = (length / _C + ue.clock_bias,
+    h = ((n1 + n2) / _C + ue.clock_bias,
          wrap_angle(math.atan2(d1y, d1x) - bs.orientation),
          wrap_angle(math.atan2(d2y, d2x) - ue.orientation))
     jac = ((d1x / n1 + d2x / n2) / _C, (d1y / n1 + d2y / n2) / _C,

@@ -8,6 +8,7 @@ across runs and process counts.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -60,7 +61,7 @@ def make_error_record(snapshot: Snapshot, solution: SlamSolution,
     if snapshot.truth is None:
         raise MissingTruth(f"snapshot {snapshot.id} has no truth")
     true_ue = snapshot.truth.ue
-    pos_err = float(np.hypot(*(solution.ue.position - true_ue.position)))
+    pos_err = math.hypot(*(solution.ue.position - true_ue.position))
     head_err = abs(wrap_angle(solution.ue.orientation - true_ue.orientation))
     bias_err = abs(solution.ue.clock_bias - true_ue.clock_bias)
     true_hyp = Hypothesis.LOS if snapshot.truth.has_los else Hypothesis.NLOS
@@ -305,7 +306,7 @@ def los_sensitivity_sweep(snapshots: Sequence[Snapshot],
                 sol = robust_solve(snap, hyp, config)
             except NoFeasibleSolution:
                 return None
-            return float(np.hypot(*(sol.ue.position - truth_pos)))
+            return math.hypot(*(sol.ue.position - truth_pos))
 
         e0 = branch_error(Hypothesis.LOS)
         e1 = branch_error(Hypothesis.NLOS)

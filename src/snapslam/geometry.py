@@ -225,7 +225,7 @@ def _chain_measurement(ue: UeState, bs: Pose, chain) -> tuple[float, float, floa
     """
     length = 0.0
     for a, b in zip(chain[:-1], chain[1:]):
-        seg = float(np.hypot(b[0] - a[0], b[1] - a[1]))
+        seg = math.hypot(b[0] - a[0], b[1] - a[1])
         if seg == 0.0:
             raise DegenerateGeometry("coincident consecutive points on path")
         length += seg

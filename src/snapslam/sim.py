@@ -308,7 +308,7 @@ def _on_any_wall(p, walls) -> bool:
         d = w.b - w.a
         t = min(max(_dot2(p - w.a, d) / _dot2(d, d), 0.0), 1.0)
         foot = w.a + t * d
-        if float(np.hypot(*(p - foot))) <= _ON_WALL_M:
+        if math.hypot(*(p - foot)) <= _ON_WALL_M:
             return True
     return False
 

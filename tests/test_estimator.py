@@ -557,6 +557,21 @@ def test_landmark_jacobian_matches_the_reference():
         assert (landmark_jacobian(ue, bs, lm).tobytes()
                 == reference.landmark_jacobian(ue, bs, lm).tobytes())
 
+
+def test_bounce_model_equals_measurement_model_to_the_bit():
+    # both measure each leg with math.hypot; the draws include legs where
+    # NumPy's hypot, the C library's, rounds differently, so a length
+    # computed by it anywhere on either side fails here
+    rng = np.random.default_rng(20)
+    disagree = 0
+    for _ in range(1000):
+        bs, ue = random_state(rng)
+        lm = rng.uniform(-25.0, 25.0, 2)
+        assert estimator._bounce_model(ue, bs, lm)[0] == measurement_model(ue, bs, lm)
+        for leg in (lm - bs.position, lm - ue.position):
+            disagree += math.hypot(*leg) != float(np.hypot(*leg))
+    assert disagree > 0
+
 # --- closed-form cell kernel against LAPACK -------------------------------
 
 def _svd_gate(a):

@@ -7,8 +7,9 @@ by the package itself, so tests alone cannot keep a dead helper alive.
 Every parameter of every function is read, and every defaulted parameter
 of a private function is passed by some call in the package, so neither
 an unread argument nor a default no caller overrides survives. No module
-computes a matrix or vector product through BLAS. No linter is a
-dependency, so the checks read the source with ``ast``.
+computes a matrix or vector product through BLAS, or a length through
+NumPy's hypot. No linter is a dependency, so the checks read the source
+with ``ast``.
 """
 
 import ast
@@ -158,4 +159,16 @@ def test_no_matrix_product():
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 if name in _PRODUCTS:
                     found.append(f"{path.stem}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_no_numpy_hypot():
+    # NumPy's hypot is the C library's, whose rounding differs from libm to
+    # libm; every length goes through math.hypot, CPython's own
+    found = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Attribute) and node.attr == "hypot"
+                    and getattr(node.value, "id", None) in ("np", "numpy")):
+                found.append(f"{path.stem}:{node.lineno}")
     assert found == []

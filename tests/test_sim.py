@@ -126,7 +126,7 @@ def test_traced_lengths_match_mirror_images():
                     chain = [scene.bs.position, *p.incidence_points, ue.position]
                     length = 0.0
                     for a, b in zip(chain[:-1], chain[1:]):
-                        length += float(np.hypot(b[0] - a[0], b[1] - a[1]))
+                        length += math.hypot(b[0] - a[0], b[1] - a[1])
                     assert p.length_m == length
                 direct = [p for p in paths if p.kind == "los"]
                 assert len(direct) <= 1 and all(p.incidence_points == () for p in direct)

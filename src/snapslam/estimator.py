@@ -39,30 +39,20 @@ CONDITION_LIMIT = 1e12
 treated as singular.
 
 Both gates, ``_condition_ok`` on the 3x3 cell systems and
-``landmark_refine`` on its 2x2 landmark normal matrix, estimate the
-condition number of a symmetric positive definite A by one rule:
+``landmark_refine`` on its 2x2 landmark normal matrix, decide by one
+estimate of the condition number of a symmetric positive definite A:
 trace(A) * trace(A^-1) = trace(A) * trace(adj A) / det(A), with det(A) the
-product of the LDL^T pivots (a c - b^2 for the 2x2 [[a, b], [b, c]]). For
-eigenvalues l_1 >= ... >= l_n > 0 it is (sum l_i) * (sum 1 / l_i), which
-lies between cond(A) = l_1 / l_n and n^2 cond(A): 9 cond(A) for 3x3 and
-4 cond(A) for 2x2 (Golub and Van Loan, Matrix Computations, section 2.3).
-Rows whose estimate falls inside ``_COND_GUARD_BAND`` are rechecked with
-``np.linalg.svd``, so every gate decision is the one an SVD-only gate
-makes."""
-
-_COND_GUARD_BAND = (1e9, 1e15)
-"""Condition estimates in this closed interval are rechecked by SVD; below
-it a row passes, above it (or at or below zero, or when an LDL^T pivot is
-not positive) it fails.
-
-An estimate is never below the condition number and at most 9 times it
-(4 times for 2x2), so a row below the band has cond < 1e9 < CONDITION_LIMIT
-and a row above it cond > 1e15 / 9 > CONDITION_LIMIT. The factor 1000 on
-either side of ``CONDITION_LIMIT`` covers that spread and the rounding of
-the estimate, whose trace(adj A) cancels on near-singular rows. A row
-whose pivot product a00 d1 d2 underflows to zero fails; an eigenvalue gate
-that takes l_2 l_3 = a00 d1 d2 / l_1 from the same pivots loses the same
-rows."""
+product of the LDL^T pivots (a c - b^2 for the 2x2 [[a, b], [b, c]]). A
+system passes if and only if its pivots are positive and the estimate is
+below this limit. For eigenvalues l_1 >= ... >= l_n > 0 the estimate is
+(sum l_i) * (sum 1 / l_i), which lies between cond(A) = l_1 / l_n and
+n^2 cond(A) (Golub and Van Loan, Matrix Computations, section 2.3), and
+LDL^T of a positive definite matrix is backward stable (Higham, Accuracy
+and Stability of Numerical Algorithms, ch. 10). So a gate admits only
+systems with cond(A) below the limit, up to rounding of order u cond(A),
+and admits every system with cond(A) below the limit / 9 (the limit / 4
+for 2x2); one with cond(A) in between may fail. A system whose pivot
+product underflows to zero fails."""
 
 
 @dataclass(frozen=True)
@@ -137,9 +127,6 @@ class _PathTerms(NamedTuple):
     nubar: np.ndarray     # (2, n, M)  zero where the projector is identity
     mu: np.ndarray        # (2, n, M)
     normal: np.ndarray    # (9, n, M)
-
-
-_UNPACK = [0, 1, 2, 1, 3, 4, 2, 4, 5]   # packed index of A[i, j], row-major
 
 
 def _path_sum(a):
@@ -253,24 +240,16 @@ def _ldl_solve(s):
 def _condition_ok(s, d1, d2):
     """Condition gate of packed systems whose ``_ldl_solve`` pivots are d1, d2.
 
-    ``s`` holds at least the six planes of A. True where the condition
-    number is below ``CONDITION_LIMIT``: estimated as trace(A) *
-    trace(adj A) / (a00 d1 d2) (see ``CONDITION_LIMIT``), rechecked by SVD
-    on the rare rows inside ``_COND_GUARD_BAND``.
+    ``s`` holds at least the six planes of A. True where the pivots a00, d1
+    and d2 are positive and the estimate trace(A) * trace(adj A) /
+    (a00 d1 d2) is below ``CONDITION_LIMIT``, the rule stated there; an
+    estimate at or below zero, from a trace(adj A) that cancelled, fails.
     """
     a00, a01, a02, a11, a12, a22 = s[:6]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         adj = (a11 * a22 - a12 * a12) + (a00 * a22 - a02 * a02) + (a00 * a11 - a01 * a01)
-        cond = np.where((a00 > 0.0) & (d1 > 0.0) & (d2 > 0.0),
-                        (a00 + a11 + a22) * adj / (a00 * d1 * d2), -1.0)
-        lo, hi = _COND_GUARD_BAND
-        ok = (cond > 0.0) & (cond < lo)
-        band = (cond >= lo) & (cond <= hi)
-        if band.any():
-            a = np.array([plane[band] for plane in s[:6]])[_UNPACK]
-            sv = np.linalg.svd(a.T.reshape(-1, 3, 3), compute_uv=False)
-            ok[band] = sv[:, 0] / sv[:, 2] < CONDITION_LIMIT
-    return ok
+        cond = (a00 + a11 + a22) * adj / (a00 * d1 * d2)
+    return (a00 > 0.0) & (d1 > 0.0) & (d2 > 0.0) & (cond > 0.0) & (cond < CONDITION_LIMIT)
 
 
 def _solve_packed(s: np.ndarray):
@@ -278,12 +257,14 @@ def _solve_packed(s: np.ndarray):
 
     ``s`` holds the nine planes of ``_PathTerms.normal`` on its first axis
     and any batch shape after it. Returns (x, ok): x (3, ...) solves
-    A x = b on rows whose condition number is below ``CONDITION_LIMIT`` and
-    is zero elsewhere. Everything is elementwise: ``_ldl_solve`` solves,
-    ``_condition_ok`` gates by the trace rule of ``CONDITION_LIMIT`` from
-    the same pivots. It gates the systems it is given and no other: the
-    search's minimal-subset systems are gated once per flush, in
-    ``robust._evaluate_block``, before their cells get here.
+    A x = b on rows that ``_condition_ok`` passes and is zero elsewhere: by
+    the rule of ``CONDITION_LIMIT``, every row with condition number below
+    the limit / 9 and no row with one above the limit, up to rounding.
+    Everything is elementwise: ``_ldl_solve`` solves, ``_condition_ok``
+    gates by the trace estimate from the same pivots. It gates the systems
+    it is given and no other: the search's minimal-subset systems are gated
+    once per flush, in ``robust._evaluate_block``, before their cells get
+    here.
     """
     x, d1, d2 = _ldl_solve(s)
     ok = _condition_ok(s, d1, d2)
@@ -495,8 +476,8 @@ def _frozen_set(paths, bs: Pose, member_row: np.ndarray, gate: tuple | None = No
     with the non-members weighted 0: such a path adds an exact zero to each
     path-order sum, the earliest inlier of the feasibility gate is a
     member, and the power-of-two weight scale of ``_build_terms`` (set by
-    the largest member gain here) cancels exactly in the solve, the
-    condition estimate and its SVD recheck, while the costs weigh by the
+    the largest member gain here) cancels exactly in the solve and the
+    condition estimate, while the costs weigh by the
     unscaled gains. That holds while no non-member's squared residual
     overflows and no member's scaled weight is subnormal.
     """
@@ -694,10 +675,11 @@ def landmark_refine(path: PathMeasurement, ue: UeState, bs: Pose,
     otherwise: after 50 iterations, on a non-positive LDL^T pivot of the
     normal equations, or on a step predicting a real decrease that no
     halving of it achieves. The covariance is the closed-form inverse of
-    J^T R^-1 J at the returned iterate, and its condition number is
-    estimated as (a + c)^2 / det by the trace rule of ``CONDITION_LIMIT``,
-    rechecked by ``np.linalg.svd`` inside ``_COND_GUARD_BAND`` as
-    ``_condition_ok`` does, so the rank gate decides as an SVD-only gate.
+    J^T R^-1 J at the returned iterate. Its rank gate is the rule of
+    ``CONDITION_LIMIT``: it passes if and only if det = a c - b^2 > 0 and
+    (a + c)^2 / det < ``CONDITION_LIMIT``, so it passes every matrix with
+    condition number below the limit / 4 and none above the limit, up to
+    rounding.
 
     Raises
     ------
@@ -705,8 +687,8 @@ def landmark_refine(path: PathMeasurement, ue: UeState, bs: Pose,
         If the initializer and the initializer moved by 1e-6 m in each
         coordinate both coincide with an antenna, so the model cannot be
         evaluated at either; or if J^T R^-1 J at the returned iterate is
-        singular or has condition number >= ``CONDITION_LIMIT`` (e.g. a
-        point on the anchor-user segment, where both legs are collinear).
+        singular or fails the rank gate (e.g. a point on the anchor-user
+        segment, where both legs are collinear).
     """
     max_iter, tol, stall = 50, 1e-9, 1e-8
     sig = noise.sigmas.tolist()
@@ -760,14 +742,7 @@ def landmark_refine(path: PathMeasurement, ue: UeState, bs: Pose,
 
     _, a, b, c = _normal_2x2(jac, sig)
     det = a * c - b * b
-    cond = (a + c) * (a + c) / det if det > 0.0 else -1.0
-    lo, hi = _COND_GUARD_BAND
-    if lo <= cond <= hi:
-        sv = np.linalg.svd(np.array([[a, b], [b, c]]), compute_uv=False)
-        ok = sv[-1] > 0.0 and sv[0] / sv[-1] < CONDITION_LIMIT
-    else:
-        ok = 0.0 < cond < lo
-    if not ok:
+    if not (det > 0.0 and (a + c) * (a + c) / det < CONDITION_LIMIT):
         raise DegenerateGeometry("rank-deficient Jacobian at the optimum")
     cov = np.array([[c / det, -b / det], [-b / det, a / det]])
     return LandmarkEstimate(position=np.array([px, py]), covariance=cov,

@@ -162,7 +162,14 @@ def is_single_bounce_consistent(path, ue_true: UeState, bs: Pose,
     [0, 1]. Multi-bounce paths passing this test are indistinguishable from
     single bounces at this snapshot and are expected to be absorbed as
     inliers.
+
+    Raises
+    ------
+    ValueError
+        If ``t_eps`` or ``t_nu`` is not finite and strictly positive, as
+        ``RobustConfig`` rules.
     """
+    RobustConfig(t_eps=t_eps, t_nu=t_nu)
     cost = path_cost(path, ue_true.position, ue_true.clock_bias,
                      ue_true.orientation, bs)
     if not cost <= t_eps:
@@ -199,9 +206,13 @@ def classification_report(solution: SlamSolution, snapshot: Snapshot,
 
     Raises
     ------
+    ValueError
+        If ``t_eps`` or ``t_nu`` is not finite and strictly positive, as
+        ``RobustConfig`` rules; checked before any path is looked at.
     MissingTruth
         If the snapshot has no truth attached.
     """
+    RobustConfig(t_eps=t_eps, t_nu=t_nu)
     if snapshot.truth is None:
         raise MissingTruth(f"snapshot {snapshot.id} has no truth")
     truth = snapshot.truth
@@ -276,7 +287,9 @@ def los_sensitivity_sweep(snapshots: Sequence[Snapshot],
     on ``seed`` (trials x snapshots, row-major), shared by every grid point.
 
     A snapshot whose forced branch fails falls back to the other branch; a
-    snapshot where both branches fail is dropped from the sweep.
+    snapshot where both branches fail is dropped from the sweep. So the LoS
+    branch of an NLoS-truth snapshot, which no coin takes, is solved only
+    when its NLoS branch fails.
 
     Raises
     ------
@@ -308,8 +321,8 @@ def los_sensitivity_sweep(snapshots: Sequence[Snapshot],
                 return None
             return math.hypot(*(sol.ue.position - truth_pos))
 
-        e0 = branch_error(Hypothesis.LOS)
         e1 = branch_error(Hypothesis.NLOS)
+        e0 = branch_error(Hypothesis.LOS) if snap.truth.has_los or e1 is None else e1
         if e0 is None and e1 is None:
             continue
         err_los.append(e0 if e0 is not None else e1)

@@ -14,12 +14,15 @@ import numpy as np
 from snapslam import (
     SPEED_OF_LIGHT,
     DegenerateGeometry,
+    Hypothesis,
     LandmarkEstimate,
     NearParallel,
+    NoFeasibleSolution,
     NoiseModel,
+    SweepResult,
     measurement_model,
 )
-from snapslam import estimator
+from snapslam import estimator, evaluation
 from snapslam.estimator import CONDITION_LIMIT
 from snapslam.geometry import TWO_PI
 
@@ -175,7 +178,7 @@ def initial_landmark(path, ue, bs):
 #
 # The solver's per-path terms were once interleaved, (M headings, n paths,
 # component); they are now planar. These are the interleaved kernels, kept
-# to check that the planar ones return the same bits. ``_COND_GUARD_BAND``
+# to check that the planar ones return the same bits. ``CONDITION_LIMIT``
 # is looked up on ``snapslam.estimator`` at call time, as the package's
 # kernel does.
 
@@ -195,9 +198,6 @@ class PathTerms(NamedTuple):
     nubar: np.ndarray     # (M, n, 2)  zero rows where the projector is identity
     mu: np.ndarray        # (M, n, 2)
     normal: np.ndarray    # (M, n, 9)
-
-
-_UNPACK = [0, 1, 2, 1, 3, 4, 2, 4, 5]
 
 
 def _dot2(x, y):
@@ -244,43 +244,38 @@ def build_terms(paths, bs, alphas, los_index=None):
     return PathTerms(tau, eta, v, nu, nu_sq, nubar, mu, normal)
 
 
-def solve_packed(s):
-    """Gate and solve packed systems, ``s`` (..., 9); returns x (..., 3), ok."""
-    a00, a01, a02, a11, a12, a22, b0, b1, b2 = np.moveaxis(s, -1, 0)
+def _ldl_factors(s):
+    """(l10, l20, l21, d1, d2) of the unpivoted LDL^T of packed systems
+    ``s`` (..., 9); the first pivot is a00."""
+    a00, a01, a02, a11, a12, a22 = np.moveaxis(s, -1, 0)[:6]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         l10 = a01 / a00
         l20 = a02 / a00
         d1 = a11 - l10 * a01
         l21 = (a12 - l20 * a01) / d1
         d2 = a22 - l20 * a02 - l21 * l21 * d1
-        pivots_ok = (a00 > 0.0) & (d1 > 0.0) & (d2 > 0.0)
+    return l10, l20, l21, d1, d2
 
-        trace = a00 + a11 + a22
-        q = trace / 3.0
-        c00, c11, c22 = a00 - q, a11 - q, a22 - q
-        p = np.sqrt((c00 * c00 + c11 * c11 + c22 * c22
-                     + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
-        inv_p = 1.0 / p
-        c00, c11, c22 = c00 * inv_p, c11 * inv_p, c22 * inv_p
-        e01, e02, e12 = a01 * inv_p, a02 * inv_p, a12 * inv_p
-        det_c = (c00 * (c11 * c22 - e12 * e12) - e01 * (e01 * c22 - e12 * e02)
-                 + e02 * (e01 * e12 - c11 * e02))
-        r = np.clip(0.5 * det_c, -1.0, 1.0)
-        lam_max = np.where(p > 0.0, q + 2.0 * p * np.cos(np.arccos(r) / 3.0), q)
 
-        rest = trace - lam_max
-        prod = a00 * d1 * d2 / lam_max
-        lam_mid = 0.5 * (rest + np.sqrt(np.maximum(rest * rest - 4.0 * prod, 0.0)))
-        lam_min = np.minimum(prod / lam_mid, lam_mid)
-        cond = np.where(pivots_ok, lam_max / lam_min, -1.0)
+def condition_estimate(s):
+    """The condition gate's estimate of packed systems ``s`` (..., 9):
+    trace(A) trace(adj A) / (a00 d1 d2) where the LDL^T pivots and the
+    estimate are positive, +inf elsewhere. A system passes the gate if and
+    only if its estimate is below ``CONDITION_LIMIT``."""
+    a00, a01, a02, a11, a12, a22 = np.moveaxis(s, -1, 0)[:6]
+    _, _, _, d1, d2 = _ldl_factors(s)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        adj = (a11 * a22 - a12 * a12) + (a00 * a22 - a02 * a02) + (a00 * a11 - a01 * a01)
+        cond = (a00 + a11 + a22) * adj / (a00 * d1 * d2)
+    return np.where((a00 > 0.0) & (d1 > 0.0) & (d2 > 0.0) & (cond > 0.0), cond, np.inf)
 
-        lo, hi = estimator._COND_GUARD_BAND
-        ok = (cond > 0.0) & (cond < lo)
-        band = (cond >= lo) & (cond <= hi)
-        if band.any():
-            sv = np.linalg.svd(s[band][:, _UNPACK].reshape(-1, 3, 3), compute_uv=False)
-            ok[band] = sv[:, 0] / sv[:, 2] < estimator.CONDITION_LIMIT
 
+def solve_packed(s):
+    """Gate and solve packed systems, ``s`` (..., 9); returns x (..., 3), ok."""
+    ok = condition_estimate(s) < estimator.CONDITION_LIMIT
+    a00, b0, b1, b2 = np.moveaxis(s, -1, 0)[[0, 6, 7, 8]]
+    l10, l20, l21, d1, d2 = _ldl_factors(s)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z1 = b1 - l10 * b0
         z2 = b2 - l20 * b0 - l21 * z1
         x2 = z2 / d2
@@ -373,3 +368,42 @@ def polish_heading(paths, bs, alpha, x, cost, inlier_row, config):
             best = (center, xs[k], float(scan[k]))
         width /= 4.0
     return best
+
+
+def los_sensitivity_sweep(snapshots, config, p_grid, trials, seed, exclude_ids=()):
+    """``los_sensitivity_sweep`` on valid arguments, as it was when it solved
+    both branches of every snapshot. ``robust_solve`` is looked up on
+    ``snapslam.evaluation`` at call time, so a test that replaces it there
+    replaces it for both versions."""
+    err_los, err_nlos, los_truth, ids = [], [], [], []
+    for snap in snapshots:
+        errors = []
+        for hyp in (Hypothesis.LOS, Hypothesis.NLOS):
+            try:
+                sol = evaluation.robust_solve(snap, hyp, config)
+            except NoFeasibleSolution:
+                errors.append(None)
+            else:
+                errors.append(math.hypot(*(sol.ue.position - snap.truth.ue.position)))
+        e0, e1 = errors
+        if e0 is None and e1 is None:
+            continue
+        err_los.append(e0 if e0 is not None else e1)
+        err_nlos.append(e1 if e1 is not None else e0)
+        los_truth.append(snap.truth.has_los)
+        ids.append(snap.id)
+    e0, e1, los = np.array(err_los), np.array(err_nlos), np.array(los_truth)
+    coins = np.random.Generator(np.random.Philox(key=seed)).random((trials, len(ids)))
+    include = np.array([sid not in set(exclude_ids) for sid in ids])
+
+    def curve(col_mask):
+        if not col_mask.any():
+            return tuple(float("nan") for _ in p_grid)
+        vals = []
+        for p in p_grid:
+            err = np.where(los[None, :] & (coins < p), e0[None, :], e1[None, :])[:, col_mask]
+            vals.append(float(np.sqrt(np.mean(err * err))))
+        return tuple(vals)
+
+    return SweepResult(tuple(float(p) for p in p_grid), curve(np.ones(len(ids), dtype=bool)),
+                       curve(include), trials)

@@ -503,52 +503,63 @@ def test_initial_landmark_matches_the_numpy_reference_bit_for_bit():
     assert kinds == {"inside", "outside", "not finite", "NearParallel", "DegenerateGeometry"}
 
 
-def test_landmark_refine_rank_gate_decides_as_an_svd_only_gate(monkeypatch):
-    # The estimate (a + c)^2 / det decides outside _COND_GUARD_BAND; an
-    # unbounded band sends every positive one to the SVD. The estimate is
-    # at most 4x the condition number, so a band of (L/2, 8L) still decides
-    # as the SVD does. The near-antenna and near-parallel kinds reach
-    # conditions of 1e9..2e14, on both sides of CONDITION_LIMIT; the segment
-    # case is singular and fails without the SVD under every band.
+_RANK_FAILURE = ("DegenerateGeometry", "rank-deficient Jacobian at the optimum")
+
+
+def _gate_matrix_spy(monkeypatch):
+    """Record the (a, b, c) of the last ``_normal_2x2`` call, which is the
+    matrix the rank gate decides on when a refinement reaches it."""
+    seen = []
+    normal = estimator._normal_2x2
+
+    def spy(jac, sig):
+        out = normal(jac, sig)
+        seen[:] = [out[1:]]
+        return out
+
+    monkeypatch.setattr(estimator, "_normal_2x2", spy)
+    return seen
+
+
+def test_landmark_refine_rank_gate_decides_by_the_trace_estimate(monkeypatch):
+    # The fit passes if and only if det = a c - b^2 > 0 and (a + c)^2 / det
+    # < CONDITION_LIMIT, on the last matrix the refinement built. The
+    # near-antenna and near-parallel kinds reach conditions of 1e9..2e14, on
+    # both sides of the limit, and the segment case is singular; moving the
+    # limit to L / 2 and 8 L moves the decisions with the estimate and
+    # changes nothing else of a fit that passes.
     cases = list(_gate_cases())
     want = [_run_case(monkeypatch, _refine_outcome, *case) for case in cases]
-    for band in ((0.0, math.inf), (CONDITION_LIMIT / 2, 8 * CONDITION_LIMIT)):
-        monkeypatch.setattr(estimator, "_COND_GUARD_BAND", band)
-        got = [_run_case(monkeypatch, _refine_outcome, *case) for case in cases]
-        assert got == want, band
-    assert sum(o == ("DegenerateGeometry", "rank-deficient Jacobian at the optimum")
-               for o in want) >= 5
+    seen = _gate_matrix_spy(monkeypatch)
+    for limit in (CONDITION_LIMIT, CONDITION_LIMIT / 2, 8 * CONDITION_LIMIT):
+        monkeypatch.setattr(estimator, "CONDITION_LIMIT", limit)
+        for case, outcome in zip(cases, want):
+            del seen[:]
+            got = _run_case(monkeypatch, _refine_outcome, *case)
+            if not seen:        # stopped before the gate: no point to evaluate
+                assert got == outcome == ("DegenerateGeometry",
+                                          "cannot evaluate the model near the initializer")
+                continue
+            (a, b, c), = seen
+            det = a * c - b * b
+            passes = det > 0.0 and (a + c) * (a + c) / det < limit
+            assert (got != _RANK_FAILURE) == passes, (limit, a, b, c)
+            assert got == outcome or _RANK_FAILURE in (got, outcome)
+    assert sum(o == _RANK_FAILURE for o in want) >= 5
 
 
-def test_landmark_refine_makes_no_numpy_solve_and_svd_only_in_the_band(monkeypatch):
-    # The refinement's 2x2 algebra runs in floats; only a condition
-    # estimate inside _COND_GUARD_BAND may call the SVD, once per case.
+def test_landmark_refine_makes_no_numpy_solve_and_no_svd(monkeypatch):
+    # The refinement's 2x2 algebra, its rank gate included, runs in floats.
     cases = list(_gate_cases())
     want = [_run_case(monkeypatch, _refine_outcome, *case) for case in cases]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("landmark_refine called a NumPy solve")
+        raise AssertionError("landmark_refine called np.linalg")
 
-    svd, seen = np.linalg.svd, []
-
-    def counted_svd(a, *args, **kwargs):
-        seen.append(np.array(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "solve", forbidden)
-    monkeypatch.setattr(np.linalg, "inv", forbidden)
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    lo, hi = estimator._COND_GUARD_BAND
-    checked = 0
+    for name in ("solve", "inv", "svd", "eigvalsh", "eigh", "cond"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
     for case, outcome in zip(cases, want):
-        del seen[:]
         assert _run_case(monkeypatch, _refine_outcome, *case) == outcome
-        assert len(seen) <= 1
-        for m in seen:
-            (a, b), (_, c) = m.tolist()
-            assert lo <= (a + c) * (a + c) / (a * c - b * b) <= hi
-            checked += 1
-    assert 0 < checked < len(cases) // 4
 
 
 def test_landmark_jacobian_matches_the_reference():
@@ -572,13 +583,60 @@ def test_bounce_model_equals_measurement_model_to_the_bit():
             disagree += math.hypot(*leg) != float(np.hypot(*leg))
     assert disagree > 0
 
-# --- closed-form cell kernel against LAPACK -------------------------------
+# --- the condition gates against an SVD oracle ------------------------------
+#
+# Both gates pass a symmetric A if and only if its LDL^T pivots are positive
+# and the estimate trace(A) trace(A^-1) is below the limit L. The estimate
+# lies in [kappa, n^2 kappa], kappa = cond(A) (see CONDITION_LIMIT), so the
+# contract against the SVD's condition number cond is: every admitted
+# system has cond < L (1 + delta), and every system with cond < L / n^2
+# (1 - delta) is admitted. delta bounds the rounding of the estimate and of
+# the oracle, to first order in the unit roundoff u, at kappa <= 1.01 L (an
+# admitted system has kappa <= L / (1 - 27u kappa), below 1.01 L):
+# - 3x3, trace(A) trace(adj A) / (a00 d1 d2). The trace rounds twice: 2u.
+#   A principal 2x2 minor a_ii a_jj - a_ij^2 errs by at most
+#   2u a_ii a_jj + u |minor| (A is PSD, so a_ij^2 <= a_ii a_jj); the three,
+#   summed twice, err by at most 2u * sum a_ii a_jj + 3u trace(adj A) <=
+#   6u l1^2 + 3u trace(adj A), and trace(adj A) >= 2 l1 l3: relatively
+#   3u kappa + 3u. The pivots are the exact ones of A + E with
+#   ||E||_2 <= n gamma_(n+1) ||A||_2 ~ 12u l1 (Higham, Accuracy and
+#   Stability of Numerical Algorithms, Theorem 10.3 and the norm bound
+#   after it), which moves each l_i by at most 12u l1, so their product by
+#   at most 12u (1 + 2 kappa) relatively, and it rounds twice. The last
+#   product and quotient round once each. In all: 27u kappa + 21u.
+# - 2x2, (a + c)^2 / (a c - b^2): the square rounds to 3u, the determinant
+#   errs by at most 2u a c + u det <= 2u l1^2 + u det, relatively
+#   2u kappa + u, and the quotient rounds once: 2u kappa + 5u.
+# - The oracle. LAPACK's singular values are those of A + F with
+#   ||F||_2 <= p(n) u ||A||_2; its error bounds take p(n) as 1 (LAPACK
+#   Users' Guide, section 4.9.1), and here it is n^2. So sigma_min moves by
+#   n^2 u kappa relatively, sigma_max by n^2 u, and their ratio rounds:
+#   9u kappa + 10u for 3x3, 4u kappa + 5u for 2x2.
+# The sums, at kappa = 1.01 L, are 36.4u L and 6.1u L (the u terms add
+# under 1e-6 of that at any limit from 1e6 up), so delta = 40u L and 8u L. The constants below are
+# delta / L, so they serve any limit.
+_U = np.finfo(float).eps / 2.0
+_DELTA_3X3 = 40.0 * _U
+_DELTA_2X2 = 8.0 * _U
 
-def _svd_gate(a):
+
+def _svd_condition(a):
+    """Condition numbers of a stack of matrices by LAPACK's SVD; inf where
+    the smallest singular value is zero."""
     sv = np.linalg.svd(a, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = sv[:, 0] / sv[:, 2]
-    return np.isfinite(cond) & (cond < CONDITION_LIMIT), cond
+        cond = sv[..., 0] / sv[..., -1]
+    return np.where(np.isfinite(cond), cond, np.inf)
+
+
+def _assert_gate_contract(ok, cond, limit, n, delta):
+    """The gate contract on decisions ``ok`` of n x n systems whose SVD
+    condition numbers are ``cond``, at ``limit``, with ``delta`` per unit
+    of the limit."""
+    ok, cond = np.asarray(ok), np.asarray(cond)
+    rel = delta * limit
+    assert np.all(cond[ok] < limit * (1.0 + rel)), (limit, cond[ok].max())
+    assert np.all(ok[cond < limit / n ** 2 * (1.0 - rel)]), (limit, cond[~ok].min())
 
 
 def _quaternion_rotation(q):
@@ -602,14 +660,20 @@ def _psd_matrix(kind, log_cond, mid, log_gain, quat):
     return 0.5 * (a + a.T)
 
 
+def _packed(a, b):
+    """The nine planes of packed systems A x = b, A (K, 3, 3) and b (K, 3)."""
+    return np.concatenate([a[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]], b], axis=1).T
+
+
 _unit_floats = st.floats(-1.0, 1.0)
+_quaternions = st.lists(_unit_floats, min_size=4, max_size=4).filter(
+    lambda q: sum(t * t for t in q) > 1e-2)
 _psd_draw = st.tuples(
     st.sampled_from(["full", "full", "full", "rank2", "rank1", "zero"]),
     st.floats(0.0, 16.0),           # log10 of the condition number
     st.floats(0.0, 1.0),            # middle eigenvalue, as a share of log10 cond
     st.floats(-12.0, 3.0),          # log10 of the gain
-    st.lists(_unit_floats, min_size=4, max_size=4).filter(
-        lambda q: sum(t * t for t in q) > 1e-2),
+    _quaternions,
     st.lists(_unit_floats, min_size=3, max_size=3).filter(
         lambda b: sum(t * t for t in b) > 1e-2),
 )
@@ -621,23 +685,56 @@ _psd_draw = st.tuples(
 # eigenvalue formula that cubes the eigenvalue spread underflows
 @example([("full", 0.0, 0.0, 2.0, [0.0, 0.0, 1.0, 7.4e-135], [0.0, 0.0, 1.0])])
 def test_closed_form_gate_and_solve_match_lapack(draws):
-    # The condition estimate is at most 9x the condition number, so a band
-    # of (L/2, 18L) around the limit L still decides as the SVD does.
+    # The gate keeps its contract with LAPACK's condition number at the
+    # limit and at a limit moved to 1e6, inside the drawn range of 1..1e16.
     a = np.array([_psd_matrix(*d[:5]) for d in draws])
     b = np.array([d[5] for d in draws]) * np.array([10.0 ** d[3] for d in draws])[:, None]
-    packed = np.concatenate([a[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]], b], axis=1)
-    ref_ok, cond = _svd_gate(a)
-    for band in (estimator._COND_GUARD_BAND, (CONDITION_LIMIT / 2, 18 * CONDITION_LIMIT)):
+    cond = _svd_condition(a)
+    for limit in (CONDITION_LIMIT, 1e6):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(estimator, "_COND_GUARD_BAND", band)
-            x, ok = _solve_packed(packed.T)
+            patch.setattr(estimator, "CONDITION_LIMIT", limit)
+            x, ok = _solve_packed(_packed(a, b))
         x = x.T
-        assert np.array_equal(ok, ref_ok), (band, cond, ok, ref_ok)
+        _assert_gate_contract(ok, cond, limit, 3, _DELTA_3X3)
         assert np.all(x[~ok] == 0.0)
         if ok.any():
             ref_x = np.linalg.solve(a[ok], b[ok][..., None])[..., 0]
             err = np.linalg.norm(x[ok] - ref_x, axis=1)
             assert np.all(err <= cond[ok] * 1e-13 * np.linalg.norm(ref_x, axis=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(10.0, 14.0), st.floats(0.0, 1.0), st.floats(-12.0, 3.0),
+                          _quaternions), min_size=1, max_size=24))
+def test_cell_gate_keeps_its_contract_across_the_limit(draws):
+    # Positive definite systems whose condition numbers straddle the limit,
+    # from L / 100 to 100 L.
+    a = np.array([_psd_matrix("full", *d) for d in draws])
+    _, ok = _solve_packed(_packed(a, np.ones((len(a), 3))))
+    _assert_gate_contract(ok, _svd_condition(a), CONDITION_LIMIT, 3, _DELTA_3X3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(9.0, 15.0))
+def test_landmark_gate_keeps_its_contract_across_the_limit(seed, log_cond):
+    # A noiseless single bounce with angle sigmas large against the delay
+    # sigma: the normal matrix at the fit is near the delay row's outer
+    # product, and its condition number follows (sigma_ang d / (c
+    # sigma_toa))^2 within ~0.3 decades, so the draws straddle the limit.
+    rng = np.random.default_rng(seed)
+    bs, ue = random_state(rng)
+    lm = random_landmarks(rng, 1, bs, ue)[0]
+    d = math.hypot(*(lm - bs.position)) + math.hypot(*(lm - ue.position))
+    sigma = 10.0 ** (log_cond / 2.0) * 1e-9 * C / d
+    path = PathMeasurement(*measurement_model(ue, bs, lm))
+    with pytest.MonkeyPatch.context() as patch:
+        seen = _gate_matrix_spy(patch)
+        outcome = _estimate_or_error(landmark_refine, path, ue, bs,
+                                     NoiseModel(1e-9, sigma, sigma))
+    assert not isinstance(outcome, tuple) or outcome == _RANK_FAILURE
+    (a, b, c), = seen
+    cond = _svd_condition(np.array([[[a, b], [b, c]]]))
+    _assert_gate_contract([outcome != _RANK_FAILURE], cond, CONDITION_LIMIT, 2, _DELTA_2X2)
 
 
 def test_closed_form_kernel_keeps_batch_shape():

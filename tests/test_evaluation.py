@@ -10,8 +10,10 @@ from snapslam import (
     GroundTruth,
     Hypothesis,
     MissingTruth,
+    NoFeasibleSolution,
     NoiseModel,
     PathMeasurement,
+    RobustConfig,
     SlamSolution,
     Snapshot,
     UeState,
@@ -28,6 +30,7 @@ from snapslam import (
     wrap_angle,
 )
 from snapslam import evaluation
+import reference
 from helpers import (
     add_multibounce,
     expected_inliers,
@@ -153,6 +156,24 @@ def test_single_bounce_consistency_check():
     assert not is_single_bounce_consistent(late, t.ue, snap.bs)
 
 
+@pytest.mark.parametrize("name", ["t_eps", "t_nu"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_evaluation_thresholds_are_validated_as_robust_config_does(name, value):
+    # A threshold that RobustConfig refuses would make every path "not
+    # consistent"; both functions refuse it, classification_report before
+    # it looks at the snapshot (a truthless one raises no MissingTruth).
+    snap = random_h0_snapshot(3, n_single=2)
+    t = snap.truth
+    with pytest.raises(ValueError, match="thresholds") as refused:
+        RobustConfig(**{name: value})
+    with pytest.raises(ValueError, match=str(refused.value)):
+        is_single_bounce_consistent(snap.paths[1], t.ue, snap.bs, **{name: value})
+    sol = robust_solve(snap, Hypothesis.LOS)
+    for target in (snap, Snapshot(id="bare", bs=snap.bs, paths=snap.paths, truth=None)):
+        with pytest.raises(ValueError, match=str(refused.value)):
+            classification_report(sol, target, **{name: value})
+
+
 def test_classification_report_exact():
     snap = random_h0_snapshot(7, n_single=3)
     sol = robust_solve(snap, Hypothesis.LOS)
@@ -258,6 +279,36 @@ def test_sweep_exclusion_column():
     nan_sweep = los_sensitivity_sweep(snaps, p_grid=(0.0,), trials=5, seed=2,
                                       exclude_ids=tuple(everything))
     assert math.isnan(nan_sweep.rmse_excluding[0])
+
+
+def test_sweep_solves_the_los_branch_of_an_nlos_truth_snapshot_only_as_fallback(monkeypatch):
+    # No coin takes the LoS branch of an NLoS-truth snapshot, so it is solved
+    # only where the NLoS branch fails: h1_1 falls back to it, and h1_2,
+    # whose branches both fail, is dropped. The LoS-truth h0_0 solves both.
+    # The result is the one of the sweep that solved both branches of all.
+    snaps = [random_h1_snapshot(50 + s, n_single=4 + s % 2, on_grid=True, sid=f"h1_{s}")
+             for s in range(4)]
+    snaps.append(random_h0_snapshot(0, n_single=3, sid="h0_0"))
+    los, nlos = Hypothesis.LOS, Hypothesis.NLOS
+    fail = {("h1_1", nlos), ("h1_2", nlos), ("h1_2", los)}
+    calls = []
+    solve = evaluation.robust_solve
+
+    def scripted(snap, hyp, config):
+        calls.append((snap.id, hyp))
+        if (snap.id, hyp) in fail:
+            raise NoFeasibleSolution("scripted")
+        return solve(snap, hyp, config)
+
+    monkeypatch.setattr(evaluation, "robust_solve", scripted)
+    args = (snaps, RobustConfig(), (0.0, 0.5, 1.0), 50, 3, ("h1_3",))
+    got = los_sensitivity_sweep(*args)
+    assert calls == [("h1_0", nlos), ("h1_1", nlos), ("h1_1", los), ("h1_2", nlos),
+                     ("h1_2", los), ("h1_3", nlos), ("h0_0", nlos), ("h0_0", los)]
+    calls.clear()
+    assert got == reference.los_sensitivity_sweep(*args)
+    assert len(calls) == 2 * len(snaps)
+    assert all(math.isfinite(v) for v in got.rmse + got.rmse_excluding)
 
 
 def test_sweep_validation(monkeypatch):

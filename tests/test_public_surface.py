@@ -172,3 +172,23 @@ def test_no_numpy_hypot():
                     and getattr(node.value, "id", None) in ("np", "numpy")):
                 found.append(f"{path.stem}:{node.lineno}")
     assert found == []
+
+
+def test_no_linalg():
+    # src/ makes no LAPACK call: both condition gates decide by the trace
+    # estimate of estimator.CONDITION_LIMIT, and solves are closed-form
+    found = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Attribute) and node.attr == "linalg"
+                    and getattr(node.value, "id", None) in ("np", "numpy")):
+                found.append(f"{path.stem}:{node.lineno}")
+            elif isinstance(node, ast.Import):
+                found += [f"{path.stem}:{node.lineno} import" for alias in node.names
+                          if alias.name.startswith("numpy.linalg")]
+            elif isinstance(node, ast.ImportFrom) and (
+                    (node.module or "").startswith("numpy.linalg")
+                    or (node.module == "numpy"
+                        and any(alias.name == "linalg" for alias in node.names))):
+                found.append(f"{path.stem}:{node.lineno} import")
+    assert found == []

@@ -48,6 +48,7 @@ from snapslam.estimator import (
     _solve_packed,
 )
 from snapslam.robust import _los_candidate, _search
+import reference
 from helpers import (
     add_multibounce,
     build_snapshot,
@@ -607,31 +608,25 @@ def test_block_winner_breaks_exact_ties_by_heading_then_subset(monkeypatch):
 
 # --- the deferred condition gate ----------------------------------------------
 
-def _svd_condition(planes):
-    """SVD condition number of packed systems given as nine planes, (9, ...)."""
-    a = np.moveaxis(planes[estimator._UNPACK], 0, -1).reshape(planes.shape[1:] + (3, 3))
-    sv = np.linalg.svd(a, compute_uv=False)
-    return sv[..., 0] / sv[..., 2]
-
-
-def _gate_by_svd_at(monkeypatch, limit):
-    """Send every condition check to the SVD and fail it at ``limit`` and above."""
-    monkeypatch.setattr(estimator, "CONDITION_LIMIT", limit)
-    monkeypatch.setattr(estimator, "_COND_GUARD_BAND", (0.0, math.inf))
+def _estimate(terms, combo):
+    """The condition gate's estimate of the minimal-subset systems of
+    ``combo`` at every heading, summed as ``_reference_search`` sums them."""
+    system = functools.reduce(operator.add, (terms.normal[:, i] for i in combo))
+    return reference.condition_estimate(system.T)
 
 
 def test_search_gates_the_minimal_subset_solve_of_every_live_cell(monkeypatch):
     # Case 0 (LoS, 6 paths) at t_eps = 1e6: every cell is live and every path
-    # is an inlier of it. The limit is the best condition of any minimal-subset
-    # system, so every one of them fails and no cell may win; some inlier
-    # systems are better conditioned than that, so a search that gated only
-    # the inlier systems would still return a cell.
+    # is an inlier of it. The limit is the least condition estimate of any
+    # minimal-subset system, so every one of them fails and no cell may win;
+    # some inlier systems have a lower estimate than that, so a search that
+    # gated only the inlier systems would still return a cell.
     args = _search_inputs(*list(_search_cases())[0], RobustConfig(t_eps=1e6))
     paths, bs, alphas, combos, los_index, _ = args
     terms = _build_terms(paths, bs, alphas, los_index)
-    limit = min(_svd_condition(terms.normal[:, list(c)].sum(axis=1)).min() for c in combos)
-    assert (_svd_condition(terms.normal.sum(axis=1)) < limit).any()
-    _gate_by_svd_at(monkeypatch, limit)
+    limit = min(_estimate(terms, c).min() for c in combos)
+    assert (_estimate(terms, range(len(paths))) < limit).any()
+    monkeypatch.setattr(estimator, "CONDITION_LIMIT", limit)
     assert _reference_search(*args) is None
     for budget in (1, robust._CHUNK_ROW_PATHS):
         monkeypatch.setattr(robust, "_CHUNK_ROW_PATHS", budget)
@@ -640,17 +635,16 @@ def test_search_gates_the_minimal_subset_solve_of_every_live_cell(monkeypatch):
 
 @pytest.mark.parametrize("case", [2, 3, 5, 6, 7])
 def test_search_matches_reference_when_the_gate_fails_some_cells(case, monkeypatch):
-    # The limit is the condition of the unpatched winner's minimal-subset
-    # system: that cell and every worse conditioned one fail, the others
-    # pass, and another cell wins. In cases 2 and 3 the winner's inlier
-    # system is better conditioned than its minimal-subset system, so only
-    # the minimal-subset gate moves the answer there.
+    # The limit is the condition estimate of the unpatched winner's
+    # minimal-subset system: that cell and every one with a higher estimate
+    # fail, the others pass, and another cell wins. In cases 2 and 3 the
+    # winner's inlier system is better conditioned than its minimal-subset
+    # system, so only the minimal-subset gate moves the answer there.
     args = _search_inputs(*list(_search_cases())[case])
     paths, bs, alphas, combos, los_index, _ = args
     _, h, l, _, _ = _reference_search(*args)
     terms = _build_terms(paths, bs, alphas, los_index)
-    _gate_by_svd_at(monkeypatch,
-                    _svd_condition(terms.normal[:, list(combos[l])].sum(axis=1)[:, h]))
+    monkeypatch.setattr(estimator, "CONDITION_LIMIT", _estimate(terms, combos[l])[h])
     want = _reference_search(*args)
     assert want is not None and want[1:3] != (h, l)
     for budget in (1, robust._CHUNK_ROW_PATHS, 10 ** 9):

@@ -76,11 +76,12 @@ class _PathConstants(NamedTuple):
     """The heading-free part of ``_build_terms``: per-path arrays that every
     heading shares, built once per search and once per frozen set.
 
-    ``u`` is the departure unit vector, ``ctau`` is c tau, and ``scale``
-    holds the gains times the power of two that puts the largest in
-    [0.5, 1). Each is shaped to broadcast against the (n, M) planes of
-    ``_PathTerms``, which carries them as ``const``: the kernel reads every
-    per-path constant from there and derives none of them again.
+    ``u`` is the departure unit vector, ``ctau`` is c tau, ``scale`` holds
+    the gains times the power of two that puts the largest in [0.5, 1), and
+    ``los`` marks the path hypothesized as line of sight, the one place a
+    path's LoS role is named. Each is shaped to broadcast against the (n, M)
+    planes of ``_PathTerms``, which carries them as ``const``: the kernel
+    reads every per-path constant from there and derives none of them again.
     """
 
     tau: np.ndarray       # (n,)
@@ -90,6 +91,7 @@ class _PathConstants(NamedTuple):
     ctau: np.ndarray      # (n, 1)
     anchor: np.ndarray    # (2, 1, 1)  anchor position
     scale: np.ndarray     # (n, 1)
+    los: np.ndarray       # (n, 1)  bool
 
 
 class _PathTerms(NamedTuple):
@@ -149,8 +151,10 @@ def _path_sum(a):
     return total
 
 
-def _path_constants(paths: Sequence[PathMeasurement], bs: Pose) -> _PathConstants:
-    """The per-path constants of ``paths`` seen from anchor ``bs``."""
+def _path_constants(paths: Sequence[PathMeasurement], bs: Pose,
+                    los_index: int | None = None) -> _PathConstants:
+    """The per-path constants of ``paths`` seen from anchor ``bs``, with
+    path ``los_index``, if any, in the LoS role."""
     tau = np.array([p.toa for p in paths])
     eta = np.array([p.gain for p in paths])
     aod = np.array([p.aod for p in paths])
@@ -160,12 +164,12 @@ def _path_constants(paths: Sequence[PathMeasurement], bs: Pose) -> _PathConstant
     # weights scaled by a power of two so the largest is in [0.5, 1): exact,
     # and it keeps the kernel's squared entries in range for any gain scale
     scale = np.ldexp(eta, -np.frexp(eta.max())[1])[:, None]
+    los = (np.arange(len(paths)) == los_index)[:, None]    # all False for None
     return _PathConstants(tau, eta, aoa, u, (_C * tau)[:, None], bs.position[:, None, None],
-                          scale)
+                          scale, los)
 
 
-def _heading_terms(const: _PathConstants, alphas: np.ndarray,
-                   los_index: int | None = None) -> _PathTerms:
+def _heading_terms(const: _PathConstants, alphas: np.ndarray) -> _PathTerms:
     """The terms of ``_build_terms`` at every heading of ``alphas`` from the
     paths' constants: all of its per-heading arithmetic."""
     arr = const.aoa[:, None] + alphas               # (n, M) world arrival angle
@@ -173,9 +177,7 @@ def _heading_terms(const: _PathConstants, alphas: np.ndarray,
 
     nu = const.u + v
     nu_sq = _dot2(nu, nu)
-    identity_proj = nu_sq == 0.0
-    if los_index is not None:
-        identity_proj[los_index] = True
+    identity_proj = (nu_sq == 0.0) | const.los
     with np.errstate(divide="ignore", invalid="ignore"):
         nubar = np.where(identity_proj, 0.0, nu / np.sqrt(nu_sq))
 
@@ -207,8 +209,7 @@ def _build_terms(paths: Sequence[PathMeasurement], bs: Pose, alphas: np.ndarray,
     whose departure/arrival rays cancel exactly get the same treatment, the
     correct limit of the eliminated-bounce constraint.
     """
-    return _heading_terms(_path_constants(paths, bs), np.asarray(alphas, dtype=float),
-                          los_index)
+    return _heading_terms(_path_constants(paths, bs, los_index), np.asarray(alphas, dtype=float))
 
 
 def _ldl_solve(s):
@@ -304,7 +305,7 @@ def _costs(terms: _PathTerms, x: np.ndarray, r: np.ndarray | None = None) -> np.
     return pr[0] + pr[1]
 
 
-def _line_terms(terms: _PathTerms, los_index: int | None = None):
+def _line_terms(terms: _PathTerms):
     """Terms of ``_line_costs``, built once per search.
 
     A bounce path's projector is P = I - nubar nubar^T = q q^T, with q
@@ -320,14 +321,14 @@ def _line_terms(terms: _PathTerms, los_index: int | None = None):
     subset axis of a chunk's (subset, heading) cells, an axis inserted
     before the heading axis, and c_q as (n, 1, M) planes. A path whose
     projector is the identity has no such form: both residual components
-    count. That is the LoS candidate ``los_index`` and any (path, heading)
-    whose rays cancel exactly, as ``_build_terms`` marks them. When the
+    count. That is the LoS candidate, ``const.los``, and any (path, heading)
+    whose rays cancel exactly, as ``_heading_terms`` marks them. When the
     terms have one, c_q is None and ``_line_costs`` costs every path by
     ``_costs``: the LoS branch searches one heading in one chunk, too few
     cells to repay the plane c_q.
     """
     spread = _PathTerms(terms.const, *(plane[..., None, :] for plane in terms[1:]))
-    if los_index is not None or not terms.nu_sq.all():
+    if terms.const.los.any() or not terms.nu_sq.all():
         return spread, None
     cq = terms.nubar[::-1] * terms.v              # (nubar_1 v0, nubar_0 v1)
     cq = cq[0] - cq[1]

@@ -207,7 +207,7 @@ def _search(paths, bs, alphas, combos, los_index, config):
     their order.
     """
     terms = _build_terms(paths, bs, alphas, los_index)
-    lines = _line_terms(terms, los_index)
+    lines = _line_terms(terms)
     n, m = terms.nu_sq.shape
     slots = np.asarray(combos).T                        # (subset size, L)
     gate = (config.t_nu, config.t_eps)

@@ -113,7 +113,7 @@ def test_terms_keep_the_heading_on_the_last_axis_of_every_plane(scene, data):
     assert taken.const is terms.const
     for name, got, want in zip(terms._fields[1:], taken[1:], built[1:]):
         assert _same(got, want), name
-    spread, _ = _line_terms(terms, los)
+    spread, _ = _line_terms(terms)
     assert spread.const is terms.const
     for name, got, plane in zip(terms._fields[1:], spread[1:], terms[1:]):
         assert _same(got, plane[..., None, :]), name
@@ -289,7 +289,7 @@ def test_line_costs_decide_as_costs(scene, data):
                             mu=terms.mu[:, :, None])
     with np.errstate(all="ignore"):
         want = _costs(spread, x)                                            # (n, L, M)
-        got = _line_costs(_line_terms(terms, los), x)
+        got = _line_costs(_line_terms(terms), x)
         size = (np.abs(x).sum(axis=0) + np.abs(terms.mu).sum(axis=0)[:, None]
                 + (np.abs(bs.position).sum() + SPEED_OF_LIGHT * terms.const.tau)[:, None, None])
     if cancel or los is not None:

@@ -66,7 +66,7 @@ from .estimator import (
     nlos_orientation_search,
     orientation_grid,
 )
-from .geometry import _T_NU, SPEED_OF_LIGHT, NoiseModel, UeState, wrap_angle
+from .geometry import _T_NU, SPEED_OF_LIGHT, NoiseModel, UeState, _bounce, wrap_angle
 
 _C = SPEED_OF_LIGHT
 
@@ -115,8 +115,9 @@ class RobustConfig:
 
     t_eps : inlier threshold on the per-path squared projected residual, m^2;
         also the per-path penalty charged for each excluded path.
-    t_nu : near-parallel threshold on ||u + v||^2 under which the bounce
-        fraction of the earliest inlier is not range-checked.
+    t_nu : near-parallel threshold on ||u + v||^2 at the state: at or
+        under it the bounce fraction of the earliest inlier is not
+        range-checked, and an inlier is refined into no landmark.
     noise : measurement noise model used for landmark refinement.
 
     Under the NLoS hypothesis the heading is searched on ``orientation_grid()``.
@@ -135,8 +136,9 @@ class RobustConfig:
 class SlamSolution:
     """Joint snapshot solution.
 
-    ``landmarks`` holds one refined LandmarkEstimate per inlier treated as a
-    bounce (``source_path`` identifies the path). ``inliers`` / ``outliers``
+    ``landmarks`` holds one refined LandmarkEstimate per inlier whose rays
+    leave a bounce point at ``ue`` (``source_path`` identifies the path); an
+    inlier whose rays nearly cancel there maps none. ``inliers`` / ``outliers``
     are sorted path-index tuples partitioning the snapshot. ``cost`` is the
     winning cell's total: weighted inlier costs plus the per-path penalty for
     each outlier.
@@ -306,12 +308,15 @@ def _polish_heading(paths, bs, alpha, x, cost, inlier_row, config):
     return best
 
 
-def _refine_landmarks(paths, inlier_indices, ue, bs, noise, skip=()):
-    # A path that fits the direct-path geometry has no identifiable bounce
-    # point (any point on the segment explains it); skip those silently.
+def _refine_landmarks(paths, inlier_indices, ue, bs, noise, t_nu):
+    # The one map rule: an inlier whose rays nearly cancel at ue
+    # (||u + v||^2 <= t_nu) fits the direct-path geometry and has no
+    # identifiable bounce point (any point on the segment explains it), so
+    # it maps no landmark. That covers the LoS candidate, whose rays cancel
+    # at its closed-form heading, and a LoS path taken as an NLoS inlier.
     out = []
     for i in inlier_indices:
-        if i in skip:
+        if _bounce(ue, paths[i], bs)[2] <= t_nu:
             continue
         try:
             out.append(landmark_refine(paths[i], ue, bs, noise, source_path=i))
@@ -329,7 +334,11 @@ def robust_solve(snapshot, hypothesis: Hypothesis,
     Under NLOS the heading is grid-searched, minimal subsets are all
     4-subsets, and the winning heading is refined past grid resolution with
     the cell's inlier set held fixed. See the module docstring for the
-    search itself.
+    search itself. Each inlier is refined into a landmark where its rays
+    leave a bounce point at the returned state, ||u + v||^2 > ``config.t_nu``.
+    The rule is geometric, not by role: it maps neither the LoS candidate,
+    whose rays cancel at its closed-form heading, nor a LoS path that the
+    NLoS branch takes as an inlier.
 
     Raises
     ------
@@ -362,8 +371,7 @@ def robust_solve(snapshot, hypothesis: Hypothesis,
     ue = UeState(x[:2].copy(), wrap_angle(alpha), float(x[2]) / _C)
     inliers = tuple(int(i) for i in np.flatnonzero(inlier_row))
     outliers = tuple(int(i) for i in np.flatnonzero(~inlier_row))
-    skip = (candidate,) if hypothesis is Hypothesis.LOS else ()
-    landmarks = _refine_landmarks(paths, inliers, ue, bs, config.noise, skip)
+    landmarks = _refine_landmarks(paths, inliers, ue, bs, config.noise, config.t_nu)
     return SlamSolution(ue=ue, landmarks=landmarks, inliers=inliers,
                         outliers=outliers, hypothesis=hypothesis, cost=cost)
 
@@ -372,7 +380,9 @@ def benchmark_solve(snapshot, noise: NoiseModel = NoiseModel()) -> SlamSolution:
     """Non-robust reference solver: all paths, NLoS model, default heading grid.
 
     No LoS handling, no outlier rejection, no feasibility gate. Every path
-    is treated as a single bounce and refined into a landmark.
+    is treated as a single bounce, and refined into a landmark where its
+    rays leave a bounce point: ||u + v||^2 above the default near-parallel
+    threshold ``geometry._T_NU`` at the returned state.
 
     Raises
     ------
@@ -388,6 +398,6 @@ def benchmark_solve(snapshot, noise: NoiseModel = NoiseModel()) -> SlamSolution:
     if n < n_min:
         raise TooFewPaths(f"benchmark needs at least {n_min} paths, got {n}")
     ue, cost = nlos_orientation_search(paths, range(n), orientation_grid(), bs)
-    landmarks = _refine_landmarks(paths, range(n), ue, bs, noise)
+    landmarks = _refine_landmarks(paths, range(n), ue, bs, noise, _T_NU)
     return SlamSolution(ue=ue, landmarks=landmarks, inliers=tuple(range(n)),
                         outliers=(), hypothesis=Hypothesis.NLOS, cost=cost)

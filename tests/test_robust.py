@@ -47,6 +47,8 @@ from snapslam.estimator import (
     _row_costs,
     _solve_packed,
 )
+from snapslam.evaluation import MODES, solve_snapshot
+from snapslam.geometry import _bounce
 from snapslam.robust import _los_candidate, _search
 import reference
 from helpers import (
@@ -223,6 +225,39 @@ def test_solver_is_deterministic():
     assert a.ue.clock_bias == b.ue.clock_bias
     assert a.cost == b.cost
     assert a.inliers == b.inliers
+
+
+def _map_cases():
+    noise = NoiseModel()
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        yield add_multibounce(random_h0_snapshot(seed, n_single=3, noise=noise), rng, 2,
+                              noise=noise)
+        yield add_multibounce(random_h1_snapshot(seed, n_single=4, noise=noise), rng, 2,
+                              noise=noise)
+    scene = read_scene(Path(__file__).resolve().parents[1] / "demos" / "room.scene")
+    yield from generate_dataset(scene, [np.array([3.0, 2.0])], SimConfig(max_bounces=2), seed=1)
+
+
+def test_no_landmark_from_an_inlier_whose_rays_nearly_cancel():
+    # one geometric map rule in every mode: a landmark's rays leave a bounce
+    # point at the returned state, ||u + v||^2 > t_nu; a LoS path taken as
+    # an NLoS inlier (every h0 builder snapshot and the room under NLOS
+    # here) is not mapped
+    t_nu = RobustConfig().t_nu
+    for snap in _map_cases():
+        for mode in MODES:
+            try:
+                sol, _ = solve_snapshot(snap, mode)
+            except NoFeasibleSolution:
+                assert mode == "robust_h0" and not snap.truth.has_los
+                continue
+            for lm in sol.landmarks:
+                assert lm.source_path in sol.inliers
+                assert _bounce(sol.ue, snap.paths[lm.source_path], snap.bs)[2] > t_nu
+            if mode == "robust_h1" and snap.truth.has_los:
+                assert snap.truth.labels[0] == "los" and 0 in sol.inliers, snap.id
+                assert 0 not in [lm.source_path for lm in sol.landmarks], snap.id
 
 
 def test_solution_cost_includes_outlier_penalty():

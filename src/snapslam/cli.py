@@ -28,10 +28,10 @@ from .dataio import (
     write_metrics_csv,
     write_sweep_csv,
 )
-from .detector import DEFAULT_T_LOS, PathLossModel
+from .detector import DEFAULT_T_LOS
 from .errors import EmptyInput, NoFeasibleSolution, SlamError
 from .evaluation import MODES, los_sensitivity_sweep, make_error_record, run_snapshot
-from .geometry import NoiseModel
+from .geometry import NoiseModel, PathLossModel
 from .robust import RobustConfig
 from .sim import SimConfig, generate_dataset
 

@@ -6,7 +6,8 @@ the estimated user position; a bounce masquerading as LoS traveled further
 and carries extra reflection loss, so its gain is inconsistent with the
 straight-line distance. The detection statistic is the Gaussian negative log
 likelihood of the candidate's dB gain under the model, compared against a
-fixed threshold.
+fixed threshold. The model, ``geometry.PathLossModel``, is the one the
+simulator draws its gains from.
 
 ``mixed_solve`` chains the LoS-hypothesis solve, the gain test, and the
 NLoS-hypothesis fallback into the full pipeline.
@@ -19,31 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, NoFeasibleSolution, TooFewPaths
-from .geometry import Pose
+from .errors import NoFeasibleSolution, TooFewPaths
+from .geometry import PathLossModel, Pose, path_loss_mean
 from .robust import (Hypothesis, RobustConfig, SlamSolution, _los_candidate, minimal_counts,
                      robust_solve)
 
 DEFAULT_T_LOS = 10.8
 """Default decision threshold on the negative log likelihood statistic."""
-
-
-@dataclass(frozen=True)
-class PathLossModel:
-    """Distance model of the LoS gain in dB.
-
-    mean(d) = l0_db + 10 * zeta * log10(d), with Gaussian scatter sigma_db.
-    """
-
-    l0_db: float = 13.0
-    zeta: float = 1.7
-    sigma_db: float = 1.8
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma_db) and self.sigma_db > 0.0):
-            raise ValueError("sigma_db must be finite and strictly positive")
-        if not (math.isfinite(self.l0_db) and math.isfinite(self.zeta)):
-            raise ValueError("l0_db and zeta must be finite")
 
 
 @dataclass(frozen=True)
@@ -58,19 +41,6 @@ class DetectionResult:
     statistic: float
     threshold: float
     candidate: int = -1
-
-
-def path_loss_mean(distance: float, model: PathLossModel = PathLossModel()) -> float:
-    """Model mean of the LoS gain in dB at a given distance (m).
-
-    Raises
-    ------
-    DegenerateGeometry
-        If ``distance`` is not strictly positive.
-    """
-    if not distance > 0.0:
-        raise DegenerateGeometry("distance must be strictly positive")
-    return model.l0_db + 10.0 * model.zeta * math.log10(distance)
 
 
 def los_test(gain_db: float, estimated_position, bs: Pose,

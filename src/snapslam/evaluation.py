@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detector import DEFAULT_T_LOS, PathLossModel, mixed_solve
+from .detector import DEFAULT_T_LOS, mixed_solve
 from .errors import (
     DegenerateGeometry,
     EmptyInput,
@@ -24,7 +24,8 @@ from .errors import (
     SlamError,
 )
 from .estimator import _whitened, landmark_refine, path_cost
-from .geometry import NoiseModel, Pose, UeState, _bounce, measurement_model, wrap_angle
+from .geometry import (NoiseModel, PathLossModel, Pose, UeState, _bounce, measurement_model,
+                       wrap_angle)
 from .robust import Hypothesis, RobustConfig, SlamSolution, benchmark_solve, robust_solve
 from .sim import GroundTruth, Snapshot
 
@@ -294,7 +295,8 @@ def los_sensitivity_sweep(snapshots: Sequence[Snapshot],
     Raises
     ------
     ValueError
-        If ``trials`` is below 1 or a grid probability lies outside [0, 1].
+        If ``trials`` is below 1, a grid probability lies outside [0, 1],
+        or an id of ``exclude_ids`` names no snapshot of ``snapshots``.
     EmptyInput
         If no snapshot is usable.
     MissingTruth
@@ -307,6 +309,10 @@ def los_sensitivity_sweep(snapshots: Sequence[Snapshot],
         raise EmptyInput("no snapshots")
     if any(not 0.0 <= p <= 1.0 for p in p_grid):
         raise ValueError("grid probabilities must lie in [0, 1]")
+    exclude = set(exclude_ids)
+    unknown = exclude.difference(snap.id for snap in snapshots)
+    if unknown:
+        raise ValueError(f"exclude_ids name no snapshot: {', '.join(sorted(unknown))}")
 
     err_los, err_nlos, los_truth, ids = [], [], [], []
     for snap in snapshots:
@@ -336,7 +342,7 @@ def los_sensitivity_sweep(snapshots: Sequence[Snapshot],
     e1 = np.array(err_nlos)
     los = np.array(los_truth)
     coins = np.random.Generator(np.random.Philox(key=seed)).random((trials, len(ids)))
-    include = np.array([sid not in set(exclude_ids) for sid in ids])
+    include = np.array([sid not in exclude for sid in ids])
 
     def curve(col_mask):
         if not col_mask.any():

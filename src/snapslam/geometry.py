@@ -160,6 +160,38 @@ class NoiseModel:
         return np.array([self.sigma_toa, self.sigma_aod, self.sigma_aoa])
 
 
+@dataclass(frozen=True)
+class PathLossModel:
+    """Distance model of the LoS gain in dB, the one the simulator draws
+    gains from and the detector tests against.
+
+    mean(d) = l0_db + 10 * zeta * log10(d), with Gaussian scatter sigma_db.
+    """
+
+    l0_db: float = 13.0
+    zeta: float = 1.7
+    sigma_db: float = 1.8
+
+    def __post_init__(self):
+        if not (math.isfinite(self.sigma_db) and self.sigma_db > 0.0):
+            raise ValueError("sigma_db must be finite and strictly positive")
+        if not (math.isfinite(self.l0_db) and math.isfinite(self.zeta)):
+            raise ValueError("l0_db and zeta must be finite")
+
+
+def path_loss_mean(distance: float, model: PathLossModel = PathLossModel()) -> float:
+    """Model mean of the LoS gain in dB at a given distance (m).
+
+    Raises
+    ------
+    DegenerateGeometry
+        If ``distance`` is not strictly positive.
+    """
+    if not distance > 0.0:
+        raise DegenerateGeometry("distance must be strictly positive")
+    return model.l0_db + 10.0 * model.zeta * math.log10(distance)
+
+
 def unit_vectors(aod: float, aoa: float, alpha_bs: float, alpha_ue: float):
     """World-frame unit vectors of the departure and arrival rays.
 

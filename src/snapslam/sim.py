@@ -19,10 +19,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .detector import PathLossModel, path_loss_mean
 from .errors import DegenerateGeometry, InvalidPosition
 from .geometry import (
     NoiseModel,
+    PathLossModel,
     PathMeasurement,
     Pose,
     UeState,
@@ -30,6 +30,7 @@ from .geometry import (
     _dot2,
     _frozen_point,
     _mirror,
+    path_loss_mean,
     wrap_angle,
 )
 
@@ -41,6 +42,9 @@ KIND_SINGLE = "single_bounce"
 KIND_DOUBLE = "double_bounce"
 KIND_TRIPLE = "triple_bounce"
 _KIND_BY_BOUNCES = {0: KIND_LOS, 1: KIND_SINGLE, 2: KIND_DOUBLE, 3: KIND_TRIPLE}
+
+
+_LABELS = ("los", "single", "multi")
 
 
 def dataset_label(kind: str) -> str:
@@ -128,6 +132,8 @@ class TruePath:
 class GroundTruth:
     """Truth attached to a snapshot: state, per-path labels, incidence points.
 
+    ``labels`` holds one of ``los``, ``single`` and ``multi`` per path, the
+    labels of ``dataset_label``; any other raises ValueError naming it.
     ``incidence`` carries the reflection point of single-bounce paths and
     ``None`` elsewhere (LoS and multi-bounce), matching the file format.
     """
@@ -135,6 +141,11 @@ class GroundTruth:
     ue: UeState
     labels: tuple
     incidence: tuple
+
+    def __post_init__(self):
+        for label in self.labels:
+            if label not in _LABELS:
+                raise ValueError(f"unknown path label {label!r}; expected one of {_LABELS}")
 
     @property
     def has_los(self) -> bool:

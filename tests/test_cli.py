@@ -299,6 +299,12 @@ def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
         assert "trials must be >= 1" in capsys.readouterr().err
     assert not curve.exists()
 
+    # an excluded id that names no snapshot is rejected before any solve
+    assert main(["sweep", "--data", str(data), "--out", str(curve),
+                 "--exclude", "lone, lnoe"]) == 2
+    assert "exclude_ids name no snapshot: lnoe" in capsys.readouterr().err
+    assert not curve.exists()
+
     # a grid with an infinite bound is rejected before the dataset is read
     assert main(["sweep", "--data", str(tmp_path / "missing.jsonl"), "--out", str(curve),
                  "--p_grid", "0:0.1:inf"]) == 2

@@ -250,3 +250,10 @@ def test_read_dataset_names_line_and_field(tmp_path):
     p.write_text(first + "\n" + second[:40] + "\n")
     with pytest.raises(ValueError, match=r"line 2: "):
         read_dataset(p)
+    # a label other than los/single/multi would silently drop a path from
+    # has_los and the classification report
+    row = json.loads(second)
+    row["truth"]["labels"][0] = "LOS"
+    p.write_text(first + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(ValueError, match=r"line 2: unknown path label 'LOS'"):
+        read_dataset(p)

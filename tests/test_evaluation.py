@@ -281,6 +281,16 @@ def test_sweep_exclusion_column():
     assert math.isnan(nan_sweep.rmse_excluding[0])
 
 
+def test_sweep_rejects_an_exclude_id_that_names_no_snapshot(monkeypatch):
+    # a typo would otherwise exclude nothing and report rmse_excluding == rmse
+    calls = []
+    monkeypatch.setattr(evaluation, "robust_solve", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="exclude_ids name no snapshot: h1_7, h1_9$"):
+        los_sensitivity_sweep(_sweep_set(), p_grid=(0.0,), trials=5,
+                              exclude_ids=("h1_9", "h1_0", "h1_7", "h1_9"))
+    assert calls == []
+
+
 def test_sweep_solves_the_los_branch_of_an_nlos_truth_snapshot_only_as_fallback(monkeypatch):
     # No coin takes the LoS branch of an NLoS-truth snapshot, so it is solved
     # only where the NLoS branch fails: h1_1 falls back to it, and h1_2,

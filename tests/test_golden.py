@@ -8,7 +8,9 @@ compares row by row: ids, failure flags, hypotheses, inlier and outlier
 sets, detection decisions and landmark source paths exactly, every float to
 a relative 1e-9. ``golden/datasets.sha256`` pins the simulated datasets
 themselves, byte for byte, so a simulator change shows apart from a solver
-change. Regenerate with
+change. The solve outputs are also written byte for byte the same under
+other OpenBLAS core types and without NumPy's AVX2 and AVX-512 loops, each
+in a subprocess. Regenerate with
 ``PYTHONPATH=src python tests/test_golden.py`` only when an output is meant
 to change, and say so in the change log.
 
@@ -32,7 +34,9 @@ import argparse
 import csv
 import hashlib
 import math
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -131,6 +135,45 @@ def test_sweep_matches_golden(dataset, tmp_path):
     assert got[0] == want[0] and len(got) == len(want)
     for i, (g, w) in enumerate(zip(got[1:], want[1:])):
         _assert_same([float(v) for v in g], [float(v) for v in w], f"sweep[{i}]")
+
+
+_MACHINE_SETTINGS = (
+    {},
+    {"OPENBLAS_CORETYPE": "Sandybridge"},
+    {"OPENBLAS_CORETYPE": "Prescott"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"},
+)
+"""Settings that make this machine run the kernels of another: OpenBLAS's
+older core types, and NumPy without its AVX2 and AVX-512 loops. NumPy
+ignores a feature name the CPU lacks, so each setting runs anywhere."""
+
+
+def test_solve_writes_the_same_bytes_under_other_blas_and_simd_kernels(tmp_path):
+    # OpenBLAS picks its kernels by CPU and NumPy its SIMD loops by CPU
+    # features; a solve writes the same bytes whichever it runs on, so the
+    # digests do not depend on them. What this cannot vary is the C
+    # library's libm, whose trig may round differently on another machine.
+    data = _simulate(2, tmp_path)
+    config = tmp_path / "empty.cfg"
+    config.write_text("")
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    runs = []
+    for k, setting in enumerate(_MACHINE_SETTINGS):
+        run = []
+        for mode in ("robust_mixed", "robust_h1", "benchmark"):
+            out = tmp_path / f"{mode}_{k}.jsonl"
+            proc = subprocess.run([sys.executable, "-m", "snapslam.cli", "solve", "--data",
+                                   str(data), "--mode", mode, "--config", str(config),
+                                   "--out", str(out)],
+                                  capture_output=True, text=True, timeout=120,
+                                  env={**env, **setting})
+            assert proc.returncode == 0, (setting, proc.stderr)
+            run.append(out.read_bytes())
+        runs.append(run)
+    for setting, run in zip(_MACHINE_SETTINGS[1:], runs[1:]):
+        assert run == runs[0], setting
 
 
 def _structure(row):

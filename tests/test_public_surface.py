@@ -2,7 +2,8 @@
 
 ``snapslam.__all__`` lists exactly what ``__init__`` imports, once each;
 every public top-level function and class has a docstring; no module
-imports a name it does not use; every private top-level definition is used
+imports a name it does not use, and the simulator imports no solver
+module; every private top-level definition is used
 by the package itself, so tests alone cannot keep a dead helper alive.
 Every parameter of every function is read, and every defaulted parameter
 of a private function is passed by some call in the package, so neither
@@ -59,6 +60,18 @@ def test_no_unused_imports(path):
     tree = _tree(path)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(_imported(tree) - used) == []
+
+
+def test_the_simulator_imports_no_solver_module():
+    # the simulator draws data, and its digests pin the datasets; it reads
+    # the shared geometry and errors only, so no solver change reaches it
+    imported = set()
+    for node in ast.walk(_tree(PACKAGE / "sim.py")):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.startswith("snapslam"))
+    assert imported == {"geometry", "errors"}
 
 
 def _private_definitions(tree):

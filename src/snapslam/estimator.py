@@ -204,8 +204,9 @@ def _build_terms(paths: Sequence[PathMeasurement], bs: Pose, alphas: np.ndarray,
                  los_index: int | None = None) -> _PathTerms:
     """Precompute per-path solver terms for every heading in ``alphas``.
 
-    ``los_index`` marks the path hypothesized as line of sight: its projector
-    is the identity (both residual components constrain the state). Paths
+    ``los_index`` marks the path hypothesized as line of sight, recorded as
+    ``const.los``: its projector is the identity (both residual components
+    constrain the state). Paths
     whose departure/arrival rays cancel exactly get the same treatment, the
     correct limit of the eliminated-bounce constraint.
     """

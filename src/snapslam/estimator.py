@@ -84,7 +84,6 @@ class _PathConstants(NamedTuple):
     reads every per-path constant from there and derives none of them again.
     """
 
-    tau: np.ndarray       # (n,)
     eta: np.ndarray       # (n,)
     aoa: np.ndarray       # (n,)
     u: np.ndarray         # (2, n, 1)
@@ -165,7 +164,7 @@ def _path_constants(paths: Sequence[PathMeasurement], bs: Pose,
     # and it keeps the kernel's squared entries in range for any gain scale
     scale = np.ldexp(eta, -np.frexp(eta.max())[1])[:, None]
     los = (np.arange(len(paths)) == los_index)[:, None]    # all False for None
-    return _PathConstants(tau, eta, aoa, u, (_C * tau)[:, None], bs.position[:, None, None],
+    return _PathConstants(eta, aoa, u, (_C * tau)[:, None], bs.position[:, None, None],
                           scale, los)
 
 
@@ -358,21 +357,6 @@ def _line_costs(lines: tuple, x: np.ndarray) -> np.ndarray:
     return q
 
 
-def _gammas(terms: _PathTerms, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Bounce fraction of every path at every cell's state, (n, K).
-
-    ``x`` is (3, K) and ``r`` is ``_residuals(terms, x)``. Paths where the
-    fraction is undefined (zero length or cancelled rays) come back
-    infinite so that range checks fail.
-    """
-    d = terms.const.ctau - x[2]
-    num = _dot2(terms.nu, r)
-    den = d * terms.nu_sq
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gam = num / den
-    return np.where(den == 0.0, np.inf, gam)
-
-
 def _outlier_penalty(eta, member, t_eps):
     """Per-path penalty summed over each cell's outliers, (K,).
 
@@ -387,25 +371,22 @@ def _feasibility_mask(terms: _PathTerms, x: np.ndarray, inlier: np.ndarray | Non
 
     ``x`` is (3, K), ``inlier`` holds the boolean (n, K) inlier masks, or is
     None when every path is an inlier of every cell, and ``r`` is
-    ``_residuals(terms, x)``. Checks, per cell: non-negative bias-corrected
-    delay of the earliest inlier j; bounce fraction of j in [0, 1] unless
-    its rays nearly cancel (near-LoS geometry); bounce fraction of every
-    other inlier in [0, 1]. Whether a cell has enough inliers is the
-    search's stage-1 test (``robust._search``), not this one.
+    ``_residuals(terms, x)``. One rule per path, judged by its own geometry:
+    a cell is feasible if and only if every inlier has a non-negative
+    bias-corrected path length d = c tau - x[2], and a bounce fraction in
+    [0, 1] unless its rays nearly cancel (||u + v||^2 <= ``t_nu``, near-LoS
+    geometry, no identifiable bounce point). No rule reads a path's rank in
+    delay. The fraction nu . r / (d ||u + v||^2) is infinite or NaN, so out
+    of range, where d or ||u + v|| is zero. Whether a cell has enough
+    inliers is the search's stage-1 test (``robust._search``), not this one.
     """
-    if inlier is None:                  # one earliest path for every cell
-        j, cells = int(np.argmin(terms.const.tau)), slice(None)
-    else:
-        j = np.argmin(np.where(inlier, terms.const.tau[:, None], np.inf), axis=0)
-        cells = np.arange(inlier.shape[1])
-    delay_ok = terms.const.ctau[j, 0] - x[2] >= 0.0
-    gam = _gammas(terms, x, r)
-    in_range = (gam >= 0.0) & (gam <= 1.0)
-    j_ok = in_range[j, cells] | (terms.nu_sq[j, cells] <= t_nu)
-    in_range[j, cells] = True
+    d = terms.const.ctau - x[2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gam = _dot2(terms.nu, r) / (d * terms.nu_sq)
+    ok = (d >= 0.0) & (((gam >= 0.0) & (gam <= 1.0)) | (terms.nu_sq <= t_nu))
     if inlier is not None:
-        in_range |= ~inlier
-    return delay_ok & j_ok & np.all(in_range, axis=0)
+        ok |= ~inlier
+    return np.all(ok, axis=0)
 
 
 def _row_costs(terms: _PathTerms, x: np.ndarray, ok: np.ndarray, member: np.ndarray | None,
@@ -476,12 +457,12 @@ def _frozen_set(paths, bs: Pose, member_row: np.ndarray, gate: tuple | None = No
     share. Only the members' terms are built, and the non-members' penalty
     is added once. A scan has the bits of ``_cell_costs`` over every path
     with the non-members weighted 0: such a path adds an exact zero to each
-    path-order sum, the earliest inlier of the feasibility gate is a
-    member, and the power-of-two weight scale of ``_build_terms`` (set by
-    the largest member gain here) cancels exactly in the solve and the
-    condition estimate, while the costs weigh by the
-    unscaled gains. That holds while no non-member's squared residual
-    overflows and no member's scaled weight is subnormal.
+    path-order sum and is not judged by the feasibility gate, and the
+    power-of-two weight scale of ``_build_terms`` (set by the largest
+    member gain here) cancels exactly in the solve and the condition
+    estimate, while the costs weigh by the unscaled gains. That holds while
+    no non-member's squared residual overflows and no member's scaled
+    weight is subnormal.
     """
     members = _path_constants([paths[i] for i in np.flatnonzero(member_row)], bs)
     penalty = 0.0

@@ -115,9 +115,9 @@ class RobustConfig:
 
     t_eps : inlier threshold on the per-path squared projected residual, m^2;
         also the per-path penalty charged for each excluded path.
-    t_nu : near-parallel threshold on ||u + v||^2 at the state: at or
-        under it the bounce fraction of the earliest inlier is not
-        range-checked, and an inlier is refined into no landmark.
+    t_nu : near-parallel threshold on ||u + v||^2 at the state: an inlier
+        at or under it has no identifiable bounce point, so its bounce
+        fraction is not range-checked and it is refined into no landmark.
     noise : measurement noise model used for landmark refinement.
 
     Under the NLoS hypothesis the heading is searched on ``orientation_grid()``.

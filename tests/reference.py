@@ -308,16 +308,14 @@ def gammas(terms, x, r):
 
 
 def feasibility_mask(terms, x, inlier, t_nu, r):
-    """Feasibility of each row's (state, inlier set), (..., M)."""
-    j = np.argmin(np.where(inlier, terms.tau, np.inf), axis=-1)
-    delay_ok = _C * terms.tau[j] - x[..., 2] >= 0.0
+    """Feasibility of each row's (state, inlier set), (..., M): every
+    inlier has a non-negative bias-corrected path length c tau - x[2], and
+    a bounce fraction in [0, 1] unless its rays nearly cancel
+    (||u + v||^2 <= t_nu)."""
+    d = _C * terms.tau - x[..., 2, None]
     gam = gammas(terms, x, r)
     in_range = (gam >= 0.0) & (gam <= 1.0)
-    j_cols = np.arange(inlier.shape[-1]) == j[..., None]
-    j_in_range = (in_range & j_cols).any(axis=-1)
-    j_near_los = ((terms.nu_sq <= t_nu) & j_cols).any(axis=-1)
-    others_ok = np.all(in_range | ~inlier | j_cols, axis=-1)
-    return delay_ok & (j_in_range | j_near_los) & others_ok
+    return np.all((d >= 0.0) & (in_range | (terms.nu_sq <= t_nu)) | ~inlier, axis=-1)
 
 
 def path_order_sum(parts):

@@ -31,7 +31,6 @@ from snapslam.estimator import (
     _costs,
     _feasibility_mask,
     _frozen_set,
-    _gammas,
     _heading_costs,
     _ldl_solve,
     _line_costs,
@@ -84,7 +83,8 @@ def test_planar_terms_match_interleaved(scene):
     paths, bs, alphas, los = _inputs(scene)
     got = _build_terms(paths, bs, alphas, los)
     want = reference.build_terms(paths, bs, alphas, los)
-    assert _same(got.const.tau, want.tau) and _same(got.const.eta, want.eta)
+    assert _same(got.const.ctau[:, 0], SPEED_OF_LIGHT * want.tau)
+    assert _same(got.const.eta, want.eta)
     assert _same(got.nu_sq.T, want.nu_sq)
     for name in ("v", "nu", "nubar", "mu", "normal"):
         assert _same(_interleaved(getattr(got, name)), getattr(want, name)), name
@@ -146,7 +146,6 @@ def test_planar_cost_kernels_match_interleaved(scene, data):
         assert _same(_interleaved(r), want_r)
         assert _same(_costs(planar, x.T).T, reference.costs(inter, x))
         assert _same(_costs(planar, x.T, r).T, reference.costs(inter, x, want_r))
-        assert _same(_gammas(planar, x.T, r).T, reference.gammas(inter, x, want_r))
         got = _feasibility_mask(planar, x.T, member.T, 0.1, r)
         want = reference.feasibility_mask(inter, x, member, 0.1, want_r)
     assert np.array_equal(got, want)
@@ -291,7 +290,7 @@ def test_line_costs_decide_as_costs(scene, data):
         want = _costs(spread, x)                                            # (n, L, M)
         got = _line_costs(_line_terms(terms), x)
         size = (np.abs(x).sum(axis=0) + np.abs(terms.mu).sum(axis=0)[:, None]
-                + (np.abs(bs.position).sum() + SPEED_OF_LIGHT * terms.const.tau)[:, None, None])
+                + (np.abs(bs.position).sum() + terms.const.ctau)[:, None])
     if cancel or los is not None:
         assert _same(got, want)
         return
@@ -344,8 +343,8 @@ def _all_path_scan(paths, bs, alphas, member_row, gate):
 def _member_only_cases():
     """(paths, bs, member_row, probes) with non-members that change the
     terms of a member-only scan: the largest gain, so the power-of-two
-    weight scale, and the earliest delay, so the first path of the
-    feasibility gate."""
+    weight scale, and the earliest delay, which the feasibility gate must
+    not read for a non-member."""
     noise = NoiseModel()
     for seed in range(3):
         snap = random_h1_snapshot(70 + seed, n_single=6, noise=noise)
@@ -447,7 +446,7 @@ def test_polish_scans_two_rounds_per_kernel_call(monkeypatch):
 @pytest.mark.parametrize("gate", [None, (0.1, 0.1), (0.1, 1e6)])
 def test_every_member_kernel_matches_an_all_true_mask(gate):
     # member=None skips the mask products, the in-kernel penalty and the
-    # per-cell search for the earliest inlier; the bits stay those of a
+    # gate's mask of non-members; the bits stay those of a
     # broadcast all-True mask, over every path (the earliest is path 4, the
     # largest gain path 1) and over the members alone
     for paths, bs, member_row, probes in _member_only_cases():

@@ -42,8 +42,10 @@ from snapslam.estimator import (
     _build_terms,
     _condition_ok,
     _costs,
+    _feasibility_mask,
     _ldl_solve,
     _outlier_penalty,
+    _residuals,
     _row_costs,
     _solve_packed,
 )
@@ -192,6 +194,56 @@ def test_feasibility_check_gamma_range():
                for p in snap.paths]
     ungated, gated = _costs_at(t.ue, flipped, snap.bs)
     assert np.isfinite(ungated) and gated == np.inf
+
+
+def test_feasibility_exempts_any_inlier_whose_rays_nearly_cancel():
+    # Anchor at the origin, user at (10, 0.5) with heading 0 and no clock
+    # bias. Path 0 is the earliest, a single bounce off (5, 3). Path 1
+    # arrives later, its rays nearly cancel and its bounce fraction is out
+    # of range: it has no identifiable bounce point, so the gate does not
+    # range-check it, whichever path arrives first.
+    bs = Pose(np.zeros(2), 0.0)
+    x = np.array([[10.0], [0.5], [0.0]])
+    lm = np.array([5.0, 3.0])
+    to_user = lm - x[:2, 0]
+    bounce = PathMeasurement((math.hypot(*lm) + math.hypot(*to_user)) / SPEED_OF_LIGHT,
+                             math.atan2(lm[1], lm[0]), math.atan2(to_user[1], to_user[0]),
+                             1.0)
+    near_los = PathMeasurement(12.0 / SPEED_OF_LIGHT, 0.01, math.pi, 1.0)
+    ue = UeState(x[:2, 0], 0.0, 0.0)
+    (*_, s0, d0, gam0), (*_, s1, d1, gam1) = (_bounce(ue, p, bs) for p in (bounce, near_los))
+    t_nu = RobustConfig().t_nu
+    assert bounce.toa < near_los.toa and d0 > 0.0 and d1 > 0.0
+    assert 0.0 <= gam0 <= 1.0 and s0 > t_nu
+    assert gam1 > 1.0 and s1 <= t_nu
+    terms = _build_terms([bounce, near_los], bs, np.array([0.0]))
+    r = _residuals(terms, x)
+    both = np.ones((2, 1), dtype=bool)
+    assert _feasibility_mask(terms, x, both, t_nu, r).tolist() == [True]
+    assert _feasibility_mask(terms, x, None, t_nu, r).tolist() == [True]
+    # under a threshold the later path's rays do not meet, its fraction counts
+    tight = s1 / 2.0
+    assert _feasibility_mask(terms, x, both, tight, r).tolist() == [False]
+
+
+def test_nlos_keeps_a_los_path_that_a_close_bounce_arrives_ahead_of():
+    # A single bounce 0.3 m from the user, on the anchor's side, arrives
+    # 0.21 m after the direct path; with the LoS delay 1 ns late the bounce
+    # is the earliest path. The LoS path's rays nearly cancel, so the gate
+    # does not range-check its bounce fraction, and both stay inliers.
+    rng = np.random.default_rng(2)
+    bs, ue = random_state(rng)
+    others = random_landmarks(rng, 4, bs, ue)
+    e = (ue.position - bs.position) / math.hypot(*(ue.position - bs.position))
+    near = ue.position + 0.3 * (-0.3 * e + math.sqrt(0.91) * np.array([-e[1], e[0]]))
+    snap = build_snapshot("close", bs, ue, [near] + others)
+    los = snap.paths[0]
+    paths = (PathMeasurement(los.toa + 1e-9, los.aod, los.aoa, los.gain),) + snap.paths[1:]
+    late = Snapshot(id="late", bs=bs, paths=paths, truth=snap.truth)
+    assert snap.truth.labels[:2] == ("los", "single")
+    assert _los_candidate(paths) == 1
+    sol = robust_solve(late, Hypothesis.NLOS)
+    assert {0, 1} <= set(sol.inliers)
 
 
 def test_benchmark_treats_everything_as_inlier():

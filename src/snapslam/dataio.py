@@ -266,8 +266,11 @@ def write_positions(positions, path) -> None:
 
 
 def read_config(path) -> dict[str, str]:
-    """``key = value`` pairs; values stay strings for the caller to type."""
-    out: dict[str, str] = {}
+    """``key = value`` pairs; values stay strings for the caller to type.
+
+    A key set twice is an error naming both lines.
+    """
+    seen: dict[str, tuple[int, str]] = {}
     for lineno, line in _numbered_lines(path, comments=True):
         key, sep, value = line.partition("=")
         if not sep:
@@ -275,5 +278,7 @@ def read_config(path) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not key or not value:
             raise ValueError(f"line {lineno}: expected 'key = value'")
-        out[key] = value
-    return out
+        if key in seen:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}, first on line {seen[key][0]}")
+        seen[key] = (lineno, value)
+    return {key: value for key, (_, value) in seen.items()}

@@ -272,6 +272,14 @@ class SweepResult:
     trials: int
 
 
+_MAX_COINS = 2 ** 24
+"""Most coins, trials times snapshots, that ``los_sensitivity_sweep`` draws:
+128 MB of doubles, and each grid point builds three arrays of that many
+cells on top. Checked before any snapshot is solved, so an oversized
+``trials`` fails at once rather than in a ``MemoryError`` after every
+solve."""
+
+
 def los_sensitivity_sweep(snapshots: Sequence[Snapshot],
                           config: RobustConfig = RobustConfig(),
                           p_grid=(0.0, 0.25, 0.5, 0.75, 1.0),
@@ -295,8 +303,9 @@ def los_sensitivity_sweep(snapshots: Sequence[Snapshot],
     Raises
     ------
     ValueError
-        If ``trials`` is below 1, a grid probability lies outside [0, 1],
-        or an id of ``exclude_ids`` names no snapshot of ``snapshots``.
+        If ``trials`` is below 1 or times the snapshot count exceeds
+        ``_MAX_COINS``, a grid probability lies outside [0, 1], or an
+        id of ``exclude_ids`` names no snapshot of ``snapshots``.
     EmptyInput
         If no snapshot is usable.
     MissingTruth
@@ -307,6 +316,8 @@ def los_sensitivity_sweep(snapshots: Sequence[Snapshot],
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not snapshots:
         raise EmptyInput("no snapshots")
+    if trials * len(snapshots) > _MAX_COINS:
+        raise ValueError(f"{trials} trials x {len(snapshots)} snapshots > {_MAX_COINS} coins")
     if any(not 0.0 <= p <= 1.0 for p in p_grid):
         raise ValueError("grid probabilities must lie in [0, 1]")
     exclude = set(exclude_ids)

@@ -304,6 +304,11 @@ class SimConfig:
     ``noise=None`` produces noiseless measurements. ``gain_sigma_db=None``
     uses the gain model's own scatter. The clock bias is drawn uniformly
     from ``bias_range`` seconds per snapshot.
+
+    Raises ValueError unless ``bias_range`` is two finite numbers lo <= hi
+    a finite distance apart (the uniform draw needs hi - lo finite),
+    ``per_bounce_extra_db`` is finite and ``gain_sigma_db`` is None or
+    finite and non-negative.
     """
 
     max_bounces: int = 3
@@ -312,6 +317,15 @@ class SimConfig:
     per_bounce_extra_db: float = 6.0
     gain_sigma_db: Optional[float] = None
     bias_range: tuple = (-100e-9, 100e-9)
+
+    def __post_init__(self):
+        lo, hi = self.bias_range
+        if not (lo <= hi and math.isfinite(hi - lo)):
+            raise ValueError(f"bias_range must be two finite numbers lo <= hi, got {lo}, {hi}")
+        if not math.isfinite(self.per_bounce_extra_db):
+            raise ValueError(f"per_bounce_extra_db must be finite, got {self.per_bounce_extra_db}")
+        if self.gain_sigma_db is not None and not 0.0 <= self.gain_sigma_db < math.inf:
+            raise ValueError("gain_sigma_db must be None or finite and >= 0")
 
 
 def _on_any_wall(p, walls) -> bool:

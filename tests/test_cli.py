@@ -319,6 +319,28 @@ def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
         capsys.readouterr().err)
     assert not curve.exists()
 
+    # a coin matrix past the sweep's bound is rejected before any solve
+    assert main(["sweep", "--data", str(data), "--out", str(curve), "--trials", "20000000"]) == 2
+    assert "20000000 trials x 1 snapshots > 16777216 coins" in capsys.readouterr().err
+    assert not curve.exists()
+
+    # simulation settings the generator cannot draw from
+    scene = tmp_path / "room.scene"
+    scene.write_text("bs = [0, 0, 0]\nwall = [[-5, 5], [5, 5]]\n")
+    for flag, value, message in (
+            ("--bias_range_ns", "[-inf, 0]", "bias_range must be two finite numbers lo <= hi"),
+            ("--per_bounce_extra_db", "nan", "per_bounce_extra_db must be finite")):
+        assert main(["simulate", "--scene", str(scene), "--positions", str(pos),
+                     "--out", str(tmp_path / "d.jsonl"), flag, value]) == 2
+        assert message in capsys.readouterr().err, flag
+    assert not (tmp_path / "d.jsonl").exists()
+
+    # a config file that sets a key twice
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("t_eps = 0.2\nt_eps = 0.3\n")
+    assert main(["solve", "--data", str(data), "--out", str(sols), "--config", str(twice)]) == 2
+    assert "line 2: duplicate key 't_eps', first on line 1" in capsys.readouterr().err
+
     # a threshold the gate cannot use is rejected before any snapshot is solved
     out = tmp_path / "rejected.jsonl"
     for flag in ("--t_eps", "--t_nu"):

@@ -236,6 +236,10 @@ def test_config_file(tmp_path):
     p.write_text("t_eps =\n")
     with pytest.raises(ValueError, match="line 1"):
         read_config(p)
+    # a repeated key would otherwise let the last value win silently
+    p.write_text("t_eps = 0.2\n# again\ntrials = 5\nt_eps = 3\n")
+    with pytest.raises(ValueError, match="line 4: duplicate key 't_eps', first on line 1$"):
+        read_config(p)
 
 
 def test_read_dataset_names_line_and_field(tmp_path):

@@ -291,6 +291,19 @@ def test_sweep_rejects_an_exclude_id_that_names_no_snapshot(monkeypatch):
     assert calls == []
 
 
+def test_sweep_bounds_its_coin_matrix_before_any_solve(monkeypatch):
+    # the trials x snapshots coins would take 128 MB and more: refused up
+    # front, with no snapshot solved and no coin drawn
+    calls = []
+    monkeypatch.setattr(evaluation, "robust_solve", lambda *args: calls.append(args))
+    snaps = _sweep_set()
+    limit = evaluation._MAX_COINS
+    trials = limit // len(snaps) + 1
+    with pytest.raises(ValueError, match=f"^{trials} trials x 4 snapshots > {limit} coins$"):
+        los_sensitivity_sweep(snaps, p_grid=(0.0,), trials=trials)
+    assert calls == []
+
+
 def test_sweep_solves_the_los_branch_of_an_nlos_truth_snapshot_only_as_fallback(monkeypatch):
     # No coin takes the LoS branch of an NLoS-truth snapshot, so it is solved
     # only where the NLoS branch fails: h1_1 falls back to it, and h1_2,

@@ -294,6 +294,22 @@ def test_generate_dataset_rejects_bad_positions():
                          SimConfig(max_bounces=0), seed=0)
 
 
+def test_sim_config_validates_its_fields():
+    # each would fail late otherwise: an infinite or overflowing bias range
+    # in the uniform draw, a NaN bounce loss as a non-finite path gain
+    for bias_range in ((-math.inf, 0.0), (0.0, math.nan), (1e-9, -1e-9), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="bias_range must be two finite numbers lo <= hi"):
+            SimConfig(bias_range=bias_range)
+    with pytest.raises(ValueError, match="per_bounce_extra_db must be finite"):
+        SimConfig(per_bounce_extra_db=math.nan)
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="gain_sigma_db must be None or finite and >= 0"):
+            SimConfig(gain_sigma_db=sigma)
+    fixed = SimConfig(bias_range=(5e-9, 5e-9), gain_sigma_db=0.0)
+    snaps = generate_dataset(square_scene(), [[1.0, 1.0]], fixed, seed=0)
+    assert snaps[0].truth.ue.clock_bias == canonical_seconds(5e-9)
+
+
 def test_generate_dataset_blocked_los_label():
     blocker = Wall([1.0, -1.0], [1.0, 1.0], loss_db=3.0)
     scene = Scene(walls=(*square_scene().walls, blocker),

@@ -148,11 +148,26 @@ older core types, and NumPy without its AVX2 and AVX-512 loops. NumPy
 ignores a feature name the CPU lacks, so each setting runs anywhere."""
 
 
+_SOLVE_MODES = """
+import sys
+from snapslam.cli import main
+data, config, *pairs = sys.argv[1:]
+for mode, out in zip(pairs[::2], pairs[1::2]):
+    if main(["solve", "--data", data, "--mode", mode, "--config", config, "--out", out]):
+        sys.exit(f"solve --mode {mode} failed")
+"""
+"""``snapslam solve`` in several modes in one interpreter: ``python -c``
+with the dataset, the config file, then a mode and its output path for
+each solve."""
+
+
 def test_solve_writes_the_same_bytes_under_other_blas_and_simd_kernels(tmp_path):
     # OpenBLAS picks its kernels by CPU and NumPy its SIMD loops by CPU
     # features; a solve writes the same bytes whichever it runs on, so the
     # digests do not depend on them. What this cannot vary is the C
     # library's libm, whose trig may round differently on another machine.
+    # Both libraries choose their kernels when they load, so each setting
+    # takes one interpreter, which solves in every mode.
     data = _simulate(2, tmp_path)
     config = tmp_path / "empty.cfg"
     config.write_text("")
@@ -161,17 +176,14 @@ def test_solve_writes_the_same_bytes_under_other_blas_and_simd_kernels(tmp_path)
     env["PYTHONPATH"] = str(ROOT / "src")
     runs = []
     for k, setting in enumerate(_MACHINE_SETTINGS):
-        run = []
-        for mode in ("robust_mixed", "robust_h1", "benchmark"):
-            out = tmp_path / f"{mode}_{k}.jsonl"
-            proc = subprocess.run([sys.executable, "-m", "snapslam.cli", "solve", "--data",
-                                   str(data), "--mode", mode, "--config", str(config),
-                                   "--out", str(out)],
-                                  capture_output=True, text=True, timeout=120,
-                                  env={**env, **setting})
-            assert proc.returncode == 0, (setting, proc.stderr)
-            run.append(out.read_bytes())
-        runs.append(run)
+        outs = {mode: tmp_path / f"{mode}_{k}.jsonl"
+                for mode in ("robust_mixed", "robust_h1", "benchmark")}
+        pairs = [str(item) for mode_out in outs.items() for item in mode_out]
+        proc = subprocess.run([sys.executable, "-c", _SOLVE_MODES, str(data), str(config),
+                               *pairs], capture_output=True, text=True, timeout=360,
+                              env={**env, **setting})
+        assert proc.returncode == 0, (setting, proc.stderr)
+        runs.append([out.read_bytes() for out in outs.values()])
     for setting, run in zip(_MACHINE_SETTINGS[1:], runs[1:]):
         assert run == runs[0], setting
 

@@ -96,8 +96,8 @@ def _parse_pair(text: str) -> tuple:
     if len(parts) != 2:
         raise ValueError(f"expected 'lo, hi', got {text!r}")
     lo, hi = float(parts[0]), float(parts[1])
-    if not lo < hi:
-        raise ValueError(f"range must satisfy lo < hi, got {text!r}")
+    if not lo <= hi:
+        raise ValueError(f"range must satisfy lo <= hi, got {text!r}")
     return (lo, hi)
 
 

@@ -117,8 +117,7 @@ class _PathTerms(NamedTuple):
 
     ``const`` holds the paths' ``_PathConstants``. Every field after it is
     a per-heading plane with the heading on its last axis, so one
-    expression gathers or spreads all of them (``_take_rows``,
-    ``_line_terms``).
+    expression gathers all of them (``_take_rows``).
     """
 
     const: _PathConstants
@@ -305,8 +304,8 @@ def _costs(terms: _PathTerms, x: np.ndarray, r: np.ndarray | None = None) -> np.
     return pr[0] + pr[1]
 
 
-def _line_terms(terms: _PathTerms):
-    """Terms of ``_line_costs``, built once per search.
+def _line_terms(terms: _PathTerms) -> np.ndarray:
+    """The (n, 1, M) planes c_q of ``_line_costs``, built once per search.
 
     A bounce path's projector is P = I - nubar nubar^T = q q^T, with q
     nubar turned by 90 degrees, (-nubar_1, nubar_0). So its squared
@@ -315,43 +314,30 @@ def _line_terms(terms: _PathTerms):
     c_q (x2 - c tau) is linear in the state, with c_q = -q . v fixed per
     (path, heading); c tau and the anchor p_bs are read from ``terms.const``.
     Shifting the state that way holds one plane per search, where adding
-    -q . mu would hold a second one through stage 2.
-
-    Returns (spread, c_q): ``terms`` with every plane spread over the
-    subset axis of a chunk's (subset, heading) cells, an axis inserted
-    before the heading axis, and c_q as (n, 1, M) planes. A path whose
-    projector is the identity has no such form: both residual components
-    count. That is the LoS candidate, ``const.los``, and any (path, heading)
-    whose rays cancel exactly, as ``_heading_terms`` marks them. When the
-    terms have one, c_q is None and ``_line_costs`` costs every path by
-    ``_costs``: the LoS branch searches one heading in one chunk, too few
-    cells to repay the plane c_q.
+    -q . mu would hold a second one through stage 2. A path whose projector
+    is the identity (the LoS candidate, or rays that cancel exactly) has
+    nubar = 0, so q = 0 and c_q = 0: its linear form reads 0.
     """
-    spread = _PathTerms(terms.const, *(plane[..., None, :] for plane in terms[1:]))
-    if terms.const.los.any() or not terms.nu_sq.all():
-        return spread, None
     cq = terms.nubar[::-1] * terms.v              # (nubar_1 v0, nubar_0 v1)
-    cq = cq[0] - cq[1]
-    return spread, cq[:, None]
+    return (cq[0] - cq[1])[:, None]
 
 
-def _line_costs(lines: tuple, x: np.ndarray) -> np.ndarray:
-    """Stage-1 cost of every path at states x (3, L, M), (n, L, M): the
-    squared projected residual of ``_costs``, up to rounding.
+def _line_costs(terms: _PathTerms, cq: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Stage-1 statistic of every path at states x (3, L, M), (n, L, M):
+    its linear form q . r, squared, with c_q from ``_line_terms(terms)``.
 
-    ``lines`` is ``_line_terms`` of the search's terms. Each path's cost is
-    its linear form q . r, squared, or, when the terms have an
-    identity-projector path, ``_costs`` itself.
+    It equals the squared projected residual of ``_costs`` up to rounding
+    for a bounce path. An identity-projector path has q = 0, so its
+    statistic is 0 at any finite state and it passes stage 1; stage 2
+    costs both of its residual components.
     """
-    spread, cq = lines
+    nubar, const = terms.nubar[:, :, None], terms.const
     with np.errstate(invalid="ignore", over="ignore"):
-        if cq is None:
-            return _costs(spread, x)
-        q = x[2] - spread.const.ctau[:, None]       # (n, 1, 1) against (L, M)
+        q = x[2] - const.ctau[:, None]              # (n, 1, 1) against (L, M)
         q *= cq
-        part = spread.nubar[0] * (x[1] - spread.const.anchor[1])
+        part = nubar[0] * (x[1] - const.anchor[1])
         q += part
-        np.multiply(spread.nubar[1], x[0] - spread.const.anchor[0], out=part)
+        np.multiply(nubar[1], x[0] - const.anchor[0], out=part)
         q -= part
         q *= q
     return q

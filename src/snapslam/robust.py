@@ -16,12 +16,12 @@ CACM 1981). Stage 1 takes whole subsets in chunks of at most
 cell's 3x3 minimal-subset system elementwise by LDL^T on path-major planes
 (see ``estimator._PathTerms``) and partitions the paths into inliers and
 outliers at that state. The partition compares ``estimator._line_costs``
-with the threshold: one scalar residual per bounce path, linear in the
-state with coefficients fixed per (path, heading). It equals
-``estimator._costs`` up to rounding; a search with an identity-projector
-path (the LoS branch, whose candidate needs both residual components)
-partitions by ``_costs`` itself, and stage 2 and every reported cost use
-``_costs``. Stage 1 alone applies the count rule: a cell with
+with the threshold: one scalar residual per path, linear in the state with
+coefficients fixed per (path, heading). For a bounce path it equals
+``estimator._costs`` up to rounding. An identity-projector path (the LoS
+candidate, or rays that cancel exactly) reads 0 and passes; stage 2 and
+every reported cost use ``_costs``, which counts both of its residual
+components. Stage 1 alone applies the count rule: a cell with
 fewer inliers than a minimal subset has paths cannot win. Nor can one whose
 outlier penalty alone exceeds the best gated cost so far; the others wait,
 across chunks, until they fill a block. Stage 2 runs once per flush of
@@ -80,10 +80,10 @@ mask, the rest for each cell's minimal-subset system and LDL^T solve,
 shared by its n paths. Of that, a cell that survives stage 1 keeps its
 six A entries and pivots d1, d2 (64 bytes) until the flush that gates
 them (``_evaluate_block``); the rest is not held through stage 2.
-``estimator._line_terms`` holds 8 bytes per path and heading for the
-whole search. A row and path of stage 2 takes ~160 (gathered terms and
-system, residuals, costs and gate), so a stage-2 block holds an eighth as
-many. A chunk holds one subset at least, M headings by n paths, so the
+The c_q planes of ``estimator._line_terms`` hold 8 bytes per path and
+heading for the whole search. A row and path of stage 2 takes ~160
+(gathered terms and system, residuals, costs and gate), so a stage-2 block
+holds an eighth as many. A chunk holds one subset at least, M headings by n paths, so the
 search's working memory on top of its per-path terms stays under 80 bytes
 times max(``_CHUNK_ROW_PATHS``, M n), however many cells survive: whole
 searches on builder snapshots of 5 to 13 paths took 45-75 at t_eps 0.1
@@ -196,7 +196,7 @@ def _search(paths, bs, alphas, combos, los_index, config):
     ``_CHUNK_ROW_PATHS`` cells times paths (one subset at least). The
     minimal-subset stage solves every cell of a chunk and partitions the
     paths into inliers and outliers at that state by ``_line_costs``, whose
-    terms ``_line_terms`` builds once per search. Only the cells that can
+    c_q planes ``_line_terms`` builds once per search. Only the cells that can
     still win go on: those with at least as many inliers as a subset has
     paths (the one place this count is tested) whose outlier penalty is not
     above the best gated cost so far (a gated cost is never below its
@@ -209,7 +209,7 @@ def _search(paths, bs, alphas, combos, los_index, config):
     their order.
     """
     terms = _build_terms(paths, bs, alphas, los_index)
-    lines = _line_terms(terms)
+    cq = _line_terms(terms)
     n, m = terms.nu_sq.shape
     slots = np.asarray(combos).T                        # (subset size, L)
     gate = (config.t_nu, config.t_eps)
@@ -223,7 +223,7 @@ def _search(paths, bs, alphas, combos, los_index, config):
         for path in chunk[1:]:
             s += terms.normal[:, path]
         x, d1, d2 = _ldl_solve(s)
-        inlier = _line_costs(lines, x) <= config.t_eps      # (n, L, M)
+        inlier = _line_costs(terms, cq, x) <= config.t_eps      # (n, L, M)
         l, h = np.nonzero(inlier.sum(axis=0) >= len(slots))
         member = inlier[:, l, h]                        # (n, K)
         if best is not None:

@@ -171,10 +171,12 @@ class Snapshot:
                 raise ValueError("truth arrays must align with paths")
 
 
-def _crossing_params(p, q, a, b):
-    """Parameters (t, u) of the crossing of segments p->q and a->b, or None.
+def _interior_crossing(p, q, a, b):
+    """Parameter u along a->b where segment p->q crosses it, or None.
 
-    t is along p->q, u along a->b; parallel segments return None.
+    The crossing counts only inside both segments: its parameters t along
+    p->q and u along a->b must both lie in (_EPS, 1 - _EPS). Parallel
+    segments never cross.
     """
     r = (q[0] - p[0], q[1] - p[1])
     s = (b[0] - a[0], b[1] - a[1])
@@ -184,17 +186,15 @@ def _crossing_params(p, q, a, b):
     w = (a[0] - p[0], a[1] - p[1])
     t = (w[0] * s[1] - w[1] * s[0]) / denom
     u = (w[0] * r[1] - w[1] * r[0]) / denom
-    return t, u
+    if _EPS < t < 1.0 - _EPS and _EPS < u < 1.0 - _EPS:
+        return u
+    return None
 
 
 def _blocked(p, q, walls) -> bool:
     """True if the open segment p->q crosses any wall's interior."""
     for w in walls:
-        tu = _crossing_params(p, q, w.a, w.b)
-        if tu is None:
-            continue
-        t, u = tu
-        if _EPS < t < 1.0 - _EPS and _EPS < u < 1.0 - _EPS:
+        if _interior_crossing(p, q, w.a, w.b) is not None:
             return True
     return False
 
@@ -212,11 +212,8 @@ def _unfold(scene: Scene, seq: tuple[int, ...], ue: UeState):
     chain = [scene.bs.position, *[None] * len(seq), ue.position]
     for j in range(len(seq), 0, -1):
         w = walls[seq[j - 1]]
-        tu = _crossing_params(images[j], chain[j + 1], w.a, w.b)
-        if tu is None:
-            return None
-        t, u = tu
-        if not (_EPS < t < 1.0 - _EPS and _EPS < u < 1.0 - _EPS):
+        u = _interior_crossing(images[j], chain[j + 1], w.a, w.b)
+        if u is None:
             return None
         chain[j] = w.a + u * (w.b - w.a)
     for leg_a, leg_b in zip(chain[:-1], chain[1:]):

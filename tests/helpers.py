@@ -21,6 +21,10 @@ from snapslam import (
 
 GAIN_MODEL = PathLossModel()
 
+# A bounce whose rays cancel exactly, ||u + v||^2 == 0, when the anchor and
+# the user both face heading 0: (aod, aoa), found by a search over floats.
+CANCEL = (2.5934197786078093, -0.548172874981984)
+
 
 def gain_for(length_m, excess_db=0.0, model=GAIN_MODEL):
     """Linear gain on the detector's fit, ``excess_db`` below it."""

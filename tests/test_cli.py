@@ -79,6 +79,8 @@ def test_run_config_layering(tmp_path, monkeypatch):
     bad.write_text("bias_range_ns = [5, 1]\n")
     with pytest.raises(ValueError, match="bias_range_ns"):
         build_run_config(bad, {})
+    cfg.write_text("bias_range_ns = [5, 5]\n")
+    assert build_run_config(cfg, {}).bias_range_ns == (5.0, 5.0)
 
 
 def _field_text(value):
@@ -148,13 +150,15 @@ def scene_files(tmp_path):
 def test_cli_simulate_solve_sweep(tmp_path, scene_files, capsys):
     scene, pos = scene_files
     data = tmp_path / "data.jsonl"
+    # a range with lo == hi fixes the clock bias, as SimConfig allows
     code = main(["simulate", "--scene", str(scene), "--positions", str(pos),
                  "--out", str(data), "--noiseless", "--max_bounces", "2",
-                 "--seed", "7"])
+                 "--seed", "7", "--bias_range_ns", "[5, 5]"])
     assert code == 0
     assert "wrote 3 snapshots" in capsys.readouterr().out
     snaps = read_dataset(data)
     assert len(snaps) == 3 and snaps[0].truth is not None
+    assert all(s.truth.ue.clock_bias == 5e-9 for s in snaps)
 
     sols = tmp_path / "sols.jsonl"
     metrics = tmp_path / "metrics.csv"

@@ -9,11 +9,17 @@ Every parameter of every function is read, and every defaulted parameter
 of a private function is passed by some call in the package, so neither
 an unread argument nor a default no caller overrides survives. No module
 computes a matrix or vector product through BLAS, or a length through
-NumPy's hypot. No linter is a dependency, so the checks read the source
-with ``ast``.
+NumPy's hypot. Every double-backquoted reference to a package name in a
+docstring or comment resolves. No linter is a dependency, so the checks
+read the source with ``ast`` and ``tokenize``.
 """
 
 import ast
+import functools
+import importlib
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -205,3 +211,33 @@ def test_no_linalg():
                         and any(alias.name == "linalg" for alias in node.names))):
                 found.append(f"{path.stem}:{node.lineno} import")
     assert found == []
+
+
+_REFERENCE = re.compile(r"``(\w+(?:\.\w+)*)(?:\(\))?``")
+
+
+def test_no_stale_references():
+    # A ``module.name`` reference resolves by getattr from that package
+    # module, and a bare private ``_name`` is a top-level name of some
+    # package module; other references (parameters, NumPy names) are not
+    # checked
+    modules = {path.stem: importlib.import_module(f"snapslam.{path.stem}")
+               for path in MODULES if path.stem != "__init__"}
+    missing = object()
+    stale = []
+    for path in MODULES:
+        for token in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+            if token.type not in (tokenize.STRING, tokenize.COMMENT):
+                continue
+            for ref in _REFERENCE.findall(token.string):
+                head, *rest = ref.split(".")
+                if head in modules and rest:
+                    found = functools.reduce(lambda obj, name: getattr(obj, name, missing),
+                                             rest, modules[head]) is not missing
+                elif head.startswith("_") and not head.startswith("__") and not rest:
+                    found = any(hasattr(module, head) for module in modules.values())
+                else:
+                    continue
+                if not found:
+                    stale.append(f"{path.stem}:{token.start[0]} {ref}")
+    assert stale == []

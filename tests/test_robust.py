@@ -54,6 +54,7 @@ from snapslam.geometry import _bounce
 from snapslam.robust import _los_candidate, _search
 import reference
 from helpers import (
+    CANCEL,
     add_multibounce,
     build_snapshot,
     expected_inliers,
@@ -435,17 +436,21 @@ def _reference_search(paths, bs, alphas, combos, los_index, config):
     """One subset at a time over every heading, every cell kept, one argmin.
 
     A cell with fewer inliers than a subset has paths costs +inf, as stage 1 of
-    ``_search`` rules it out before the gate. Every system is summed path by
-    path in ascending order, the inlier systems over every path weighted by
-    its inlier mask, as ``_search`` sums them, so every cell's arithmetic is
-    the same and the result must match to the bit; no cell is pruned.
+    ``_search`` rules it out before the gate. Stage 1 partitions by the
+    projected residual, read as 0 on an identity-projector row, so such a
+    path is an inlier of every cell at its heading. Every system is summed
+    path by path in ascending order, the inlier systems over every path
+    weighted by its inlier mask, as ``_search`` sums them, so every cell's
+    arithmetic is the same and the result must match to the bit; no cell
+    is pruned.
     """
     terms = _build_terms(paths, bs, alphas, los_index)
     costs, states, masks = [], [], []
     for combo in combos:
         x0, ok0 = _solve_packed(functools.reduce(operator.add,
                                                  (terms.normal[:, i] for i in combo)))
-        inlier = (_costs(terms, x0) <= config.t_eps) & ok0          # (n, M)
+        stage_1 = np.where(terms.nubar.any(axis=0), _costs(terms, x0), 0.0)
+        inlier = (stage_1 <= config.t_eps) & ok0                    # (n, M)
         x1, ok1 = _solve_packed(functools.reduce(
             operator.add, (inlier[i] * terms.normal[:, i] for i in range(len(paths)))))
         cost = estimator._row_costs(terms, x1, ok0 & ok1, inlier, (config.t_nu, config.t_eps))
@@ -562,6 +567,32 @@ def test_pruned_search_keeps_cells_whose_penalty_ties_the_best(case, t_eps, monk
     monkeypatch.setattr(estimator, "_row_costs", penalty_only)
     args = _search_inputs(*list(_search_cases())[case], RobustConfig(t_eps=t_eps))
     want = _reference_search(*args)
+    for budget in (1, robust._CHUNK_ROW_PATHS, 10 ** 9):
+        monkeypatch.setattr(robust, "_CHUNK_ROW_PATHS", budget)
+        assert _same_cell(_search(*args), want)
+
+
+@pytest.mark.parametrize("t_eps", [1e-9, RobustConfig().t_eps])
+def test_search_passes_a_bounce_whose_rays_cancel_at_a_grid_heading(t_eps, monkeypatch):
+    # Four noiseless single bounces seen at user heading 0.0, grid index 180,
+    # from an anchor facing heading 0, plus a bounce with the CANCEL angles:
+    # its rays cancel exactly at that heading, so its projector is the
+    # identity there and stage 1 passes it in every cell of that heading,
+    # while stage 2 costs both of its residual components.
+    rng = np.random.default_rng(0)
+    bs, ue = random_state(rng)
+    bs, ue = Pose(bs.position, 0.0), UeState(ue.position, 0.0, ue.clock_bias)
+    snap = build_snapshot("cancel", bs, ue, random_landmarks(rng, 4, bs, ue), with_los=False)
+    paths = snap.paths + (PathMeasurement(5e-8, *CANCEL, 0.5),)
+    args = _search_inputs(Snapshot(id="cancel", bs=bs, paths=paths), Hypothesis.NLOS,
+                          RobustConfig(t_eps=t_eps))
+    assert orientation_grid()[180] == 0.0
+    assert _build_terms(*args[:3]).nu_sq[-1, 180] == 0.0
+    want = _reference_search(*args)
+    if t_eps == 1e-9:
+        # only the four exact bounces and the cancelling path pass: the
+        # winner is at heading 180, with the cancelling path an inlier
+        assert want[1] == 180 and want[4].all()
     for budget in (1, robust._CHUNK_ROW_PATHS, 10 ** 9):
         monkeypatch.setattr(robust, "_CHUNK_ROW_PATHS", budget)
         assert _same_cell(_search(*args), want)

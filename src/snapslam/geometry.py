@@ -58,13 +58,14 @@ def _as_point(p) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (2,):
         raise ValueError(f"expected a 2-D point, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # two scalar checks: a NumPy reduction over two elements costs more
+    if not (math.isfinite(arr[0]) and math.isfinite(arr[1])):
         raise ValueError("point coordinates must be finite")
     return arr
 
 
 def _frozen_point(p) -> np.ndarray:
-    arr = _as_point(p).copy()
+    arr = _as_point(np.array(p, dtype=float))
     arr.setflags(write=False)
     return arr
 
@@ -248,7 +249,8 @@ def _chain_measurement(ue: UeState, bs: Pose, chain) -> tuple[float, float, floa
     """(length, toa, aod, aoa) of an anchor-to-user chain of validated points.
 
     ``chain`` runs from ``bs.position`` through the reflection points to
-    ``ue.position``. The length is the left-to-right sum of the legs from 0.0.
+    ``ue.position``, each point an (x, y) pair of Python floats. The length
+    is the left-to-right sum of the legs from 0.0.
 
     Raises
     ------
@@ -256,16 +258,16 @@ def _chain_measurement(ue: UeState, bs: Pose, chain) -> tuple[float, float, floa
         If any two consecutive chain points coincide.
     """
     length = 0.0
-    for a, b in zip(chain[:-1], chain[1:]):
-        seg = math.hypot(b[0] - a[0], b[1] - a[1])
+    for (ax, ay), (bx, by) in zip(chain[:-1], chain[1:]):
+        seg = math.hypot(bx - ax, by - ay)
         if seg == 0.0:
             raise DegenerateGeometry("coincident consecutive points on path")
         length += seg
-    first = chain[1] - chain[0]
-    last = chain[-2] - chain[-1]
+    (x0, y0), (x1, y1) = chain[0], chain[1]
+    (xu, yu), (xl, yl) = chain[-1], chain[-2]
     toa = length / SPEED_OF_LIGHT + ue.clock_bias
-    aod = wrap_angle(math.atan2(first[1], first[0]) - bs.orientation)
-    aoa = wrap_angle(math.atan2(last[1], last[0]) - ue.orientation)
+    aod = wrap_angle(math.atan2(y1 - y0, x1 - x0) - bs.orientation)
+    aoa = wrap_angle(math.atan2(yl - yu, xl - xu) - ue.orientation)
     return length, toa, aod, aoa
 
 
@@ -281,7 +283,8 @@ def polyline_measurement(ue: UeState, bs: Pose, points) -> tuple[float, float, f
     DegenerateGeometry
         If any two consecutive chain points coincide.
     """
-    chain = [bs.position, *[_as_point(p) for p in points], ue.position]
+    chain = [bs.position.tolist(), *[_as_point(p).tolist() for p in points],
+             ue.position.tolist()]
     return _chain_measurement(ue, bs, chain)[1:]
 
 
@@ -329,20 +332,20 @@ def mirror_point(p, wall) -> np.ndarray:
     b = _as_point(wall[1])
     if _dot2(b - a, b - a) == 0.0:
         raise DegenerateGeometry("zero-length wall")
-    return _mirror(p, a, b)
+    return np.array(_mirror(p.tolist(), a.tolist(), b.tolist()))
 
 
-def _mirror(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``mirror_point`` on validated points, with ``a != b``.
+def _mirror(p, a, b) -> tuple[float, float]:
+    """``mirror_point`` on (x, y) pairs of Python floats, with ``a != b``.
 
     The image is 2 (a + t d) - p for d = b - a and t = (p - a) . d / d . d,
-    worked in Python floats: on 2-vectors a NumPy call costs more than the
-    arithmetic it does, and the floats round the same way.
+    rounded as NumPy rounds it on 2-vectors; on pairs a NumPy call costs
+    more than the arithmetic it does.
     """
-    (px, py), (ax, ay), (bx, by) = p.tolist(), a.tolist(), b.tolist()
+    (px, py), (ax, ay), (bx, by) = p, a, b
     d = (bx - ax, by - ay)
     t = _dot2((px - ax, py - ay), d) / _dot2(d, d)
-    return np.array([2.0 * (ax + t * d[0]) - px, 2.0 * (ay + t * d[1]) - py])
+    return 2.0 * (ax + t * d[0]) - px, 2.0 * (ay + t * d[1]) - py
 
 
 def bounce_fraction(ue: UeState, path: PathMeasurement, bs: Pose, t_nu: float = _T_NU) -> float:

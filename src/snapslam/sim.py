@@ -8,13 +8,18 @@ points fall strictly inside their walls and whose legs are not blocked by
 other walls. The direct path is the empty wall sequence, traced, tested and
 measured like every other. Gains follow the same distance model the
 detector tests against, so simulated data is self-consistent end to end.
+
+The tracer works on (x, y) pairs of Python floats: each call converts the
+walls, the anchor and the user once, and only the stored reflection points
+become arrays. Python floats round as NumPy does, and on 2-vectors a NumPy
+call costs more than the arithmetic it does.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +31,7 @@ from .geometry import (
     PathMeasurement,
     Pose,
     UeState,
+    _as_point,
     _chain_measurement,
     _dot2,
     _frozen_point,
@@ -171,6 +177,18 @@ class Snapshot:
                 raise ValueError("truth arrays must align with paths")
 
 
+def _check_max_bounces(max_bounces) -> None:
+    """The one depth rule: an int, not a bool, from 0 to 3."""
+    if (isinstance(max_bounces, bool) or not isinstance(max_bounces, int)
+            or not 0 <= max_bounces <= 3):
+        raise ValueError(f"max_bounces must be an int between 0 and 3, got {max_bounces!r}")
+
+
+def _wall_pairs(walls) -> tuple:
+    """Each wall's endpoints as ((ax, ay), (bx, by)) in Python floats."""
+    return tuple((tuple(w.a.tolist()), tuple(w.b.tolist())) for w in walls)
+
+
 def _interior_crossing(p, q, a, b):
     """Parameter u along a->b where segment p->q crosses it, or None.
 
@@ -178,14 +196,15 @@ def _interior_crossing(p, q, a, b):
     p->q and u along a->b must both lie in (_EPS, 1 - _EPS). Parallel
     segments never cross.
     """
-    r = (q[0] - p[0], q[1] - p[1])
-    s = (b[0] - a[0], b[1] - a[1])
-    denom = r[0] * s[1] - r[1] * s[0]
+    (px, py), (qx, qy), (ax, ay), (bx, by) = p, q, a, b
+    rx, ry = qx - px, qy - py
+    sx, sy = bx - ax, by - ay
+    denom = rx * sy - ry * sx
     if denom == 0.0:
         return None
-    w = (a[0] - p[0], a[1] - p[1])
-    t = (w[0] * s[1] - w[1] * s[0]) / denom
-    u = (w[0] * r[1] - w[1] * r[0]) / denom
+    wx, wy = ax - px, ay - py
+    t = (wx * sy - wy * sx) / denom
+    u = (wx * ry - wy * rx) / denom
     if _EPS < t < 1.0 - _EPS and _EPS < u < 1.0 - _EPS:
         return u
     return None
@@ -193,29 +212,32 @@ def _interior_crossing(p, q, a, b):
 
 def _blocked(p, q, walls) -> bool:
     """True if the open segment p->q crosses any wall's interior."""
-    for w in walls:
-        if _interior_crossing(p, q, w.a, w.b) is not None:
+    for a, b in walls:
+        if _interior_crossing(p, q, a, b) is not None:
             return True
     return False
 
 
-def _unfold(scene: Scene, seq: tuple[int, ...], ue: UeState):
+def _unfold(walls, bs, seq: tuple[int, ...], ue):
     """Anchor-to-user chain of the wall sequence via the image method, or None.
 
-    The chain is the anchor, the reflection points in order, then the user;
-    None if a point falls outside its wall's interior or a leg is blocked.
+    ``walls`` are ``_wall_pairs``; ``bs`` and ``ue`` are the anchor and user
+    positions as float pairs. The chain is the anchor, the reflection points
+    in order, then the user; None if a point falls outside its wall's
+    interior or a leg is blocked.
     """
-    walls = scene.walls
-    images = [scene.bs.position]
+    images = [bs]
     for wi in seq:
-        images.append(_mirror(images[-1], walls[wi].a, walls[wi].b))
-    chain = [scene.bs.position, *[None] * len(seq), ue.position]
+        a, b = walls[wi]
+        images.append(_mirror(images[-1], a, b))
+    chain = [bs, *[None] * len(seq), ue]
     for j in range(len(seq), 0, -1):
-        w = walls[seq[j - 1]]
-        u = _interior_crossing(images[j], chain[j + 1], w.a, w.b)
+        a, b = walls[seq[j - 1]]
+        u = _interior_crossing(images[j], chain[j + 1], a, b)
         if u is None:
             return None
-        chain[j] = w.a + u * (w.b - w.a)
+        (ax, ay), (bx, by) = a, b
+        chain[j] = (ax + u * (bx - ax), ay + u * (by - ay))
     for leg_a, leg_b in zip(chain[:-1], chain[1:]):
         if _blocked(leg_a, leg_b, walls):
             return None
@@ -230,16 +252,20 @@ def trace_paths(scene: Scene, ue: UeState, max_bounces: int = 3) -> list[TruePat
     direct (LoS) path. Each unblocked chain is measured once, for its
     length, delay and angles. Results are sorted by increasing delay
     (stable within ties).
+
+    Raises ValueError unless ``max_bounces`` is an int (not a bool) from 0
+    to 3.
     """
-    if not 0 <= max_bounces <= 3:
-        raise ValueError("max_bounces must be between 0 and 3")
+    _check_max_bounces(max_bounces)
+    walls = _wall_pairs(scene.walls)
+    bs, user = tuple(scene.bs.position.tolist()), tuple(ue.position.tolist())
     entries = []
-    wall_ids = range(len(scene.walls))
+    wall_ids = range(len(walls))
     for k in range(max_bounces + 1):
         for seq in itertools.product(wall_ids, repeat=k):
             if any(seq[i] == seq[i + 1] for i in range(k - 1)):
                 continue
-            chain = _unfold(scene, seq, ue)
+            chain = _unfold(walls, bs, seq, user)
             if chain is None:
                 continue
             length, toa, aod, aoa = _chain_measurement(ue, scene.bs, chain)
@@ -270,7 +296,8 @@ def synthesize_gains(paths: Sequence[TruePath], model: PathLossModel = PathLossM
                - per_bounce_extra_db * len(p.incidence_points))
         if rng is not None:
             gdb += scale * rng.standard_normal()
-        out.append(replace(p, gain=10.0 ** (gdb / 10.0)))
+        out.append(TruePath(p.kind, p.incidence_points, p.toa, p.aod, p.aoa,
+                            10.0 ** (gdb / 10.0), p.length_m, p.reflection_loss_db))
     return out
 
 
@@ -281,8 +308,13 @@ def corrupt(paths: Sequence[TruePath], noise: Optional[NoiseModel],
     ``noise=None`` copies the true parameters exactly and draws nothing.
     Otherwise three draws per path (toa, aod, aoa order); angles re-wrapped.
     """
+    return [PathMeasurement(*z) for z in _noisy(paths, noise, rng)]
+
+
+def _noisy(paths, noise, rng) -> list[tuple[float, float, float, float]]:
+    """(toa, aod, aoa, gain) of each path as ``corrupt`` measures it."""
     if noise is None:
-        return [PathMeasurement(p.toa, p.aod, p.aoa, p.gain) for p in paths]
+        return [(p.toa, p.aod, p.aoa, p.gain) for p in paths]
     if rng is None:
         raise ValueError("rng is required when noise is given")
     out = []
@@ -290,7 +322,7 @@ def corrupt(paths: Sequence[TruePath], noise: Optional[NoiseModel],
         toa = p.toa + noise.sigma_toa * rng.standard_normal()
         aod = wrap_angle(p.aod + noise.sigma_aod * rng.standard_normal())
         aoa = wrap_angle(p.aoa + noise.sigma_aoa * rng.standard_normal())
-        out.append(PathMeasurement(toa, aod, aoa, p.gain))
+        out.append((toa, aod, aoa, p.gain))
     return out
 
 
@@ -302,10 +334,10 @@ class SimConfig:
     uses the gain model's own scatter. The clock bias is drawn uniformly
     from ``bias_range`` seconds per snapshot.
 
-    Raises ValueError unless ``bias_range`` is two finite numbers lo <= hi
-    a finite distance apart (the uniform draw needs hi - lo finite),
-    ``per_bounce_extra_db`` is finite and ``gain_sigma_db`` is None or
-    finite and non-negative.
+    Raises ValueError unless ``max_bounces`` is an int (not a bool) from 0
+    to 3, ``bias_range`` is two finite numbers lo <= hi a finite distance
+    apart (the uniform draw needs hi - lo finite), ``per_bounce_extra_db``
+    is finite and ``gain_sigma_db`` is None or finite and non-negative.
     """
 
     max_bounces: int = 3
@@ -316,6 +348,7 @@ class SimConfig:
     bias_range: tuple = (-100e-9, 100e-9)
 
     def __post_init__(self):
+        _check_max_bounces(self.max_bounces)
         lo, hi = self.bias_range
         if not (lo <= hi and math.isfinite(hi - lo)):
             raise ValueError(f"bias_range must be two finite numbers lo <= hi, got {lo}, {hi}")
@@ -326,11 +359,12 @@ class SimConfig:
 
 
 def _on_any_wall(p, walls) -> bool:
-    for w in walls:
-        d = w.b - w.a
-        t = min(max(_dot2(p - w.a, d) / _dot2(d, d), 0.0), 1.0)
-        foot = w.a + t * d
-        if math.hypot(*(p - foot)) <= _ON_WALL_M:
+    """True if the float pair ``p`` lies within _ON_WALL_M of a ``_wall_pairs`` wall."""
+    px, py = p
+    for (ax, ay), (bx, by) in walls:
+        d = (bx - ax, by - ay)
+        t = min(max(_dot2((px - ax, py - ay), d) / _dot2(d, d), 0.0), 1.0)
+        if math.hypot(px - (ax + t * d[0]), py - (ay + t * d[1])) <= _ON_WALL_M:
             return True
     return False
 
@@ -351,15 +385,21 @@ def generate_dataset(scene: Scene, ue_positions, config: SimConfig = SimConfig()
     Raises
     ------
     InvalidPosition
-        Naming the snapshot index, if a position lies on a wall or no path
-        reaches it.
+        Naming the snapshot index, if a position lies on a wall, coincides
+        with the anchor or no path reaches it.
     """
-    positions = [np.asarray(p, dtype=float) for p in ue_positions]
+    positions = list(ue_positions)
     children = np.random.SeedSequence(seed).spawn(len(positions))
+    walls = _wall_pairs(scene.walls)
+    anchor = tuple(scene.bs.position.tolist())
     snapshots = []
-    for k, pos in enumerate(positions):
-        if _on_any_wall(pos, scene.walls):
+    for k, given in enumerate(positions):
+        pos = _as_point(given)
+        pair = tuple(pos.tolist())
+        if _on_any_wall(pair, walls):
             raise InvalidPosition(f"position {k} lies on a wall")
+        if pair == anchor:
+            raise InvalidPosition(f"position {k} coincides with the anchor")
         rng = np.random.default_rng(children[k])
         bias = canonical_seconds(rng.uniform(*config.bias_range))
         heading = wrap_angle(rng.uniform(-math.pi, math.pi))
@@ -370,8 +410,8 @@ def generate_dataset(scene: Scene, ue_positions, config: SimConfig = SimConfig()
         traced = synthesize_gains(traced, config.gain_model,
                                   config.per_bounce_extra_db, rng,
                                   config.gain_sigma_db)
-        measured = corrupt(traced, config.noise, rng)
-        measured = [replace(m, toa=canonical_seconds(m.toa)) for m in measured]
+        measured = [PathMeasurement(canonical_seconds(toa), aod, aoa, gain)
+                    for toa, aod, aoa, gain in _noisy(traced, config.noise, rng)]
         labels = tuple(dataset_label(t.kind) for t in traced)
         incidence = tuple(t.incidence_points[0] if t.kind == KIND_SINGLE else None
                           for t in traced)

@@ -5,6 +5,7 @@ same bits; the tests compare the two on seeded inputs.
 """
 
 import functools
+import itertools
 import math
 import operator
 from typing import NamedTuple
@@ -20,11 +21,14 @@ from snapslam import (
     NoFeasibleSolution,
     NoiseModel,
     SweepResult,
+    TruePath,
     measurement_model,
+    wrap_angle,
 )
 from snapslam import estimator, evaluation
 from snapslam.estimator import CONDITION_LIMIT
-from snapslam.geometry import TWO_PI
+from snapslam.geometry import TWO_PI, _dot2
+from snapslam.sim import _EPS, _KIND_BY_BOUNCES
 
 _C = SPEED_OF_LIGHT
 
@@ -405,3 +409,79 @@ def los_sensitivity_sweep(snapshots, config, p_grid, trials, seed, exclude_ids=(
 
     return SweepResult(tuple(float(p) for p in p_grid), curve(np.ones(len(ids), dtype=bool)),
                        curve(include), trials)
+
+
+def _interior_crossing(p, q, a, b):
+    """Parameter u along a->b where segment p->q crosses inside both, or None."""
+    r = (q[0] - p[0], q[1] - p[1])
+    s = (b[0] - a[0], b[1] - a[1])
+    denom = r[0] * s[1] - r[1] * s[0]
+    if denom == 0.0:
+        return None
+    w = (a[0] - p[0], a[1] - p[1])
+    t = (w[0] * s[1] - w[1] * s[0]) / denom
+    u = (w[0] * r[1] - w[1] * r[0]) / denom
+    if _EPS < t < 1.0 - _EPS and _EPS < u < 1.0 - _EPS:
+        return u
+    return None
+
+
+def _blocked(p, q, walls):
+    return any(_interior_crossing(p, q, w.a, w.b) is not None for w in walls)
+
+
+def _mirror(p, a, b):
+    d = b - a
+    return 2.0 * (a + _dot2(p - a, d) / _dot2(d, d) * d) - p
+
+
+def _unfold(scene, seq, ue):
+    walls = scene.walls
+    images = [scene.bs.position]
+    for wi in seq:
+        images.append(_mirror(images[-1], walls[wi].a, walls[wi].b))
+    chain = [scene.bs.position, *[None] * len(seq), ue.position]
+    for j in range(len(seq), 0, -1):
+        w = walls[seq[j - 1]]
+        u = _interior_crossing(images[j], chain[j + 1], w.a, w.b)
+        if u is None:
+            return None
+        chain[j] = w.a + u * (w.b - w.a)
+    for leg_a, leg_b in zip(chain[:-1], chain[1:]):
+        if _blocked(leg_a, leg_b, walls):
+            return None
+    return chain
+
+
+def _chain_measurement(ue, bs, chain):
+    length = 0.0
+    for a, b in zip(chain[:-1], chain[1:]):
+        seg = math.hypot(b[0] - a[0], b[1] - a[1])
+        if seg == 0.0:
+            raise DegenerateGeometry("coincident consecutive points on path")
+        length += seg
+    first = chain[1] - chain[0]
+    last = chain[-2] - chain[-1]
+    toa = length / SPEED_OF_LIGHT + ue.clock_bias
+    aod = wrap_angle(math.atan2(first[1], first[0]) - bs.orientation)
+    aoa = wrap_angle(math.atan2(last[1], last[0]) - ue.orientation)
+    return length, toa, aod, aoa
+
+
+def trace_paths_reference(scene, ue, max_bounces):
+    """``trace_paths`` as it was when every point was a NumPy 2-vector: the
+    walls' endpoints, images and reflection points are arrays, and each leg's
+    arithmetic runs on NumPy scalars."""
+    entries = []
+    for k in range(max_bounces + 1):
+        for seq in itertools.product(range(len(scene.walls)), repeat=k):
+            if any(seq[i] == seq[i + 1] for i in range(k - 1)):
+                continue
+            chain = _unfold(scene, seq, ue)
+            if chain is None:
+                continue
+            length, toa, aod, aoa = _chain_measurement(ue, scene.bs, chain)
+            loss = float(sum(scene.walls[wi].loss_db for wi in seq))
+            entries.append(TruePath(_KIND_BY_BOUNCES[k], tuple(chain[1:-1]), toa, aod, aoa,
+                                    length_m=length, reflection_loss_db=loss))
+    return sorted(entries, key=lambda e: e.toa)

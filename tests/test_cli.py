@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -275,6 +276,14 @@ def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--scene", str(bad_scene), "--positions",
                  str(pos), "--out", str(tmp_path / "d.jsonl")]) == 2
     capsys.readouterr()
+
+    # a receiver on the anchor is named by its index
+    room = Path(__file__).resolve().parents[1] / "demos" / "room.scene"
+    write_positions([[3.0, 2.0], [-5.0, 2.0]], pos)
+    assert main(["simulate", "--scene", str(room), "--positions", str(pos),
+                 "--out", str(tmp_path / "d.jsonl")]) == 2
+    assert "InvalidPosition: position 1 coincides with the anchor" in capsys.readouterr().err
+    assert not (tmp_path / "d.jsonl").exists()
 
     # a dataset with no snapshots is bad input to every command
     empty = tmp_path / "empty.jsonl"

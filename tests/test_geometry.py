@@ -151,7 +151,7 @@ def test_mirror_has_the_bits_of_the_numpy_formula(p, a, b, scale):
     if _dot2(d, d) == 0.0:
         return
     want = 2.0 * (a + _dot2(p - a, d) / _dot2(d, d) * d) - p
-    got = _mirror(p, a, b)
+    got = np.array(_mirror(p.tolist(), a.tolist(), b.tolist()))
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

@@ -9,9 +9,10 @@ Every parameter of every function is read, and every defaulted parameter
 of a private function is passed by some call in the package, so neither
 an unread argument nor a default no caller overrides survives. No module
 computes a matrix or vector product through BLAS, or a length through
-NumPy's hypot. Every double-backquoted reference to a package name in a
-docstring or comment resolves. No linter is a dependency, so the checks
-read the source with ``ast`` and ``tokenize``.
+NumPy's hypot, and the tracer's per-leg helpers read no NumPy name. Every
+double-backquoted reference to a package name in a docstring or comment
+resolves. No linter is a dependency, so the checks read the source with
+``ast`` and ``tokenize``.
 """
 
 import ast
@@ -190,6 +191,26 @@ def test_no_numpy_hypot():
             if (isinstance(node, ast.Attribute) and node.attr == "hypot"
                     and getattr(node.value, "id", None) in ("np", "numpy")):
                 found.append(f"{path.stem}:{node.lineno}")
+    assert found == []
+
+
+# the tracer's per-leg helpers, which work on (x, y) pairs of Python floats
+_FLOAT_HELPERS = {"sim": ("_unfold", "_blocked", "_interior_crossing", "_on_any_wall"),
+                  "geometry": ("_mirror", "_chain_measurement")}
+
+
+def test_tracer_helpers_read_no_numpy():
+    # Python floats round as NumPy does, and on a pair a NumPy call costs
+    # more than the arithmetic it does; a helper that reads np brings NumPy
+    # scalars back into every leg
+    found = []
+    for module, names in _FLOAT_HELPERS.items():
+        defs = {node.name: node for node in _tree(PACKAGE / f"{module}.py").body
+                if isinstance(node, ast.FunctionDef)}
+        assert set(names) <= set(defs)
+        found += [f"{module}.{name}:{node.lineno}" for name in names
+                  for node in ast.walk(defs[name])
+                  if isinstance(node, ast.Name) and node.id in ("np", "numpy")]
     assert found == []
 
 

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from snapslam import (
     SPEED_OF_LIGHT,
@@ -28,6 +30,9 @@ from snapslam import (
     trace_paths,
 )
 from helpers import square_scene
+from reference import trace_paths_reference
+
+ROOM = read_scene(Path(__file__).resolve().parents[1] / "demos" / "room.scene")
 
 
 def test_canonical_seconds_is_a_fixpoint():
@@ -100,11 +105,10 @@ def test_traced_lengths_match_mirror_images():
     # is polyline_measurement of its reflection points, length_m the
     # left-to-right sum of its legs, and the direct path, when present, the
     # empty polyline.
-    room = read_scene(Path(__file__).resolve().parents[1] / "demos" / "room.scene")
     # an interior wall across the room blocks the direct path behind it
     inner = square_scene(extra_walls=(Wall([0.0, -3.0], [0.0, 4.0], 1.0),))
     rng = np.random.default_rng(17)
-    for scene in (room, inner):
+    for scene in (ROOM, inner):
         blocked = 0
         ues = [UeState([3.0, -4.0], 0.0, 0.0)] + [
             UeState(rng.uniform([-7.5, -5.5], [7.5, 5.5]), rng.uniform(-3.0, 3.0),
@@ -136,6 +140,34 @@ def test_traced_lengths_match_mirror_images():
                 else:
                     blocked += 1
         assert (blocked > 0) == (scene is inner)
+
+
+# the room with two interior walls, so that `_blocked` rejects some chains
+WALLED = Scene(walls=(*ROOM.walls, Wall([0.0, -3.0], [0.0, 4.0], 1.0),
+                      Wall([-4.0, 1.0], [3.0, -2.5], 2.5)), bs=ROOM.bs)
+
+
+def _traced_fields(trace, scene, ue, max_bounces):
+    """Every traced field of every path, floats as bytes; or the error raised."""
+    try:
+        paths = trace(scene, ue, max_bounces)
+    except DegenerateGeometry as exc:
+        return str(exc)
+    return [(p.kind, [q.tobytes() for q in p.incidence_points],
+             np.array([p.toa, p.aod, p.aoa, p.length_m, p.reflection_loss_db]).tobytes())
+            for p in paths]
+
+
+@settings(max_examples=150, deadline=None)
+@given(scene=st.sampled_from([ROOM, WALLED]), x=st.floats(-9.0, 9.0), y=st.floats(-7.0, 7.0),
+       heading=st.floats(-3.2, 3.2), bias=st.floats(-1e-7, 1e-7))
+@example(scene=WALLED, x=3.0, y=2.0, heading=0.0, bias=0.0)    # direct path blocked
+@example(scene=ROOM, x=-5.0, y=2.0, heading=0.0, bias=0.0)     # on the anchor: both raise
+def test_trace_paths_has_the_bits_of_the_numpy_tracer(scene, x, y, heading, bias):
+    ue = UeState([x, y], heading, bias)
+    for max_bounces in range(4):
+        assert (_traced_fields(trace_paths, scene, ue, max_bounces)
+                == _traced_fields(trace_paths_reference, scene, ue, max_bounces))
 
 
 def test_traced_single_bounces_close_the_measurement_model():
@@ -292,6 +324,9 @@ def test_generate_dataset_rejects_bad_positions():
     with pytest.raises(InvalidPosition, match="position 0"):
         generate_dataset(open_scene, [[5.0, 0.0]],
                          SimConfig(max_bounces=0), seed=0)
+    # the direct path there would have zero length
+    with pytest.raises(InvalidPosition, match="^position 1 coincides with the anchor$"):
+        generate_dataset(ROOM, [[3, 2], [-5, 2]])
 
 
 def test_sim_config_validates_its_fields():
@@ -305,6 +340,13 @@ def test_sim_config_validates_its_fields():
     for sigma in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="gain_sigma_db must be None or finite and >= 0"):
             SimConfig(gain_sigma_db=sigma)
+    # the tracer's own depth rule, checked before any trace: 2.5 and 2.0
+    # would fail in itertools.product, and True would mean 1
+    for max_bounces in (5, -1, 2.5, 2.0, True):
+        with pytest.raises(ValueError, match="max_bounces must be an int between 0 and 3"):
+            SimConfig(max_bounces=max_bounces)
+        with pytest.raises(ValueError, match="max_bounces must be an int between 0 and 3"):
+            trace_paths(ROOM, UeState([1.0, 1.0]), max_bounces)
     fixed = SimConfig(bias_range=(5e-9, 5e-9), gain_sigma_db=0.0)
     snaps = generate_dataset(square_scene(), [[1.0, 1.0]], fixed, seed=0)
     assert snaps[0].truth.ue.clock_bias == canonical_seconds(5e-9)

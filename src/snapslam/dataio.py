@@ -30,6 +30,32 @@ def _point(x) -> list:
     return [float(x[0]), float(x[1])]
 
 
+def _is_number(value) -> bool:
+    """The readers' one number rule: an int or a float, not a bool, of
+    magnitude at most ``sys.float_info.max``.
+
+    False for NaN and infinities; compares a huge integer without converting
+    it, which would raise OverflowError.
+    """
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _number(value, field: str) -> float:
+    """``value`` as a float if ``_is_number``; else ValueError naming ``field``."""
+    if _is_number(value):
+        return float(value)
+    raise ValueError(f"could not convert {field} to a finite number: {value!r}")
+
+
+def _pair(value, field: str) -> list:
+    """``value`` as [x, y] floats if it is a list or tuple of two numbers
+    under ``_is_number``; else ValueError naming ``field``."""
+    if (type(value) in (list, tuple) and len(value) == 2
+            and _is_number(value[0]) and _is_number(value[1])):
+        return [float(value[0]), float(value[1])]
+    raise ValueError(f"{field} must be an [x, y] pair of finite numbers, got {value!r}")
+
+
 def snapshot_to_dict(snapshot: Snapshot) -> dict:
     """Plain-python dict form of a snapshot (the JSONL row layout)."""
     paths = [{"toa_ns": float(m.toa * NS), "aod_rad": float(m.aod),
@@ -53,21 +79,41 @@ def snapshot_to_dict(snapshot: Snapshot) -> dict:
     return row
 
 
+_PATH_FIELDS = ("toa_ns", "aod_rad", "aoa_rad", "gain")
+
+
+def _measurement(p: dict) -> PathMeasurement:
+    """A dataset row's path as a PathMeasurement; every field under ``_number``."""
+    toa, aod, aoa, gain = p["toa_ns"], p["aod_rad"], p["aoa_rad"], p["gain"]
+    # four finite floats in one test, the row as write_dataset writes it; the
+    # sum can overflow only where every field passes
+    if not (type(toa) is type(aod) is type(aoa) is type(gain) is float
+            and math.isfinite(toa + aod + aoa + gain)):
+        toa, aod, aoa, gain = (_number(v, name) for v, name
+                               in zip((toa, aod, aoa, gain), _PATH_FIELDS))
+    return PathMeasurement(canonical_seconds(toa / NS), aod, aoa, gain)
+
+
 def snapshot_from_dict(row: dict) -> Snapshot:
-    """Inverse of :func:`snapshot_to_dict`; times are re-canonicalized."""
-    bs = Pose(position=row["bs"]["pos"], orientation=float(row["bs"]["ori"]))
-    paths = tuple(PathMeasurement(toa=canonical_seconds(float(p["toa_ns"]) / NS),
-                                  aod=float(p["aod_rad"]), aoa=float(p["aoa_rad"]),
-                                  gain=float(p["gain"]))
-                  for p in row["paths"])
+    """Inverse of :func:`snapshot_to_dict`; times are re-canonicalized.
+
+    Every number must pass ``_is_number``, and every point be an [x, y]
+    pair of them; otherwise ValueError names the field.
+    """
+    bs = Pose(position=_pair(row["bs"]["pos"], "bs.pos"),
+              orientation=_number(row["bs"]["ori"], "bs.ori"))
+    paths = tuple(_measurement(p) for p in row["paths"])
     truth_row = row.get("truth")
     truth = None
     if truth_row is not None:
-        ue = UeState(position=truth_row["ue"]["pos"],
-                     orientation=float(truth_row["ue"]["ori"]),
-                     clock_bias=canonical_seconds(float(truth_row["ue"]["bias_ns"]) / NS))
+        ue_row = truth_row["ue"]
+        ue = UeState(position=_pair(ue_row["pos"], "truth.ue.pos"),
+                     orientation=_number(ue_row["ori"], "truth.ue.ori"),
+                     clock_bias=canonical_seconds(_number(ue_row["bias_ns"],
+                                                          "truth.ue.bias_ns") / NS))
         truth = GroundTruth(ue=ue, labels=tuple(truth_row["labels"]),
-                            incidence=tuple(None if p is None else np.array(p, dtype=float)
+                            incidence=tuple(None if p is None
+                                            else np.array(_pair(p, "truth.incidence"))
                                             for p in truth_row["incidence"]))
     return Snapshot(id=str(row["id"]), bs=bs, paths=paths, truth=truth)
 
@@ -202,9 +248,9 @@ def read_scene(path) -> Scene:
             if not (isinstance(parsed, (list, tuple)) and len(parsed) == 3):
                 raise ValueError(f"line {lineno}: bs needs [x, y, orientation]")
             try:
-                bs = Pose(position=(float(parsed[0]), float(parsed[1])),
-                          orientation=float(parsed[2]))
-            except (ValueError, TypeError) as exc:
+                bs = Pose(position=(_number(parsed[0], "x"), _number(parsed[1], "y")),
+                          orientation=_number(parsed[2], "orientation"))
+            except ValueError as exc:
                 raise ValueError(f"line {lineno}: bs: {exc}") from None
         else:
             k = len(walls)
@@ -217,9 +263,11 @@ def read_scene(path) -> Scene:
                     and isinstance(b, (list, tuple)) and len(b) == 2):
                 raise ValueError(f"line {lineno}: wall {k} endpoints must be pairs")
             try:
-                loss = float(parsed[2]) if len(parsed) == 3 else 0.0
-                walls.append(Wall(a=a, b=b, loss_db=loss))
-            except (ValueError, TypeError) as exc:
+                x1, y1, x2, y2 = (_number(v, name) for v, name in
+                                  zip((*a, *b), ("x1", "y1", "x2", "y2")))
+                loss = _number(parsed[2], "loss_db") if len(parsed) == 3 else 0.0
+                walls.append(Wall(a=(x1, y1), b=(x2, y2), loss_db=loss))
+            except ValueError as exc:
                 raise ValueError(f"line {lineno}: wall {k}: {exc}") from None
     if bs is None:
         raise ValueError("scene file has no 'bs = [x, y, orientation]' line")
@@ -247,9 +295,7 @@ def read_positions(path) -> list[np.ndarray]:
             raise ValueError(f"line {lineno}: {exc}") from None
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ValueError(f"line {lineno}: expected [x, y]")
-        # false for NaN; compares a huge JSON integer without converting it
-        if not all(type(c) in (int, float) and abs(c) <= sys.float_info.max
-                   for c in pair):
+        if not (_is_number(pair[0]) and _is_number(pair[1])):
             raise ValueError(f"line {lineno}: coordinates must be finite numbers, "
                              f"got {pair!r}")
         out.append(np.array(pair, dtype=float))

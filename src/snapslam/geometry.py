@@ -127,9 +127,12 @@ class PathMeasurement:
     gain: float = 1.0
 
     def __post_init__(self):
-        for name in ("toa", "aod", "aoa", "gain"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        # the sum is finite if every field is, unless it overflows: the loop
+        # runs only to name a non-finite field
+        if not math.isfinite(self.toa + self.aod + self.aoa + self.gain):
+            for name in ("toa", "aod", "aoa", "gain"):
+                if not math.isfinite(getattr(self, name)):
+                    raise ValueError(f"{name} must be finite")
         if self.gain <= 0.0:
             raise ValueError("gain must be strictly positive")
         object.__setattr__(self, "toa", float(self.toa))

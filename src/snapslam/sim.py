@@ -9,15 +9,19 @@ other walls. The direct path is the empty wall sequence, traced, tested and
 measured like every other. Gains follow the same distance model the
 detector tests against, so simulated data is self-consistent end to end.
 
-The tracer works on (x, y) pairs of Python floats: each call converts the
-walls, the anchor and the user once, and only the stored reflection points
-become arrays. Python floats round as NumPy does, and on 2-vectors a NumPy
-call costs more than the arithmetic it does.
+The tracer works on (x, y) pairs of Python floats, and only the stored
+reflection points become arrays. Python floats round as NumPy does, and on
+2-vectors a NumPy call costs more than the arithmetic it does. What depends
+on the scene alone, the image tree (every wall sequence with the anchor's
+images across it), is built once per scene and depth and kept on the
+``Scene``; each receiver then costs only its own unfold, blocking tests and
+measurement. Each snapshot draws its gain scatter in one call and its noise
+in another, from the same stream and in the same order as one scalar draw
+per value.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -106,6 +110,9 @@ class Scene:
 
     walls: tuple
     bs: Pose
+    # {max_bounces: _image_tree}; per instance, since equal coordinates can
+    # have different images (-0.0 == 0.0, yet a zero's sign can carry over)
+    _trees: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         walls = tuple(self.walls)
@@ -218,19 +225,41 @@ def _blocked(p, q, walls) -> bool:
     return False
 
 
-def _unfold(walls, bs, seq: tuple[int, ...], ue):
+def _image_tree(scene: Scene, max_bounces: int):
+    """The scene's ``_wall_pairs`` and its branches at depth ``max_bounces``.
+
+    A branch is (wall sequence, kind, total wall loss, images): every
+    ordered sequence of 0 to ``max_bounces`` walls without immediate
+    repeats, in ``itertools.product`` order by length, with the anchor
+    followed by its image across each prefix of the sequence. Built once
+    per scene and depth, and kept on the scene.
+    """
+    tree = scene._trees.get(max_bounces)
+    if tree is None:
+        walls = _wall_pairs(scene.walls)
+        level = [((), (tuple(scene.bs.position.tolist()),))]
+        branches = []
+        for k in range(max_bounces + 1):
+            if k:
+                level = [(seq + (wi,), images + (_mirror(images[-1], *walls[wi]),))
+                         for seq, images in level for wi in range(len(walls))
+                         if not seq or seq[-1] != wi]
+            branches += [(seq, _KIND_BY_BOUNCES[k],
+                          float(sum(scene.walls[wi].loss_db for wi in seq)), images)
+                         for seq, images in level]
+        tree = scene._trees[max_bounces] = (walls, tuple(branches))
+    return tree
+
+
+def _unfold(walls, seq: tuple[int, ...], images, ue):
     """Anchor-to-user chain of the wall sequence via the image method, or None.
 
-    ``walls`` are ``_wall_pairs``; ``bs`` and ``ue`` are the anchor and user
-    positions as float pairs. The chain is the anchor, the reflection points
-    in order, then the user; None if a point falls outside its wall's
-    interior or a leg is blocked.
+    ``walls`` are ``_wall_pairs``; ``images`` are the anchor and its images
+    across each prefix of ``seq``, and ``ue`` is the user, all float pairs.
+    The chain is the anchor, the reflection points in order, then the user;
+    None if a point falls outside its wall's interior or a leg is blocked.
     """
-    images = [bs]
-    for wi in seq:
-        a, b = walls[wi]
-        images.append(_mirror(images[-1], a, b))
-    chain = [bs, *[None] * len(seq), ue]
+    chain = [images[0], *[None] * len(seq), ue]
     for j in range(len(seq), 0, -1):
         a, b = walls[seq[j - 1]]
         u = _interior_crossing(images[j], chain[j + 1], a, b)
@@ -249,31 +278,26 @@ def trace_paths(scene: Scene, ue: UeState, max_bounces: int = 3) -> list[TruePat
 
     Enumerates every ordered wall sequence of 0 to ``max_bounces``
     reflections without immediate wall repeats; the empty sequence is the
-    direct (LoS) path. Each unblocked chain is measured once, for its
-    length, delay and angles. Results are sorted by increasing delay
-    (stable within ties).
+    direct (LoS) path. The sequences and the anchor's images across them
+    depend on the scene alone, and are built on the first call for a scene
+    and depth. Each call unfolds them back from the user, and measures each
+    unblocked chain once, for its length, delay and angles. Results are
+    sorted by increasing delay (stable within ties).
 
     Raises ValueError unless ``max_bounces`` is an int (not a bool) from 0
     to 3.
     """
     _check_max_bounces(max_bounces)
-    walls = _wall_pairs(scene.walls)
-    bs, user = tuple(scene.bs.position.tolist()), tuple(ue.position.tolist())
+    walls, branches = _image_tree(scene, max_bounces)
+    user = tuple(ue.position.tolist())
     entries = []
-    wall_ids = range(len(walls))
-    for k in range(max_bounces + 1):
-        for seq in itertools.product(wall_ids, repeat=k):
-            if any(seq[i] == seq[i + 1] for i in range(k - 1)):
-                continue
-            chain = _unfold(walls, bs, seq, user)
-            if chain is None:
-                continue
-            length, toa, aod, aoa = _chain_measurement(ue, scene.bs, chain)
-            loss = float(sum(scene.walls[wi].loss_db for wi in seq))
-            entries.append(TruePath(_KIND_BY_BOUNCES[k],
-                                    tuple(_frozen_point(pt) for pt in chain[1:-1]),
-                                    toa, aod, aoa, length_m=length,
-                                    reflection_loss_db=loss))
+    for seq, kind, loss, images in branches:
+        chain = _unfold(walls, seq, images, user)
+        if chain is None:
+            continue
+        length, toa, aod, aoa = _chain_measurement(ue, scene.bs, chain)
+        entries.append(TruePath(kind, tuple(_frozen_point(pt) for pt in chain[1:-1]),
+                                toa, aod, aoa, length_m=length, reflection_loss_db=loss))
     return sorted(entries, key=lambda e: e.toa)
 
 
@@ -288,17 +312,35 @@ def synthesize_gains(paths: Sequence[TruePath], model: PathLossModel = PathLossM
     The scatter scale is ``sigma_db`` if given, else the model's; no scatter
     is drawn when ``rng`` is None (one draw per path otherwise, in path
     order).
+
+    Raises ValueError unless ``per_bounce_extra_db`` is finite and
+    ``sigma_db`` is None or finite and non-negative.
     """
-    scale = model.sigma_db if sigma_db is None else float(sigma_db)
-    out = []
-    for p in paths:
-        gdb = (path_loss_mean(p.length_m, model) - p.reflection_loss_db
-               - per_bounce_extra_db * len(p.incidence_points))
-        if rng is not None:
-            gdb += scale * rng.standard_normal()
-        out.append(TruePath(p.kind, p.incidence_points, p.toa, p.aod, p.aoa,
-                            10.0 ** (gdb / 10.0), p.length_m, p.reflection_loss_db))
-    return out
+    _check_gain_rule(per_bounce_extra_db, sigma_db, "sigma_db")
+    gains = _gains(paths, model, per_bounce_extra_db, rng, sigma_db)
+    return [TruePath(p.kind, p.incidence_points, p.toa, p.aod, p.aoa, gain,
+                     p.length_m, p.reflection_loss_db) for p, gain in zip(paths, gains)]
+
+
+def _check_gain_rule(per_bounce_extra_db, sigma_db, sigma_name: str) -> None:
+    """The one gain-parameter rule: a finite bounce loss and a scatter scale
+    that is None or finite and non-negative. ``sigma_name`` names the scale
+    in the message."""
+    if not math.isfinite(per_bounce_extra_db):
+        raise ValueError(f"per_bounce_extra_db must be finite, got {per_bounce_extra_db}")
+    if sigma_db is not None and not 0.0 <= sigma_db < math.inf:
+        raise ValueError(f"{sigma_name} must be None or finite and >= 0")
+
+
+def _gains(paths, model, per_bounce_extra_db, rng, sigma_db) -> list[float]:
+    """Linear gain of each path as ``synthesize_gains`` assigns it."""
+    gains_db = [path_loss_mean(p.length_m, model) - p.reflection_loss_db
+                - per_bounce_extra_db * len(p.incidence_points) for p in paths]
+    if rng is not None:
+        scale = model.sigma_db if sigma_db is None else float(sigma_db)
+        gains_db = [g + scale * z
+                    for g, z in zip(gains_db, rng.standard_normal(len(gains_db)).tolist())]
+    return [10.0 ** (g / 10.0) for g in gains_db]
 
 
 def corrupt(paths: Sequence[TruePath], noise: Optional[NoiseModel],
@@ -308,22 +350,23 @@ def corrupt(paths: Sequence[TruePath], noise: Optional[NoiseModel],
     ``noise=None`` copies the true parameters exactly and draws nothing.
     Otherwise three draws per path (toa, aod, aoa order); angles re-wrapped.
     """
-    return [PathMeasurement(*z) for z in _noisy(paths, noise, rng)]
+    return [PathMeasurement(toa, aod, aoa, p.gain)
+            for (toa, aod, aoa), p in zip(_noisy(paths, noise, rng), paths)]
 
 
-def _noisy(paths, noise, rng) -> list[tuple[float, float, float, float]]:
-    """(toa, aod, aoa, gain) of each path as ``corrupt`` measures it."""
+def _noisy(paths, noise, rng) -> list[tuple[float, float, float]]:
+    """(toa, aod, aoa) of each path as ``corrupt`` measures it.
+
+    The noise is one (paths, 3) draw, which fills row by row from the same
+    stream as one scalar draw per component in (toa, aod, aoa) order.
+    """
     if noise is None:
-        return [(p.toa, p.aod, p.aoa, p.gain) for p in paths]
+        return [(p.toa, p.aod, p.aoa) for p in paths]
     if rng is None:
         raise ValueError("rng is required when noise is given")
-    out = []
-    for p in paths:
-        toa = p.toa + noise.sigma_toa * rng.standard_normal()
-        aod = wrap_angle(p.aod + noise.sigma_aod * rng.standard_normal())
-        aoa = wrap_angle(p.aoa + noise.sigma_aoa * rng.standard_normal())
-        out.append((toa, aod, aoa, p.gain))
-    return out
+    z = rng.standard_normal((len(paths), 3)).tolist()
+    return [(p.toa + noise.sigma_toa * dt, wrap_angle(p.aod + noise.sigma_aod * dd),
+             wrap_angle(p.aoa + noise.sigma_aoa * da)) for p, (dt, dd, da) in zip(paths, z)]
 
 
 @dataclass(frozen=True)
@@ -352,10 +395,7 @@ class SimConfig:
         lo, hi = self.bias_range
         if not (lo <= hi and math.isfinite(hi - lo)):
             raise ValueError(f"bias_range must be two finite numbers lo <= hi, got {lo}, {hi}")
-        if not math.isfinite(self.per_bounce_extra_db):
-            raise ValueError(f"per_bounce_extra_db must be finite, got {self.per_bounce_extra_db}")
-        if self.gain_sigma_db is not None and not 0.0 <= self.gain_sigma_db < math.inf:
-            raise ValueError("gain_sigma_db must be None or finite and >= 0")
+        _check_gain_rule(self.per_bounce_extra_db, self.gain_sigma_db, "gain_sigma_db")
 
 
 def _on_any_wall(p, walls) -> bool:
@@ -376,9 +416,15 @@ def generate_dataset(scene: Scene, ue_positions, config: SimConfig = SimConfig()
     Per snapshot, an independent child stream of ``seed`` draws, in order:
     the clock bias (uniform over ``config.bias_range``), the user heading
     (uniform over (-pi, pi]; positions files carry no heading), one gain
-    scatter per path, then the measurement noise. Seed mixing uses
+    scatter per path, then the measurement noise, three per path in (toa,
+    aod, aoa) order. The scatter and the noise are one draw call each, with
+    the values of one scalar draw per value. Seed mixing uses
     ``numpy.random.SeedSequence(seed).spawn``, which is stable across runs
     and platforms, so any subset of positions reproduces identically.
+
+    Each position is one ``trace_paths`` call; the scene's image tree is
+    built on the first and serves the rest. Gains come from the same helper
+    as ``synthesize_gains``'s, without a second ``TruePath`` per path.
 
     Delays are canonicalized so the nanosecond file round trip is exact.
 
@@ -407,11 +453,10 @@ def generate_dataset(scene: Scene, ue_positions, config: SimConfig = SimConfig()
         traced = trace_paths(scene, ue, config.max_bounces)
         if not traced:
             raise InvalidPosition(f"no propagation path reaches position {k}")
-        traced = synthesize_gains(traced, config.gain_model,
-                                  config.per_bounce_extra_db, rng,
-                                  config.gain_sigma_db)
+        gains = _gains(traced, config.gain_model, config.per_bounce_extra_db, rng,
+                       config.gain_sigma_db)
         measured = [PathMeasurement(canonical_seconds(toa), aod, aoa, gain)
-                    for toa, aod, aoa, gain in _noisy(traced, config.noise, rng)]
+                    for (toa, aod, aoa), gain in zip(_noisy(traced, config.noise, rng), gains)]
         labels = tuple(dataset_label(t.kind) for t in traced)
         incidence = tuple(t.incidence_points[0] if t.kind == KIND_SINGLE else None
                           for t in traced)

@@ -20,9 +20,12 @@ from snapslam import (
     NearParallel,
     NoFeasibleSolution,
     NoiseModel,
+    PathLossModel,
+    PathMeasurement,
     SweepResult,
     TruePath,
     measurement_model,
+    path_loss_mean,
     wrap_angle,
 )
 from snapslam import estimator, evaluation
@@ -485,3 +488,32 @@ def trace_paths_reference(scene, ue, max_bounces):
             entries.append(TruePath(_KIND_BY_BOUNCES[k], tuple(chain[1:-1]), toa, aod, aoa,
                                     length_m=length, reflection_loss_db=loss))
     return sorted(entries, key=lambda e: e.toa)
+
+
+def synthesize_gains_scalar(paths, model=PathLossModel(), per_bounce_extra_db=6.0, rng=None,
+                            sigma_db=None):
+    """``synthesize_gains`` as it was with one scalar draw per path, in path order."""
+    scale = model.sigma_db if sigma_db is None else float(sigma_db)
+    out = []
+    for p in paths:
+        gdb = (path_loss_mean(p.length_m, model) - p.reflection_loss_db
+               - per_bounce_extra_db * len(p.incidence_points))
+        if rng is not None:
+            gdb += scale * rng.standard_normal()
+        out.append(TruePath(p.kind, p.incidence_points, p.toa, p.aod, p.aoa,
+                            10.0 ** (gdb / 10.0), p.length_m, p.reflection_loss_db))
+    return out
+
+
+def corrupt_scalar(paths, noise, rng=None):
+    """``corrupt`` as it was with three scalar draws per path, in (toa, aod,
+    aoa) order."""
+    if noise is None:
+        return [PathMeasurement(p.toa, p.aod, p.aoa, p.gain) for p in paths]
+    out = []
+    for p in paths:
+        toa = p.toa + noise.sigma_toa * rng.standard_normal()
+        aod = wrap_angle(p.aod + noise.sigma_aod * rng.standard_normal())
+        aoa = wrap_angle(p.aoa + noise.sigma_aoa * rng.standard_normal())
+        out.append(PathMeasurement(toa, aod, aoa, p.gain))
+    return out

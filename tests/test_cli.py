@@ -276,6 +276,19 @@ def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--scene", str(bad_scene), "--positions",
                  str(pos), "--out", str(tmp_path / "d.jsonl")]) == 2
     capsys.readouterr()
+    # a number past the float range is bad input, not an OverflowError
+    bad_scene.write_text(f"bs = [0, 1{'0' * 400}, 0]\n")
+    assert main(["simulate", "--scene", str(bad_scene), "--positions",
+                 str(pos), "--out", str(tmp_path / "d.jsonl")]) == 2
+    assert "line 1: bs: could not convert y to a finite number" in capsys.readouterr().err
+    huge = tmp_path / "huge.jsonl"
+    write_dataset([random_h0_snapshot(0)], huge)
+    row = json.loads(huge.read_text())
+    row["bs"]["ori"] = 10 ** 400
+    huge.write_text(json.dumps(row))
+    assert main(["solve", "--data", str(huge), "--out", str(tmp_path / "o.jsonl")]) == 2
+    assert "line 1: could not convert bs.ori to a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o.jsonl").exists()
 
     # a receiver on the anchor is named by its index
     room = Path(__file__).resolve().parents[1] / "demos" / "room.scene"

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,6 +201,20 @@ def test_scene_parsing(tmp_path):
         p.write_text(f"# anchor\nbs = {bad}\n")
         with pytest.raises(ValueError, match="line 2: bs: "):
             read_scene(p)
+    # the file readers' one number rule: a bool, a string or an integer past
+    # the float range is not a number, and the last raised OverflowError
+    huge = "1" + "0" * 400
+    for text, message in (
+            (f"bs = [0, {huge}, 0]\n", "line 1: bs: could not convert y "),
+            (f"bs = [0, 5, 0]\nwall = [[0, 0], [{huge}, 1]]\n",
+             "line 2: wall 0: could not convert x2 "),
+            ("bs = [0, 5, 0]\nwall = [[0, 0], [1, 1], True]\n",
+             "line 2: wall 0: could not convert loss_db "),
+            ("bs = [0, 5, 0]\nwall = [[0, '0'], [1, 1]]\n",
+             "line 2: wall 0: could not convert y1 ")):
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            read_scene(p)
 
 
 def test_positions_file(tmp_path):
@@ -261,3 +276,42 @@ def test_read_dataset_names_line_and_field(tmp_path):
     p.write_text(first + "\n" + json.dumps(row) + "\n")
     with pytest.raises(ValueError, match=r"line 2: unknown path label 'LOS'"):
         read_dataset(p)
+
+
+_HUGE = int("1" + "0" * 400)
+
+
+@pytest.mark.parametrize("field, value, named", [
+    (("paths", 0, "toa_ns"), "30", "toa_ns"),
+    (("paths", 1, "gain"), True, "gain"),
+    (("paths", 0, "aod_rad"), _HUGE, "aod_rad"),
+    (("bs", "pos"), ["1", "2"], "bs.pos"),
+    (("bs", "ori"), False, "bs.ori"),
+    (("truth", "ue", "bias_ns"), _HUGE, "truth.ue.bias_ns"),
+    (("truth", "ue", "pos"), [1.0, True], "truth.ue.pos"),
+    (("truth", "incidence", 1), [1.0, 2.0, 3.0], "truth.incidence"),
+    (("truth", "incidence", 1), [math.nan, 2.0], "truth.incidence"),
+    (("truth", "incidence", 1), [1.0], "truth.incidence"),
+], ids=["string", "bool", "huge_int", "string_point", "bool_angle", "huge_bias",
+        "bool_coordinate", "long_incidence", "nan_incidence", "short_incidence"])
+def test_read_dataset_applies_the_number_rule(tmp_path, field, value, named):
+    # every number in a row is an int or a float, not a bool, of magnitude
+    # at most the largest float; before, strings and bools were coerced, an
+    # incidence point could have any length or a NaN, and a huge integer
+    # escaped as OverflowError
+    p = tmp_path / "d.jsonl"
+    write_dataset([random_h0_snapshot(s, n_single=2, sid=f"s{s}") for s in range(2)], p)
+    first, second = p.read_text().splitlines()
+    row = json.loads(second)
+    *parents, last = field
+    target = row
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    p.write_text(first + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(ValueError, match=f"line 2: .*{re.escape(named)}"):
+        read_dataset(p)
+    # integers within the float range are numbers
+    target[last] = [1, 2] if isinstance(value, list) else 3
+    p.write_text(first + "\n" + json.dumps(row) + "\n")
+    assert len(read_dataset(p)) == 2

@@ -195,7 +195,8 @@ def test_no_numpy_hypot():
 
 
 # the tracer's per-leg helpers, which work on (x, y) pairs of Python floats
-_FLOAT_HELPERS = {"sim": ("_unfold", "_blocked", "_interior_crossing", "_on_any_wall"),
+_FLOAT_HELPERS = {"sim": ("_image_tree", "_unfold", "_blocked", "_interior_crossing",
+                          "_on_any_wall"),
                   "geometry": ("_mirror", "_chain_measurement")}
 
 

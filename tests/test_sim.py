@@ -30,7 +30,7 @@ from snapslam import (
     trace_paths,
 )
 from helpers import square_scene
-from reference import trace_paths_reference
+from reference import corrupt_scalar, synthesize_gains_scalar, trace_paths_reference
 
 ROOM = read_scene(Path(__file__).resolve().parents[1] / "demos" / "room.scene")
 
@@ -170,6 +170,28 @@ def test_trace_paths_has_the_bits_of_the_numpy_tracer(scene, x, y, heading, bias
                 == _traced_fields(trace_paths_reference, scene, ue, max_bounces))
 
 
+def test_each_scene_keeps_its_own_image_tree():
+    # receivers of two scenes traced in turn, at every depth: each gets its
+    # own scene's paths, bit for bit, so no scene's image tree serves the
+    # other. The scenes differ only in the anchor, then only in one wall; an
+    # interior wall blocks some chains in both.
+    inner = Wall([0.0, -3.0], [0.0, 4.0], 1.0)
+    walls = (*ROOM.walls, inner)
+    tilted = (Wall([-8.0, 6.5], [8.0, 5.5], 3.0), *ROOM.walls[1:], inner)
+    pairs = ((Scene(walls, ROOM.bs), Scene(walls, Pose([-5.0, -2.0], 0.3))),
+             (Scene(walls, ROOM.bs), Scene(tilted, ROOM.bs)))
+    rng = np.random.default_rng(23)
+    ues = [UeState(rng.uniform([-7.5, -5.5], [7.5, 5.5]), rng.uniform(-3.0, 3.0),
+                   rng.uniform(-1e-7, 1e-7)) for _ in range(6)]
+    for pair in pairs:
+        for ue in ues:
+            for max_bounces in range(4):
+                got = [_traced_fields(trace_paths, scene, ue, max_bounces) for scene in pair]
+                assert got == [_traced_fields(trace_paths_reference, scene, ue, max_bounces)
+                               for scene in pair]
+            assert got[0] != got[1]     # at depth 3, so a shared tree would show
+
+
 def test_traced_single_bounces_close_the_measurement_model():
     scene = square_scene()
     ue = UeState([2.0, 3.5], -1.1, 40e-9)
@@ -232,6 +254,45 @@ def test_synthesize_gains_scatter_is_seeded():
     quiet = synthesize_gains(paths, rng=np.random.default_rng(5), sigma_db=0.0)
     exact = synthesize_gains(paths)
     assert [p.gain for p in quiet] == [p.gain for p in exact]
+
+
+def test_synthesize_gains_applies_the_gain_rule():
+    # SimConfig's rule; before, an infinite bounce loss gave the direct path
+    # a NaN gain (inf x 0 bounces), and a NaN or negative scale passed
+    paths = trace_paths(ROOM, UeState([3.0, 2.0]), 1)
+    with pytest.raises(ValueError, match="^per_bounce_extra_db must be finite, got inf$"):
+        synthesize_gains(paths, per_bounce_extra_db=math.inf)
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^sigma_db must be None or finite and >= 0$"):
+            synthesize_gains(paths, rng=np.random.default_rng(0), sigma_db=sigma)
+
+
+def _draws_as_bytes(paths):
+    return np.array([[p.toa, p.aod, p.aoa, p.gain] for p in paths]).tobytes()
+
+
+def test_gains_and_noise_draw_as_scalar_draws():
+    # one draw call per kind fills from the same stream, in the same order,
+    # as the scalar draws it replaced: the same bits, and the generator left
+    # in the same state
+    ue = UeState([3.0, 2.0], 0.4, 3e-8)
+    for paths in (trace_paths(ROOM, ue, 3), trace_paths(ROOM, ue, 0), []):
+        for seed in (None, 5):
+            for kwargs in ({}, {"model": PathLossModel(10.0, 2.0, 3.0), "sigma_db": 0.5,
+                                "per_bounce_extra_db": 4.0}):
+                rngs = [None if seed is None else np.random.default_rng(seed) for _ in "ab"]
+                got = synthesize_gains(paths, rng=rngs[0], **kwargs)
+                want = synthesize_gains_scalar(paths, rng=rngs[1], **kwargs)
+                assert got == want and _draws_as_bytes(got) == _draws_as_bytes(want)
+                if seed is not None:
+                    assert rngs[0].standard_normal() == rngs[1].standard_normal()
+        gained = synthesize_gains(paths)
+        for noise in (None, NoiseModel(), NoiseModel(2e-9, 0.05, 0.02)):
+            rngs = [np.random.default_rng(7) for _ in "ab"]
+            got = corrupt(gained, noise, rngs[0])
+            want = corrupt_scalar(gained, noise, rngs[1])
+            assert _draws_as_bytes(got) == _draws_as_bytes(want)
+            assert rngs[0].standard_normal() == rngs[1].standard_normal()
 
 
 def test_corrupt_noiseless_copies_exactly():

@@ -41,11 +41,12 @@ class RunConfig:
 
     Angles are degrees, times nanoseconds; conversion to the library's
     radians/seconds happens in the factory methods. The defaults are the
-    library's, converted (exactly) to these units.
+    library's, converted (exactly) to these units. ``t_eps`` is the robust
+    search's whole gate; its near-parallel threshold is no setting but the
+    constant ``geometry._T_NU``.
     """
 
     t_eps: float = RobustConfig.t_eps
-    t_nu: float = RobustConfig.t_nu
     t_los: float = DEFAULT_T_LOS
     sigma_toa_ns: float = NoiseModel.sigma_toa * 1e9
     sigma_aod_deg: float = math.degrees(NoiseModel.sigma_aod)
@@ -75,7 +76,7 @@ class RunConfig:
                           sigma_aoa=math.radians(self.sigma_aoa_deg))
 
     def robust_config(self) -> RobustConfig:
-        return RobustConfig(t_eps=self.t_eps, t_nu=self.t_nu, noise=self.noise_model())
+        return RobustConfig(t_eps=self.t_eps, noise=self.noise_model())
 
     def gain_model(self) -> PathLossModel:
         return PathLossModel(l0_db=self.l0_db, zeta=self.zeta,

@@ -56,6 +56,14 @@ def _pair(value, field: str) -> list:
     raise ValueError(f"{field} must be an [x, y] pair of finite numbers, got {value!r}")
 
 
+def _typed(value, kinds, field: str, what: str):
+    """``value`` if it is an instance of ``kinds``; else ValueError naming
+    ``field``, ``what`` it must be and the type it has."""
+    if isinstance(value, kinds):
+        return value
+    raise ValueError(f"{field} must be {what}, got {type(value).__name__}")
+
+
 def snapshot_to_dict(snapshot: Snapshot) -> dict:
     """Plain-python dict form of a snapshot (the JSONL row layout)."""
     paths = [{"toa_ns": float(m.toa * NS), "aod_rad": float(m.aod),
@@ -97,12 +105,15 @@ def _measurement(p: dict) -> PathMeasurement:
 def snapshot_from_dict(row: dict) -> Snapshot:
     """Inverse of :func:`snapshot_to_dict`; times are re-canonicalized.
 
-    Every number must pass ``_is_number``, and every point be an [x, y]
-    pair of them; otherwise ValueError names the field.
+    The row must be an object (a dict) with a string ``id`` and arrays for
+    ``paths``, ``truth.labels`` and ``truth.incidence``. Every number must
+    pass ``_is_number``, and every point be an [x, y] pair of them;
+    otherwise ValueError names the field.
     """
+    row = _typed(row, dict, "row", "an object")
     bs = Pose(position=_pair(row["bs"]["pos"], "bs.pos"),
               orientation=_number(row["bs"]["ori"], "bs.ori"))
-    paths = tuple(_measurement(p) for p in row["paths"])
+    paths = tuple(map(_measurement, _typed(row["paths"], (list, tuple), "paths", "an array")))
     truth_row = row.get("truth")
     truth = None
     if truth_row is not None:
@@ -111,11 +122,13 @@ def snapshot_from_dict(row: dict) -> Snapshot:
                      orientation=_number(ue_row["ori"], "truth.ue.ori"),
                      clock_bias=canonical_seconds(_number(ue_row["bias_ns"],
                                                           "truth.ue.bias_ns") / NS))
-        truth = GroundTruth(ue=ue, labels=tuple(truth_row["labels"]),
+        labels = _typed(truth_row["labels"], (list, tuple), "truth.labels", "an array")
+        incidence = _typed(truth_row["incidence"], (list, tuple), "truth.incidence", "an array")
+        truth = GroundTruth(ue=ue, labels=tuple(labels),
                             incidence=tuple(None if p is None
                                             else np.array(_pair(p, "truth.incidence"))
-                                            for p in truth_row["incidence"]))
-    return Snapshot(id=str(row["id"]), bs=bs, paths=paths, truth=truth)
+                                            for p in incidence))
+    return Snapshot(id=_typed(row["id"], str, "id", "a string"), bs=bs, paths=paths, truth=truth)
 
 
 def write_jsonl(rows: Iterable[dict], path) -> None:

@@ -351,7 +351,7 @@ def _outlier_penalty(eta, member, t_eps):
     return _path_sum((1.0 - member) * eta[:, None]) * t_eps
 
 
-def _feasibility_mask(terms: _PathTerms, x: np.ndarray, inlier: np.ndarray | None, t_nu: float,
+def _feasibility_mask(terms: _PathTerms, x: np.ndarray, inlier: np.ndarray | None,
                       r: np.ndarray) -> np.ndarray:
     """Vectorized feasibility of each cell's (state, inlier set), (K,).
 
@@ -360,49 +360,49 @@ def _feasibility_mask(terms: _PathTerms, x: np.ndarray, inlier: np.ndarray | Non
     ``_residuals(terms, x)``. One rule per path, judged by its own geometry:
     a cell is feasible if and only if every inlier has a non-negative
     bias-corrected path length d = c tau - x[2], and a bounce fraction in
-    [0, 1] unless its rays nearly cancel (||u + v||^2 <= ``t_nu``, near-LoS
-    geometry, no identifiable bounce point). No rule reads a path's rank in
-    delay. The fraction nu . r / (d ||u + v||^2) is infinite or NaN, so out
+    [0, 1] unless its rays nearly cancel (||u + v||^2 <= ``_T_NU``, near-LoS
+    geometry, no identifiable bounce point: the test of the map rule,
+    ``robust._refine_landmarks``). No rule reads a path's rank in delay. The
+    fraction nu . r / (d ||u + v||^2) is infinite or NaN, so out
     of range, where d or ||u + v|| is zero. Whether a cell has enough
     inliers is the search's stage-1 test (``robust._search``), not this one.
     """
     d = terms.const.ctau - x[2]
     with np.errstate(divide="ignore", invalid="ignore"):
         gam = _dot2(terms.nu, r) / (d * terms.nu_sq)
-    ok = (d >= 0.0) & (((gam >= 0.0) & (gam <= 1.0)) | (terms.nu_sq <= t_nu))
+    ok = (d >= 0.0) & (((gam >= 0.0) & (gam <= 1.0)) | (terms.nu_sq <= _T_NU))
     if inlier is not None:
         ok |= ~inlier
     return np.all(ok, axis=0)
 
 
 def _row_costs(terms: _PathTerms, x: np.ndarray, ok: np.ndarray, member: np.ndarray | None,
-               gate: tuple | None = None) -> np.ndarray:
+               t_eps: float | None = None) -> np.ndarray:
     """Cost of each cell's state over its member set, (K,).
 
     ``x`` is (3, K), ``member`` holds the boolean (n, K) member masks (None:
     every path is a member of every cell) and ``ok`` flags the cells whose
     solve passed. The cost is the gain-weighted ``_path_sum`` of the
-    members' squared projected residuals. A ``gate`` (t_nu, t_eps) adds the
-    per-path penalty t_eps for each non-member and requires the cell to
-    pass ``_feasibility_mask``; the weighted sum is non-negative, so a
-    gated cost is never below its ``_outlier_penalty``. Cells whose solve
+    members' squared projected residuals. A gate ``t_eps`` (None: ungated)
+    adds the per-path penalty t_eps for each non-member and requires the
+    cell to pass ``_feasibility_mask``; the weighted sum is non-negative, so
+    a gated cost is never below its ``_outlier_penalty``. Cells whose solve
     failed, that fail the gate, or whose cost is not finite get +inf.
     """
     r = _residuals(terms, x)
     eta = terms.const.eta[:, None]
     cost = _path_sum((eta if member is None else member * eta) * _costs(terms, x, r))
     valid = ok
-    if gate is not None:
-        t_nu, t_eps = gate
+    if t_eps is not None:
         # with no non-member the penalty is +0.0, and a cost is never -0.0
         if member is not None:
             cost = cost + _outlier_penalty(terms.const.eta, member, t_eps)
-        valid = ok & _feasibility_mask(terms, x, member, t_nu, r)
+        valid = ok & _feasibility_mask(terms, x, member, r)
     return np.where(valid & np.isfinite(cost), cost, np.inf)
 
 
 def _cell_costs(terms: _PathTerms, rows: np.ndarray | None, member: np.ndarray | None,
-                gate: tuple | None = None):
+                t_eps: float | None = None):
     """States and gated costs of a batch of (heading, member set) cells.
 
     Cell k is heading row ``rows[k]`` of ``terms`` (heading k when ``rows``
@@ -411,31 +411,32 @@ def _cell_costs(terms: _PathTerms, rows: np.ndarray | None, member: np.ndarray |
     bits of an all-True mask (a weight of 1.0 changes no product). Each
     cell's system is the ``_path_sum`` of its members' packed rows; it is
     solved and condition-gated by ``_solve_packed``, then costed and gated
-    by ``_row_costs``. A search cell's minimal-subset system is not gated
-    here but in ``robust._evaluate_block``, which drops the cells it fails.
+    under ``t_eps`` (None: ungated) by ``_row_costs``. A search cell's
+    minimal-subset system is not gated here but in
+    ``robust._evaluate_block``, which drops the cells it fails.
     Returns x (3, K) and cost (K,). A cell's result, to the bit, depends
     neither on the other cells of the batch nor on its place among them.
     """
     if rows is not None:
         terms = _take_rows(terms, rows)
     x, ok = _solve_packed(_path_sum(terms.normal if member is None else member * terms.normal))
-    return x, _row_costs(terms, x, ok, member, gate)
+    return x, _row_costs(terms, x, ok, member, t_eps)
 
 
 class _FrozenSet(NamedTuple):
     """One member set held fixed over heading scans, from ``_frozen_set``.
 
-    ``members`` holds the members' ``_PathConstants``, ``gate`` the
-    (t_nu, t_eps) gate or None, and ``penalty`` the non-members' outlier
-    penalty under it (0.0 without a gate): neither depends on the heading.
+    ``members`` holds the members' ``_PathConstants``, ``t_eps`` the gate
+    or None (ungated), and ``penalty`` the non-members' outlier penalty
+    under it (0.0 without a gate): neither depends on the heading.
     """
 
     members: _PathConstants
-    gate: tuple | None
+    t_eps: float | None
     penalty: float
 
 
-def _frozen_set(paths, bs: Pose, member_row: np.ndarray, gate: tuple | None = None) -> _FrozenSet:
+def _frozen_set(paths, bs: Pose, member_row: np.ndarray, t_eps: float | None = None) -> _FrozenSet:
     """The frozen set of the paths in the boolean (n,) mask ``member_row``,
     every one treated as a single bounce; one path at least.
 
@@ -452,10 +453,10 @@ def _frozen_set(paths, bs: Pose, member_row: np.ndarray, gate: tuple | None = No
     """
     members = _path_constants([paths[i] for i in np.flatnonzero(member_row)], bs)
     penalty = 0.0
-    if gate is not None:
+    if t_eps is not None:
         eta = np.array([p.gain for p in paths])
-        penalty = float(_outlier_penalty(eta, member_row[:, None], gate[1])[0])
-    return _FrozenSet(members, gate, penalty)
+        penalty = float(_outlier_penalty(eta, member_row[:, None], t_eps)[0])
+    return _FrozenSet(members, t_eps, penalty)
 
 
 def _heading_costs(frozen: _FrozenSet, alphas: np.ndarray):
@@ -466,7 +467,7 @@ def _heading_costs(frozen: _FrozenSet, alphas: np.ndarray):
     alone and runs the kernel with every one a member. A cost is never
     -0.0, so adding a penalty of 0.0 changes no bits.
     """
-    x, cost = _cell_costs(_heading_terms(frozen.members, alphas), None, None, frozen.gate)
+    x, cost = _cell_costs(_heading_terms(frozen.members, alphas), None, None, frozen.t_eps)
     return x, cost + frozen.penalty
 
 

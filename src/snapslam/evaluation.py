@@ -24,8 +24,8 @@ from .errors import (
     SlamError,
 )
 from .estimator import _whitened, landmark_refine, path_cost
-from .geometry import (NoiseModel, PathLossModel, Pose, UeState, _bounce, measurement_model,
-                       wrap_angle)
+from .geometry import (_T_NU, NoiseModel, PathLossModel, Pose, UeState, _bounce,
+                       measurement_model, wrap_angle)
 from .robust import Hypothesis, RobustConfig, SlamSolution, benchmark_solve, robust_solve
 from .sim import GroundTruth, Snapshot
 
@@ -155,28 +155,26 @@ def strip_outliers_by_truth(snapshot: Snapshot, noise: NoiseModel = NoiseModel()
 
 
 def is_single_bounce_consistent(path, ue_true: UeState, bs: Pose,
-                                t_eps: float = RobustConfig.t_eps,
-                                t_nu: float = RobustConfig.t_nu) -> bool:
+                                t_eps: float = RobustConfig.t_eps) -> bool:
     """Whether a path fits the single-bounce model at the true state.
 
     Requires both a small projected residual and a bounce fraction inside
-    [0, 1]. Multi-bounce paths passing this test are indistinguishable from
-    single bounces at this snapshot and are expected to be absorbed as
-    inliers.
+    [0, 1], the fraction being defined only where ||u + v||^2 exceeds
+    ``geometry._T_NU``. Multi-bounce paths passing this test are
+    indistinguishable from single bounces at this snapshot and are expected
+    to be absorbed as inliers.
 
     Raises
     ------
     ValueError
-        If ``t_eps`` or ``t_nu`` is not finite and strictly positive, as
-        ``RobustConfig`` rules.
+        If ``t_eps`` is not finite and strictly positive, as ``RobustConfig``
+        rules.
     """
-    RobustConfig(t_eps=t_eps, t_nu=t_nu)
+    RobustConfig(t_eps=t_eps)
     cost = path_cost(path, ue_true.position, ue_true.clock_bias,
                      ue_true.orientation, bs)
-    if not cost <= t_eps:
-        return False
     _, _, s, d, gam = _bounce(ue_true, path, bs)
-    return s > t_nu and d != 0.0 and 0.0 <= gam <= 1.0
+    return cost <= t_eps and s > _T_NU and d != 0.0 and 0.0 <= gam <= 1.0
 
 
 @dataclass(frozen=True)
@@ -201,19 +199,18 @@ class ClassificationReport:
 
 
 def classification_report(solution: SlamSolution, snapshot: Snapshot,
-                          t_eps: float = RobustConfig.t_eps,
-                          t_nu: float = RobustConfig.t_nu) -> ClassificationReport:
+                          t_eps: float = RobustConfig.t_eps) -> ClassificationReport:
     """Compare a solution's inlier set against the snapshot's truth labels.
 
     Raises
     ------
     ValueError
-        If ``t_eps`` or ``t_nu`` is not finite and strictly positive, as
+        If ``t_eps`` is not finite and strictly positive, as
         ``RobustConfig`` rules; checked before any path is looked at.
     MissingTruth
         If the snapshot has no truth attached.
     """
-    RobustConfig(t_eps=t_eps, t_nu=t_nu)
+    RobustConfig(t_eps=t_eps)
     if snapshot.truth is None:
         raise MissingTruth(f"snapshot {snapshot.id} has no truth")
     truth = snapshot.truth
@@ -224,8 +221,7 @@ def classification_report(solution: SlamSolution, snapshot: Snapshot,
     consistent_extra = tuple(
         i for i in extra
         if truth.labels[i] == "multi"
-        and is_single_bounce_consistent(snapshot.paths[i], truth.ue, snapshot.bs,
-                                        t_eps, t_nu))
+        and is_single_bounce_consistent(snapshot.paths[i], truth.ue, snapshot.bs, t_eps))
     exact = not extra and not missing
     acceptable = not missing and extra == consistent_extra
     return ClassificationReport(expected=expected, selected=selected,

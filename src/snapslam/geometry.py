@@ -219,9 +219,12 @@ def unit_vectors(aod: float, aoa: float, alpha_bs: float, alpha_ue: float):
 
 
 _T_NU = 0.1
-"""Default near-parallel threshold on s = ||u + v||^2: at or below it the
+"""The near-parallel threshold on s = ||u + v||^2: at or below it the
 departure and arrival rays are close to anti-parallel and the bounce
-fraction is treated as undefined."""
+fraction is treated as undefined. The one such threshold; it is read by
+``bounce_fraction``, ``estimator._initial_landmark``,
+``estimator._feasibility_mask``, ``robust._refine_landmarks`` and
+``evaluation.is_single_bounce_consistent``."""
 
 
 def _rays(aod: float, aoa: float, alpha_bs: float, alpha_ue: float):
@@ -351,7 +354,7 @@ def _mirror(p, a, b) -> tuple[float, float]:
     return 2.0 * (ax + t * d[0]) - px, 2.0 * (ay + t * d[1]) - py
 
 
-def bounce_fraction(ue: UeState, path: PathMeasurement, bs: Pose, t_nu: float = _T_NU) -> float:
+def bounce_fraction(ue: UeState, path: PathMeasurement, bs: Pose) -> float:
     """Fraction of a path's length spent on the anchor-side leg.
 
     For a single-bounce path consistent with the state, the reflection point
@@ -363,11 +366,11 @@ def bounce_fraction(ue: UeState, path: PathMeasurement, bs: Pose, t_nu: float = 
     ------
     NearParallel
         If the departure and arrival rays are close to anti-parallel
-        (``||u + v||^2 <= t_nu``), where the fraction is undefined.
+        (``||u + v||^2 <= _T_NU``), where the fraction is undefined.
     """
     _, _, s, d, gam = _bounce(ue, path, bs)
-    if s <= t_nu:
-        raise NearParallel(f"||u + v||^2 = {s:.3g} <= {t_nu:.3g}")
+    if s <= _T_NU:
+        raise NearParallel(f"||u + v||^2 = {s:.3g} <= {_T_NU:.3g}")
     if d == 0.0:
         raise DegenerateGeometry("zero path length")
     return gam

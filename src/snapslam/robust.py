@@ -7,7 +7,9 @@ grid, re-partitions all paths into inliers/outliers by their per-path cost at
 the minimal-set estimate, re-solves on the inliers, gates the result with
 physical feasibility checks, and keeps the cheapest feasible cell. Excluded
 paths pay a fixed per-path penalty so that explaining a path is never worse
-than discarding it.
+than discarding it. The gate is one number, ``RobustConfig.t_eps``: the
+inlier threshold and the per-path penalty. The near-parallel threshold of
+the feasibility and map rules is the constant ``geometry._T_NU``.
 
 The search is batched over headings and subsets together and runs in two
 stages, as a RANSAC hypothesize-and-verify loop does (Fischler & Bolles,
@@ -114,22 +116,20 @@ class RobustConfig:
     """Knobs of the robust search.
 
     t_eps : inlier threshold on the per-path squared projected residual, m^2;
-        also the per-path penalty charged for each excluded path.
-    t_nu : near-parallel threshold on ||u + v||^2 at the state: an inlier
-        at or under it has no identifiable bounce point, so its bounce
-        fraction is not range-checked and it is refined into no landmark.
+        also the per-path penalty charged for each excluded path. It is the
+        search's whole gate: the near-parallel threshold of the feasibility
+        and map rules is the constant ``geometry._T_NU``.
     noise : measurement noise model used for landmark refinement.
 
     Under the NLoS hypothesis the heading is searched on ``orientation_grid()``.
     """
 
     t_eps: float = 0.1
-    t_nu: float = _T_NU
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self):
-        if not (0.0 < self.t_eps < math.inf and 0.0 < self.t_nu < math.inf):
-            raise ValueError("thresholds must be finite and strictly positive")
+        if not 0.0 < self.t_eps < math.inf:
+            raise ValueError(f"t_eps must be finite and strictly positive, got {self.t_eps}")
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,6 @@ def _search(paths, bs, alphas, combos, los_index, config):
     cq = _line_terms(terms)
     n, m = terms.nu_sq.shape
     slots = np.asarray(combos).T                        # (subset size, L)
-    gate = (config.t_nu, config.t_eps)
     step = max(1, _CHUNK_ROW_PATHS // (m * n))
     block = max(1, _CHUNK_ROW_PATHS // (8 * n))         # stage-2 cells; see _CHUNK_ROW_PATHS
     best, waiting, count = None, [], 0
@@ -234,12 +233,12 @@ def _search(paths, bs, alphas, combos, los_index, config):
             count += h.size
         del s, x, d1, d2, inlier                        # not held through stage 2
         if count >= block or (count and lo + step >= len(combos)):
-            best = _evaluate_block(terms, waiting, gate, block, best)
+            best = _evaluate_block(terms, waiting, config.t_eps, block, best)
             waiting, count = [], 0
     return best
 
 
-def _evaluate_block(terms, waiting, gate, block, best):
+def _evaluate_block(terms, waiting, t_eps, block, best):
     """Evaluate the waiting cells; return the new best cell.
 
     ``waiting`` lists one (heading, subset, inlier mask, A, d1, d2) entry
@@ -248,16 +247,16 @@ def _evaluate_block(terms, waiting, gate, block, best):
     place a cell's minimal-subset system is gated: ``_condition_ok`` takes
     its six A entries and LDL^T pivots d1, d2 once per flush, and the cells
     that fail are dropped. At most ``block`` of the rest go to one
-    ``_cell_costs`` call, which gates their inlier systems. A cell replaces
-    ``best`` when its cost is finite and its (cost, heading, subset) is the
-    least seen so far.
+    ``_cell_costs`` call, which gates their inlier systems under ``t_eps``.
+    A cell replaces ``best`` when its cost is finite and its (cost, heading,
+    subset) is the least seen so far.
     """
     h, l, member, a, d1, d2 = (np.concatenate(part, axis=-1) for part in zip(*waiting))
     ok = _condition_ok(a, d1, d2)
     h, l, member = h[ok], l[ok], member[:, ok]
     for lo in range(0, h.size, block):
         cells = slice(lo, lo + block)
-        x, cost = _cell_costs(terms, h[cells], member[:, cells], gate)
+        x, cost = _cell_costs(terms, h[cells], member[:, cells], t_eps)
         k = np.lexsort((l[cells], h[cells], cost))[0]
         cell = (float(cost[k]), int(h[lo + k]), int(l[lo + k]))
         if math.isfinite(cell[0]) and (best is None or cell < best[:3]):
@@ -293,7 +292,7 @@ def _polish_heading(paths, bs, alpha, x, cost, inlier_row, config):
     above picks round one's outcome from column 4 and round two's from the
     row of the adopted probe, or from row 4 if none was adopted.
     """
-    frozen = _frozen_set(paths, bs, inlier_row, (config.t_nu, config.t_eps))
+    frozen = _frozen_set(paths, bs, inlier_row, config.t_eps)
     best = (alpha, x, cost)
     for centres, follow_ups in _POLISH_OFFSETS:
         probes = ((best[0] + centres)[:, None] + follow_ups).ravel()
@@ -308,15 +307,15 @@ def _polish_heading(paths, bs, alpha, x, cost, inlier_row, config):
     return best
 
 
-def _refine_landmarks(paths, inlier_indices, ue, bs, noise, t_nu):
+def _refine_landmarks(paths, inlier_indices, ue, bs, noise):
     # The one map rule: an inlier whose rays nearly cancel at ue
-    # (||u + v||^2 <= t_nu) fits the direct-path geometry and has no
+    # (||u + v||^2 <= _T_NU) fits the direct-path geometry and has no
     # identifiable bounce point (any point on the segment explains it), so
     # it maps no landmark. That covers the LoS candidate, whose rays cancel
     # at its closed-form heading, and a LoS path taken as an NLoS inlier.
     out = []
     for i in inlier_indices:
-        if _bounce(ue, paths[i], bs)[2] <= t_nu:
+        if _bounce(ue, paths[i], bs)[2] <= _T_NU:
             continue
         try:
             out.append(landmark_refine(paths[i], ue, bs, noise, source_path=i))
@@ -335,7 +334,7 @@ def robust_solve(snapshot, hypothesis: Hypothesis,
     4-subsets, and the winning heading is refined past grid resolution with
     the cell's inlier set held fixed. See the module docstring for the
     search itself. Each inlier is refined into a landmark where its rays
-    leave a bounce point at the returned state, ||u + v||^2 > ``config.t_nu``.
+    leave a bounce point at the returned state, ||u + v||^2 > ``geometry._T_NU``.
     The rule is geometric, not by role: it maps neither the LoS candidate,
     whose rays cancel at its closed-form heading, nor a LoS path that the
     NLoS branch takes as an inlier.
@@ -371,7 +370,7 @@ def robust_solve(snapshot, hypothesis: Hypothesis,
     ue = UeState(x[:2].copy(), wrap_angle(alpha), float(x[2]) / _C)
     inliers = tuple(int(i) for i in np.flatnonzero(inlier_row))
     outliers = tuple(int(i) for i in np.flatnonzero(~inlier_row))
-    landmarks = _refine_landmarks(paths, inliers, ue, bs, config.noise, config.t_nu)
+    landmarks = _refine_landmarks(paths, inliers, ue, bs, config.noise)
     return SlamSolution(ue=ue, landmarks=landmarks, inliers=inliers,
                         outliers=outliers, hypothesis=hypothesis, cost=cost)
 
@@ -381,8 +380,8 @@ def benchmark_solve(snapshot, noise: NoiseModel = NoiseModel()) -> SlamSolution:
 
     No LoS handling, no outlier rejection, no feasibility gate. Every path
     is treated as a single bounce, and refined into a landmark where its
-    rays leave a bounce point: ||u + v||^2 above the default near-parallel
-    threshold ``geometry._T_NU`` at the returned state.
+    rays leave a bounce point: ||u + v||^2 above the near-parallel
+    threshold ``geometry._T_NU`` at the returned state, as in ``robust_solve``.
 
     Raises
     ------
@@ -398,6 +397,6 @@ def benchmark_solve(snapshot, noise: NoiseModel = NoiseModel()) -> SlamSolution:
     if n < n_min:
         raise TooFewPaths(f"benchmark needs at least {n_min} paths, got {n}")
     ue, cost = nlos_orientation_search(paths, range(n), orientation_grid(), bs)
-    landmarks = _refine_landmarks(paths, range(n), ue, bs, noise, _T_NU)
+    landmarks = _refine_landmarks(paths, range(n), ue, bs, noise)
     return SlamSolution(ue=ue, landmarks=landmarks, inliers=tuple(range(n)),
                         outliers=(), hypothesis=Hypothesis.NLOS, cost=cost)

@@ -143,16 +143,17 @@ def landmark_refine(path, ue, bs, noise=NoiseModel(), source_path=-1):
                             iterations=iterations)
 
 
-def bounce_fraction(ue, path, bs, t_nu=0.1):
-    """``bounce_fraction`` on NumPy 2-vectors."""
+def bounce_fraction(ue, path, bs):
+    """``bounce_fraction`` on NumPy 2-vectors, with its own near-parallel
+    threshold 0.1."""
     a = bs.orientation + path.aod
     b = ue.orientation + path.aoa
     u = np.array([math.cos(a), math.sin(a)])
     v = np.array([math.cos(b), math.sin(b)])
     nu = u + v
     s = float(nu[0] * nu[0] + nu[1] * nu[1])
-    if s <= t_nu:
-        raise NearParallel(f"||u + v||^2 = {s:.3g} <= {t_nu:.3g}")
+    if s <= 0.1:
+        raise NearParallel(f"||u + v||^2 = {s:.3g} <= {0.1:.3g}")
     d = SPEED_OF_LIGHT * (path.toa - ue.clock_bias)
     if d == 0.0:
         raise DegenerateGeometry("zero path length")
@@ -314,15 +315,15 @@ def gammas(terms, x, r):
     return np.where(den == 0.0, np.inf, gam)
 
 
-def feasibility_mask(terms, x, inlier, t_nu, r):
+def feasibility_mask(terms, x, inlier, r):
     """Feasibility of each row's (state, inlier set), (..., M): every
     inlier has a non-negative bias-corrected path length c tau - x[2], and
     a bounce fraction in [0, 1] unless its rays nearly cancel
-    (||u + v||^2 <= t_nu)."""
+    (||u + v||^2 <= 0.1)."""
     d = _C * terms.tau - x[..., 2, None]
     gam = gammas(terms, x, r)
     in_range = (gam >= 0.0) & (gam <= 1.0)
-    return np.all((d >= 0.0) & (in_range | (terms.nu_sq <= t_nu)) | ~inlier, axis=-1)
+    return np.all((d >= 0.0) & (in_range | (terms.nu_sq <= 0.1)) | ~inlier, axis=-1)
 
 
 def path_order_sum(parts):
@@ -331,21 +332,20 @@ def path_order_sum(parts):
     return functools.reduce(operator.add, parts)
 
 
-def row_costs(terms, x, ok, member, gate=None):
+def row_costs(terms, x, ok, member, t_eps=None):
     """Gated cost of each row's state over its member set, (..., M)."""
     r = residuals(terms, x)
     weighted = member * terms.eta * costs(terms, x, r)
     cost = path_order_sum(weighted[..., i] for i in range(len(terms.eta)))
     valid = ok
-    if gate is not None:
-        t_nu, t_eps = gate
+    if t_eps is not None:
         outliers = (1.0 - member) * terms.eta
         cost = cost + path_order_sum(outliers[..., i] for i in range(len(terms.eta))) * t_eps
-        valid = ok & feasibility_mask(terms, x, member, t_nu, r)
+        valid = ok & feasibility_mask(terms, x, member, r)
     return np.where(valid & np.isfinite(cost), cost, np.inf)
 
 
-def cell_costs(terms, rows, member, gate=None):
+def cell_costs(terms, rows, member, t_eps=None):
     """States (K, 3) and gated costs (K,) of cells at heading ``rows`` with
     member rows ``member``, each system the path-order sum of the members'
     rows of ``normal``."""
@@ -353,20 +353,19 @@ def cell_costs(terms, rows, member, gate=None):
                               for name in ("v", "nu", "nu_sq", "nubar", "mu", "normal")})
     x, ok = solve_packed(path_order_sum(member[:, i, None] * taken.normal[:, i]
                                         for i in range(len(terms.eta))))
-    return x, row_costs(taken, x, ok, member, gate)
+    return x, row_costs(taken, x, ok, member, t_eps)
 
 
 def polish_heading(paths, bs, alpha, x, cost, inlier_row, config):
     """``robust._polish_heading`` one round per scan: 14 scans of 9 probes,
     each over every path with the frozen set's non-members weighted 0."""
     width = 2.0 * math.pi / 360
-    gate = (config.t_nu, config.t_eps)
     member = np.broadcast_to(inlier_row, (9, len(paths)))
     best = (alpha, x, cost)
     center = alpha
     for _ in range(14):
         probes = center + np.linspace(-width, width, 9)
-        xs, scan = cell_costs(build_terms(paths, bs, probes), np.arange(9), member, gate)
+        xs, scan = cell_costs(build_terms(paths, bs, probes), np.arange(9), member, config.t_eps)
         k = int(np.argmin(scan))
         if np.isfinite(scan[k]) and scan[k] < best[2]:
             center = float(probes[k])

@@ -91,7 +91,7 @@ def _field_text(value):
 def test_run_config_types_every_field_from_its_default(tmp_path, monkeypatch):
     monkeypatch.delenv("SNAPSLAM_CONFIG", raising=False)
     defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
-    assert len(defaults) == 15
+    assert len(defaults) == 14
     # integral text for every field: a float field must still come back float
     integral = {k: "-5, 5" if isinstance(v, tuple) else "2" for k, v in defaults.items()}
     for texts, expected in ((integral, None),
@@ -120,7 +120,7 @@ def test_run_config_unit_conversion():
     assert noise.sigma_aod == pytest.approx(math.radians(3.0))
     assert noise.sigma_aoa == pytest.approx(math.radians(4.0))
     robust = rc.robust_config()
-    assert robust.t_eps == rc.t_eps and robust.t_nu == rc.t_nu
+    assert robust.t_eps == rc.t_eps
     sim = rc.sim_config(noiseless=True)
     assert sim.noise is None and sim.gain_sigma_db == 0.0
     assert sim.bias_range == (-100e-9, 100e-9)
@@ -369,10 +369,20 @@ def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):
 
     # a threshold the gate cannot use is rejected before any snapshot is solved
     out = tmp_path / "rejected.jsonl"
-    for flag in ("--t_eps", "--t_nu"):
-        assert main(["solve", "--data", str(data), "--out", str(out), flag, "inf"]) == 2
-        assert "thresholds must be finite" in capsys.readouterr().err
-        assert not out.exists()
+    assert main(["solve", "--data", str(data), "--out", str(out), "--t_eps", "inf"]) == 2
+    assert "t_eps must be finite and strictly positive, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+    # the near-parallel threshold is a constant, not a setting
+    with pytest.raises(SystemExit) as refused:
+        main(["solve", "--data", str(data), "--out", str(out), "--t_nu", "0.2"])
+    assert refused.value.code == 2
+    assert "unrecognized arguments: --t_nu 0.2" in capsys.readouterr().err
+    near = tmp_path / "near.cfg"
+    near.write_text("t_nu = 0.2\n")
+    assert main(["solve", "--data", str(data), "--out", str(out), "--config", str(near)]) == 2
+    assert "unknown config key 't_nu'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_rejects_bad_settings_before_any_solve(tmp_path, capsys):

@@ -315,3 +315,23 @@ def test_read_dataset_applies_the_number_rule(tmp_path, field, value, named):
     target[last] = [1, 2] if isinstance(value, list) else 3
     p.write_text(first + "\n" + json.dumps(row) + "\n")
     assert len(read_dataset(p)) == 2
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda row: {**row, "id": None}, "id must be a string, got NoneType"),
+    (lambda row: {**row, "id": [1, 2]}, "id must be a string, got list"),
+    (lambda row: {**row, "truth": {**row["truth"], "labels": "los"}},
+     "truth.labels must be an array, got str"),
+    (lambda row: {**row, "paths": {"a": 1}}, "paths must be an array, got dict"),
+    (lambda row: [row], "row must be an object, got list"),
+], ids=["null_id", "array_id", "string_labels", "object_paths", "array_row"])
+def test_read_dataset_names_a_field_that_is_not_of_its_json_type(tmp_path, change, message):
+    # before, an id went through str() ("None", "[1, 2]"), a labels string
+    # was split into labels of one character, and a paths object or an
+    # array row failed on an index, naming no field
+    p = tmp_path / "d.jsonl"
+    write_dataset([random_h0_snapshot(s, n_single=2, sid=f"s{s}") for s in range(2)], p)
+    first, second = p.read_text().splitlines()
+    p.write_text(first + "\n" + json.dumps(change(json.loads(second))) + "\n")
+    with pytest.raises(ValueError, match=f"line 2: {re.escape(message)}$"):
+        read_dataset(p)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from snapslam import (
     SPEED_OF_LIGHT,
     Hypothesis,
+    NearParallel,
     NoFeasibleSolution,
     NoiseModel,
     PathMeasurement,
@@ -27,8 +28,10 @@ from snapslam import (
     TooFewPaths,
     UeState,
     benchmark_solve,
+    bounce_fraction,
     enumerate_combinations,
     generate_dataset,
+    is_single_bounce_consistent,
     los_orientation,
     minimal_counts,
     mixed_solve,
@@ -50,7 +53,7 @@ from snapslam.estimator import (
     _solve_packed,
 )
 from snapslam.evaluation import MODES, solve_snapshot
-from snapslam.geometry import _bounce
+from snapslam.geometry import _T_NU, _bounce
 from snapslam.robust import _los_candidate, _search
 import reference
 from helpers import (
@@ -88,13 +91,9 @@ def test_enumerate_combinations_nlos():
 def test_robust_config_validation():
     with pytest.raises(ValueError):
         RobustConfig(t_eps=0.0)
-    with pytest.raises(ValueError):
-        RobustConfig(t_nu=-1.0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             RobustConfig(t_eps=bad)
-        with pytest.raises(ValueError, match="finite"):
-            RobustConfig(t_nu=bad)
 
 
 def test_h0_clean_exact():
@@ -169,9 +168,8 @@ def _costs_at(ue, paths, bs):
     x = np.array([[ue.position[0]], [ue.position[1]], [SPEED_OF_LIGHT * ue.clock_bias]])
     ok = np.ones(1, dtype=bool)
     member = np.ones((len(paths), 1), dtype=bool)
-    gate = (RobustConfig.t_nu, RobustConfig.t_eps)
     return (_row_costs(terms, x, ok, member)[0],
-            _row_costs(terms, x, ok, member, gate)[0])
+            _row_costs(terms, x, ok, member, RobustConfig.t_eps)[0])
 
 
 def test_feasibility_check_at_truth_and_off():
@@ -213,18 +211,66 @@ def test_feasibility_exempts_any_inlier_whose_rays_nearly_cancel():
     near_los = PathMeasurement(12.0 / SPEED_OF_LIGHT, 0.01, math.pi, 1.0)
     ue = UeState(x[:2, 0], 0.0, 0.0)
     (*_, s0, d0, gam0), (*_, s1, d1, gam1) = (_bounce(ue, p, bs) for p in (bounce, near_los))
-    t_nu = RobustConfig().t_nu
     assert bounce.toa < near_los.toa and d0 > 0.0 and d1 > 0.0
-    assert 0.0 <= gam0 <= 1.0 and s0 > t_nu
-    assert gam1 > 1.0 and s1 <= t_nu
+    assert 0.0 <= gam0 <= 1.0 and s0 > _T_NU
+    assert gam1 > 1.0 and s1 <= _T_NU
     terms = _build_terms([bounce, near_los], bs, np.array([0.0]))
     r = _residuals(terms, x)
     both = np.ones((2, 1), dtype=bool)
-    assert _feasibility_mask(terms, x, both, t_nu, r).tolist() == [True]
-    assert _feasibility_mask(terms, x, None, t_nu, r).tolist() == [True]
-    # under a threshold the later path's rays do not meet, its fraction counts
-    tight = s1 / 2.0
-    assert _feasibility_mask(terms, x, both, tight, r).tolist() == [False]
+    assert _feasibility_mask(terms, x, both, r).tolist() == [True]
+    assert _feasibility_mask(terms, x, None, r).tolist() == [True]
+
+
+def _edge_bounce(s, bs, ue):
+    """A reflection point whose rays give ||u + v||^2 = 2 + 2 cos(a - b) = s
+    at ``ue``: the departure ray a turns 0.3 rad off the line of sight, and
+    the arrival ray b = a + acos(s / 2 - 1) meets it."""
+    e = ue.position - bs.position
+    a = math.atan2(e[1], e[0]) + 0.3
+    b = a + math.acos(s / 2.0 - 1.0)
+    u, v = np.array([math.cos(a), math.sin(a)]), np.array([math.cos(b), math.sin(b)])
+    t, w = np.linalg.solve(np.column_stack([u, -v]), e)
+    assert t > 0.0 and w > 0.0
+    return bs.position + t * u
+
+
+def test_every_near_parallel_reader_switches_at_the_one_threshold():
+    # geometry._T_NU is the one near-parallel threshold. Just under it a
+    # path's rays nearly cancel, and every reader takes its bounce fraction
+    # as undefined; just over it, none does.
+    rng = np.random.default_rng(5)
+    bs, ue = random_state(rng, on_grid=True)
+    others = random_landmarks(rng, 4, bs, ue)
+    x = np.array([[ue.position[0]], [ue.position[1]], [SPEED_OF_LIGHT * ue.clock_bias]])
+    for s in (_T_NU - 1e-6, _T_NU + 1e-6):
+        near = s < _T_NU
+        lm = _edge_bounce(s, bs, ue)
+        snap = build_snapshot("edge", bs, ue, others + [lm], with_los=False)
+        path = snap.paths[4]
+        u, v, got_s, d, gam = _bounce(ue, path, bs)
+        assert abs(got_s - s) < 1e-12 and 0.0 < gam < 1.0
+        # the same rays 10 ns early have a bounce fraction below 0
+        early = PathMeasurement(path.toa - 1e-8, path.aod, path.aoa, path.gain)
+        assert _bounce(ue, early, bs)[4] < 0.0
+        terms = _build_terms([early], bs, np.array([ue.orientation]))
+        inlier = np.ones((1, 1), dtype=bool)
+        assert _feasibility_mask(terms, x, inlier, _residuals(terms, x)).tolist() == [near]
+        if near:
+            with pytest.raises(NearParallel):
+                bounce_fraction(ue, path, bs)
+        else:
+            assert bounce_fraction(ue, path, bs) == gam
+        assert is_single_bounce_consistent(path, ue, bs) is not near
+        # the initializer falls back to the fraction 0.5, else starts on the point
+        half = 0.5 * ((bs.position + 0.5 * d * np.array(u))
+                      + (ue.position + 0.5 * d * np.array(v)))
+        assert np.hypot(*(half - lm)) > 1.0
+        start = estimator._initial_landmark(path, ue, bs)
+        assert np.allclose(start, half if near else lm, rtol=0.0, atol=1e-9)
+        assert len(robust._refine_landmarks(snap.paths, [4], ue, bs, NoiseModel())) == 1 - near
+        for sol in (robust_solve(snap, Hypothesis.NLOS), benchmark_solve(snap)):
+            assert sol.inliers == (0, 1, 2, 3, 4)
+            assert (4 in [m.source_path for m in sol.landmarks]) is not near
 
 
 def test_nlos_keeps_a_los_path_that_a_close_bounce_arrives_ahead_of():
@@ -294,10 +340,9 @@ def _map_cases():
 
 def test_no_landmark_from_an_inlier_whose_rays_nearly_cancel():
     # one geometric map rule in every mode: a landmark's rays leave a bounce
-    # point at the returned state, ||u + v||^2 > t_nu; a LoS path taken as
+    # point at the returned state, ||u + v||^2 > _T_NU; a LoS path taken as
     # an NLoS inlier (every h0 builder snapshot and the room under NLOS
     # here) is not mapped
-    t_nu = RobustConfig().t_nu
     for snap in _map_cases():
         for mode in MODES:
             try:
@@ -307,7 +352,7 @@ def test_no_landmark_from_an_inlier_whose_rays_nearly_cancel():
                 continue
             for lm in sol.landmarks:
                 assert lm.source_path in sol.inliers
-                assert _bounce(sol.ue, snap.paths[lm.source_path], snap.bs)[2] > t_nu
+                assert _bounce(sol.ue, snap.paths[lm.source_path], snap.bs)[2] > _T_NU
             if mode == "robust_h1" and snap.truth.has_los:
                 assert snap.truth.labels[0] == "los" and 0 in sol.inliers, snap.id
                 assert 0 not in [lm.source_path for lm in sol.landmarks], snap.id
@@ -453,7 +498,7 @@ def _reference_search(paths, bs, alphas, combos, los_index, config):
         inlier = (stage_1 <= config.t_eps) & ok0                    # (n, M)
         x1, ok1 = _solve_packed(functools.reduce(
             operator.add, (inlier[i] * terms.normal[:, i] for i in range(len(paths)))))
-        cost = estimator._row_costs(terms, x1, ok0 & ok1, inlier, (config.t_nu, config.t_eps))
+        cost = estimator._row_costs(terms, x1, ok0 & ok1, inlier, config.t_eps)
         costs.append(np.where(inlier.sum(axis=0) >= len(combo), cost, np.inf))
         states.append(x1)
         masks.append(inlier)
@@ -561,7 +606,7 @@ def test_pruned_search_keeps_cells_whose_penalty_ties_the_best(case, t_eps, monk
     # heading, so the penalty test must not prune it (case 5 at 10.0 has
     # such cells in later subsets).
     def penalty_only(terms, x, ok, member, gate):
-        cost = _outlier_penalty(terms.const.eta, member, gate[1])
+        cost = _outlier_penalty(terms.const.eta, member, gate)
         return np.where(ok, cost, np.inf)
 
     monkeypatch.setattr(estimator, "_row_costs", penalty_only)

@@ -91,7 +91,9 @@ _PATH_FIELDS = ("toa_ns", "aod_rad", "aoa_rad", "gain")
 
 
 def _measurement(p: dict) -> PathMeasurement:
-    """A dataset row's path as a PathMeasurement; every field under ``_number``."""
+    """A dataset row's path, an object, as a PathMeasurement; every field
+    under ``_number``."""
+    p = _typed(p, dict, "path", "an object")
     toa, aod, aoa, gain = p["toa_ns"], p["aod_rad"], p["aoa_rad"], p["gain"]
     # four finite floats in one test, the row as write_dataset writes it; the
     # sum can overflow only where every field passes
@@ -105,19 +107,22 @@ def _measurement(p: dict) -> PathMeasurement:
 def snapshot_from_dict(row: dict) -> Snapshot:
     """Inverse of :func:`snapshot_to_dict`; times are re-canonicalized.
 
-    The row must be an object (a dict) with a string ``id`` and arrays for
+    The row must be an object (a dict) with a string ``id``, objects for
+    ``bs``, each path, ``truth`` (or null) and ``truth.ue``, and arrays for
     ``paths``, ``truth.labels`` and ``truth.incidence``. Every number must
     pass ``_is_number``, and every point be an [x, y] pair of them;
     otherwise ValueError names the field.
     """
     row = _typed(row, dict, "row", "an object")
-    bs = Pose(position=_pair(row["bs"]["pos"], "bs.pos"),
-              orientation=_number(row["bs"]["ori"], "bs.ori"))
+    bs_row = _typed(row["bs"], dict, "bs", "an object")
+    bs = Pose(position=_pair(bs_row["pos"], "bs.pos"),
+              orientation=_number(bs_row["ori"], "bs.ori"))
     paths = tuple(map(_measurement, _typed(row["paths"], (list, tuple), "paths", "an array")))
     truth_row = row.get("truth")
     truth = None
     if truth_row is not None:
-        ue_row = truth_row["ue"]
+        truth_row = _typed(truth_row, dict, "truth", "an object or null")
+        ue_row = _typed(truth_row["ue"], dict, "truth.ue", "an object")
         ue = UeState(position=_pair(ue_row["pos"], "truth.ue.pos"),
                      orientation=_number(ue_row["ori"], "truth.ue.ori"),
                      clock_bias=canonical_seconds(_number(ue_row["bias_ns"],

@@ -9,10 +9,6 @@ class DegenerateGeometry(SlamError):
     """Coincident points, zero-length segments, or a rank-deficient Jacobian."""
 
 
-class NearParallel(SlamError):
-    """Departure and arrival rays nearly anti-parallel: bounce fraction undefined."""
-
-
 class SingularGeometry(SlamError):
     """Normal matrix of the conditional estimate is numerically singular."""
 

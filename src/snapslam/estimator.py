@@ -472,14 +472,11 @@ def _heading_costs(frozen: _FrozenSet, alphas: np.ndarray):
 
 
 def path_cost(path: PathMeasurement, position, clock_bias: float, alpha_ue: float,
-              bs: Pose, is_los: bool = False) -> float:
-    """Squared projected residual (m^2) of one path at a given state.
-
-    ``is_los`` selects the identity projector (both residual components
-    count); otherwise the component along the bounce direction is removed.
+              bs: Pose) -> float:
+    """Squared projected residual (m^2) of one path at a given state, taken
+    as a single bounce: the component along the bounce direction is removed.
     """
-    terms = _build_terms([path], bs, np.array([float(alpha_ue)]),
-                         0 if is_los else None)
+    terms = _build_terms([path], bs, np.array([float(alpha_ue)]))
     x = np.array([[position[0]], [position[1]], [_C * clock_bias]])
     return float(_costs(terms, x)[0, 0])
 
@@ -565,20 +562,6 @@ def _bounce_model(ue: UeState, bs: Pose, landmark):
            -d1y / (n1 * n1), d1x / (n1 * n1),
            -d2y / (n2 * n2), d2x / (n2 * n2))
     return h, jac
-
-
-def landmark_jacobian(ue: UeState, bs: Pose, landmark) -> np.ndarray:
-    """Analytic 3x2 Jacobian of (toa, aod, aoa) w.r.t. the landmark position.
-
-    Raises
-    ------
-    DegenerateGeometry
-        If the landmark coincides with the anchor or the user.
-    """
-    model = _bounce_model(ue, bs, landmark)
-    if model is None:
-        raise DegenerateGeometry("landmark coincides with an antenna")
-    return np.array(model[1]).reshape(3, 2)
 
 
 def _whitened(path: PathMeasurement, h, sigmas):

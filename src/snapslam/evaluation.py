@@ -89,21 +89,6 @@ def rmse(records: Sequence[ErrorRecord]) -> tuple[float, float, float]:
     return float(out[0]), float(out[1]), float(out[2])
 
 
-def error_cdf(records: Sequence[ErrorRecord]) -> list[tuple[float, float]]:
-    """Empirical CDF of the position error: sorted (error, fraction <=) pairs.
-
-    Raises
-    ------
-    EmptyInput
-        If ``records`` is empty.
-    """
-    if not records:
-        raise EmptyInput("no records")
-    errs = sorted(r.position_error for r in records)
-    n = len(errs)
-    return [(e, (k + 1) / n) for k, e in enumerate(errs)]
-
-
 STRIP_CHI2_LOS = 11.344866730144373
 """Chi-square 0.99 quantile, 3 dof: a LoS path's residual at the true state."""
 

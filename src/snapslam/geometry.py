@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, NearParallel
+from .errors import DegenerateGeometry
 
 SPEED_OF_LIGHT = 299792458.0
 """Exact SI speed of light, m/s."""
@@ -196,39 +196,24 @@ def path_loss_mean(distance: float, model: PathLossModel = PathLossModel()) -> f
     return model.l0_db + 10.0 * model.zeta * math.log10(distance)
 
 
-def unit_vectors(aod: float, aoa: float, alpha_bs: float, alpha_ue: float):
-    """World-frame unit vectors of the departure and arrival rays.
-
-    Parameters
-    ----------
-    aod, aoa : float
-        Local-frame departure and arrival angles of one path.
-    alpha_bs, alpha_ue : float
-        Anchor and user headings.
-
-    Returns
-    -------
-    (u, v) : tuple of ndarray
-        ``u`` points from the anchor toward the path's first interaction
-        (the landmark, or the user itself for line of sight); ``v`` points
-        from the user toward the last interaction (landmark or anchor).
-        For a line-of-sight path v = -u.
-    """
-    u, v = _rays(aod, aoa, alpha_bs, alpha_ue)
-    return np.array(u), np.array(v)
-
-
 _T_NU = 0.1
 """The near-parallel threshold on s = ||u + v||^2: at or below it the
 departure and arrival rays are close to anti-parallel and the bounce
 fraction is treated as undefined. The one such threshold; it is read by
-``bounce_fraction``, ``estimator._initial_landmark``,
-``estimator._feasibility_mask``, ``robust._refine_landmarks`` and
-``evaluation.is_single_bounce_consistent``."""
+``estimator._initial_landmark``, ``estimator._feasibility_mask``,
+``robust._refine_landmarks`` and ``evaluation.is_single_bounce_consistent``."""
 
 
 def _rays(aod: float, aoa: float, alpha_bs: float, alpha_ue: float):
-    """``unit_vectors`` as two (x, y) tuples of Python floats."""
+    """World-frame unit vectors (u, v) of a path's departure and arrival
+    rays, as two (x, y) tuples of Python floats.
+
+    ``aod`` and ``aoa`` are the path's local-frame angles, ``alpha_bs`` and
+    ``alpha_ue`` the anchor and user headings. u points from the anchor
+    toward the path's first interaction (the landmark, or the user itself
+    for line of sight); v points from the user toward the last interaction
+    (landmark or anchor). For a line-of-sight path v = -u.
+    """
     a, b = alpha_bs + aod, alpha_ue + aoa
     return (math.cos(a), math.sin(a)), (math.cos(b), math.sin(b))
 
@@ -236,11 +221,15 @@ def _rays(aod: float, aoa: float, alpha_bs: float, alpha_ue: float):
 def _bounce(ue: UeState, path: PathMeasurement, bs: Pose):
     """(u, v, s, d, gamma) of ``path`` at user state ``ue``, in Python floats.
 
-    u and v are the rays of ``unit_vectors``, s = ||u + v||^2, d = c (toa -
-    clock_bias) the path length, and gamma the bounce fraction of
-    ``bounce_fraction``, nu . r / (d s) with nu = u + v and r = p_ue - p_bs
-    + d v; gamma is nan where d s is 0. Floats round as NumPy does, and on
-    2-vectors a NumPy call costs more than the arithmetic it does.
+    u and v are the rays of ``_rays``, s = ||u + v||^2, d = c (toa -
+    clock_bias) the path length, and gamma the bounce fraction, the share
+    of d spent on the anchor-side leg: nu . r / (d s) with nu = u + v and
+    r = p_ue - p_bs + d v; gamma is nan where d s is 0. For a single bounce
+    consistent with the state, the reflection point sits at p_bs + gamma d u,
+    and gamma lies in [0, 1]. gamma is undefined where the rays nearly
+    cancel (s <= ``_T_NU``); every reader tests s first. Floats round as
+    NumPy does, and on 2-vectors a NumPy call costs more than the
+    arithmetic it does.
     """
     u, v = _rays(path.aod, path.aoa, bs.orientation, ue.orientation)
     nu = (u[0] + v[0], u[1] + v[1])
@@ -323,26 +312,9 @@ def measurement_model(ue: UeState, bs: Pose, landmark=None) -> tuple[float, floa
     return polyline_measurement(ue, bs, pts)
 
 
-def mirror_point(p, wall) -> np.ndarray:
-    """Reflect point ``p`` across the infinite line through a wall segment.
-
-    ``wall`` is anything indexable as two endpoints ((x1, y1), (x2, y2)).
-
-    Raises
-    ------
-    DegenerateGeometry
-        If the wall has zero length.
-    """
-    p = _as_point(p)
-    a = _as_point(wall[0])
-    b = _as_point(wall[1])
-    if _dot2(b - a, b - a) == 0.0:
-        raise DegenerateGeometry("zero-length wall")
-    return np.array(_mirror(p.tolist(), a.tolist(), b.tolist()))
-
-
 def _mirror(p, a, b) -> tuple[float, float]:
-    """``mirror_point`` on (x, y) pairs of Python floats, with ``a != b``.
+    """Reflection of the point ``p`` across the infinite line through the
+    wall endpoints ``a != b``, all (x, y) pairs of Python floats.
 
     The image is 2 (a + t d) - p for d = b - a and t = (p - a) . d / d . d,
     rounded as NumPy rounds it on 2-vectors; on pairs a NumPy call costs
@@ -352,25 +324,3 @@ def _mirror(p, a, b) -> tuple[float, float]:
     d = (bx - ax, by - ay)
     t = _dot2((px - ax, py - ay), d) / _dot2(d, d)
     return 2.0 * (ax + t * d[0]) - px, 2.0 * (ay + t * d[1]) - py
-
-
-def bounce_fraction(ue: UeState, path: PathMeasurement, bs: Pose) -> float:
-    """Fraction of a path's length spent on the anchor-side leg.
-
-    For a single-bounce path consistent with the state, the reflection point
-    sits at ``bs.position + gamma * d * u`` where d = c (toa - clock_bias) is
-    the total geometric length; gamma in [0, 1] for physical geometry, with
-    gamma = 1 the line-of-sight convention.
-
-    Raises
-    ------
-    NearParallel
-        If the departure and arrival rays are close to anti-parallel
-        (``||u + v||^2 <= _T_NU``), where the fraction is undefined.
-    """
-    _, _, s, d, gam = _bounce(ue, path, bs)
-    if s <= _T_NU:
-        raise NearParallel(f"||u + v||^2 = {s:.3g} <= {_T_NU:.3g}")
-    if d == 0.0:
-        raise DegenerateGeometry("zero path length")
-    return gam

@@ -343,22 +343,14 @@ def _gains(paths, model, per_bounce_extra_db, rng, sigma_db) -> list[float]:
     return [10.0 ** (g / 10.0) for g in gains_db]
 
 
-def corrupt(paths: Sequence[TruePath], noise: Optional[NoiseModel],
-            rng=None) -> list[PathMeasurement]:
-    """Measurements from true paths: additive Gaussian noise per component.
+def _noisy(paths, noise, rng) -> list[tuple[float, float, float]]:
+    """Measured (toa, aod, aoa) of each path: additive Gaussian noise per
+    component, angles re-wrapped.
 
     ``noise=None`` copies the true parameters exactly and draws nothing.
-    Otherwise three draws per path (toa, aod, aoa order); angles re-wrapped.
-    """
-    return [PathMeasurement(toa, aod, aoa, p.gain)
-            for (toa, aod, aoa), p in zip(_noisy(paths, noise, rng), paths)]
-
-
-def _noisy(paths, noise, rng) -> list[tuple[float, float, float]]:
-    """(toa, aod, aoa) of each path as ``corrupt`` measures it.
-
-    The noise is one (paths, 3) draw, which fills row by row from the same
-    stream as one scalar draw per component in (toa, aod, aoa) order.
+    Otherwise the noise is one (paths, 3) draw, which fills row by row from
+    the same stream as one scalar draw per component in (toa, aod, aoa)
+    order.
     """
     if noise is None:
         return [(p.toa, p.aod, p.aoa) for p in paths]

@@ -17,7 +17,6 @@ from snapslam import (
     DegenerateGeometry,
     Hypothesis,
     LandmarkEstimate,
-    NearParallel,
     NoFeasibleSolution,
     NoiseModel,
     PathLossModel,
@@ -143,9 +142,14 @@ def landmark_refine(path, ue, bs, noise=NoiseModel(), source_path=-1):
                             iterations=iterations)
 
 
+class NearParallel(Exception):
+    """Raised by ``bounce_fraction`` where the rays nearly cancel."""
+
+
 def bounce_fraction(ue, path, bs):
-    """``bounce_fraction`` on NumPy 2-vectors, with its own near-parallel
-    threshold 0.1."""
+    """The bounce fraction of ``geometry._bounce`` on NumPy 2-vectors, with
+    its own near-parallel threshold 0.1: raises NearParallel at or below it,
+    and DegenerateGeometry at a zero path length."""
     a = bs.orientation + path.aod
     b = ue.orientation + path.aoa
     u = np.array([math.cos(a), math.sin(a)])
@@ -505,8 +509,8 @@ def synthesize_gains_scalar(paths, model=PathLossModel(), per_bounce_extra_db=6.
 
 
 def corrupt_scalar(paths, noise, rng=None):
-    """``corrupt`` as it was with three scalar draws per path, in (toa, aod,
-    aoa) order."""
+    """The measurements of ``sim._noisy`` as they were drawn with three
+    scalar draws per path, in (toa, aod, aoa) order."""
     if noise is None:
         return [PathMeasurement(p.toa, p.aod, p.aoa, p.gain) for p in paths]
     out = []

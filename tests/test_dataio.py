@@ -324,11 +324,18 @@ def test_read_dataset_applies_the_number_rule(tmp_path, field, value, named):
      "truth.labels must be an array, got str"),
     (lambda row: {**row, "paths": {"a": 1}}, "paths must be an array, got dict"),
     (lambda row: [row], "row must be an object, got list"),
-], ids=["null_id", "array_id", "string_labels", "object_paths", "array_row"])
+    (lambda row: {**row, "paths": [1, *row["paths"][1:]]}, "path must be an object, got int"),
+    (lambda row: {**row, "bs": [0, 0]}, "bs must be an object, got list"),
+    (lambda row: {**row, "truth": [1]}, "truth must be an object or null, got list"),
+    (lambda row: {**row, "truth": {**row["truth"], "ue": "x"}},
+     "truth.ue must be an object, got str"),
+], ids=["null_id", "array_id", "string_labels", "object_paths", "array_row",
+        "int_path", "array_bs", "array_truth", "string_ue"])
 def test_read_dataset_names_a_field_that_is_not_of_its_json_type(tmp_path, change, message):
     # before, an id went through str() ("None", "[1, 2]"), a labels string
-    # was split into labels of one character, and a paths object or an
-    # array row failed on an index, naming no field
+    # was split into labels of one character, and a paths object, an array
+    # row, a path that is a number, and a bs, truth or truth.ue that is not
+    # an object failed on an index, naming no field
     p = tmp_path / "d.jsonl"
     write_dataset([random_h0_snapshot(s, n_single=2, sid=f"s{s}") for s in range(2)], p)
     first, second = p.read_text().splitlines()

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from snapslam import (
     SPEED_OF_LIGHT,
     DegenerateGeometry,
-    NearParallel,
     NoiseModel,
     PathMeasurement,
     Pose,
     SingularGeometry,
     UeState,
-    bounce_fraction,
-    landmark_jacobian,
     landmark_refine,
     los_orientation,
     measurement_model,
@@ -27,11 +24,13 @@ from snapslam import (
 from snapslam import estimator
 from snapslam.estimator import (
     CONDITION_LIMIT,
+    _bounce_model,
     _build_terms,
     _costs,
     _row_costs,
     _solve_packed,
 )
+from snapslam.geometry import _T_NU, _bounce
 import reference
 from helpers import random_h0_snapshot, random_h1_snapshot, random_landmarks, random_state
 
@@ -114,17 +113,24 @@ def test_path_cost_zero_at_truth_positive_off_truth():
         assert shifted > 1e-3
 
 
+def _los_cost(path, position, clock_bias, alpha_ue, bs):
+    """Squared residual (m^2) of ``path`` as the LoS branch costs its
+    candidate: marked LoS, with the identity projector."""
+    x = np.array([[position[0]], [position[1]], [C * clock_bias]])
+    return float(_costs(_build_terms([path], bs, [alpha_ue], 0), x)[0, 0])
+
+
 def test_path_cost_los_projector_counts_both_components():
     ue = UeState([10.0, 0.0], math.pi, 0.0)
     bs = Pose([0.0, 0.0])
     toa, aod, aoa = measurement_model(ue, bs)
     p = PathMeasurement(toa, aod, aoa)
-    assert path_cost(p, ue.position, 0.0, ue.orientation, bs, is_los=True) == \
+    assert _los_cost(p, ue.position, 0.0, ue.orientation, bs) == \
         pytest.approx(0.0, abs=1e-18)
     # moving 1 m along the ray plus 1 m of bias leaves a 2 m range residual;
     # an exactly-LoS path has u + v = 0, so the bounce projector degenerates
-    # to the identity as well and both flags count it fully
-    along = path_cost(p, [11.0, 0.0], 1.0 / C, ue.orientation, bs, is_los=True)
+    # to the identity as well and both count it fully
+    along = _los_cost(p, [11.0, 0.0], 1.0 / C, ue.orientation, bs)
     assert along == pytest.approx(4.0, rel=1e-6)
     assert path_cost(p, [11.0, 0.0], 1.0 / C, ue.orientation, bs) == \
         pytest.approx(4.0, rel=1e-6)
@@ -142,8 +148,7 @@ def test_path_cost_bounce_projector_null_direction():
     assert path_cost(p, shifted, 0.0, 0.0, bs) == pytest.approx(0.0, abs=1e-12)
     # identity projector keeps the unprojected residual gamma*d*nu:
     # gamma=1/2, d=4*sqrt(2), |nu|^2=2 -> cost 16 at the true position
-    assert path_cost(p, ue.position, 0.0, 0.0, bs, is_los=True) == \
-        pytest.approx(16.0, rel=1e-9)
+    assert _los_cost(p, ue.position, 0.0, 0.0, bs) == pytest.approx(16.0, rel=1e-9)
 
 
 def test_los_orientation_closed_form():
@@ -209,6 +214,12 @@ def test_row_costs_send_failed_and_non_finite_rows_to_inf():
     assert np.isfinite(np.delete(cost, [1, 2])).all()
 
 
+def _jacobian(ue, bs, landmark):
+    """The 3x2 landmark Jacobian of ``_bounce_model``, which
+    ``landmark_refine`` steps by."""
+    return np.array(_bounce_model(ue, bs, landmark)[1]).reshape(3, 2)
+
+
 def test_landmark_jacobian_matches_finite_differences():
     rng = np.random.default_rng(17)
     checked = 0
@@ -220,7 +231,7 @@ def test_landmark_jacobian_matches_finite_differences():
         if (np.hypot(*(lm - bs.position)) < 1.0
                 or np.hypot(*(lm - ue.position)) < 1.0):
             continue
-        jac = landmark_jacobian(ue, bs, lm)
+        jac = _jacobian(ue, bs, lm)
         eps = 1e-6
         fd = np.empty((3, 2))
         for k in range(2):
@@ -234,12 +245,11 @@ def test_landmark_jacobian_matches_finite_differences():
 
 
 def test_landmark_jacobian_degenerate_at_antennas():
+    # the model is undefined at either antenna
     bs = Pose([0.0, 0.0])
     ue = UeState([5.0, 0.0])
-    with pytest.raises(DegenerateGeometry):
-        landmark_jacobian(ue, bs, [0.0, 0.0])
-    with pytest.raises(DegenerateGeometry):
-        landmark_jacobian(ue, bs, [5.0, 0.0])
+    assert _bounce_model(ue, bs, [0.0, 0.0]) is None
+    assert _bounce_model(ue, bs, [5.0, 0.0]) is None
 
 
 def test_landmark_refine_noiseless_strict():
@@ -387,7 +397,7 @@ def _next_step(est, path, ue, bs, noise):
     h = measurement_model(ue, bs, est.position)
     r = np.array([path.toa - h[0], wrap_angle(path.aod - h[1]),
                   wrap_angle(path.aoa - h[2])]) / noise.sigmas
-    jac = landmark_jacobian(ue, bs, est.position) / noise.sigmas[:, None]
+    jac = _jacobian(ue, bs, est.position) / noise.sigmas[:, None]
     return float(np.hypot(*np.linalg.solve(jac.T @ jac, jac.T @ r)))
 
 
@@ -481,7 +491,7 @@ def _initializer_cases():
 def _fraction_or_error(fraction, path, ue, bs):
     try:
         return fraction(ue, path, bs)
-    except (NearParallel, DegenerateGeometry) as exc:
+    except (reference.NearParallel, DegenerateGeometry) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -493,11 +503,13 @@ def test_initial_landmark_matches_the_numpy_reference_bit_for_bit():
             want = reference.initial_landmark(path, ue, bs)
         assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
         gam = _fraction_or_error(reference.bounce_fraction, path, ue, bs)
-        got_gam = _fraction_or_error(bounce_fraction, path, ue, bs)
-        assert np.array(got_gam).tobytes() == np.array(gam).tobytes()
+        _, _, s, d, got_gam = _bounce(ue, path, bs)
         if isinstance(gam, tuple):
             kinds.add(gam[0])
+            assert s <= _T_NU if gam[0] == "NearParallel" else s > _T_NU and d == 0.0
         else:
+            assert s > _T_NU and d != 0.0
+            assert np.array(got_gam).tobytes() == np.array(gam).tobytes()
             kinds.add("inside" if 0.0 <= gam <= 1.0 else
                       "outside" if math.isfinite(gam) else "not finite")
     assert kinds == {"inside", "outside", "not finite", "NearParallel", "DegenerateGeometry"}
@@ -565,8 +577,7 @@ def test_landmark_refine_makes_no_numpy_solve_and_no_svd(monkeypatch):
 def test_landmark_jacobian_matches_the_reference():
     for path, ue, bs, _, seed in _refine_cases():
         lm = np.random.default_rng(seed).uniform(-20.0, 20.0, 2)
-        assert (landmark_jacobian(ue, bs, lm).tobytes()
-                == reference.landmark_jacobian(ue, bs, lm).tobytes())
+        assert _jacobian(ue, bs, lm).tobytes() == reference.landmark_jacobian(ue, bs, lm).tobytes()
 
 
 def test_bounce_model_equals_measurement_model_to_the_bit():

@@ -18,7 +18,6 @@ from snapslam import (
     Snapshot,
     UeState,
     classification_report,
-    error_cdf,
     is_single_bounce_consistent,
     los_sensitivity_sweep,
     make_error_record,
@@ -83,14 +82,6 @@ def test_rmse_oracle():
     assert out[2] == pytest.approx(math.sqrt(5e-18), abs=1e-27)
     with pytest.raises(EmptyInput):
         rmse([])
-
-
-def test_error_cdf_oracle():
-    cdf = error_cdf([_record(pos=3.0), _record(pos=1.0), _record(pos=2.0)])
-    assert cdf == [(1.0, pytest.approx(1 / 3)), (2.0, pytest.approx(2 / 3)),
-                   (3.0, pytest.approx(1.0))]
-    with pytest.raises(EmptyInput):
-        error_cdf([])
 
 
 def test_strip_outliers_keeps_true_paths():

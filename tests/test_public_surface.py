@@ -1,7 +1,8 @@
 """The package's public surface: exports, docstrings, imports and parameters.
 
-``snapslam.__all__`` lists exactly what ``__init__`` imports, once each;
-every public top-level function and class has a docstring; no module
+``snapslam.__all__`` lists exactly what ``__init__`` imports, once each,
+and each name is read by the package, the benchmark or a demo, not by the
+tests alone; every public top-level function and class has a docstring; no module
 imports a name it does not use, and the simulator imports no solver
 module; every private top-level definition is used
 by the package itself, so tests alone cannot keep a dead helper alive.
@@ -29,6 +30,7 @@ import snapslam
 
 PACKAGE = Path(snapslam.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _tree(path):
@@ -50,6 +52,55 @@ def test_all_lists_every_import_once():
     exported = snapslam.__all__
     assert len(exported) == len(set(exported))
     assert set(exported) == _imported(_tree(PACKAGE / "__init__.py"))
+
+
+# exported though only the tests read them: each has logic that no private
+# function has, and an acceptance criterion calls it
+_TEST_ONLY_EXPORTS = {
+    "rmse": "criterion 4 compares the robust and benchmark errors by it",
+    "strip_outliers_by_truth": "criterion 4 scores the solvers on the stripped paths",
+    "write_scene": "criterion 9 writes the scene file that the CLI reads",
+    "write_positions": "criterion 9 writes the positions file that the CLI reads",
+}
+
+
+_PACKAGE_ROOTS = {"snapslam"} | {path.stem for path in MODULES}
+
+
+def _read_names(path):
+    """Every name that the file reads, as a name or as an attribute of the
+    package or one of its modules (``snapslam.cli.main``, not a field such
+    as ``sweep.rmse``), outside the top-level definition of that name;
+    imports, strings and comments do not count."""
+    read = set()
+    for stmt in _tree(path).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined = {stmt.name}
+        else:
+            defined = {t.id for t in getattr(stmt, "targets", [getattr(stmt, "target", None)])
+                       if isinstance(t, ast.Name)}
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if getattr(root, "id", None) in _PACKAGE_ROOTS:
+                    names.add(node.attr)
+        read |= names - defined
+    return read
+
+
+def test_every_export_has_a_reader_beyond_the_tests():
+    # a public adapter that only tests call is a second name for a kernel;
+    # the package (re-exports aside), the benchmark or a demo must read each
+    # export, or it is one of the few kept above
+    readers = [p for p in MODULES if p.name != "__init__.py"]
+    readers += sorted((ROOT / "bench").rglob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    read = set().union(*map(_read_names, readers))
+    assert sorted(set(snapslam.__all__) - read) == sorted(_TEST_ONLY_EXPORTS)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

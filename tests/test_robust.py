@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from snapslam import (
     SPEED_OF_LIGHT,
     Hypothesis,
-    NearParallel,
     NoFeasibleSolution,
     NoiseModel,
     PathMeasurement,
@@ -28,7 +27,6 @@ from snapslam import (
     TooFewPaths,
     UeState,
     benchmark_solve,
-    bounce_fraction,
     enumerate_combinations,
     generate_dataset,
     is_single_bounce_consistent,
@@ -255,11 +253,6 @@ def test_every_near_parallel_reader_switches_at_the_one_threshold():
         terms = _build_terms([early], bs, np.array([ue.orientation]))
         inlier = np.ones((1, 1), dtype=bool)
         assert _feasibility_mask(terms, x, inlier, _residuals(terms, x)).tolist() == [near]
-        if near:
-            with pytest.raises(NearParallel):
-                bounce_fraction(ue, path, bs)
-        else:
-            assert bounce_fraction(ue, path, bs) == gam
         assert is_single_bounce_consistent(path, ue, bs) is not near
         # the initializer falls back to the fraction 0.5, else starts on the point
         half = 0.5 * ((bs.position + 0.5 * d * np.array(u))
@@ -356,6 +349,22 @@ def test_no_landmark_from_an_inlier_whose_rays_nearly_cancel():
             if mode == "robust_h1" and snap.truth.has_los:
                 assert snap.truth.labels[0] == "los" and 0 in sol.inliers, snap.id
                 assert 0 not in [lm.source_path for lm in sol.landmarks], snap.id
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: the map rule keeps a landmark on the "
+                   "estimated user; the per-path whitened test or the wall test is to drop it")
+def test_no_landmark_lies_on_the_estimated_user():
+    # room_mixed at seed 99, pos_081: the LoS branch maps path 1 0.11 mm from
+    # the user it estimates, and that refinement does not converge. Its rays
+    # do not cancel (||u + v||^2 = 3.89), so the map rule keeps it. When a
+    # fix removes it, this test passes and the strict marker fails the run,
+    # so the marker goes with the fix.
+    scene = read_scene(Path(__file__).resolve().parents[1] / "demos" / "room.scene")
+    snap = generate_dataset(scene, [[-7.694817601409837, 2.5673422140613438]] * 82,
+                            SimConfig(max_bounces=2), seed=99)[-1]
+    assert snap.id == "pos_081"
+    sol, _ = mixed_solve(snap)
+    assert all(math.hypot(*(lm.position - sol.ue.position)) >= 1e-3 for lm in sol.landmarks)
 
 
 def test_solution_cost_includes_outlier_penalty():

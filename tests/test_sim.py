@@ -12,23 +12,22 @@ from snapslam import (
     InvalidPosition,
     NoiseModel,
     PathLossModel,
-    PathMeasurement,
     Pose,
     Scene,
     SimConfig,
     UeState,
     Wall,
     canonical_seconds,
-    corrupt,
     dataset_label,
     generate_dataset,
     measurement_model,
-    mirror_point,
     polyline_measurement,
     read_scene,
     synthesize_gains,
     trace_paths,
 )
+from snapslam.geometry import _mirror
+from snapslam.sim import _noisy
 from helpers import square_scene
 from reference import corrupt_scalar, synthesize_gains_scalar, trace_paths_reference
 
@@ -117,11 +116,11 @@ def test_traced_lengths_match_mirror_images():
             for max_bounces in range(4):
                 paths = trace_paths(scene, ue, max_bounces)
                 for p in paths:
-                    image = scene.bs.position
+                    image = scene.bs.position.tolist()
                     for pt in p.incidence_points:
                         w = scene.walls[_wall_of(pt, scene.walls)]
-                        image = mirror_point(image, (w.a, w.b))
-                    direct = float(np.hypot(*(image - ue.position)))
+                        image = _mirror(image, w.a.tolist(), w.b.tolist())
+                    direct = float(np.hypot(*(np.array(image) - ue.position)))
                     assert p.length_m == pytest.approx(direct, abs=1e-9)
                     assert p.toa - ue.clock_bias == pytest.approx(
                         p.length_m / SPEED_OF_LIGHT, abs=1e-18)
@@ -289,9 +288,9 @@ def test_gains_and_noise_draw_as_scalar_draws():
         gained = synthesize_gains(paths)
         for noise in (None, NoiseModel(), NoiseModel(2e-9, 0.05, 0.02)):
             rngs = [np.random.default_rng(7) for _ in "ab"]
-            got = corrupt(gained, noise, rngs[0])
-            want = corrupt_scalar(gained, noise, rngs[1])
-            assert _draws_as_bytes(got) == _draws_as_bytes(want)
+            got = np.array(_noisy(gained, noise, rngs[0]), dtype=float)
+            want = [[m.toa, m.aod, m.aoa] for m in corrupt_scalar(gained, noise, rngs[1])]
+            assert got.tobytes() == np.array(want, dtype=float).tobytes()
             assert rngs[0].standard_normal() == rngs[1].standard_normal()
 
 
@@ -299,18 +298,15 @@ def test_corrupt_noiseless_copies_exactly():
     scene = square_scene()
     ue = UeState([3.0, -4.0], 0.7, 20e-9)
     paths = synthesize_gains(trace_paths(scene, ue, max_bounces=1))
-    out = corrupt(paths, None)
-    assert all(isinstance(m, PathMeasurement) for m in out)
-    for m, p in zip(out, paths):
-        assert m.toa == p.toa and m.aod == p.aod and m.aoa == p.aoa
-        assert m.gain == p.gain
+    out = _noisy(paths, None, None)
+    assert out == [(p.toa, p.aod, p.aoa) for p in paths]
 
 
 def test_corrupt_requires_rng_with_noise():
     scene = Scene(walls=(), bs=Pose([0.0, 0.0], 0.0))
     paths = trace_paths(scene, UeState([10.0, 0.0], 0.0, 0.0))
-    with pytest.raises(ValueError):
-        corrupt(paths, NoiseModel())
+    with pytest.raises(ValueError, match="rng is required"):
+        _noisy(paths, NoiseModel(), None)
 
 
 def test_corrupt_noise_scale():
@@ -318,11 +314,10 @@ def test_corrupt_noise_scale():
     paths = trace_paths(scene, UeState([10.0, 0.0], 0.0, 0.0)) * 10000
     noise = NoiseModel(sigma_toa=1e-9, sigma_aod=math.radians(1.0),
                        sigma_aoa=math.radians(1.0))
-    out = corrupt(paths, noise, np.random.default_rng(7))
-    a2 = corrupt(paths, noise, np.random.default_rng(7))
-    assert [m.toa for m in out] == [m.toa for m in a2]
-    dt = np.array([m.toa - p.toa for m, p in zip(out, paths)])
-    da = np.array([m.aod - p.aod for m, p in zip(out, paths)])
+    out = _noisy(paths, noise, np.random.default_rng(7))
+    assert out == _noisy(paths, noise, np.random.default_rng(7))
+    dt = np.array([toa - p.toa for (toa, _, _), p in zip(out, paths)])
+    da = np.array([aod - p.aod for (_, aod, _), p in zip(out, paths)])
     assert abs(dt.std() / 1e-9 - 1.0) < 0.03
     assert abs(da.std() / math.radians(1.0) - 1.0) < 0.03
     assert abs(dt.mean()) < 3e-11

@@ -13,7 +13,6 @@ import math
 import os
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from .dataio import (
@@ -204,6 +203,9 @@ def _cmd_solve(args) -> int:
     # a fork pool starts every worker at the first submit, needed or not
     workers = min(rc.workers, len(tasks))
     if workers > 1:
+        # imported only here: multiprocessing adds ~1 MB to every process
+        # that imports the CLI, pool or not
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_solve_one, tasks))
     else:

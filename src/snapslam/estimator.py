@@ -544,7 +544,8 @@ def _bounce_model(ue: UeState, bs: Pose, landmark):
     equal to ``measurement_model``'s to the bit, and jac the 3x2 Jacobian
     w.r.t. the landmark as the 6-tuple (d toa/dx, d toa/dy, d aod/dx,
     d aod/dy, d aoa/dx, d aoa/dy), row by row. Returns None if the landmark
-    coincides with the anchor or the user, where the model is undefined.
+    coincides with the anchor or the user, where the model is undefined, or
+    lies so close to one that a leg's squared norm underflows to 0.
     """
     px, py = float(landmark[0]), float(landmark[1])
     bx, by = bs.position.tolist()
@@ -553,14 +554,15 @@ def _bounce_model(ue: UeState, bs: Pose, landmark):
     d2x, d2y = px - ux, py - uy
     n1 = math.hypot(d1x, d1y)
     n2 = math.hypot(d2x, d2y)
-    if n1 == 0.0 or n2 == 0.0:
+    n1_sq, n2_sq = n1 * n1, n2 * n2
+    if n1_sq == 0.0 or n2_sq == 0.0:
         return None
     h = ((n1 + n2) / _C + ue.clock_bias,
          wrap_angle(math.atan2(d1y, d1x) - bs.orientation),
          wrap_angle(math.atan2(d2y, d2x) - ue.orientation))
     jac = ((d1x / n1 + d2x / n2) / _C, (d1y / n1 + d2y / n2) / _C,
-           -d1y / (n1 * n1), d1x / (n1 * n1),
-           -d2y / (n2 * n2), d2x / (n2 * n2))
+           -d1y / n1_sq, d1x / n1_sq,
+           -d2y / n2_sq, d2x / n2_sq)
     return h, jac
 
 

@@ -127,18 +127,24 @@ class PathMeasurement:
     gain: float = 1.0
 
     def __post_init__(self):
+        toa, aod, aoa, gain = self.toa, self.aod, self.aoa, self.gain
         # the sum is finite if every field is, unless it overflows: the loop
         # runs only to name a non-finite field
-        if not math.isfinite(self.toa + self.aod + self.aoa + self.gain):
+        if not math.isfinite(toa + aod + aoa + gain):
             for name in ("toa", "aod", "aoa", "gain"):
                 if not math.isfinite(getattr(self, name)):
                     raise ValueError(f"{name} must be finite")
-        if self.gain <= 0.0:
+        if gain <= 0.0:
             raise ValueError("gain must be strictly positive")
-        object.__setattr__(self, "toa", float(self.toa))
-        object.__setattr__(self, "aod", wrap_angle(float(self.aod)))
-        object.__setattr__(self, "aoa", wrap_angle(float(self.aoa)))
-        object.__setattr__(self, "gain", float(self.gain))
+        # the tracer and the readers pass floats with wrapped angles, which
+        # float() and wrap_angle would return unchanged
+        if (type(toa) is type(aod) is type(aoa) is type(gain) is float
+                and -math.pi < aod <= math.pi and -math.pi < aoa <= math.pi):
+            return
+        object.__setattr__(self, "toa", float(toa))
+        object.__setattr__(self, "aod", wrap_angle(float(aod)))
+        object.__setattr__(self, "aoa", wrap_angle(float(aoa)))
+        object.__setattr__(self, "gain", float(gain))
 
 
 @dataclass(frozen=True)

@@ -9,22 +9,23 @@ other walls. The direct path is the empty wall sequence, traced, tested and
 measured like every other. Gains follow the same distance model the
 detector tests against, so simulated data is self-consistent end to end.
 
-The tracer works on (x, y) pairs of Python floats, and only the stored
-reflection points become arrays. Python floats round as NumPy does, and on
-2-vectors a NumPy call costs more than the arithmetic it does. What depends
-on the scene alone, the image tree (every wall sequence with the anchor's
-images across it), is built once per scene and depth and kept on the
-``Scene``; each receiver then costs only its own unfold, blocking tests and
-measurement. Each snapshot draws its gain scatter in one call and its noise
-in another, from the same stream and in the same order as one scalar draw
-per value.
+The tracer works on (x, y) pairs of Python floats, and its paths are plain
+records that keep their reflection points as such pairs; only the
+single-bounce point a snapshot's truth keeps becomes a read-only array.
+Python floats round as NumPy does, and on 2-vectors a NumPy call costs more
+than the arithmetic it does. What depends on the scene alone, the image tree
+(every wall sequence with the anchor's images across it), is built once per
+scene and depth and kept on the ``Scene``; each receiver then costs only its
+own unfold, blocking tests and measurement. Each snapshot draws its gain
+scatter in one call and its noise in another, from the same stream and in
+the same order as one scalar draw per value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -122,13 +123,14 @@ class Scene:
                 raise DegenerateGeometry(f"wall {k} has zero length")
 
 
-@dataclass(frozen=True)
-class TruePath:
+class TruePath(NamedTuple):
     """One traced path with noiseless channel parameters.
 
     ``incidence_points`` are the reflection points from the anchor side to
-    the user side (empty for LoS). ``length_m`` and ``reflection_loss_db``
-    are recorded at trace time so gain synthesis needs no scene access.
+    the user side (empty for LoS), each an (x, y) pair of Python floats;
+    ``np.asarray(p.incidence_points[k])`` gives one as an array.
+    ``length_m`` and ``reflection_loss_db`` are recorded at trace time so
+    gain synthesis needs no scene access.
     """
 
     kind: str
@@ -196,33 +198,34 @@ def _wall_pairs(walls) -> tuple:
     return tuple((tuple(w.a.tolist()), tuple(w.b.tolist())) for w in walls)
 
 
-def _interior_crossing(p, q, a, b):
-    """Parameter u along a->b where segment p->q crosses it, or None.
+def _interior_crossing(p, q, walls):
+    """Parameter u along the first wall a->b of ``walls`` (``_wall_pairs``)
+    whose interior the segment p->q crosses, or None.
 
-    The crossing counts only inside both segments: its parameters t along
+    A crossing counts only inside both segments: its parameters t along
     p->q and u along a->b must both lie in (_EPS, 1 - _EPS). Parallel
-    segments never cross.
+    segments never cross. The segment's own terms are formed once for all
+    the walls, and u only where t lies inside.
     """
-    (px, py), (qx, qy), (ax, ay), (bx, by) = p, q, a, b
+    (px, py), (qx, qy) = p, q
     rx, ry = qx - px, qy - py
-    sx, sy = bx - ax, by - ay
-    denom = rx * sy - ry * sx
-    if denom == 0.0:
-        return None
-    wx, wy = ax - px, ay - py
-    t = (wx * sy - wy * sx) / denom
-    u = (wx * ry - wy * rx) / denom
-    if _EPS < t < 1.0 - _EPS and _EPS < u < 1.0 - _EPS:
-        return u
+    for (ax, ay), (bx, by) in walls:
+        sx, sy = bx - ax, by - ay
+        denom = rx * sy - ry * sx
+        if denom == 0.0:
+            continue
+        wx, wy = ax - px, ay - py
+        t = (wx * sy - wy * sx) / denom
+        if _EPS < t < 1.0 - _EPS:
+            u = (wx * ry - wy * rx) / denom
+            if _EPS < u < 1.0 - _EPS:
+                return u
     return None
 
 
 def _blocked(p, q, walls) -> bool:
     """True if the open segment p->q crosses any wall's interior."""
-    for a, b in walls:
-        if _interior_crossing(p, q, a, b) is not None:
-            return True
-    return False
+    return _interior_crossing(p, q, walls) is not None
 
 
 def _image_tree(scene: Scene, max_bounces: int):
@@ -261,11 +264,11 @@ def _unfold(walls, seq: tuple[int, ...], images, ue):
     """
     chain = [images[0], *[None] * len(seq), ue]
     for j in range(len(seq), 0, -1):
-        a, b = walls[seq[j - 1]]
-        u = _interior_crossing(images[j], chain[j + 1], a, b)
+        wall = walls[seq[j - 1]]
+        u = _interior_crossing(images[j], chain[j + 1], (wall,))
         if u is None:
             return None
-        (ax, ay), (bx, by) = a, b
+        (ax, ay), (bx, by) = wall
         chain[j] = (ax + u * (bx - ax), ay + u * (by - ay))
     for leg_a, leg_b in zip(chain[:-1], chain[1:]):
         if _blocked(leg_a, leg_b, walls):
@@ -296,8 +299,7 @@ def trace_paths(scene: Scene, ue: UeState, max_bounces: int = 3) -> list[TruePat
         if chain is None:
             continue
         length, toa, aod, aoa = _chain_measurement(ue, scene.bs, chain)
-        entries.append(TruePath(kind, tuple(_frozen_point(pt) for pt in chain[1:-1]),
-                                toa, aod, aoa, length_m=length, reflection_loss_db=loss))
+        entries.append(TruePath(kind, tuple(chain[1:-1]), toa, aod, aoa, 1.0, length, loss))
     return sorted(entries, key=lambda e: e.toa)
 
 
@@ -318,8 +320,7 @@ def synthesize_gains(paths: Sequence[TruePath], model: PathLossModel = PathLossM
     """
     _check_gain_rule(per_bounce_extra_db, sigma_db, "sigma_db")
     gains = _gains(paths, model, per_bounce_extra_db, rng, sigma_db)
-    return [TruePath(p.kind, p.incidence_points, p.toa, p.aod, p.aoa, gain,
-                     p.length_m, p.reflection_loss_db) for p, gain in zip(paths, gains)]
+    return [p._replace(gain=gain) for p, gain in zip(paths, gains)]
 
 
 def _check_gain_rule(per_bounce_extra_db, sigma_db, sigma_name: str) -> None:
@@ -416,7 +417,9 @@ def generate_dataset(scene: Scene, ue_positions, config: SimConfig = SimConfig()
 
     Each position is one ``trace_paths`` call; the scene's image tree is
     built on the first and serves the rest. Gains come from the same helper
-    as ``synthesize_gains``'s, without a second ``TruePath`` per path.
+    as ``synthesize_gains``'s, without a second ``TruePath`` per path. Only
+    the reflection point of each single bounce, which the truth keeps,
+    becomes a read-only array.
 
     Delays are canonicalized so the nanosecond file round trip is exact.
 
@@ -450,8 +453,8 @@ def generate_dataset(scene: Scene, ue_positions, config: SimConfig = SimConfig()
         measured = [PathMeasurement(canonical_seconds(toa), aod, aoa, gain)
                     for (toa, aod, aoa), gain in zip(_noisy(traced, config.noise, rng), gains)]
         labels = tuple(dataset_label(t.kind) for t in traced)
-        incidence = tuple(t.incidence_points[0] if t.kind == KIND_SINGLE else None
-                          for t in traced)
+        incidence = tuple(_frozen_point(t.incidence_points[0]) if t.kind == KIND_SINGLE
+                          else None for t in traced)
         truth = GroundTruth(ue=ue, labels=labels, incidence=incidence)
         snapshots.append(Snapshot(id=f"pos_{k:03d}", bs=scene.bs,
                                   paths=tuple(measured), truth=truth))

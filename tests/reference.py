@@ -508,6 +508,18 @@ def synthesize_gains_scalar(paths, model=PathLossModel(), per_bounce_extra_db=6.
     return out
 
 
+def path_measurement_fields(toa, aod, aoa, gain=1.0):
+    """The (toa, aod, aoa, gain) that ``PathMeasurement`` stored when it
+    re-set all four fields on every construction, after the same checks."""
+    if not math.isfinite(toa + aod + aoa + gain):
+        for name, value in zip(("toa", "aod", "aoa", "gain"), (toa, aod, aoa, gain)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+    if gain <= 0.0:
+        raise ValueError("gain must be strictly positive")
+    return float(toa), wrap_angle(float(aod)), wrap_angle(float(aoa)), float(gain)
+
+
 def corrupt_scalar(paths, noise, rng=None):
     """The measurements of ``sim._noisy`` as they were drawn with three
     scalar draws per path, in (toa, aod, aoa) order."""

@@ -1,6 +1,10 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -250,7 +254,7 @@ def test_cli_asks_for_no_more_workers_than_snapshots(tmp_path, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
     data, lone = tmp_path / "data.jsonl", tmp_path / "lone.jsonl"
     write_dataset([random_h0_snapshot(seed) for seed in range(4)], data)
     write_dataset([random_h0_snapshot(0)], lone)
@@ -262,6 +266,20 @@ def test_cli_asks_for_no_more_workers_than_snapshots(tmp_path, monkeypatch):
     # one snapshot takes the serial path
     assert main(["solve", "--data", str(lone), "--out", str(many), "--workers", "64"]) == 0
     assert asked == [4]
+
+
+def test_importing_the_cli_leaves_the_process_pool_out():
+    # only a run with workers > 1 imports the pool, and with it
+    # multiprocessing; a fresh interpreter, since this one has it already
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, snapslam, snapslam.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]
 
 
 def test_cli_error_exit_codes(tmp_path, capsys, monkeypatch):

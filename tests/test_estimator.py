@@ -252,6 +252,18 @@ def test_landmark_jacobian_degenerate_at_antennas():
     assert _bounce_model(ue, bs, [5.0, 0.0]) is None
 
 
+def test_landmark_model_degenerate_where_a_squared_leg_underflows():
+    # so close to an antenna that a leg's squared norm underflows to 0,
+    # though the norm does not: the Jacobian would divide by zero
+    bs = Pose([0.0, 0.0])
+    ue = UeState([5.0, 0.0])
+    assert _bounce_model(ue, bs, [0.0, 1e-300]) is None
+    assert _bounce_model(ue, bs, [5.0, 1e-300]) is None
+    for landmark in ([0.0, 1e-150], [5.0, 1e-150]):
+        h, jac = _bounce_model(ue, bs, landmark)
+        assert all(map(math.isfinite, h + jac))
+
+
 def test_landmark_refine_noiseless_strict():
     rng = np.random.default_rng(23)
     for _ in range(20):

@@ -19,7 +19,7 @@ from snapslam import (
 )
 
 from snapslam.geometry import _T_NU, _bounce, _dot2, _mirror, _rays
-from reference import wrap_angle_numpy
+from reference import path_measurement_fields, wrap_angle_numpy
 
 C = SPEED_OF_LIGHT
 
@@ -209,6 +209,49 @@ def test_path_measurement_validation():
     m = PathMeasurement(1e-9, 3 * math.pi / 2, -3 * math.pi / 2)
     assert m.aod == pytest.approx(-math.pi / 2)
     assert m.aoa == pytest.approx(math.pi / 2)
+
+
+def _construction(make, *fields):
+    """The stored fields of ``make(*fields)`` as (type, bits) pairs, or the
+    error it raised as (type, message)."""
+    try:
+        # NumPy scalars may overflow in the finiteness sum; both sides then
+        # see the same inf
+        with np.errstate(all="ignore"):
+            made = make(*fields)
+    except (ValueError, TypeError, OverflowError) as exc:
+        return type(exc), str(exc)
+    if isinstance(made, PathMeasurement):
+        made = (made.toa, made.aod, made.aoa, made.gain)
+    return [(type(v), struct.pack("<d", v)) for v in made]
+
+
+_ANGLES_AT_PI = [math.pi, -math.pi, math.nextafter(math.pi, 4.0), math.nextafter(-math.pi, 0.0),
+                 math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, -4.0)]
+_FIELD = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-20.0, 20.0),                                 # angles in and out of (-pi, pi]
+    st.sampled_from(_ANGLES_AT_PI + [1e308, -1e308, 0.0, -0.0, 1e-300]),
+    st.integers(-10, 10),
+    st.integers(-2 ** 1100, 2 ** 1100),                     # past float range
+    st.floats(-1e308, 1e308).map(np.float64),
+    st.sampled_from(_ANGLES_AT_PI).map(np.float64),
+    st.booleans(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(toa=_FIELD, aod=_FIELD, aoa=_FIELD, gain=_FIELD)
+@example(toa=1e-8, aod=math.pi, aoa=-math.pi, gain=1.0)
+@example(toa=1e-8, aod=0.5, aoa=0.25, gain=2)
+@example(toa=np.float64(1e-8), aod=0.5, aoa=0.25, gain=1.0)
+@example(toa=1e308, aod=1e308, aoa=0.0, gain=1.0)
+def test_path_measurement_keeps_the_always_reset_fields(toa, aod, aoa, gain):
+    # the constructor skips the re-set only where it is the identity: the
+    # same field bits and types as re-setting every field, and the same
+    # inputs rejected with the same message
+    assert (_construction(PathMeasurement, toa, aod, aoa, gain)
+            == _construction(path_measurement_fields, toa, aod, aoa, gain))
 
 
 def test_noise_model_defaults_and_validation():

@@ -147,12 +147,15 @@ WALLED = Scene(walls=(*ROOM.walls, Wall([0.0, -3.0], [0.0, 4.0], 1.0),
 
 
 def _traced_fields(trace, scene, ue, max_bounces):
-    """Every traced field of every path, floats as bytes; or the error raised."""
+    """Every traced field of every path, floats as bytes; or the error raised.
+
+    A reflection point is a float pair in ``trace_paths`` and an array in
+    the reference; both give the same bytes as a float array."""
     try:
         paths = trace(scene, ue, max_bounces)
     except DegenerateGeometry as exc:
         return str(exc)
-    return [(p.kind, [q.tobytes() for q in p.incidence_points],
+    return [(p.kind, [np.asarray(q, dtype=float).tobytes() for q in p.incidence_points],
              np.array([p.toa, p.aod, p.aoa, p.length_m, p.reflection_loss_db]).tobytes())
             for p in paths]
 
@@ -353,6 +356,28 @@ def test_generate_dataset_noiseless_closure():
         assert m.toa == pytest.approx(toa, abs=1e-15)
         assert m.aod == pytest.approx(aod, abs=1e-12)
         assert m.aoa == pytest.approx(aoa, abs=1e-12)
+
+
+def test_generate_dataset_freezes_the_traced_single_bounce_points():
+    # the traced paths keep float pairs; the truth keeps each single
+    # bounce's point as a read-only array with the traced bits
+    positions = [[3.0, 2.0], [-2.5, -4.0], [6.5, 4.5], [-6.0, -4.5]]
+    for max_bounces in (1, 2, 3):
+        snaps = generate_dataset(WALLED, positions, SimConfig(max_bounces=max_bounces), seed=4)
+        singles = 0
+        for snap in snaps:
+            traced = trace_paths(WALLED, snap.truth.ue, max_bounces)
+            assert len(traced) == len(snap.truth.incidence)
+            for p, inc in zip(traced, snap.truth.incidence):
+                assert all(type(q) is tuple and len(q) == 2
+                           and all(type(c) is float for c in q) for q in p.incidence_points)
+                if p.kind != "single_bounce":
+                    assert inc is None
+                    continue
+                singles += 1
+                assert isinstance(inc, np.ndarray) and not inc.flags.writeable
+                assert inc.tobytes() == np.array(p.incidence_points[0], dtype=float).tobytes()
+        assert singles >= len(positions)
 
 
 def test_generate_dataset_is_deterministic():

@@ -19,7 +19,7 @@ import numpy as np
 
 from .detector import DetectionResult
 from .evaluation import ErrorRecord, SweepResult
-from .geometry import PathMeasurement, Pose, UeState
+from .geometry import PathMeasurement, Pose, UeState, _frozen_point
 from .robust import SlamSolution
 from .sim import GroundTruth, Scene, Snapshot, Wall, canonical_seconds
 
@@ -111,7 +111,8 @@ def snapshot_from_dict(row: dict) -> Snapshot:
     ``bs``, each path, ``truth`` (or null) and ``truth.ue``, and arrays for
     ``paths``, ``truth.labels`` and ``truth.incidence``. Every number must
     pass ``_is_number``, and every point be an [x, y] pair of them;
-    otherwise ValueError names the field.
+    otherwise ValueError names the field. Truth incidence points come back
+    read-only, as ``generate_dataset`` makes them.
     """
     row = _typed(row, dict, "row", "an object")
     bs_row = _typed(row["bs"], dict, "bs", "an object")
@@ -131,7 +132,7 @@ def snapshot_from_dict(row: dict) -> Snapshot:
         incidence = _typed(truth_row["incidence"], (list, tuple), "truth.incidence", "an array")
         truth = GroundTruth(ue=ue, labels=tuple(labels),
                             incidence=tuple(None if p is None
-                                            else np.array(_pair(p, "truth.incidence"))
+                                            else _frozen_point(_pair(p, "truth.incidence"))
                                             for p in incidence))
     return Snapshot(id=_typed(row["id"], str, "id", "a string"), bs=bs, paths=paths, truth=truth)
 

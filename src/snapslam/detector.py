@@ -54,10 +54,12 @@ def los_test(gain_db: float, estimated_position, bs: Pose,
     Raises
     ------
     ValueError
-        If ``threshold`` is not finite.
+        If ``gain_db`` or ``threshold`` is not finite.
     DegenerateGeometry
         If the estimated position coincides with the anchor.
     """
+    if not math.isfinite(gain_db):
+        raise ValueError(f"gain_db must be finite, got {gain_db}")
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
     p = np.asarray(estimated_position, dtype=float)

@@ -38,9 +38,9 @@ CONDITION_LIMIT = 1e12
 """Condition number of the scaled normal matrix above which the geometry is
 treated as singular.
 
-Both gates, ``_condition_ok`` on the 3x3 cell systems and
-``landmark_refine`` on its 2x2 landmark normal matrix, decide by one
-estimate of the condition number of a symmetric positive definite A:
+Every gate, ``_condition_ok`` on the 3x3 cell systems (restated in
+Python floats by ``_gated_solve``) and ``landmark_refine`` on its 2x2
+landmark normal matrix, decides by one estimate of the condition number of a symmetric positive definite A:
 trace(A) * trace(A^-1) = trace(A) * trace(adj A) / det(A), with det(A) the
 product of the LDL^T pivots (a c - b^2 for the 2x2 [[a, b], [b, c]]). A
 system passes if and only if its pivots are positive and the estimate is
@@ -269,6 +269,38 @@ def _solve_packed(s: np.ndarray):
     x, d1, d2 = _ldl_solve(s)
     ok = _condition_ok(s, d1, d2)
     return np.where(ok, x, 0.0), ok
+
+
+def _gated_solve(s):
+    """``_solve_packed`` of one packed system in Python floats.
+
+    ``s`` holds the nine entries of a ``_PathTerms.normal`` row. Returns x
+    as a 3-tuple where ``_condition_ok`` passes the system, and None where
+    it fails it, with the bits of ``_ldl_solve`` and the same rule. The
+    gate is decided before x is solved, and a zero pivot or a zero pivot
+    product fails it: Python raises where NumPy divides by zero.
+    """
+    a00, a01, a02, a11, a12, a22, b0, b1, b2 = s
+    if not a00 > 0.0:
+        return None
+    l10 = a01 / a00
+    l20 = a02 / a00
+    d1 = a11 - l10 * a01
+    if not d1 > 0.0:
+        return None
+    l21 = (a12 - l20 * a01) / d1
+    d2 = a22 - l20 * a02 - l21 * l21 * d1
+    pivots = a00 * d1 * d2
+    if not (d2 > 0.0 and pivots != 0.0):
+        return None
+    adj = (a11 * a22 - a12 * a12) + (a00 * a22 - a02 * a02) + (a00 * a11 - a01 * a01)
+    if not 0.0 < (a00 + a11 + a22) * adj / pivots < CONDITION_LIMIT:
+        return None
+    z1 = b1 - l10 * b0
+    z2 = b2 - l20 * b0 - l21 * z1
+    x2 = z2 / d2
+    x1 = z1 / d1 - l21 * x2
+    return b0 / a00 - l10 * x1 - l20 * x2, x1, x2
 
 
 def _take_rows(terms: _PathTerms, rows: np.ndarray) -> _PathTerms:

@@ -38,6 +38,21 @@ search returns what evaluating every cell returns, to the bit. Its working
 memory has a fixed bound that grows with the path count only once one
 subset's cells exceed the chunk budget (see ``_CHUNK_ROW_PATHS``).
 
+That search, ``_search``, runs the NLoS grid. Under LOS there is one
+heading, the closed form of ``estimator.los_orientation``, and n - 1 pair
+subsets, a dozen cells for a room snapshot, where a NumPy call on a dozen
+numbers costs more than its arithmetic. ``_los_search`` runs that search
+in Python floats and returns ``_search``'s answer at that heading, bit for
+bit. It restates the per-path terms, the condition gate, the line
+statistic, the feasibility rule and the path-order sums, each with its
+plane twin's operations in their order. It gates every pair before its
+line statistic, visits the live cells best-first in (penalty, subset)
+order, stops at the first penalty above the best cost, and scores each
+distinct inlier row once, over its members alone. Those shortcuts are
+exact while every non-member adds exactly +0.0 to each path-order sum
+(see ``_LOS_BOUND`` and ``_los_cell``); outside that domain it returns
+``_search``'s answer.
+
 ``benchmark_solve`` is the non-robust reference: every path, NLoS model,
 grid search only.
 """
@@ -46,8 +61,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +75,7 @@ from .estimator import (
     _cell_costs,
     _condition_ok,
     _frozen_set,
+    _gated_solve,
     _heading_costs,
     _ldl_solve,
     _line_costs,
@@ -68,7 +86,7 @@ from .estimator import (
     nlos_orientation_search,
     orientation_grid,
 )
-from .geometry import _T_NU, SPEED_OF_LIGHT, NoiseModel, UeState, _bounce, wrap_angle
+from .geometry import _T_NU, SPEED_OF_LIGHT, NoiseModel, UeState, _bounce, _rays, wrap_angle
 
 _C = SPEED_OF_LIGHT
 
@@ -264,6 +282,179 @@ def _evaluate_block(terms, waiting, t_eps, block, best):
     return best
 
 
+_LOS_BOUND = 1e150
+"""Magnitude bound of ``_los_search``'s exact domain. While every anchor
+coordinate, every path's c tau and every state it scores stay below it, no
+path's squared projected residual overflows (each stays below ~2e302), so
+a path weighted 0 adds an exact +0.0 to a cost sum, never 0 * inf = NaN."""
+
+
+class _Inexact(Exception):
+    """Raised where ``_los_search`` leaves its exact domain."""
+
+
+class _LosTerms(NamedTuple):
+    """The per-path terms of ``_build_terms`` at the LoS heading, as Python
+    floats, each list indexed by path: what ``_los_search`` reads."""
+
+    anchor: tuple       # (x, y)
+    normal: list        # the nine packed entries of _PathTerms.normal
+    lines: list         # (c tau, c_q, nubar_0, nubar_1) of _line_costs
+    fits: list          # (v, mu, nubar, nu, ||nu||^2, c tau, gain) of _row_costs
+    eta: list           # the gains
+
+
+def _los_terms(paths, bs, alpha, candidate) -> _LosTerms:
+    """``_build_terms(paths, bs, [alpha], candidate)`` in Python floats.
+
+    Each path's rays come from ``geometry._rays``; every other value takes
+    the operations of ``estimator._heading_terms`` and ``_line_terms`` in
+    their order, so every bit is theirs. Raises ``_Inexact`` where an
+    anchor coordinate or a c tau reaches ``_LOS_BOUND``; below it every
+    term is finite.
+    """
+    ax, ay = bs.position.tolist()
+    if not (abs(ax) < _LOS_BOUND and abs(ay) < _LOS_BOUND):
+        raise _Inexact
+    shift = -math.frexp(max(p.gain for p in paths))[1]
+    normal, lines, fits = [], [], []
+    for i, p in enumerate(paths):
+        (u0, u1), (v0, v1) = _rays(p.aod, p.aoa, bs.orientation, alpha)
+        ctau = _C * p.toa
+        if not abs(ctau) < _LOS_BOUND:
+            raise _Inexact
+        nu0, nu1 = u0 + v0, u1 + v1
+        nu_sq = nu0 * nu0 + nu1 * nu1
+        n0 = n1 = 0.0                                   # identity projector
+        if nu_sq != 0.0 and i != candidate:
+            root = math.sqrt(nu_sq)
+            n0, n1 = nu0 / root, nu1 / root
+        m0, m1 = ax - ctau * v0, ay - ctau * v1
+        nv, nm = n0 * v0 + n1 * v1, n0 * m0 + n1 * m1
+        w0, w1 = v0 - n0 * nv, v1 - n1 * nv             # P v
+        g0, g1 = m0 - n0 * nm, m1 - n1 * nm             # P mu
+        s = math.ldexp(p.gain, shift)
+        normal.append(((1.0 - n0 * n0) * s, -n0 * n1 * s, -w0 * s, (1.0 - n1 * n1) * s,
+                       -w1 * s, (v0 * w0 + v1 * w1) * s, g0 * s, g1 * s,
+                       -(v0 * g0 + v1 * g1) * s))
+        lines.append((ctau, n1 * v0 - n0 * v1, n0, n1))
+        fits.append((v0, v1, m0, m1, n0, n1, nu0, nu1, nu_sq, ctau, p.gain))
+    return _LosTerms((ax, ay), normal, lines, fits, [p.gain for p in paths])
+
+
+def _los_system(terms: _LosTerms, members):
+    """The packed system of ``members``: their ``normal`` rows summed in
+    that order, ((p0 + p1) + p2) + ..."""
+    s = terms.normal[members[0]]
+    for j in members[1:]:
+        s = tuple(map(operator.add, s, terms.normal[j]))
+    return s
+
+
+def _los_live_cells(terms: _LosTerms, combos, t_eps):
+    """Stage 1 of ``_search`` on every subset: (penalty, subset, inlier row)
+    of each cell that can win.
+
+    A cell lives when ``estimator._gated_solve`` passes its minimal-subset
+    system, the sum of its paths' rows in subset order, and its inlier row
+    (``_line_costs`` at most ``t_eps``, the same operations path by path)
+    holds as many paths as the subset. A cell the gate fails is dropped
+    by ``_evaluate_block`` as well, so gating it first changes no answer.
+    The penalty is ``_outlier_penalty``'s path-order sum.
+    """
+    ax, ay = terms.anchor
+    cells = []
+    for l, combo in enumerate(combos):
+        x = _gated_solve(_los_system(terms, combo))
+        if x is None:
+            continue
+        x0, x1, x2 = x
+        dx, dy = x0 - ax, x1 - ay
+        q = [(x2 - ctau) * cq + n0 * dy - n1 * dx for ctau, cq, n0, n1 in terms.lines]
+        row = tuple([e * e <= t_eps for e in q])
+        if sum(row) >= len(combo):
+            outside = 0.0
+            for eta, inlier in zip(terms.eta, row):
+                if not inlier:
+                    outside += eta
+            cells.append((outside * t_eps, l, row))
+    return cells
+
+
+def _los_cell(terms: _LosTerms, row, penalty):
+    """Stage 2 of ``_search`` on one inlier row: (cost, x), or None where
+    ``estimator._cell_costs`` gives +inf.
+
+    The system, cost and feasibility sums run over the members alone, in
+    path order. That has ``_cell_costs``'s bits while each non-member adds
+    an exact zero to them (see ``_PathTerms``), which holds unless a
+    member-only system entry is 0.0, whose sign a non-member's +-0.0 could
+    set, or the state reaches ``_LOS_BOUND``; there it raises ``_Inexact``.
+    """
+    members = [j for j, inlier in enumerate(row) if inlier]
+    s = _los_system(terms, members)
+    if 0.0 in s:
+        raise _Inexact
+    x = _gated_solve(s)
+    if x is None:
+        return None
+    x0, x1, x2 = x
+    if not (abs(x0) < _LOS_BOUND and abs(x1) < _LOS_BOUND and abs(x2) < _LOS_BOUND):
+        raise _Inexact
+    cost = 0.0
+    for j in members:
+        v0, v1, m0, m1, n0, n1, nu0, nu1, nu_sq, ctau, eta = terms.fits[j]
+        r0, r1 = x0 - x2 * v0 - m0, x1 - x2 * v1 - m1
+        # the feasibility rule of _feasibility_mask; a zero denominator,
+        # where NumPy divides to inf or NaN, fails it
+        d = ctau - x2
+        if not d >= 0.0:
+            return None
+        if nu_sq > _T_NU:
+            den = d * nu_sq
+            if den == 0.0 or not 0.0 <= (nu0 * r0 + nu1 * r1) / den <= 1.0:
+                return None
+        nr = n0 * r0 + n1 * r1
+        p0, p1 = r0 - n0 * nr, r1 - n1 * nr
+        cost += eta * (p0 * p0 + p1 * p1)
+    cost += penalty
+    return (cost, x) if math.isfinite(cost) else None
+
+
+def _los_search(paths, bs, alpha, combos, candidate, config):
+    """``_search(paths, bs, np.array([alpha]), combos, candidate, config)``,
+    bit for bit, in Python floats: the LoS branch's one heading and n - 1
+    pairs.
+
+    Stage 1 (``_los_live_cells``) keeps the cells that can win. Stage 2
+    visits them best-first, in (penalty, subset) order, and stops at the
+    first whose penalty is above the best cost so far: its cost, and that
+    of every cell after it, is at least its penalty. It scores each
+    distinct inlier row once (``_los_cell``); a row's cost does not depend
+    on the subset, so the lowest subset that carries it is the one that
+    can win. Outside the exact domain of ``_los_terms`` and ``_los_cell``
+    it returns ``_search``'s answer.
+    """
+    try:
+        terms = _los_terms(paths, bs, alpha, candidate)
+        best, seen = None, set()
+        for penalty, l, row in sorted(_los_live_cells(terms, combos, config.t_eps)):
+            if best is not None and penalty > best[0]:
+                break
+            if row in seen:
+                continue
+            seen.add(row)
+            cell = _los_cell(terms, row, penalty)
+            if cell is not None and (best is None or (cell[0], l) < (best[0], best[2])):
+                best = (cell[0], 0, l, cell[1], row)
+    except _Inexact:
+        return _search(paths, bs, np.array([alpha]), combos, candidate, config)
+    if best is None:
+        return None
+    cost, h, l, x, row = best
+    return cost, h, l, np.array(x), np.array(row)
+
+
 _POLISH_OFFSETS = np.array([(np.linspace(-w, w, 9), np.linspace(-w / 4.0, w / 4.0, 9))
                             for w in (2.0 * math.pi / _GRID_STEPS / 16.0 ** i for i in range(7))])
 """The (7, 2, 9) heading offsets of ``_polish_heading``'s scans: scan i
@@ -329,12 +520,13 @@ def robust_solve(snapshot, hypothesis: Hypothesis,
     """Robust snapshot solution under a fixed propagation hypothesis.
 
     Under LOS the earliest path is the LoS candidate, the heading comes in
-    closed form from it, and minimal subsets pair it with one other path.
-    Under NLOS the heading is grid-searched, minimal subsets are all
-    4-subsets, and the winning heading is refined past grid resolution with
-    the cell's inlier set held fixed. See the module docstring for the
-    search itself. Each inlier is refined into a landmark where its rays
-    leave a bounce point at the returned state, ||u + v||^2 > ``geometry._T_NU``.
+    closed form from it, minimal subsets pair it with one other path, and
+    ``_los_search`` searches them in Python floats. Under NLOS the heading
+    is grid-searched by ``_search``, minimal subsets are all 4-subsets, and
+    the winning heading is refined past grid resolution with the cell's
+    inlier set held fixed. See the module docstring for the searches. Each
+    inlier is refined into a landmark where its rays leave a bounce point
+    at the returned state, ||u + v||^2 > ``geometry._T_NU``.
     The rule is geometric, not by role: it maps neither the LoS candidate,
     whose rays cancel at its closed-form heading, nor a LoS path that the
     NLoS branch takes as an inlier.
@@ -353,20 +545,17 @@ def robust_solve(snapshot, hypothesis: Hypothesis,
         raise NoFeasibleSolution(f"need at least {n_min} paths, got {n}")
     if hypothesis is Hypothesis.LOS:
         candidate = _los_candidate(paths)
-        alphas = np.array([los_orientation(paths[candidate], bs)])
-        combos = enumerate_combinations(n, hypothesis, candidate)
+        alpha = los_orientation(paths[candidate], bs)
+        best = _los_search(paths, bs, alpha, enumerate_combinations(n, hypothesis, candidate),
+                           candidate, config)
     else:
-        candidate = None
         alphas = orientation_grid()
-        combos = enumerate_combinations(n, hypothesis)
-
-    best = _search(paths, bs, alphas, combos, candidate, config)
+        best = _search(paths, bs, alphas, enumerate_combinations(n, hypothesis), None, config)
     if best is None:
         raise NoFeasibleSolution("every (heading, subset) cell failed feasibility")
     cost, h, _, x, inlier_row = best
-    alpha = float(alphas[h])
     if hypothesis is Hypothesis.NLOS:
-        alpha, x, cost = _polish_heading(paths, bs, alpha, x, cost, inlier_row, config)
+        alpha, x, cost = _polish_heading(paths, bs, float(alphas[h]), x, cost, inlier_row, config)
     ue = UeState(x[:2].copy(), wrap_angle(alpha), float(x[2]) / _C)
     inliers = tuple(int(i) for i in np.flatnonzero(inlier_row))
     outliers = tuple(int(i) for i in np.flatnonzero(~inlier_row))

@@ -13,12 +13,14 @@ from snapslam import (
     Hypothesis,
     Pose,
     Scene,
+    SimConfig,
     SlamSolution,
     Snapshot,
     SweepResult,
     UeState,
     Wall,
     failure_to_dict,
+    generate_dataset,
     read_config,
     read_dataset,
     read_jsonl,
@@ -77,6 +79,19 @@ def test_dataset_file_round_trip_is_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert [s.id for s in again] == ["s0", "s1", "s2"]
     assert _paths_tuplewise(again[0]) == _paths_tuplewise(snaps[0])
+
+
+def test_truth_points_come_back_read_only(tmp_path):
+    # generate_dataset hands back read-only truth points; a snapshot read
+    # back from a file must too, or writing one of its points rewrites truth
+    (snap,) = generate_dataset(square_scene(), [np.array([1.0, 0.5])], SimConfig(max_bounces=1))
+    path = tmp_path / "d.jsonl"
+    write_dataset([snap], path)
+    for made in (snap, read_dataset(path)[0], snapshot_from_dict(snapshot_to_dict(snap))):
+        points = [p for p in made.truth.incidence if p is not None]
+        assert points and not any(p.flags.writeable for p in points)
+        with pytest.raises(ValueError, match="read-only"):
+            points[0][0] = 99.0
 
 
 def test_jsonl_skips_blank_lines(tmp_path):

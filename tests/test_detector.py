@@ -104,6 +104,15 @@ def test_non_finite_threshold_is_rejected_before_any_solve(monkeypatch):
             mixed_solve(snap, threshold=bad)
 
 
+def test_non_finite_gain_is_rejected():
+    # a NaN gain would decide NLoS with statistic NaN, which
+    # solution_to_dict writes as "statistic": NaN, not valid JSON
+    bs = __import__("snapslam").Pose([0.0, 0.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="gain_db must be finite"):
+            los_test(bad, [10.0, 0.0], bs)
+
+
 def test_mixed_solve_needs_two_paths():
     snap = random_h0_snapshot(1)
     one = Snapshot(id="o", bs=snap.bs, paths=snap.paths[:1], truth=None)

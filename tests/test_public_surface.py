@@ -10,7 +10,8 @@ Every parameter of every function is read, and every defaulted parameter
 of a private function is passed by some call in the package, so neither
 an unread argument nor a default no caller overrides survives. No module
 computes a matrix or vector product through BLAS, or a length through
-NumPy's hypot, and the tracer's per-leg helpers read no NumPy name. Every
+NumPy's hypot, and neither the tracer's per-leg helpers nor the LoS
+search's per-path and per-cell helpers read a NumPy name. Every
 double-backquoted reference to a package name in a docstring or comment
 resolves. No linter is a dependency, so the checks read the source with
 ``ast`` and ``tokenize``.
@@ -251,19 +252,36 @@ _FLOAT_HELPERS = {"sim": ("_image_tree", "_unfold", "_blocked", "_interior_cross
                   "geometry": ("_mirror", "_chain_measurement")}
 
 
-def test_tracer_helpers_read_no_numpy():
-    # Python floats round as NumPy does, and on a pair a NumPy call costs
-    # more than the arithmetic it does; a helper that reads np brings NumPy
-    # scalars back into every leg
+# the LoS search's per-path and per-cell helpers, in Python floats as well
+_LOS_SEARCH_HELPERS = {"robust": ("_los_terms", "_los_system", "_los_live_cells", "_los_cell"),
+                       "estimator": ("_gated_solve",)}
+
+
+def _numpy_reads(helpers):
+    """Every read of an ``np`` or ``numpy`` name inside the named functions."""
     found = []
-    for module, names in _FLOAT_HELPERS.items():
+    for module, names in helpers.items():
         defs = {node.name: node for node in _tree(PACKAGE / f"{module}.py").body
                 if isinstance(node, ast.FunctionDef)}
         assert set(names) <= set(defs)
         found += [f"{module}.{name}:{node.lineno}" for name in names
                   for node in ast.walk(defs[name])
                   if isinstance(node, ast.Name) and node.id in ("np", "numpy")]
-    assert found == []
+    return found
+
+
+def test_tracer_helpers_read_no_numpy():
+    # Python floats round as NumPy does, and on a pair a NumPy call costs
+    # more than the arithmetic it does; a helper that reads np brings NumPy
+    # scalars back into every leg
+    assert _numpy_reads(_FLOAT_HELPERS) == []
+
+
+def test_los_search_helpers_read_no_numpy():
+    # the LoS branch searches 12-13 paths and n - 1 cells, where a NumPy
+    # call costs more than the arithmetic it does; the search converts its
+    # result to arrays once, outside the per-cell loop
+    assert _numpy_reads(_LOS_SEARCH_HELPERS) == []
 
 
 def test_no_linalg():

@@ -31,6 +31,7 @@ from snapslam import (
     generate_dataset,
     is_single_bounce_consistent,
     los_orientation,
+    measurement_model,
     minimal_counts,
     mixed_solve,
     orientation_grid,
@@ -52,7 +53,7 @@ from snapslam.estimator import (
 )
 from snapslam.evaluation import MODES, solve_snapshot
 from snapslam.geometry import _T_NU, _bounce
-from snapslam.robust import _los_candidate, _search
+from snapslam.robust import _los_candidate, _los_search, _search
 import reference
 from helpers import (
     CANCEL,
@@ -850,6 +851,197 @@ def test_search_gate_rejects_the_subsets_of_three_nearly_coincident_bounces(monk
         rejected.clear()
         assert _bits(_search(*args)) == _bits(want)
         assert sum(rejected) >= 1
+
+
+# --- the LoS search in Python floats against _search ---------------------------
+
+def _los_inputs(paths, bs, t_eps=RobustConfig().t_eps):
+    """The LoS branch's search arguments, with the heading as one float."""
+    candidate = _los_candidate(paths)
+    return (list(paths), bs, los_orientation(paths[candidate], bs),
+            enumerate_combinations(len(paths), Hypothesis.LOS, candidate), candidate,
+            RobustConfig(t_eps=t_eps))
+
+
+def _oracle(args):
+    """``_search`` at the one heading of the ``_los_search`` arguments."""
+    paths, bs, alpha, combos, candidate, config = args
+    return _search(paths, bs, np.array([alpha]), combos, candidate, config)
+
+
+def _assert_los_equals_oracle(args, fallback=False):
+    """Assert that ``_los_search`` returns ``_search``'s bits, and that it
+    calls ``_search`` if and only if ``fallback``; return its result."""
+    want = _oracle(args)
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return _search(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(robust, "_search", recorded)
+        got = _los_search(*args)
+    assert _bits(got) == _bits(want)
+    assert got is None or (got[3].dtype, got[4].dtype) == (want[3].dtype, want[4].dtype)
+    assert len(calls) == fallback
+    return got
+
+
+@pytest.mark.parametrize("t_eps", [1e-9, 1e-3, RobustConfig().t_eps, 10.0, 1e6])
+@pytest.mark.parametrize("case", [0, 2, 4, 6])
+def test_los_search_equals_search(case, t_eps):
+    snap, hypothesis = list(_search_cases())[case]
+    assert hypothesis is Hypothesis.LOS
+    _assert_los_equals_oracle(_los_inputs(snap.paths, snap.bs, t_eps))
+
+
+@pytest.mark.parametrize("t_eps", [RobustConfig().t_eps, 10.0])
+@pytest.mark.parametrize("seed", [1, 99])
+def test_los_search_equals_search_on_room_snapshots(seed, t_eps):
+    # the LoS path, four single bounces and up to eight double bounces each
+    scene = read_scene(Path(__file__).resolve().parents[1] / "demos" / "room.scene")
+    positions = [np.array([x, y]) for x in (-6.5, -2.0, 2.5, 6.5) for y in (-4.5, -0.5, 4.0)]
+    for snap in generate_dataset(scene, positions, SimConfig(max_bounces=2), seed=seed):
+        assert len(snap.paths) >= 12
+        _assert_los_equals_oracle(_los_inputs(snap.paths, snap.bs, t_eps))
+
+
+@pytest.mark.parametrize("case", [0, 2, 4, 6])
+def test_los_search_drops_the_cells_whose_pair_fails_the_gate(case):
+    # The limit is the condition estimate of the unpatched winner's pair
+    # system: that pair and every one with a higher estimate fail, and
+    # another cell wins. Both searches read the patched limit.
+    snap, _ = list(_search_cases())[case]
+    args = _los_inputs(snap.paths, snap.bs)
+    paths, bs, alpha, combos, candidate, _ = args
+    l = _oracle(args)[2]
+    terms = _build_terms(paths, bs, np.array([alpha]), candidate)
+    limit = _estimate(terms, combos[l])[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimator, "CONDITION_LIMIT", limit)
+        assert estimator._gated_solve(terms.normal[:, list(combos[l]), 0].sum(axis=1)) is None
+        got = _assert_los_equals_oracle(args)
+        assert got is None or got[2] != l
+
+
+def test_los_search_scores_a_repeated_inlier_row_once_at_its_lowest_subset(monkeypatch):
+    # Noiseless: every pair's solve makes every path an inlier, so the n - 1
+    # cells share one inlier row. It is scored once and subset 0 carries it.
+    rng = np.random.default_rng(3)
+    bs, ue = random_state(rng)
+    snap = build_snapshot("repeat", bs, ue, random_landmarks(rng, 6, bs, ue), with_los=True)
+    args = _los_inputs(snap.paths, snap.bs)
+    rows = {row for _, _, row in robust._los_live_cells(robust._los_terms(*args[:3], args[4]),
+                                                         args[3], args[5].t_eps)}
+    assert rows == {(True,) * 7}
+    got = _assert_los_equals_oracle(args)
+    scored, los_cell = [], robust._los_cell
+
+    def counted(terms, row, penalty):
+        scored.append(row)
+        return los_cell(terms, row, penalty)
+
+    monkeypatch.setattr(robust, "_los_cell", counted)
+    assert _bits(_los_search(*args)) == _bits(got) and got[2] == 0
+    assert scored == [(True,) * 7]
+
+
+def _tie_snapshot():
+    """Five paths whose best two cells tie exactly, the later-visited one
+    on the lower subset.
+
+    Paths: the LoS path (0); bounces 1 and 2, bounce 1 with 1 nm of delay
+    error; bounce 3 at gain 2^-52 with an extra length tuned below; an
+    outlier (4). At t_eps = 1, bounce 3 is an outlier of pair (0, 1),
+    subset 0, and an inlier of pair (0, 2), subset 1, whose state bounce 1
+    pulls 1 nm away. Subset 1 pays the outlier's penalty, 1.0, plus bounce
+    3's ~2^-52 residual, which rounds it up to 1 + 2^-52; subset 0 pays
+    that much in penalty, and its residuals, ~1e-18, round away.
+    """
+    bs, ue = Pose([0.0, 0.0], 0.0), UeState([6.0, 2.0], 0.7, 3e-9)
+
+    def bounce(landmark, extra=0.0, gain=1.0):
+        toa, aod, aoa = measurement_model(ue, bs, landmark)
+        return PathMeasurement(toa + extra / SPEED_OF_LIGHT, aod, aoa, gain)
+
+    head = [PathMeasurement(*measurement_model(ue, bs), 1.0), bounce([3.0, 6.0], -1e-9),
+            bounce([8.0, -3.0])]
+    tail = [bounce([-2.0, 5.0], 25.0)]
+
+    def line_costs(extra):
+        """Bounce 3's stage-1 statistic at the states of pairs (0, 1), (0, 2)."""
+        paths = head + [bounce([4.0, -4.0], extra, 2.0 ** -52)] + tail
+        terms = _build_terms(paths, bs, np.array([los_orientation(paths[0], bs)]), 0)
+        x = _ldl_solve(terms.normal[:, [0, 0], :] + terms.normal[:, [1, 2], :])[0]
+        return paths, estimator._line_costs(terms, estimator._line_terms(terms), x)[3, :, 0]
+
+    lo, hi = 0.0, 3.0                   # bounce 3 an inlier of both, of neither
+    while True:
+        paths, (first, second) = line_costs(0.5 * (lo + hi))
+        if second > 1.0:
+            hi = 0.5 * (lo + hi)
+        elif first <= 1.0:
+            lo = 0.5 * (lo + hi)
+        else:
+            return paths, bs
+
+
+def test_los_search_takes_the_lower_subset_of_an_exact_tie_found_later():
+    # Best-first visits subset 1 (penalty 1.0, cost 1 + 2^-52) before
+    # subset 0 (penalty 1 + 2^-52, the same cost): the stop must not fire
+    # at a penalty equal to the best cost, or subset 1 would win.
+    paths, bs = _tie_snapshot()
+    args = _los_inputs(paths, bs, 1.0)
+    terms = robust._los_terms(*args[:3], 0)
+    cells = sorted(robust._los_live_cells(terms, args[3], 1.0))
+    assert [(penalty, l) for penalty, l, _ in cells[:2]] == [(1.0, 1), (1.0 + 2.0 ** -52, 0)]
+    costs = [robust._los_cell(terms, row, penalty)[0] for penalty, _, row in cells[:2]]
+    assert costs == [1.0 + 2.0 ** -52] * 2
+    assert _assert_los_equals_oracle(args)[:3] == (1.0 + 2.0 ** -52, 0, 0)
+    # subset 2 pairs the LoS path with bounce 3 alone: its pair fails the gate
+    assert 2 not in [l for _, l, _ in cells]
+    assert estimator._gated_solve(tuple(map(operator.add, terms.normal[0], terms.normal[3]))) is None
+
+
+def test_los_search_leaves_a_member_only_signed_zero_to_search():
+    # The LoS candidate's a01 entry is -0.0, and so is a01 of a bounce whose
+    # u + v points along +x: one off the wall x = 9, its aod rounded to a
+    # multiple of 2^-50 so that aoa + alpha == -aod exactly. At 1e-9 that
+    # pair's cell, {LoS, wall}, is visited first; its member-only a01 sums to
+    # -0.0, while _search's sum, where the outliers add 0.0 * a01 > 0, gives
+    # +0.0. So it returns _search's answer.
+    bs, ue = Pose([0.0, 0.0], 0.0), UeState([6.0, 2.0], 0.7, 3e-9)
+    los = PathMeasurement(*measurement_model(ue, bs), 1.0)
+    alpha = los_orientation(los, bs)
+    toa, aod, _ = measurement_model(ue, bs, [9.0, 1.5])
+    aod = math.ldexp(round(math.ldexp(aod, 50)), -50)
+    wall = PathMeasurement(toa, aod, -aod - alpha, 4.0)
+    assert wall.aoa + alpha == -aod
+    outliers = [PathMeasurement(*measurement_model(ue, bs, p), 1.0) for p in ([3.0, 6.0], [4.0, -4.0])]
+    outliers = [PathMeasurement(p.toa + 1e-9, p.aod, p.aoa, p.gain) for p in outliers]
+    paths = [los, wall] + outliers
+    args = _los_inputs(paths, bs, 1e-9)
+    terms = _build_terms(paths, bs, np.array([alpha]), 0)
+    a01 = terms.normal[1, :, 0]
+    assert list(np.signbit(a01)) == [True, True, False, False] and (a01[:2] == 0.0).all()
+    member = np.array([True, True, False, False])[:, None]
+    assert not np.signbit(estimator._path_sum(member * terms.normal)[1, 0])
+    assert min(robust._los_live_cells(robust._los_terms(paths, bs, alpha, 0), args[3], 1e-9))[1] == 0
+    _assert_los_equals_oracle(args, fallback=True)
+
+
+@pytest.mark.parametrize("toa", [1e143, 1e300])
+def test_los_search_leaves_a_delay_past_its_bound_to_search(toa):
+    # c tau at 1e143 s is ~3e151 m, past robust._LOS_BOUND, where an
+    # outlier's squared residual can overflow and 0 * inf is NaN; at 1e300 s
+    # it is inf, a non-finite term, on which _search's own NumPy arithmetic
+    # overflows. Either way _search answers.
+    snap, _ = list(_search_cases())[0]
+    far = PathMeasurement(toa, 0.3, -1.2, 0.5)
+    assert not SPEED_OF_LIGHT * toa < robust._LOS_BOUND
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_los_equals_oracle(_los_inputs(list(snap.paths) + [far], snap.bs), fallback=True)
 
 
 # --- working memory ------------------------------------------------------------
